@@ -19,7 +19,7 @@ from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
 from .elliptic import complete_K, jacobi_sncndn
-from .spinwave import ContrastSeries
+from .spinwave import ContrastSeries, _pair_density
 
 STABILITY_THRESHOLD = 1e-6
 
@@ -196,7 +196,7 @@ def scaling_function(tau, q: float, theta: float, dJz: float, n_k: int | None = 
         raise ValueError("tau must be >= 0")
     if n_k is None:
         n_k = max(8192, 256 * (int(np.max(tau)) + 1))
-    k = -math.pi + 2.0 * math.pi * (np.arange(n_k) + 0.5) / n_k
+    k = _momentum_grid(n_k)
     X = math.sin(theta) ** 2 * dJz
     A_red = X * np.cos(k)
     s2 = np.sin(k / 2.0) ** 2
@@ -285,6 +285,16 @@ def bloch_matrices(eta, zeta, V, k: float) -> BlochMatrixPair:
     coincides with an interior bond and the contributions accumulate.
     zeta must be real for the pair to be Hermitian.
     """
+    A, B = _bloch_stack(eta, zeta, V, [k])
+    return BlochMatrixPair(k=k, A=A[0], B=B[0])
+
+
+def _bloch_stack(eta, zeta, V, k_grid) -> tuple[np.ndarray, np.ndarray]:
+    """(A_k, B_k) stacked over k_grid, laid out as in bloch_matrices.
+
+    k enters only through the wrap phase, so the interior bonds are filled
+    once and the wrap bond is added per momentum.
+    """
     eta = np.atleast_1d(np.asarray(eta, dtype=complex))
     zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
     V = np.atleast_1d(np.asarray(V, dtype=float))
@@ -293,25 +303,19 @@ def bloch_matrices(eta, zeta, V, k: float) -> BlochMatrixPair:
         raise ValueError("eta, zeta, V must have equal length")
     if np.abs(zeta.imag).max() > 1e-12:
         raise ValueError("pairing amplitude zeta must be real")
-    A = np.zeros((lam, lam), dtype=complex)
-    B = np.zeros((lam, lam), dtype=complex)
-    if lam == 1:
-        ph = np.exp(1j * k)
-        B[0, 0] = V[0] + eta[0] * ph + np.conj(eta[0] * ph)
-        A[0, 0] = zeta[0].real * 2.0 * math.cos(k)
-        return BlochMatrixPair(k=k, A=A, B=B)
-    B[np.arange(lam), np.arange(lam)] = V
+    A0 = np.zeros((lam, lam), dtype=complex)
+    B0 = np.diag(V).astype(complex)
     for s in range(lam - 1):
-        B[s + 1, s] += eta[s]
-        B[s, s + 1] += np.conj(eta[s])
-        A[s + 1, s] += zeta[s]
-        A[s, s + 1] += np.conj(zeta[s])
-    ph = np.exp(1j * k)
-    B[lam - 1, 0] += eta[lam - 1] * ph
-    B[0, lam - 1] += np.conj(eta[lam - 1] * ph)
-    A[lam - 1, 0] += zeta[lam - 1] * ph
-    A[0, lam - 1] += np.conj(zeta[lam - 1] * ph)
-    return BlochMatrixPair(k=k, A=A, B=B)
+        B0[s + 1, s] += eta[s]
+        B0[s, s + 1] += np.conj(eta[s])
+        A0[s + 1, s] += zeta[s]
+        A0[s, s + 1] += np.conj(zeta[s])
+    wrap = np.zeros((lam, lam), dtype=complex)
+    wrap[lam - 1, 0] = 1.0
+    ph = np.exp(1j * np.asarray(k_grid, dtype=float))[:, None, None]
+    B = B0[None] + eta[lam - 1] * ph * wrap + np.conj(eta[lam - 1] * ph) * wrap.T
+    A = A0[None] + zeta[lam - 1] * ph * wrap + np.conj(zeta[lam - 1] * ph) * wrap.T
+    return A, B
 
 
 def unit_cell_size(kappa: float, q: float) -> int:
@@ -395,30 +399,6 @@ def _momentum_grid(n_k: int) -> np.ndarray:
     return -math.pi + 2.0 * math.pi * (np.arange(n_k) + 0.5) / n_k
 
 
-def _stacked_bloch(family, kappa, q, delta, S, k_grid):
-    """Vectorized (A_k, B_k) stacks: k enters only through the wrap phase."""
-    eta, zeta, V = family_coefficients(family, kappa, q, delta, S)
-    lam = len(V)
-    if lam == 1:
-        ph = np.exp(1j * np.asarray(k_grid))
-        B = (V[0] + eta[0] * ph + np.conj(eta[0] * ph)).reshape(-1, 1, 1)
-        A = (zeta[0] * ph + np.conj(zeta[0] * ph)).reshape(-1, 1, 1)
-        return A.astype(complex), B.astype(complex)
-    A0 = np.zeros((lam, lam), dtype=complex)
-    B0 = np.diag(V).astype(complex)
-    for s in range(lam - 1):
-        B0[s + 1, s] += eta[s]
-        B0[s, s + 1] += np.conj(eta[s])
-        A0[s + 1, s] += zeta[s]
-        A0[s, s + 1] += np.conj(zeta[s])
-    wrap = np.zeros((lam, lam), dtype=complex)
-    wrap[lam - 1, 0] = 1.0
-    ph = np.exp(1j * np.asarray(k_grid))[:, None, None]
-    B = B0[None] + eta[lam - 1] * ph * wrap + np.conj(eta[lam - 1] * ph) * wrap.T
-    A = A0[None] + zeta[lam - 1] * ph * wrap + np.conj(zeta[lam - 1] * ph) * wrap.T
-    return A, B
-
-
 def _screened_rate(minus: np.ndarray, plus: np.ndarray) -> float:
     """max |Im sqrt(mu)| over mu in spec(minus @ plus), momentum-stacked.
 
@@ -471,7 +451,7 @@ def lyapunov_max(
     if n_k < 2:
         raise ValueError("n_k must be >= 2")
     k_half = _momentum_grid(n_k)[n_k // 2 :]
-    A, B = _stacked_bloch(family, kappa, q, delta, S, k_half)
+    A, B = _bloch_stack(*family_coefficients(family, kappa, q, delta, S), k_half)
     return _screened_rate(B - A, B + A)
 
 
@@ -510,20 +490,11 @@ def contrast_multiflavour(
     if T <= 0 or n_samples < 2:
         raise ValueError("need T > 0 and at least two samples")
     k_grid = _momentum_grid(n_k)
-    A, B = _stacked_bloch(family, kappa, q, delta, S, k_grid)
-    lam = A.shape[1]
+    A, B = _bloch_stack(*family_coefficients(family, kappa, q, delta, S), k_grid)
     C = np.block([[B, A], [-A, -B]])
     times = np.linspace(0.0, T, n_samples)
-    step = times[1] - times[0]
-    E = expm(-1j * step * C)
-    V = np.zeros((len(k_grid), 2 * lam, lam), dtype=complex)
-    V[:, :lam, :] = np.eye(lam)
-    D = np.empty(n_samples)
-    D[0] = 1.0
-    for n in range(1, n_samples):
-        V = E @ V
-        pair_density = np.sum(np.abs(V[:, lam:, :]) ** 2) / len(k_grid)
-        D[n] = 1.0 - pair_density / (lam * S)
+    E = expm(-1j * (times[1] - times[0]) * C)
+    D, _ = _pair_density(lambda n, V: E @ V, len(k_grid), A.shape[1], n_samples, S)
     return ContrastSeries(times=times, D=D, f=S * (1.0 - D))
 
 

@@ -21,7 +21,6 @@ count for phase-scan.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
@@ -39,6 +38,8 @@ from .scars import (
     gz_condition_residuals,
     parent_couplings,
     scar_texture,
+    write_csv,
+    write_sidecar,
 )
 
 _ANGLE_RE = re.compile(r"^([+-]?\d*\.?\d*)\s*\*?\s*pi\s*(?:/\s*(\d*\.?\d+))?$")
@@ -115,26 +116,6 @@ def _params_record(args) -> dict:
     return record
 
 
-def _write_sidecar(csv_path: Path, kind: str, args) -> None:
-    sidecar = {"kind": kind, "params": _params_record(args)}
-    csv_path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(value) for value in row) + "\n")
-
-
-def _cell(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _scar_params(args) -> ScarParams:
     if (args.M is None) == (args.q is None):
         raise UsageError("give exactly one of --M or --q")
@@ -181,15 +162,15 @@ def cmd_scar_verify(args) -> int:
 
 
 def cmd_dispersion(args) -> int:
-    k = (np.arange(args.n_k) + 0.5) * (2.0 * math.pi / args.n_k) - math.pi
+    k = bg._momentum_grid(args.n_k)
     disp = bg.transverse_dispersion(k, args.q, args.theta, args.dJz, S=args.S)
     path = _out_path(args, "dispersion.csv")
-    _write_csv(
+    write_csv(
         path,
         ["k", "omega_re", "omega_im", "wtilde_re", "wtilde_im"],
-        zip(k, disp.omega_sw.real, disp.omega_sw.imag, disp.w_tilde.real, disp.w_tilde.imag),
+        [k, disp.omega_sw.real, disp.omega_sw.imag, disp.w_tilde.real, disp.w_tilde.imag],
     )
-    _write_sidecar(path, "dispersion", args)
+    write_sidecar(path, "dispersion", _params_record(args))
     print(f"wrote {path}")
     return 0
 
@@ -254,7 +235,7 @@ def cmd_ll_evolve(args) -> int:
     texture_path = _out_path(args, "ll_trajectory.csv")
     energy_path = _out_path(args, "ll_energy.csv")
     trajectory.save_csv(texture_path, energy_path)
-    _write_sidecar(texture_path, "classical_trajectory", args)
+    write_sidecar(texture_path, "classical_trajectory", _params_record(args))
     print(f"wrote {texture_path}")
     print(f"wrote {energy_path}")
     return 0
@@ -271,15 +252,9 @@ def cmd_phase_scan(args) -> int:
         workers=args.workers,
     )
     path = _out_path(args, "phase_scan.csv")
-    _write_csv(
-        path,
-        ["kappa", "lambda", "q", "class", "lyap_minus", "lyap_plus"],
-        (
-            [r["kappa"], r["lambda"], r["q"], r["class"], r["lyap_minus"], r["lyap_plus"]]
-            for r in records
-        ),
-    )
-    _write_sidecar(path, "phase_scan", args)
+    header = ["kappa", "lambda", "q", "class", "lyap_minus", "lyap_plus"]
+    write_csv(path, header, [[r[key] for r in records] for key in header])
+    write_sidecar(path, "phase_scan", _params_record(args))
     counts: dict[str, int] = {}
     for r in records:
         counts[r["class"]] = counts.get(r["class"], 0) + 1
@@ -297,14 +272,14 @@ def cmd_rates(args) -> int:
         if value is not None:
             print(f"{name} = {value:.3e}")
     path = _out_path(args, "rates.csv")
-    row = [
-        result.branch,
-        _nan_if_none(result.gamma1),
-        _nan_if_none(result.gamma2_exact),
-        _nan_if_none(result.gamma2_perturbative),
+    columns = [
+        [result.branch],
+        [_nan_if_none(result.gamma1)],
+        [_nan_if_none(result.gamma2_exact)],
+        [_nan_if_none(result.gamma2_perturbative)],
     ]
-    _write_csv(path, ["branch", "gamma1", "gamma2_exact", "gamma2_perturbative"], [row])
-    _write_sidecar(path, "rates", args)
+    write_csv(path, ["branch", "gamma1", "gamma2_exact", "gamma2_perturbative"], columns)
+    write_sidecar(path, "rates", _params_record(args))
     print(f"wrote {path}")
     return 0
 
@@ -421,7 +396,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .elliptic import jacobi_sncndn
 from .rotframe import FrameData, stationarity_residual
-from .scars import coupling_matrix
+from .scars import coupling_matrix, write_csv
 
 #: per-site norm drift beyond this aborts the integration
 NORM_DRIFT_TOL = 1e-6
@@ -43,26 +43,14 @@ class ClassicalTrajectory:
     def save_csv(self, texture_path, energy_path=None) -> None:
         """Write (t, j, Ox, Oy, Oz) rows; optionally an energy series CSV."""
         n_t, L, _ = self.textures.shape
-        t_col = np.repeat(self.times, L)
-        j_col = np.tile(np.arange(L), n_t)
-        rows = np.column_stack([t_col, j_col, self.textures.reshape(n_t * L, 3)])
-        np.savetxt(
+        omega = self.textures.reshape(n_t * L, 3)
+        write_csv(
             texture_path,
-            rows,
-            delimiter=",",
-            header="t,j,Ox,Oy,Oz",
-            comments="",
-            fmt=["%.17g", "%d", "%.17g", "%.17g", "%.17g"],
+            ["t", "j", "Ox", "Oy", "Oz"],
+            [np.repeat(self.times, L), np.tile(np.arange(L), n_t), *omega.T],
         )
         if energy_path is not None:
-            np.savetxt(
-                energy_path,
-                np.column_stack([self.times, self.energy]),
-                delimiter=",",
-                header="t,energy",
-                comments="",
-                fmt="%.17g",
-            )
+            write_csv(energy_path, ["t", "energy"], [self.times, self.energy])
 
 
 def _ll_rhs(omega: np.ndarray, J: np.ndarray, S: float) -> np.ndarray:

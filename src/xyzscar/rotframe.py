@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import complete_K, jacobi_sncndn
-from .scars import coupling_matrix
+from .elliptic import jacobi_sncndn
+from .scars import coupling_matrix, parent_couplings
 
 
 @dataclass
@@ -88,11 +88,10 @@ def frame_transverse(
     return FrameData(R=R, JR=_bond_couplings(R, J), hR=hR)
 
 
-def _check_family_domain(kappa: float, q: float) -> None:
+def _check_family_domain(kappa: float) -> None:
+    # parent_couplings admits kappa = 0 and checks 0 < q < K(kappa) itself
     if not 0.0 < kappa < 1.0:
         raise ValueError(f"kappa must lie in (0, 1), got {kappa}")
-    if not 0.0 < q < complete_K(kappa):
-        raise ValueError(f"q = {q} outside (0, K(kappa))")
 
 
 def frame_gtsh(kappa: float, q: float, L: int, dJz: float = 0.0) -> FrameData:
@@ -102,9 +101,8 @@ def frame_gtsh(kappa: float, q: float, L: int, dJz: float = 0.0) -> FrameData:
     am(qj, kappa); the lab z-axis maps to the rotating -x axis, so the Jz
     coupling (cn(q) + dJz) occupies the xx slot of JR.
     """
-    _check_family_domain(kappa, q)
-    J = np.diag(list(parent_triple(kappa, q)))
-    J[2, 2] += dJz
+    _check_family_domain(kappa)
+    J = parent_couplings(kappa, q).detuned(dJz=dJz).as_matrix()
     sn, cn, _ = jacobi_sncndn(q * np.arange(L), kappa)
     zero = np.zeros(L)
     R = np.stack(
@@ -125,9 +123,8 @@ def frame_glsh(kappa: float, q: float, L: int, dJx: float = 0.0) -> FrameData:
     R_j rotates about x by -arcsin(kappa sn(qj, kappa)); the lab x-axis is
     fixed, so the Jx coupling (dn(q) + dJx) occupies the xx slot of JR.
     """
-    _check_family_domain(kappa, q)
-    J = np.diag(list(parent_triple(kappa, q)))
-    J[0, 0] += dJx
+    _check_family_domain(kappa)
+    J = parent_couplings(kappa, q).detuned(dJx=dJx).as_matrix()
     sn, _, dn = jacobi_sncndn(q * np.arange(L), kappa)
     zero = np.zeros(L)
     one = np.ones(L)
@@ -141,12 +138,6 @@ def frame_glsh(kappa: float, q: float, L: int, dJx: float = 0.0) -> FrameData:
     )
     hR = np.zeros((L, 3))
     return FrameData(R=R, JR=_bond_couplings(R, J), hR=hR)
-
-
-def parent_triple(kappa: float, q: float) -> tuple[float, float, float]:
-    """(Jx, Jy, Jz) = (dn(q), 1, cn(q)) without constructing XYZCouplings."""
-    _, cn, dn = jacobi_sncndn(q, kappa)
-    return dn, 1.0, cn
 
 
 def frames_from_texture(texture: np.ndarray, J) -> FrameData:

@@ -10,8 +10,10 @@ are exposed by :func:`gz_condition_residuals`.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +23,8 @@ from .elliptic import complete_E, complete_K, jacobi_am, jacobi_epsilon, jacobi_
 EXACT_RESIDUAL_TOL = 1e-10
 #: residuals above this indicate a physically broken condition
 BROKEN_RESIDUAL_TOL = 1e-3
+#: rows per formatting chunk in write_csv
+_CSV_CHUNK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -260,15 +264,36 @@ def commensurate_q(kappa: float, L: int) -> list[tuple[int, float]]:
 def save_texture(path, texture: np.ndarray) -> None:
     """Write a texture as CSV with columns (j, Ox, Oy, Oz)."""
     omega = np.asarray(texture, dtype=float)
-    rows = np.column_stack([np.arange(len(omega)), omega])
-    np.savetxt(
-        path,
-        rows,
-        delimiter=",",
-        header="j,Ox,Oy,Oz",
-        comments="",
-        fmt=["%d", "%.17g", "%.17g", "%.17g"],
-    )
+    write_csv(path, ["j", "Ox", "Oy", "Oz"], [np.arange(len(omega)), *omega.T])
+
+
+def write_csv(path, header, columns) -> None:
+    """Write equal-length columns as CSV, the package's one text format.
+
+    Lines end in LF and each value is written as str() of the Python scalar,
+    which for floats is the shortest repr that round-trips every bit. Rows
+    are formatted in chunks of _CSV_CHUNK_ROWS to bound the memory held by
+    Python scalars on long tables.
+    """
+    columns = [np.asarray(col) for col in columns]
+    n_rows = len(columns[0])
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n_rows, _CSV_CHUNK_ROWS):
+            chunk = [col[start : start + _CSV_CHUNK_ROWS].tolist() for col in columns]
+            fh.writelines(",".join(map(str, row)) + "\n" for row in zip(*chunk))
+
+
+def write_sidecar(csv_path, kind: str, params: dict | None = None, **fields) -> None:
+    """Write the JSON record {kind, params, **fields} next to a CSV file.
+
+    params is omitted when None; keys are sorted so identical records give
+    identical bytes.
+    """
+    record = {"kind": kind, **fields}
+    if params is not None:
+        record["params"] = params
+    Path(csv_path).with_suffix(".json").write_text(json.dumps(record, indent=2, sort_keys=True))
 
 
 def load_texture(path) -> np.ndarray:

@@ -10,16 +10,14 @@ anomalous block of the propagator.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import expm
 
 from .rotframe import FrameData
+from .scars import write_csv, write_sidecar
 
 PSEUDO_UNITARITY_TOL = 1e-9
 
@@ -174,17 +172,9 @@ class ContrastSeries:
 
     def save_csv(self, path, params: dict | None = None) -> None:
         """Write (t, D, C, f) rows plus a JSON sidecar next to the CSV."""
-        path = Path(path)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "D", "C", "f"])
-            Ccol = self.C if self.C is not None else np.full_like(self.D, np.nan)
-            for row in zip(self.times, self.D, Ccol, self.f):
-                writer.writerow([repr(float(x)) for x in row])
-        sidecar = {"kind": "contrast_series", "n_samples": len(self.times)}
-        if params is not None:
-            sidecar["params"] = params
-        path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
+        Ccol = self.C if self.C is not None else np.full_like(self.D, np.nan)
+        write_csv(path, ["t", "D", "C", "f"], [self.times, self.D, Ccol, self.f])
+        write_sidecar(path, "contrast_series", params, n_samples=len(self.times))
 
 
 def contrast_sw(
@@ -204,7 +194,9 @@ def contrast_sw(
     sample-step exponential; only the left half-columns of U are carried
     (the other half is fixed by conjugation symmetry), and D(0) = 1 holds
     exactly. For callable (time-dependent) coefficients each sample interval
-    is covered by CF4 micro-steps of size dt (default 1e-3/S).
+    is covered by CF4 micro-steps of size dt (default 1e-3/S). Either way
+    the final propagator is checked for pseudo-unitarity (RuntimeError if
+    lost).
 
     theta, when given, also fills the spin-contrast column
     C = (D - cos^2 theta)/sin^2 theta.
@@ -218,32 +210,51 @@ def contrast_sw(
     static = not callable(coeffs)
     L = coeffs.L if static else coeffs(0.0).L
 
-    V = np.zeros((2 * L, L), dtype=complex)
-    V[:L] = np.eye(L)
-    D = np.empty(n_samples)
-    D[0] = 1.0
     if static:
         E = expm(-1j * step * build_linear_generator(coeffs))
-        for n in range(1, n_samples):
-            V = E @ V
-            D[n] = 1.0 - np.linalg.norm(V[L:]) ** 2 / (L * S)
+        h = step
+
+        def advance(n, V):
+            return E @ V
+
     else:
         if dt is None:
             dt = 1e-3 / S
         micro = max(1, int(round(step / dt)))
         h = step / micro
-        for n in range(1, n_samples):
-            t0 = times[n - 1]
+
+        def advance(n, V):
             for m in range(micro):
-                V = _cf4_step(coeffs, t0 + m * h, h) @ V
-            D[n] = 1.0 - np.linalg.norm(V[L:]) ** 2 / (L * S)
-        _check_pseudo_unitarity(_full_from_half(V), h)
+                V = _cf4_step(coeffs, times[n - 1] + m * h, h) @ V
+            return V
+
+    D, V = _pair_density(advance, 1, L, n_samples, S)
+    _check_pseudo_unitarity(_full_from_half(V[0]), h)
 
     f = S * (1.0 - D)
     C = None
     if theta is not None:
         C = _spin_contrast_values(D, theta)
     return ContrastSeries(times=times, D=D, f=f, C=C)
+
+
+def _pair_density(advance, batch: int, m: int, n_samples: int, S: float):
+    """Contrast D = 1 - (pair density)/(m S) at n_samples equispaced samples.
+
+    Propagates a stack of identity half-columns of shape (batch, 2m, m):
+    advance(n, V) carries the stack from sample n-1 to sample n. The pair
+    density is the batch mean of sum |anomalous block|^2, so a batch of
+    Bloch momenta gives the midpoint-rule k integral and a batch of one the
+    real-space ring. Returns D (with D[0] = 1 exactly) and the final stack.
+    """
+    V = np.zeros((batch, 2 * m, m), dtype=complex)
+    V[:, :m] = np.eye(m)
+    D = np.empty(n_samples)
+    D[0] = 1.0
+    for n in range(1, n_samples):
+        V = advance(n, V)
+        D[n] = 1.0 - np.sum(np.abs(V[:, m:]) ** 2) / batch / (m * S)
+    return D, V
 
 
 def _spin_contrast_values(D: np.ndarray, theta: float) -> np.ndarray:

@@ -291,6 +291,18 @@ class TestLlEvolve:
         drift = [float(r["energy"]) for r in energy]
         assert max(drift) - min(drift) < 1e-10
 
+    def test_norm_drift_is_numeric_error(self, tmp_path, capsys):
+        code = run(
+            ["ll-evolve", "--kappa", "0", "--M", "1", "--L", "8",
+             "--gamma", "0.7", "--dJz", "0.5", "--dJx", "0.3", "--T", "50",
+             "--dt", "0.8"],
+            tmp_path,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: norm drift")
+        assert err.count("\n") == 1
+
 
 class TestPhaseScan:
     def test_single_cell_benchmark_point(self, tmp_path, capsys):
@@ -369,6 +381,36 @@ class TestArtifacts:
         original = (first / "contrast_sw.csv").read_bytes()
         replayed = (replay_dir / "contrast_sw.csv").read_bytes()
         assert original == replayed
+
+    def test_one_csv_format_lf_and_repr_floats(self, tmp_path):
+        """Every writer emits LF line ends and shortest-repr floats."""
+        run(
+            ["contrast-sw", "--family", "transverse", "--theta", "pi/4",
+             "--q", "pi/3", "--dJz", "-0.03", "--L", "12", "--T", "3",
+             "--n-samples", "7"],
+            tmp_path,
+        )
+        run(
+            ["ll-evolve", "--kappa", "0.5", "--M", "1", "--L", "8",
+             "--gamma", "0", "--dJx", "-0.02", "--T", "1", "--max-samples", "5"],
+            tmp_path,
+        )
+        run(
+            ["dispersion", "--q", "pi/3", "--theta", "pi/4", "--dJz", "0.03",
+             "--n-k", "16"],
+            tmp_path,
+        )
+        for name in ("contrast_sw.csv", "ll_trajectory.csv", "ll_energy.csv", "dispersion.csv"):
+            text = (tmp_path / name).read_bytes().decode()
+            assert "\r" not in text, name
+            floats = [
+                field
+                for line in text.splitlines()[1:]
+                for field in line.split(",")
+                if not field.lstrip("-").isdigit()
+            ]
+            assert floats, name
+            assert all(field == repr(float(field)) for field in floats), name
 
     def test_every_writer_leaves_a_sidecar(self, tmp_path):
         run(

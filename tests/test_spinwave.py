@@ -188,6 +188,14 @@ class TestPropagator:
         with pytest.raises(RuntimeError, match="reduce the step"):
             sw._check_pseudo_unitarity(1.1 * np.eye(6), 0.1)
 
+    def test_static_contrast_checks_pseudo_unitarity(self, monkeypatch):
+        """A corrupted sample-step exponential must not pass silently."""
+        expm = sw.expm
+        monkeypatch.setattr(sw, "expm", lambda a: 1.001 * expm(a))
+        frame = co_rotating_transverse(math.pi / 4, math.pi / 3, -0.03, 8, 1.0)
+        with pytest.raises(RuntimeError, match="pseudo-unitarity"):
+            sw.contrast_sw(sw.sw_coefficients(frame, 1.0), 1.0, T=2.0, n_samples=11)
+
 
 class TestContrastSW:
     def test_parent_state_keeps_full_contrast(self):
