@@ -19,6 +19,7 @@ from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
 from .elliptic import complete_K, jacobi_sncndn
+from .scars import parent_couplings
 from .spinwave import ContrastSeries, _pair_density
 
 STABILITY_THRESHOLD = 1e-6
@@ -333,9 +334,15 @@ def family_coefficients(family: str, kappa: float, q: float, delta: float, S: fl
     gtsh takes a z detuning, glsh an x detuning; either way the pairing is
     (S/2) delta, the hopping adds delta to twice the parent elliptic value,
     and the onsite potential is the detuning-independent elliptic profile.
+    The scar's domain is enforced here: 0 < q < K(kappa) (so lambda > 4,
+    via parent_couplings) and S > 0, which make V negative on every site.
     """
+    if S <= 0:
+        raise ValueError(f"spin length S must be positive, got {S}")
     lam = unit_cell_size(kappa, q)
-    snq, cnq, dnq = jacobi_sncndn(q, kappa)
+    parent = parent_couplings(kappa, q)
+    snq = jacobi_sncndn(q, kappa)[0]
+    cnq, dnq = parent.Jz, parent.Jx
     if family == "gtsh":
         eta = 0.5 * S * (2.0 * cnq + delta)
     elif family == "glsh":
@@ -394,47 +401,10 @@ def dynamical_matrix(pair: BlochMatrixPair) -> np.ndarray:
 
 
 def _momentum_grid(n_k: int) -> np.ndarray:
-    """Midpoint grid over (-pi, pi): avoids the marginal k = 0 mode, whose
-    numerically split zero eigenvalue would otherwise set the noise floor."""
+    """Midpoint grid over (-pi, pi). For even n_k it avoids the marginal
+    k = 0 mode, whose numerically split zero eigenvalue would otherwise set
+    the noise floor; odd n_k puts a point on k = 0."""
     return -math.pi + 2.0 * math.pi * (np.arange(n_k) + 0.5) / n_k
-
-
-def _screened_rate(minus: np.ndarray, plus: np.ndarray) -> float:
-    """max |Im sqrt(mu)| over mu in spec(minus @ plus), momentum-stacked.
-
-    Positive definiteness of both factors forces every mu real positive, so
-    blocks of momenta are screened out by batched Cholesky (bisecting on
-    failure); eigenvalues are computed, batched, only for the momenta where
-    a factor is not PD.
-    """
-    fail: list[int] = []
-    stack = [np.arange(len(minus))]
-    while stack:
-        blk = stack.pop()
-        try:
-            np.linalg.cholesky(minus[blk])
-            np.linalg.cholesky(plus[blk])
-        except np.linalg.LinAlgError:
-            if len(blk) == 1:
-                fail.append(int(blk[0]))
-            else:
-                mid = len(blk) // 2
-                stack.append(blk[:mid])
-                stack.append(blk[mid:])
-    if not fail:
-        return 0.0
-    for first, second in ((minus, plus), (plus, minus)):
-        # if one factor is PD = L L+, spec(minus plus) = spec(L+ other L),
-        # Hermitian, so the cheaper eigvalsh applies and mu is exactly real
-        try:
-            L = np.linalg.cholesky(first[fail])
-        except np.linalg.LinAlgError:
-            continue
-        Lh = np.conj(np.swapaxes(L, -1, -2))
-        mu = np.linalg.eigvalsh(Lh @ second[fail] @ L)
-        return float(np.sqrt(max(0.0, -mu.min())))
-    mu = np.linalg.eigvals(minus[fail] @ plus[fail])
-    return float(np.abs(np.sqrt(mu.astype(complex)).imag).max())
 
 
 def lyapunov_max(
@@ -443,16 +413,20 @@ def lyapunov_max(
     """Largest Bogoliubov growth rate over the sublattice Brillouin zone.
 
     The spectrum of C_k = [[B, A], [-A, -B]] is (+/-) the square roots of
-    spec((B-A)(B+A)), so the growth rate is max |Im sqrt(mu)|. The -k
-    matrices are elementwise conjugates of the +k ones, so only half the
-    zone is diagonalized; an n_k-point full-zone midpoint grid is assumed.
-    Values at or below STABILITY_THRESHOLD * S count as stable.
+    spec((B-A)(B+A)), so the growth rate is max |Im sqrt(mu)|, taken from
+    one batched eigvals over the momenta k > 0 of an even n_k-point
+    full-zone midpoint grid (the -k matrices are elementwise conjugates of
+    the +k ones). No Hermitian shortcut applies: the onsite potential V is
+    negative on a scar's domain, so B-A and B+A have a negative diagonal
+    and neither factor is ever positive definite. Values at or below
+    STABILITY_THRESHOLD * S count as stable.
     """
-    if n_k < 2:
-        raise ValueError("n_k must be >= 2")
+    if n_k < 2 or n_k % 2:
+        raise ValueError(f"n_k must be even and >= 2, got {n_k}")
     k_half = _momentum_grid(n_k)[n_k // 2 :]
     A, B = _bloch_stack(*family_coefficients(family, kappa, q, delta, S), k_half)
-    return _screened_rate(B - A, B + A)
+    mu = np.linalg.eigvals((B - A) @ (B + A))
+    return float(np.abs(np.sqrt(mu.astype(complex)).imag).max())
 
 
 def growth_rate_direct(eta, zeta, V, k_grid) -> float:

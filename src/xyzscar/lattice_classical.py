@@ -68,6 +68,16 @@ def _rk4_step(omega: np.ndarray, J: np.ndarray, S: float, dt: float) -> np.ndarr
     return omega + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _check_norm_drift(omega: np.ndarray, t: float, dt: float) -> None:
+    """Raise IntegrationError if a site norm of omega has left 1 (NaN included)."""
+    drift = np.max(np.abs(np.linalg.norm(omega, axis=-1) - 1.0))
+    if not drift <= NORM_DRIFT_TOL:
+        raise IntegrationError(
+            f"norm drift {drift:.2e} exceeds {NORM_DRIFT_TOL:.0e} at "
+            f"t = {t:.3f}; reduce dt (currently {dt:.2e})"
+        )
+
+
 def classical_energy(omega: np.ndarray, J: np.ndarray, S: float) -> float:
     """Classical Hamiltonian S sum_j O_j . J O_{j+1} generating the flow."""
     return float(S * np.einsum("ja,ab,jb->", omega, J, np.roll(omega, -1, axis=0)))
@@ -125,12 +135,7 @@ def ll_evolve(
     for step in range(1, n_steps + 1):
         omega = _rk4_step(omega, mat, S, dt_eff)
         if step % stride == 0 or step == n_steps:
-            drift = np.max(np.abs(np.linalg.norm(omega, axis=1) - 1.0))
-            if drift > NORM_DRIFT_TOL:
-                raise IntegrationError(
-                    f"norm drift {drift:.2e} exceeds {NORM_DRIFT_TOL:.0e} at "
-                    f"t = {step * dt_eff:.3f}; reduce dt (currently {dt_eff:.2e})"
-                )
+            _check_norm_drift(omega, step * dt_eff, dt_eff)
             times.append(step * dt_eff)
             textures.append(omega.copy())
             energies.append(classical_energy(omega, mat, S))
@@ -216,6 +221,9 @@ def classical_lyapunov(
     not resolvably positive (fewer than two e-folds over the window, or
     smaller than three standard errors), the motion is classified stable
     and the returned rate is exactly 0 with converged=False.
+
+    Raises IntegrationError when the base trajectory's per-site norm drifts
+    by more than NORM_DRIFT_TOL at a renormalisation, as ll_evolve does.
     """
     if eps0 > 1e-6:
         raise ValueError(f"eps0 must be <= 1e-6 for a tangent-space estimate, got {eps0}")
@@ -250,10 +258,11 @@ def classical_lyapunov(
     for b in range(n_blocks):
         for _ in range(steps_per_block):
             pair = _rk4_step(pair, mat, S, dt_eff)
+        block_times[b] = (b + 1) * renorm_interval
+        _check_norm_drift(pair[0], block_times[b], dt_eff)
         sep = pair[1] - pair[0]
         dist = np.linalg.norm(sep)
         total_log += math.log(dist / eps0)
-        block_times[b] = (b + 1) * renorm_interval
         log_growth[b] = total_log
         pair[1] = pair[0] + sep * (eps0 / dist)
         pair[1] /= np.linalg.norm(pair[1], axis=1, keepdims=True)

@@ -120,9 +120,6 @@ def propagator(coeffs, t: float, dt: float | None = None) -> np.ndarray:
     """
     if not callable(coeffs):
         return expm(-1j * t * build_linear_generator(coeffs))
-    if t == 0.0:
-        L = coeffs(0.0).L
-        return np.eye(2 * L, dtype=complex)
     if dt is None:
         dt = 1e-3
     n = max(1, int(round(t / dt)))

@@ -350,7 +350,12 @@ class TestLyapunovMax:
 
     @pytest.mark.parametrize(
         "family,kappa,lam,delta",
-        [("gtsh", 0.9, 6, 0.02), ("glsh", 0.8, 7, -0.02)],
+        [
+            ("gtsh", 0.9, 6, 0.02),
+            ("glsh", 0.8, 7, -0.02),
+            ("glsh", 0.04, 20, +0.01),
+            ("glsh", 0.96, 61, -0.01),
+        ],
     )
     def test_screened_route_matches_direct(self, family, kappa, lam, delta):
         q = 4.0 * elliptic.complete_K(kappa) / lam
@@ -374,6 +379,8 @@ class TestLyapunovMax:
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="n_k"):
             bg.lyapunov_max("gtsh", 0.9, 4 * self.K9 / 6, 0.0, n_k=1)
+        with pytest.raises(ValueError, match="n_k"):
+            bg.lyapunov_max("gtsh", 0.9, 4 * self.K9 / 6, 0.0, n_k=401)
 
 
 class TestContrastMultiflavour:

@@ -320,6 +320,17 @@ class TestPhaseScan:
         assert float(rows[0]["lyap_minus"]) > 1e-3
         assert float(rows[0]["lyap_plus"]) <= 1e-6
 
+    @pytest.mark.parametrize(
+        "extra", [["--lambda", "3"], ["--lambda", "7", "--S", "-1"]]
+    )
+    def test_off_scar_domain_is_numeric_error(self, tmp_path, capsys, extra):
+        """lambda <= 4 puts q at or past K(kappa); S <= 0 flips the onsite sign."""
+        code = run(["phase-scan", "--kappa", "0.8", "--n-k", "100", *extra], tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
     def test_lambda_range_tabulates_every_cell(self, tmp_path):
         run(
             ["phase-scan", "--family", "glsh", "--kappa", "0.8",

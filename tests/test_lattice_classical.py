@@ -231,6 +231,13 @@ class TestClassicalLyapunov:
         with pytest.raises(ValueError, match="eps0"):
             lc.classical_lyapunov(helix, J, 1.0, eps0=1e-5)
 
+    def test_norm_drift_raises(self):
+        """The base trajectory's norm is checked at every renormalisation."""
+        p = scars.ScarParams.commensurate(0.0, 1, 8, gamma=0.7, S=1.0)
+        J = scars.parent_couplings(0.0, p.q).detuned(dJx=0.3, dJz=0.5)
+        with pytest.raises(lc.IntegrationError, match="reduce dt"):
+            lc.classical_lyapunov(scars.scar_texture(p), J, 1.0, T=50.0, dt=0.8)
+
     def test_growth_curve_is_recorded(self):
         helix = transverse_helix(np.pi / 4, np.pi / 3, 12)
         J = scars.XYZCouplings(1.0, 1.0, np.cos(np.pi / 3) - 0.03)
