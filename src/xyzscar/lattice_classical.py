@@ -1,12 +1,12 @@
 """Discrete Landau-Lifshitz dynamics on the XYZ ring.
 
-The mean-field equations Odot_j = S J(O_{j-1} + O_{j+1}) x O_j are integrated
-with a hand-rolled fixed-step RK4. Norm drift is monitored and reported, never
-projected away: silent renormalization would erase exactly the instability
-signatures this module exists to measure. Also provides the traveling-wave
-residuals of the perturbed helix ansatz, a Benettin twin-trajectory Lyapunov
-estimator, and the real 2L x 2L generator of the linearized dynamics about a
-stationary frame.
+The mean-field equations Odot_j = S J(O_{j-1} + O_{j+1}) x O_j, for diagonal
+couplings J, are integrated with a hand-rolled fixed-step RK4. Norm drift is
+monitored and reported, never projected away: silent renormalization would
+erase exactly the instability signatures this module exists to measure. Also
+provides the traveling-wave residuals of the perturbed helix ansatz, a
+Benettin twin-trajectory Lyapunov estimator, and the real 2L x 2L generator of
+the linearized dynamics about a stationary frame.
 """
 
 from __future__ import annotations
@@ -53,19 +53,61 @@ class ClassicalTrajectory:
             write_csv(energy_path, ["t", "energy"], [self.times, self.energy])
 
 
-def _ll_rhs(omega: np.ndarray, J: np.ndarray, S: float) -> np.ndarray:
+def _ll_rhs(omega: np.ndarray, J_diag: np.ndarray, S: float) -> np.ndarray:
     # omega may carry leading batch axes (e.g. stacked twin trajectories);
-    # sites live on axis -2.
-    field = S * (np.roll(omega, 1, axis=-2) + np.roll(omega, -1, axis=-2)) @ J.T
-    return np.cross(field, omega)
+    # sites live on axis -2. Ghost sites turn the ring's neighbour sum
+    # O_{j-1} + O_{j+1} into one slice add; the field (S nb) J and the cross
+    # product (np.cross's formula) are written out for diagonal J.
+    ring = np.concatenate([omega[..., -1:, :], omega, omega[..., :1, :]], axis=-2)
+    field = (S * (ring[..., :-2, :] + ring[..., 2:, :])) * J_diag
+    hx, hy, hz = field[..., 0], field[..., 1], field[..., 2]
+    ox, oy, oz = omega[..., 0], omega[..., 1], omega[..., 2]
+    rhs = np.empty_like(omega)
+    rhs[..., 0] = hy * oz - hz * oy
+    rhs[..., 1] = hz * ox - hx * oz
+    rhs[..., 2] = hx * oy - hy * ox
+    return rhs
 
 
-def _rk4_step(omega: np.ndarray, J: np.ndarray, S: float, dt: float) -> np.ndarray:
-    k1 = _ll_rhs(omega, J, S)
-    k2 = _ll_rhs(omega + 0.5 * dt * k1, J, S)
-    k3 = _ll_rhs(omega + 0.5 * dt * k2, J, S)
-    k4 = _ll_rhs(omega + dt * k3, J, S)
+def _rk4_step(omega: np.ndarray, J_diag: np.ndarray, S: float, dt: float) -> np.ndarray:
+    k1 = _ll_rhs(omega, J_diag, S)
+    k2 = _ll_rhs(omega + 0.5 * dt * k1, J_diag, S)
+    k3 = _ll_rhs(omega + 0.5 * dt * k2, J_diag, S)
+    k4 = _ll_rhs(omega + dt * k3, J_diag, S)
     return omega + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _coupling_diagonal(J) -> np.ndarray:
+    """(Jx, Jy, Jz) of a diagonal coupling, the only kind the integrators take."""
+    mat = coupling_matrix(J)
+    if np.count_nonzero(mat[~np.eye(3, dtype=bool)]):
+        raise ValueError(
+            f"the Landau-Lifshitz integrators take diagonal couplings, got {mat.tolist()}"
+        )
+    return np.diag(mat).copy()
+
+
+def _checked_texture(initial, **spans: float) -> np.ndarray:
+    """Copy of a unit-norm (L, 3) texture with L >= 2; every named span must be > 0."""
+    omega = np.array(initial, dtype=float)
+    if omega.ndim != 2 or omega.shape[1] != 3:
+        raise ValueError(f"initial texture must be (L, 3), got {omega.shape}")
+    if len(omega) < 2:
+        raise ValueError(f"the ring needs L >= 2 sites, got {len(omega)}")
+    if not np.all(np.abs(np.linalg.norm(omega, axis=1) - 1.0) <= 1e-9):
+        raise ValueError("initial texture must be unit-norm per site")
+    for name, value in spans.items():
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
+    return omega
+
+
+def _step_count(span: float, dt: float) -> int:
+    """Fewest equal steps across span that are no longer than dt.
+
+    The 1e-9 relative slack keeps ratios such as 200.00000000000003 at 200.
+    """
+    return math.ceil(span / dt * (1.0 - 1e-9))
 
 
 def _check_norm_drift(omega: np.ndarray, t: float, dt: float) -> None:
@@ -97,35 +139,36 @@ def ll_evolve(
     ----------
     initial : (L, 3) array
         Unit Bloch vectors at t = 0.
-    J : XYZCouplings or 3x3 array
-        Exchange matrix (detunings included).
+    J : XYZCouplings, 3-vector or diagonal 3x3 array
+        Exchange couplings (detunings included); off-diagonal entries raise.
     S : float
         Spin length; enters the equations linearly, so the default step
         dt = 1e-3/S keeps the error budget S-independent.
     dt, T : float
-        Fixed step and final time. The step is trimmed so the grid lands on T.
+        Upper bound on the fixed step, and the final time. The run takes the
+        fewest equal steps no longer than dt that land on T.
     max_samples : int
-        Trajectory snapshots are thinned to at most this many (plus t = 0).
+        Trajectory snapshots are thinned to at most this many (plus t = 0);
+        must be at least 1.
 
     Raises
     ------
+    ValueError
+        On a texture that is not unit-norm (L, 3) with L >= 2, off-diagonal
+        couplings, dt or T not positive, or max_samples below 1.
     IntegrationError
         If any site norm drifts from 1 by more than NORM_DRIFT_TOL; the drift
         is reported, not projected away. Reduce dt in that case.
     """
-    omega = np.array(initial, dtype=float)
-    if omega.ndim != 2 or omega.shape[1] != 3:
-        raise ValueError(f"initial texture must be (L, 3), got {omega.shape}")
-    norms = np.linalg.norm(omega, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
-        raise ValueError("initial texture must be unit-norm per site")
     if dt is None:
         dt = 1e-3 / S
-    if dt <= 0 or T <= 0:
-        raise ValueError("dt and T must be positive")
+    omega = _checked_texture(initial, dt=dt, T=T)
+    if max_samples < 1:
+        raise ValueError(f"max_samples must be at least 1, got {max_samples}")
     mat = coupling_matrix(J)
+    J_diag = _coupling_diagonal(mat)
 
-    n_steps = max(1, int(round(T / dt)))
+    n_steps = _step_count(T, dt)
     dt_eff = T / n_steps
     stride = max(1, math.ceil(n_steps / max_samples))
 
@@ -133,7 +176,7 @@ def ll_evolve(
     textures = [omega.copy()]
     energies = [classical_energy(omega, mat, S)]
     for step in range(1, n_steps + 1):
-        omega = _rk4_step(omega, mat, S, dt_eff)
+        omega = _rk4_step(omega, J_diag, S, dt_eff)
         if step % stride == 0 or step == n_steps:
             _check_norm_drift(omega, step * dt_eff, dt_eff)
             times.append(step * dt_eff)
@@ -222,11 +265,19 @@ def classical_lyapunov(
     smaller than three standard errors), the motion is classified stable
     and the returned rate is exactly 0 with converged=False.
 
+    J must be diagonal (XYZCouplings, a 3-vector or a diagonal 3x3 array).
+    dt is an upper bound: each renormalisation interval takes the fewest
+    equal steps no longer than dt. The run covers round(T / renorm_interval)
+    intervals, at least 4.
+
     Raises IntegrationError when the base trajectory's per-site norm drifts
     by more than NORM_DRIFT_TOL at a renormalisation, as ll_evolve does.
+    Raises ValueError on a texture, J, dt or T that ll_evolve would reject,
+    on eps0 outside (0, 1e-6], on a non-positive renorm_interval and on
+    discard_fraction outside [0, 1).
     """
-    if eps0 > 1e-6:
-        raise ValueError(f"eps0 must be <= 1e-6 for a tangent-space estimate, got {eps0}")
+    if not 0.0 < eps0 <= 1e-6:
+        raise ValueError(f"eps0 must lie in (0, 1e-6] for a tangent-space estimate, got {eps0}")
     if T is None:
         T = 400.0 / S
     if dt is None:
@@ -235,8 +286,10 @@ def classical_lyapunov(
         dt = 5e-3 / S
     if renorm_interval is None:
         renorm_interval = 1.0 / S
-    mat = coupling_matrix(J)
-    base = np.array(initial, dtype=float)
+    base = _checked_texture(initial, dt=dt, T=T, renorm_interval=renorm_interval)
+    if not 0.0 <= discard_fraction < 1.0:
+        raise ValueError(f"discard_fraction must lie in [0, 1), got {discard_fraction}")
+    J_diag = _coupling_diagonal(J)
     L = len(base)
 
     rng = np.random.default_rng(seed)
@@ -247,8 +300,8 @@ def classical_lyapunov(
     twin = base + tangent
     twin /= np.linalg.norm(twin, axis=1, keepdims=True)
 
-    steps_per_block = max(1, int(round(renorm_interval / dt)))
-    n_blocks = max(4, int(round(T / (steps_per_block * dt))))
+    steps_per_block = _step_count(renorm_interval, dt)
+    n_blocks = max(4, int(round(T / renorm_interval)))
     dt_eff = renorm_interval / steps_per_block
 
     pair = np.stack([base, twin])
@@ -257,7 +310,7 @@ def classical_lyapunov(
     total_log = 0.0
     for b in range(n_blocks):
         for _ in range(steps_per_block):
-            pair = _rk4_step(pair, mat, S, dt_eff)
+            pair = _rk4_step(pair, J_diag, S, dt_eff)
         block_times[b] = (b + 1) * renorm_interval
         _check_norm_drift(pair[0], block_times[b], dt_eff)
         sep = pair[1] - pair[0]

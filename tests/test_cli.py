@@ -303,6 +303,17 @@ class TestLlEvolve:
         assert err.startswith("error: norm drift")
         assert err.count("\n") == 1
 
+    def test_zero_max_samples_is_numeric_error(self, tmp_path, capsys):
+        code = run(
+            ["ll-evolve", "--kappa", "0", "--M", "1", "--L", "8",
+             "--gamma", "0.7", "--dJz", "0.1", "--T", "1", "--max-samples", "0"],
+            tmp_path,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: max_samples")
+        assert err.count("\n") == 1
+
 
 class TestPhaseScan:
     def test_single_cell_benchmark_point(self, tmp_path, capsys):

@@ -21,10 +21,60 @@ def transverse_helix(theta: float, q: float, L: int) -> np.ndarray:
     )
 
 
-def random_texture(L: int, seed: int) -> np.ndarray:
+def random_texture(L: int, seed: int, batch: tuple = ()) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    v = rng.normal(size=(L, 3))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    v = rng.normal(size=(*batch, L, 3))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def reference_rk4_step(omega, J, S, dt):
+    """RK4 on the general roll / 3x3 matmul / np.cross right-hand side."""
+
+    def rhs(o):
+        return np.cross(S * (np.roll(o, 1, axis=-2) + np.roll(o, -1, axis=-2)) @ J.T, o)
+
+    k1 = rhs(omega)
+    k2 = rhs(omega + 0.5 * dt * k1)
+    k3 = rhs(omega + 0.5 * dt * k2)
+    k4 = rhs(omega + dt * k3)
+    return omega + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def count_rk4_steps(monkeypatch) -> list:
+    calls = []
+    step = lc._rk4_step
+
+    def counted(*args):
+        calls.append(None)
+        return step(*args)
+
+    monkeypatch.setattr(lc, "_rk4_step", counted)
+    return calls
+
+
+class TestDiagonalKernel:
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["J", "minus_J"])
+    @pytest.mark.parametrize("batch", [(), (2,)], ids=["single", "pair"])
+    @pytest.mark.parametrize("L", [2, 3, 120])
+    def test_bit_identical_to_general_step(self, L, batch, sign):
+        """The diagonal kernel reproduces the roll/matmul/cross step exactly."""
+        J = scars.XYZCouplings(sign * 1.0, sign * 0.7, sign * 0.4)
+        mat = scars.coupling_matrix(J)
+        J_diag = lc._coupling_diagonal(J)
+        fast = ref = random_texture(L, seed=L, batch=batch)
+        for _ in range(200):
+            fast = lc._rk4_step(fast, J_diag, 1.0, 5e-3)
+            ref = reference_rk4_step(ref, mat, 1.0, 5e-3)
+        assert np.array_equal(fast, ref)
+
+    def test_off_diagonal_coupling_raises(self):
+        tex = random_texture(6, seed=4)
+        J = np.diag([1.0, 0.7, 0.4])
+        J[0, 1] = 1e-3
+        with pytest.raises(ValueError, match="diagonal"):
+            lc.ll_evolve(tex, J, 1.0, T=1.0)
+        with pytest.raises(ValueError, match="diagonal"):
+            lc.classical_lyapunov(tex, J, 1.0, T=4.0)
 
 
 class TestLLEvolve:
@@ -107,6 +157,24 @@ class TestLLEvolve:
             lc.ll_evolve(up, J, 1.0, dt=-0.1)
         with pytest.raises(ValueError, match="positive"):
             lc.ll_evolve(up, J, 1.0, T=0.0)
+        with pytest.raises(ValueError, match="L >= 2"):
+            lc.ll_evolve(up[:1], J, 1.0)
+        for max_samples in (0, -3):
+            with pytest.raises(ValueError, match="max_samples"):
+                lc.ll_evolve(up, J, 1.0, T=1.0, max_samples=max_samples)
+
+    def test_dt_is_an_upper_bound(self):
+        """dt = 0.8 over T = 1 takes two steps of 0.5, not one of 1.0."""
+        up = np.tile([0.0, 0.0, 1.0], (2, 1))
+        traj = lc.ll_evolve(up, np.diag([0.0, 0.0, 1.0]), 0.5, dt=0.8, T=1.0)
+        np.testing.assert_array_equal(traj.times, [0.0, 0.5, 1.0])
+
+    def test_default_step_count(self, monkeypatch):
+        """T / dt = 20 / 1e-3 lands on 20,000 steps despite its rounding error."""
+        calls = count_rk4_steps(monkeypatch)
+        up = np.tile([0.0, 0.0, 1.0], (2, 1))
+        lc.ll_evolve(up, np.diag([0.0, 0.0, 1.0]), 1.0, T=20.0)
+        assert len(calls) == 20_000
 
     def test_snapshot_thinning(self):
         tex = random_texture(6, seed=1)
@@ -232,11 +300,43 @@ class TestClassicalLyapunov:
             lc.classical_lyapunov(helix, J, 1.0, eps0=1e-5)
 
     def test_norm_drift_raises(self):
-        """The base trajectory's norm is checked at every renormalisation."""
+        """The base trajectory's norm is checked at every renormalisation.
+
+        dt = 0.8 is an upper bound: the unit interval runs two steps of 0.5.
+        """
         p = scars.ScarParams.commensurate(0.0, 1, 8, gamma=0.7, S=1.0)
         J = scars.parent_couplings(0.0, p.q).detuned(dJx=0.3, dJz=0.5)
-        with pytest.raises(lc.IntegrationError, match="reduce dt"):
+        with pytest.raises(lc.IntegrationError, match=r"reduce dt \(currently 5\.00e-01\)"):
             lc.classical_lyapunov(scars.scar_texture(p), J, 1.0, T=50.0, dt=0.8)
+
+    def test_default_step_count(self, monkeypatch):
+        """The default dt gives 200 steps per renormalisation interval."""
+        calls = count_rk4_steps(monkeypatch)
+        helix = transverse_helix(np.pi / 4, np.pi / 3, 12)
+        J = scars.XYZCouplings(1.0, 1.0, np.cos(np.pi / 3) - 0.03)
+        est = lc.classical_lyapunov(helix, J, 1.0, T=4.0)
+        assert len(est.times) == 4
+        assert len(calls) == 4 * 200
+
+    HELIX = transverse_helix(np.pi / 4, np.pi / 3, 12)
+
+    @pytest.mark.parametrize(
+        "texture, kwargs, match",
+        [
+            pytest.param(HELIX, {"eps0": 0.0}, "eps0", id="eps0_zero"),
+            pytest.param(HELIX, {"dt": -0.1}, "dt must be positive", id="dt"),
+            pytest.param(HELIX, {"T": -5.0}, "T must be positive", id="T"),
+            pytest.param(HELIX, {"renorm_interval": 0.0}, "renorm_interval", id="renorm"),
+            pytest.param(HELIX, {"discard_fraction": 1.0}, "discard_fraction", id="discard_one"),
+            pytest.param(HELIX, {"discard_fraction": -0.1}, "discard_fraction", id="discard_neg"),
+            pytest.param(1.1 * HELIX, {}, "unit-norm", id="non_unit"),
+            pytest.param(HELIX[:1], {}, "L >= 2", id="one_site"),
+        ],
+    )
+    def test_input_validation(self, texture, kwargs, match):
+        J = scars.XYZCouplings(1.0, 1.0, 0.5)
+        with pytest.raises(ValueError, match=match):
+            lc.classical_lyapunov(texture, J, 1.0, **{"T": 4.0, **kwargs})
 
     def test_growth_curve_is_recorded(self):
         helix = transverse_helix(np.pi / 4, np.pi / 3, 12)
