@@ -87,6 +87,12 @@ def _coupling_diagonal(J) -> np.ndarray:
     return np.diag(mat).copy()
 
 
+def _check_spin(S: float) -> None:
+    """Reject S <= 0 (NaN included) before it scales a default step."""
+    if not S > 0:
+        raise ValueError(f"spin length S must be positive, got {S}")
+
+
 def _checked_texture(initial, **spans: float) -> np.ndarray:
     """Copy of a unit-norm (L, 3) texture with L >= 2; every named span must be > 0."""
     omega = np.array(initial, dtype=float)
@@ -154,12 +160,14 @@ def ll_evolve(
     Raises
     ------
     ValueError
-        On a texture that is not unit-norm (L, 3) with L >= 2, off-diagonal
-        couplings, dt or T not positive, or max_samples below 1.
+        On S not positive, a texture that is not unit-norm (L, 3) with
+        L >= 2, off-diagonal couplings, dt or T not positive, or max_samples
+        below 1.
     IntegrationError
         If any site norm drifts from 1 by more than NORM_DRIFT_TOL; the drift
         is reported, not projected away. Reduce dt in that case.
     """
+    _check_spin(S)
     if dt is None:
         dt = 1e-3 / S
     omega = _checked_texture(initial, dt=dt, T=T)
@@ -272,10 +280,11 @@ def classical_lyapunov(
 
     Raises IntegrationError when the base trajectory's per-site norm drifts
     by more than NORM_DRIFT_TOL at a renormalisation, as ll_evolve does.
-    Raises ValueError on a texture, J, dt or T that ll_evolve would reject,
+    Raises ValueError on an S, texture, J, dt or T that ll_evolve would reject,
     on eps0 outside (0, 1e-6], on a non-positive renorm_interval and on
     discard_fraction outside [0, 1).
     """
+    _check_spin(S)
     if not 0.0 < eps0 <= 1e-6:
         raise ValueError(f"eps0 must lie in (0, 1e-6] for a tangent-space estimate, got {eps0}")
     if T is None:

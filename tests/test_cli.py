@@ -260,6 +260,19 @@ class TestContrastEd:
         assert code == 2
         assert "exactly one of --gamma or --theta" in capsys.readouterr().err
 
+    def test_family_mismatch_is_numeric_error(self, tmp_path, capsys):
+        code = run(
+            ["contrast-ed", "--kappa", "0.5", "--M", "1", "--L", "6",
+             "--S", "0.5", "--gamma", "1", "--family", "transverse",
+             "--delta", "0", "--T", "1", "--n-samples", "3"],
+            tmp_path,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "does not match" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "contrast_ed.csv").exists()
+
     def test_dimension_cap_is_numeric_error(self, tmp_path, capsys):
         code = run(
             ["contrast-ed", "--kappa", "0", "--M", "1", "--L", "13",

@@ -16,6 +16,51 @@ def transverse_params(L=6, M=1, S=1.0, gamma=GAMMA):
     return scars.ScarParams.commensurate(0.0, M, L, gamma=gamma, S=S)
 
 
+def reference_kron_hamiltonian(J, S, L):
+    """H = sum_j sum_ab J_ab S^a_j S^b_{j+1} summed from kron-embedded site
+    operators: the assembly that build_hamiltonian's digit arithmetic
+    replaced, kept as its oracle."""
+    mat = scars.coupling_matrix(J)
+    ops = ed.spin_operators(S)
+    dim = ops.dim**L
+    embedded = [
+        [ed.site_operator(c, j, L) for c in (ops.Sx, ops.Sy, ops.Sz)]
+        for j in range(L)
+    ]
+    H = sparse.csr_matrix((dim, dim), dtype=complex)
+    for j in range(L):
+        nxt = (j + 1) % L
+        for a in range(3):
+            for b in range(3):
+                if mat[a, b] != 0.0:
+                    H = H + mat[a, b] * (embedded[j][a] @ embedded[nxt][b])
+    return H.tocsr()
+
+
+def reference_eigh_evolve(psi0, H, times):
+    """States exp(-i H t) psi0 from a full dense eigendecomposition: the
+    propagator that evolve_exact's stepping replaced, kept as its oracle."""
+    H_dense = H.toarray() if sparse.issparse(H) else np.asarray(H)
+    evals, vecs = np.linalg.eigh(H_dense)
+    coeffs = vecs.conj().T @ np.asarray(psi0, dtype=complex)
+    phases = np.exp(-1j * np.outer(np.atleast_1d(times), evals))
+    return (phases * coeffs) @ vecs.T
+
+
+# distinct (J, S, L) of gate 01's sweep: H depends on kappa, q, S and L only
+SWEEP_HAMILTONIANS = [
+    (kappa, q, S, L)
+    for kappa in (0.0, 0.5, 0.9)
+    for S in (0.5, 1.0)
+    for L in range(2, 13)
+    if (int(round(2 * S)) + 1) ** L <= ed.DIMENSION_CAP
+    for _, q in scars.commensurate_q(kappa, L)
+]
+FULL_COUPLING = np.array([[1.0, 0.2, 0.0], [0.2, 1.0, 0.0], [0.0, 0.0, 0.5]])
+# J_ab != J_ba tells S^a_j S^b_{j+1} from S^b_j S^a_{j+1}
+ASYMMETRIC_COUPLING = np.array([[1.0, 0.3, 0.0], [-0.1, 0.8, 0.2], [0.0, 0.05, 0.5]])
+
+
 class TestSpinOperators:
     @pytest.mark.parametrize("S", [0.5, 1.0, 1.5, 2.0, 2.5])
     def test_commutators_and_casimir(self, S):
@@ -116,8 +161,39 @@ class TestBuildHamiltonian:
         )
 
     def test_zero_couplings_zero_hamiltonian(self):
-        H = ed.build_hamiltonian((0.0, 0.0, 0.0), 1.0, 3)
-        assert H.nnz == 0
+        for S, L in [(1.0, 3), (0.5, 2), (1.5, 2)]:
+            H = ed.build_hamiltonian((0.0, 0.0, 0.0), S, L)
+            assert H.nnz == 0
+
+    @pytest.mark.parametrize(
+        "J, S, L",
+        [
+            (FULL_COUPLING, 0.5, 4),
+            (FULL_COUPLING, 1.0, 3),
+            (FULL_COUPLING, 1.5, 2),
+            (ASYMMETRIC_COUPLING, 0.5, 5),
+            (ASYMMETRIC_COUPLING, 1.0, 2),
+            ((0.7, 1.0, 0.4), 0.5, 2),
+            ((0.7, 1.0, 0.4), 1.0, 2),
+            ((0.7, 1.0, 0.4), 1.5, 2),
+            ((0.9, 1.0, 0.35), 1.5, 3),
+            ((0.0, 0.0, 0.0), 1.0, 2),
+        ],
+    )
+    def test_matches_kron_reference(self, J, S, L):
+        H = ed.build_hamiltonian(J, S, L)
+        ref = reference_kron_hamiltonian(J, S, L)
+        assert H.shape == ref.shape
+        assert np.abs((H - ref).toarray()).max(initial=0.0) <= 1e-14
+        assert np.all(H.data != 0.0)  # no explicit zeros stored
+
+    def test_sweep_matches_kron_reference(self):
+        """Every distinct Hamiltonian of gate 01's sweep, entry by entry."""
+        assert len(SWEEP_HAMILTONIANS) == 45
+        for kappa, q, S, L in SWEEP_HAMILTONIANS:
+            J = scars.parent_couplings(kappa, q)
+            diff = ed.build_hamiltonian(J, S, L) - reference_kron_hamiltonian(J, S, L)
+            assert abs(diff).max() <= 1e-14, (kappa, q, S, L)
 
     def test_hermiticity(self):
         H = ed.build_hamiltonian((0.9, 1.0, 0.35), 1.0, 5)
@@ -223,8 +299,37 @@ class TestEvolveExact:
 
     def test_rejects_non_hermitian(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="Hermitian"):
-            ed.evolve_exact(np.array([1.0, 0.0]), bad, [0.1])
+        for H in (bad, sparse.csr_matrix(bad)):
+            with pytest.raises(ValueError, match="Hermitian"):
+                ed.evolve_exact(np.array([1.0, 0.0]), H, [0.1])
+
+    def test_rejects_over_cap(self):
+        dim = ed.DIMENSION_CAP + 1
+        with pytest.raises(ValueError, match="cap"):
+            ed.evolve_exact(np.ones(dim), sparse.identity(dim), [0.1])
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            np.linspace(0.0, 10.0, 41),
+            np.array([0.0, 0.01, 0.3, 0.31, 2.0, 6.5, 12.0]),
+            np.array([7.0, 0.0, 1.5, 1.5]),
+            np.array([-2.0, 3.0, -0.5]),
+        ],
+        ids=["uniform", "non_uniform", "unsorted_repeat", "negative"],
+    )
+    @pytest.mark.parametrize("as_dense", [False, True])
+    def test_matches_eigh_reference(self, times, as_dense):
+        """729 states (L = 6, S = 1): every amplitude within 1e-12 of dense
+        eigh, whatever the grid's order, repeats, first time or H's format."""
+        H = ed.build_hamiltonian((0.9, 1.0, 0.35), 1.0, 6)
+        rng = np.random.default_rng(5)
+        psi0 = rng.normal(size=729) + 1j * rng.normal(size=729)
+        psi0 /= np.linalg.norm(psi0)
+        states = ed.evolve_exact(psi0, H.toarray() if as_dense else H, times)
+        assert states.shape == (times.size, 729)
+        ref = reference_eigh_evolve(psi0, H, times)
+        assert np.abs(states - ref).max() <= 1e-12
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
@@ -284,6 +389,13 @@ class TestContrastExact:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="family"):
             ed.contrast_exact(transverse_params(), 0.01, family="spiral")
+
+    def test_family_must_match_scar(self):
+        """The glsh scar is an exact eigenstate at delta = 0; projected on
+        the transverse trajectory it would read D(0) = 0.932, not 1."""
+        p = scars.ScarParams.commensurate(0.5, 1, 6, gamma=1.0, S=0.5)
+        with pytest.raises(ValueError, match="does not match"):
+            ed.contrast_exact(p, 0.0, T=1.0, n_samples=3, family="transverse")
 
     def test_theta_fills_spin_contrast_column(self):
         series = ed.contrast_exact(

@@ -162,6 +162,9 @@ class TestLLEvolve:
         for max_samples in (0, -3):
             with pytest.raises(ValueError, match="max_samples"):
                 lc.ll_evolve(up, J, 1.0, T=1.0, max_samples=max_samples)
+        for S in (0.0, -1.0):
+            with pytest.raises(ValueError, match="spin length S"):
+                lc.ll_evolve(up, J, S)
 
     def test_dt_is_an_upper_bound(self):
         """dt = 0.8 over T = 1 takes two steps of 0.5, not one of 1.0."""
@@ -331,12 +334,14 @@ class TestClassicalLyapunov:
             pytest.param(HELIX, {"discard_fraction": -0.1}, "discard_fraction", id="discard_neg"),
             pytest.param(1.1 * HELIX, {}, "unit-norm", id="non_unit"),
             pytest.param(HELIX[:1], {}, "L >= 2", id="one_site"),
+            pytest.param(HELIX, {"S": 0.0}, "spin length S", id="S_zero"),
+            pytest.param(HELIX, {"S": -1.0}, "spin length S", id="S_negative"),
         ],
     )
     def test_input_validation(self, texture, kwargs, match):
         J = scars.XYZCouplings(1.0, 1.0, 0.5)
         with pytest.raises(ValueError, match=match):
-            lc.classical_lyapunov(texture, J, 1.0, **{"T": 4.0, **kwargs})
+            lc.classical_lyapunov(texture, J, **{"S": 1.0, "T": 4.0, **kwargs})
 
     def test_growth_curve_is_recorded(self):
         helix = transverse_helix(np.pi / 4, np.pi / 3, 12)
