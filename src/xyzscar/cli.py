@@ -176,6 +176,10 @@ def cmd_dispersion(args) -> int:
 
 
 def cmd_contrast_sw(args) -> int:
+    # each family's frame takes one detuning: Jx for glsh, Jz for the others
+    flag, value = ("--dJz", args.dJz) if args.family == "glsh" else ("--dJx", args.dJx)
+    if value != 0.0:
+        raise UsageError(f"{args.family} family takes no {flag} detuning")
     theta = None
     if args.family == "transverse":
         if args.theta is None or args.q is None:

@@ -27,7 +27,7 @@ from .scars import (
     scar_texture,
     texture_energy,
 )
-from .spinwave import ContrastSeries, _spin_contrast_values
+from .spinwave import ContrastSeries, spin_contrast
 
 #: largest many-body dimension the dense/sparse routines will accept
 DIMENSION_CAP = 4096
@@ -359,7 +359,7 @@ def contrast_exact(
             op = site_operator(component, j, p.L)
             expectations[:, j, a] = np.einsum("dt,dt->t", bras, op @ kets).real
     D = np.einsum("tja,tja->t", omegas, expectations) / (p.L * p.S)
-    C = None if theta is None else _spin_contrast_values(D, theta)
+    C = None if theta is None else spin_contrast(D, theta)
     return ContrastSeries(times=times, D=D, f=p.S * (1.0 - D), C=C)
 
 

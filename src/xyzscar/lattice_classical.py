@@ -278,8 +278,9 @@ def classical_lyapunov(
     equal steps no longer than dt. The run covers round(T / renorm_interval)
     intervals, at least 4.
 
-    Raises IntegrationError when the base trajectory's per-site norm drifts
-    by more than NORM_DRIFT_TOL at a renormalisation, as ll_evolve does.
+    Raises IntegrationError when a per-site norm of the base or the twin
+    drifts by more than NORM_DRIFT_TOL at a renormalisation, before the
+    renormalisation can project the twin's drift away.
     Raises ValueError on an S, texture, J, dt or T that ll_evolve would reject,
     on eps0 outside (0, 1e-6], on a non-positive renorm_interval and on
     discard_fraction outside [0, 1).
@@ -321,7 +322,7 @@ def classical_lyapunov(
         for _ in range(steps_per_block):
             pair = _rk4_step(pair, J_diag, S, dt_eff)
         block_times[b] = (b + 1) * renorm_interval
-        _check_norm_drift(pair[0], block_times[b], dt_eff)
+        _check_norm_drift(pair, block_times[b], dt_eff)
         sep = pair[1] - pair[0]
         dist = np.linalg.norm(sep)
         total_log += math.log(dist / eps0)

@@ -2,11 +2,15 @@
 
 Each frame is a sequence of rotations R_j with R_j zhat = Omega_j. The bond
 couplings seen from the rotating frame are JR_j = R_j^T J R_{j+1}, and a
-time-dependent frame contributes an effective field hR_j. Three fixed gauge
-conventions are provided (transverse helix, generalized transverse helix,
-generalized longitudinal helix) plus a geodesic fallback for arbitrary
-textures. The stationarity residual measures whether a texture is a
-mean-field solution in the given frame.
+frame rotating about the lab z axis at rate omega contributes the effective
+field hR_j = omega R_j^T zhat. The three helix families (transverse helix,
+generalized transverse helix, generalized longitudinal helix) share one axis
+gauge: the frame's y axis is the unit vector along Omega_j x axis, for a
+fixed lab axis the texture never touches (-zhat for the transverse families,
++xhat for glsh). That gauge is continuous in Omega_j wherever Omega_j is not
+parallel to the axis. A geodesic frame covers arbitrary textures. The
+stationarity residual measures whether a texture is a mean-field solution
+in the given frame.
 """
 
 from __future__ import annotations
@@ -25,15 +29,12 @@ class FrameData:
     """Rotating-frame snapshot: rotations, bond couplings, effective fields.
 
     R[j] is the rotation at site j, JR[j] = R[j]^T J R[j+1] the coupling on
-    the bond (j, j+1) with periodic wrap, hR[j] the effective field at site
-    j. omega holds the per-site precession frequency once a spin length S is
-    supplied to :func:`stationarity_residual` (None until then).
+    the bond (j, j+1) with periodic wrap, hR[j] the effective field at site j.
     """
 
     R: np.ndarray
     JR: np.ndarray
     hR: np.ndarray
-    omega: np.ndarray | None = None
 
     @property
     def L(self) -> int:
@@ -45,23 +46,16 @@ def _bond_couplings(R: np.ndarray, J: np.ndarray) -> np.ndarray:
     return np.einsum("jab,bc,jcd->jad", R.transpose(0, 2, 1), J, R_next)
 
 
-def _rotation_y(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+def _axis_frame(texture: np.ndarray, J: np.ndarray, axis, omega: float = 0.0) -> FrameData:
+    """Axis-gauge frame R_j = [e2 x Omega_j, e2, Omega_j], e2 = unit(Omega_j x axis).
 
-
-def _rotation_z(phis: np.ndarray) -> np.ndarray:
-    c, s = np.cos(phis), np.sin(phis)
-    zero = np.zeros_like(c)
-    one = np.ones_like(c)
-    return np.stack(
-        [
-            np.stack([c, -s, zero], axis=-1),
-            np.stack([s, c, zero], axis=-1),
-            np.stack([zero, zero, one], axis=-1),
-        ],
-        axis=-2,
-    )
+    The frame rotates about the lab z axis at rate omega, which adds the
+    field hR_j = omega R_j^T zhat. Undefined where Omega_j is parallel to axis.
+    """
+    e2 = np.cross(texture, axis)
+    e2 /= np.linalg.norm(e2, axis=1, keepdims=True)
+    R = np.stack([np.cross(e2, texture), e2, texture], axis=-1)
+    return FrameData(R=R, JR=_bond_couplings(R, J), hR=omega * R[:, 2, :])
 
 
 def frame_transverse(
@@ -74,18 +68,19 @@ def frame_transverse(
 ) -> FrameData:
     """Rotating frame for the transverse helix with cone angle theta.
 
-    R_j(t) = Rz(q j - omega t) Ry(theta). The underlying couplings are the
-    kappa = 0 parent diag(1, 1, cos q) plus the detuning dJz; the frame
-    rotation about z contributes the homogeneous effective field
-    hR = omega * Ry(theta)^T zhat = omega * (-sin theta, 0, cos theta).
+    Omega_j(t) sits at polar angle theta and azimuth q j - omega t, in the
+    axis gauge about -zhat, so R_j(t) = Rz(q j - omega t) Ry(theta). The
+    underlying couplings are the kappa = 0 parent diag(1, 1, cos q) plus the
+    detuning dJz; the frame rotation about z contributes the homogeneous
+    effective field hR = omega * (-sin theta, 0, cos theta).
     """
     if not 0.0 < theta < math.pi:
         raise ValueError(f"spherical chart is singular at theta = {theta}")
     J = np.diag([1.0, 1.0, math.cos(q) + dJz])
     phis = q * np.arange(L) - omega * t
-    R = _rotation_z(phis) @ _rotation_y(theta)
-    hR = np.tile(omega * np.array([-math.sin(theta), 0.0, math.cos(theta)]), (L, 1))
-    return FrameData(R=R, JR=_bond_couplings(R, J), hR=hR)
+    s = math.sin(theta)
+    texture = np.column_stack([s * np.cos(phis), s * np.sin(phis), np.full(L, math.cos(theta))])
+    return _axis_frame(texture, J, (0.0, 0.0, -1.0), omega)
 
 
 def _check_family_domain(kappa: float) -> None:
@@ -97,47 +92,27 @@ def _check_family_domain(kappa: float) -> None:
 def frame_gtsh(kappa: float, q: float, L: int, dJz: float = 0.0) -> FrameData:
     """Static frame for the generalized transverse helix (in-plane texture).
 
-    R_j is a pi/2 rotation about y followed by a z-rotation by the amplitude
-    am(qj, kappa); the lab z-axis maps to the rotating -x axis, so the Jz
-    coupling (cn(q) + dJz) occupies the xx slot of JR.
+    Omega_j = (cn, sn, 0)(qj, kappa) in the axis gauge about -zhat, so the
+    frame x axis is -zhat for every j and the Jz coupling (cn(q) + dJz)
+    occupies the xx slot of JR.
     """
     _check_family_domain(kappa)
     J = parent_couplings(kappa, q).detuned(dJz=dJz).as_matrix()
     sn, cn, _ = jacobi_sncndn(q * np.arange(L), kappa)
-    zero = np.zeros(L)
-    R = np.stack(
-        [
-            np.stack([zero, -sn, cn], axis=-1),
-            np.stack([zero, cn, sn], axis=-1),
-            np.stack([-np.ones(L), zero, zero], axis=-1),
-        ],
-        axis=-2,
-    )
-    hR = np.zeros((L, 3))
-    return FrameData(R=R, JR=_bond_couplings(R, J), hR=hR)
+    return _axis_frame(np.column_stack([cn, sn, np.zeros(L)]), J, (0.0, 0.0, -1.0))
 
 
 def frame_glsh(kappa: float, q: float, L: int, dJx: float = 0.0) -> FrameData:
     """Static frame for the generalized longitudinal helix (yz-plane texture).
 
-    R_j rotates about x by -arcsin(kappa sn(qj, kappa)); the lab x-axis is
-    fixed, so the Jx coupling (dn(q) + dJx) occupies the xx slot of JR.
+    Omega_j = (0, kappa sn, dn)(qj, kappa) in the axis gauge about +xhat, so
+    the frame x axis is the lab x axis for every j and the Jx coupling
+    (dn(q) + dJx) occupies the xx slot of JR.
     """
     _check_family_domain(kappa)
     J = parent_couplings(kappa, q).detuned(dJx=dJx).as_matrix()
     sn, _, dn = jacobi_sncndn(q * np.arange(L), kappa)
-    zero = np.zeros(L)
-    one = np.ones(L)
-    R = np.stack(
-        [
-            np.stack([one, zero, zero], axis=-1),
-            np.stack([zero, dn, kappa * sn], axis=-1),
-            np.stack([zero, -kappa * sn, dn], axis=-1),
-        ],
-        axis=-2,
-    )
-    hR = np.zeros((L, 3))
-    return FrameData(R=R, JR=_bond_couplings(R, J), hR=hR)
+    return _axis_frame(np.column_stack([np.zeros(L), kappa * sn, dn]), J, (1.0, 0.0, 0.0))
 
 
 def frames_from_texture(texture: np.ndarray, J) -> FrameData:
@@ -181,11 +156,8 @@ def stationarity_residual(frame: FrameData, S: float) -> tuple[np.ndarray, np.nd
     t_j = S (JR_{j-1}^T + JR_j) zhat + hR_j; a texture is stationary in its
     frame exactly when t_j is parallel to zhat. Returns (residual, omega)
     where residual_j = |(t_j^x, t_j^y)| and omega_j = t_j^z is the per-site
-    precession frequency. The frame's omega attribute is filled in place.
+    precession frequency.
     """
     JR_prev = np.roll(frame.JR, 1, axis=0)
     t = S * (JR_prev.transpose(0, 2, 1) + frame.JR)[:, :, 2] + frame.hR
-    residual = np.hypot(t[:, 0], t[:, 1])
-    omega = t[:, 2].copy()
-    frame.omega = omega
-    return residual, omega
+    return np.hypot(t[:, 0], t[:, 1]), t[:, 2].copy()

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
+from .lattice_classical import _step_count
 from .rotframe import FrameData
 from .scars import write_csv, write_sidecar
 
@@ -116,21 +117,38 @@ def propagator(coeffs, t: float, dt: float | None = None) -> np.ndarray:
     Static coefficients: a single matrix exponential (exact up to expm's
     rounding; no diagonalization, so the defective k = 0 Goldstone pair of a
     translation-invariant ring is handled correctly). Callable coefficients:
-    fixed-step commutator-free 4th-order Magnus scheme with step dt.
+    the commutator-free 4th-order Magnus scheme in the fewest equal steps no
+    longer than dt (default 1e-3), so dt is an upper bound. Either way U is
+    checked for pseudo-unitarity (RuntimeError if lost).
     """
-    if not callable(coeffs):
-        return expm(-1j * t * build_linear_generator(coeffs))
     if dt is None:
         dt = 1e-3
-    n = max(1, int(round(t / dt)))
-    h = t / n
-    L = coeffs(0.0).L
-    U = np.eye(2 * L, dtype=complex)
-    for step in range(n):
-        t0 = step * h
-        U = _cf4_step(coeffs, t0, h) @ U
+    advance, h = _stepper(coeffs, t, dt)
+    L = coeffs(0.0).L if callable(coeffs) else coeffs.L
+    U = advance(0.0, np.eye(2 * L, dtype=complex))
     _check_pseudo_unitarity(U, h)
     return U
+
+
+def _stepper(coeffs, span: float, dt: float):
+    """Propagation across one span: returns (advance(t0, V), step length).
+
+    advance(t0, V) carries V from t0 to t0 + span. Static coefficients take
+    one exponential of the whole span; callable coefficients take the fewest
+    equal CF4 steps no longer than dt (at least one).
+    """
+    if not callable(coeffs):
+        E = expm(-1j * span * build_linear_generator(coeffs))
+        return (lambda t0, V: E @ V), span
+    n = max(1, _step_count(span, dt))
+    h = span / n
+
+    def advance(t0, V):
+        for m in range(n):
+            V = _cf4_step(coeffs, t0 + m * h, h) @ V
+        return V
+
+    return advance, h
 
 
 def _cf4_step(coeffs, t0: float, h: float) -> np.ndarray:
@@ -191,9 +209,9 @@ def contrast_sw(
     sample-step exponential; only the left half-columns of U are carried
     (the other half is fixed by conjugation symmetry), and D(0) = 1 holds
     exactly. For callable (time-dependent) coefficients each sample interval
-    is covered by CF4 micro-steps of size dt (default 1e-3/S). Either way
-    the final propagator is checked for pseudo-unitarity (RuntimeError if
-    lost).
+    is covered by the fewest equal CF4 micro-steps no longer than dt
+    (default 1e-3/S), so dt is an upper bound. Either way the final
+    propagator is checked for pseudo-unitarity (RuntimeError if lost).
 
     theta, when given, also fills the spin-contrast column
     C = (D - cos^2 theta)/sin^2 theta.
@@ -203,36 +221,14 @@ def contrast_sw(
     if n_samples < 2:
         raise ValueError("need at least two samples")
     times = np.linspace(0.0, T, n_samples)
-    step = times[1] - times[0]
-    static = not callable(coeffs)
-    L = coeffs.L if static else coeffs(0.0).L
-
-    if static:
-        E = expm(-1j * step * build_linear_generator(coeffs))
-        h = step
-
-        def advance(n, V):
-            return E @ V
-
-    else:
-        if dt is None:
-            dt = 1e-3 / S
-        micro = max(1, int(round(step / dt)))
-        h = step / micro
-
-        def advance(n, V):
-            for m in range(micro):
-                V = _cf4_step(coeffs, times[n - 1] + m * h, h) @ V
-            return V
-
-    D, V = _pair_density(advance, 1, L, n_samples, S)
+    L = coeffs(0.0).L if callable(coeffs) else coeffs.L
+    if dt is None and callable(coeffs):
+        dt = 1e-3 / S
+    advance, h = _stepper(coeffs, times[1] - times[0], dt)
+    D, V = _pair_density(lambda n, V: advance(times[n - 1], V), 1, L, n_samples, S)
     _check_pseudo_unitarity(_full_from_half(V[0]), h)
-
-    f = S * (1.0 - D)
-    C = None
-    if theta is not None:
-        C = _spin_contrast_values(D, theta)
-    return ContrastSeries(times=times, D=D, f=f, C=C)
+    C = None if theta is None else spin_contrast(D, theta)
+    return ContrastSeries(times=times, D=D, f=S * (1.0 - D), C=C)
 
 
 def _pair_density(advance, batch: int, m: int, n_samples: int, S: float):
@@ -254,17 +250,13 @@ def _pair_density(advance, batch: int, m: int, n_samples: int, S: float):
     return D, V
 
 
-def _spin_contrast_values(D: np.ndarray, theta: float) -> np.ndarray:
+def spin_contrast(series, theta: float) -> np.ndarray:
+    """Map contrast D to the spin contrast C = (D - cos^2)/sin^2 at angle theta."""
+    D = series.D if isinstance(series, ContrastSeries) else np.asarray(series, dtype=float)
     s2 = math.sin(theta) ** 2
     if s2 < 1e-24:
         raise ValueError("spin contrast undefined at theta in {0, pi}")
     return (D - math.cos(theta) ** 2) / s2
-
-
-def spin_contrast(series, theta: float) -> np.ndarray:
-    """Map contrast D to the spin contrast C = (D - cos^2)/sin^2 at angle theta."""
-    D = series.D if isinstance(series, ContrastSeries) else np.asarray(series, dtype=float)
-    return _spin_contrast_values(D, theta)
 
 
 def scaling_collapse_check(entries, tau_max: float = 20.0, n_tau: int = 201) -> float:

@@ -236,6 +236,25 @@ class TestContrastSw:
         code = run(["contrast-sw", "--family", "gtsh", "--L", "12"], tmp_path)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "family_args, flag",
+        [
+            (["--family", "glsh", "--kappa", "0.8", "--M", "2", "--L", "14"], "--dJz"),
+            (["--family", "gtsh", "--kappa", "0.9", "--M", "1", "--L", "12"], "--dJx"),
+            (["--family", "transverse", "--theta", "pi/4", "--q", "pi/3", "--L", "12"], "--dJx"),
+        ],
+        ids=["glsh_dJz", "gtsh_dJx", "transverse_dJx"],
+    )
+    def test_foreign_detuning_is_usage_error(self, tmp_path, capsys, family_args, flag):
+        """A detuning the family's frame does not take must not be dropped silently."""
+        code = run(
+            ["contrast-sw", *family_args, flag, "0.05", "--T", "1", "--n-samples", "3"],
+            tmp_path,
+        )
+        assert code == 2
+        assert f"takes no {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "contrast_sw.csv").exists()
+
 
 class TestContrastEd:
     def test_transverse_ring(self, tmp_path):

@@ -312,6 +312,21 @@ class TestClassicalLyapunov:
         with pytest.raises(lc.IntegrationError, match=r"reduce dt \(currently 5\.00e-01\)"):
             lc.classical_lyapunov(scars.scar_texture(p), J, 1.0, T=50.0, dt=0.8)
 
+    def test_twin_norm_drift_raises(self, monkeypatch):
+        """The twin's norm is checked too, before renormalisation hides its drift."""
+        step = lc._rk4_step
+
+        def twin_drifts(pair, *args):
+            out = step(pair, *args)
+            out[1] *= 1.0 + 1e-5
+            return out
+
+        monkeypatch.setattr(lc, "_rk4_step", twin_drifts)
+        helix = transverse_helix(np.pi / 4, np.pi / 3, 12)
+        J = scars.XYZCouplings(1.0, 1.0, np.cos(np.pi / 3) - 0.03)
+        with pytest.raises(lc.IntegrationError, match="norm drift"):
+            lc.classical_lyapunov(helix, J, 1.0, T=4.0, dt=0.5)
+
     def test_default_step_count(self, monkeypatch):
         """The default dt gives 200 steps per renormalisation interval."""
         calls = count_rk4_steps(monkeypatch)

@@ -152,7 +152,55 @@ def manufactured_coefficients(t):
     return sw.SpinWaveCoefficients(eta=eta, zeta=zeta, V=V)
 
 
+def reference_cf4_propagator(coeffs, t, dt):
+    """The hand-written CF4 loop: round(t / dt) equal steps, at least one."""
+    n = max(1, int(round(t / dt)))
+    h = t / n
+    U = np.eye(2 * coeffs(0.0).L, dtype=complex)
+    for step in range(n):
+        U = sw._cf4_step(coeffs, step * h, h) @ U
+    return U
+
+
+def count_cf4_steps(monkeypatch) -> list:
+    calls = []
+    step = sw._cf4_step
+
+    def counted(*args):
+        calls.append(args[2])
+        return step(*args)
+
+    monkeypatch.setattr(sw, "_cf4_step", counted)
+    return calls
+
+
 class TestPropagator:
+    @pytest.mark.parametrize("t,dt", [(1.0, 0.25), (1.0, 1.0 / 64), (2.0, 0.01), (0.3, 0.1)])
+    def test_matches_cf4_reference(self, t, dt):
+        """At whole-number t / dt the stepper is the old loop, bit for bit."""
+        np.testing.assert_array_equal(
+            sw.propagator(manufactured_coefficients, t, dt=dt),
+            reference_cf4_propagator(manufactured_coefficients, t, dt),
+        )
+
+    def test_dt_is_an_upper_bound(self, monkeypatch):
+        calls = count_cf4_steps(monkeypatch)
+        sw.propagator(manufactured_coefficients, 1.0, dt=0.8)
+        assert calls == [0.5, 0.5]
+        del calls[:]
+        frame = co_rotating_transverse(math.pi / 4, math.pi / 3, 0.03, 6, 1.0)
+        co = sw.sw_coefficients(frame, 1.0)
+        sw.contrast_sw(lambda t: co, 1.0, dt=0.08, T=1.0, n_samples=11)
+        assert len(calls) == 20
+        np.testing.assert_allclose(calls, 0.05, rtol=1e-15)
+
+    def test_static_propagator_checks_pseudo_unitarity(self, monkeypatch):
+        expm = sw.expm
+        monkeypatch.setattr(sw, "expm", lambda a: 1.001 * expm(a))
+        co = manufactured_coefficients(0.0)
+        with pytest.raises(RuntimeError, match="pseudo-unitarity"):
+            sw.propagator(co, 1.0)
+
     def test_zero_time_is_identity(self):
         np.testing.assert_array_equal(
             sw.propagator(manufactured_coefficients, 0.0), np.eye(6)
