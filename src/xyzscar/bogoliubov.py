@@ -34,16 +34,12 @@ class DispersionCurve:
     """Transverse-helix dispersion data on a k grid.
 
     omega_sw is the quasiparticle dispersion; w_tilde the reduced (per-S)
-    dispersion whose imaginary part sets the growth rate. A and B_plus,
-    B_minus are the underlying pairing/hopping combinations.
+    dispersion whose imaginary part sets the growth rate.
     """
 
     k: np.ndarray
     omega_sw: np.ndarray
     w_tilde: np.ndarray
-    A: np.ndarray
-    B_plus: np.ndarray
-    B_minus: np.ndarray
 
 
 def _sign_plus(x: np.ndarray) -> np.ndarray:
@@ -85,7 +81,7 @@ def transverse_dispersion(k, q: float, theta: float, dJz: float, S: float = 1.0)
         * math.sqrt(math.cos(q))
         * np.sqrt((2.0 * math.cos(q) * s2 - X * np.cos(k)).astype(complex))
     )
-    return DispersionCurve(k=k, omega_sw=omega_sw, w_tilde=w_tilde, A=A, B_plus=B_plus, B_minus=B_minus)
+    return DispersionCurve(k=k, omega_sw=omega_sw, w_tilde=w_tilde)
 
 
 def stable_window(q: float, theta: float) -> tuple[float, float]:
@@ -267,10 +263,6 @@ class BlochMatrixPair:
     k: float
     A: np.ndarray
     B: np.ndarray
-
-    @property
-    def lam(self) -> int:
-        return len(self.V_diagonal)
 
     @property
     def V_diagonal(self) -> np.ndarray:

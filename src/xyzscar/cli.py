@@ -31,6 +31,7 @@ import numpy as np
 
 from . import bogoliubov as bg
 from . import ed_oracle, lattice_classical, rotframe, spinwave
+from .elliptic import complete_K
 from .scars import (
     EXACT_RESIDUAL_TOL,
     ScarParams,
@@ -190,8 +191,6 @@ def cmd_contrast_sw(args) -> int:
     else:
         if args.kappa is None or args.M is None:
             raise UsageError(f"{args.family} family needs --kappa and --M")
-        from .elliptic import complete_K
-
         q = 4.0 * args.M * complete_K(args.kappa) / args.L
         if args.family == "gtsh":
             frame = rotframe.frame_gtsh(args.kappa, q, args.L, dJz=args.dJz)
@@ -199,7 +198,7 @@ def cmd_contrast_sw(args) -> int:
             frame = rotframe.frame_glsh(args.kappa, q, args.L, dJx=args.dJx)
     coeffs = spinwave.sw_coefficients(frame, args.S)
     series = spinwave.contrast_sw(
-        coeffs, args.S, dt=args.dt, T=args.T, n_samples=args.n_samples, theta=theta
+        coeffs, args.S, T=args.T, n_samples=args.n_samples, theta=theta
     )
     path = _out_path(args, "contrast_sw.csv")
     series.save_csv(path, params=_params_record(args))
@@ -215,12 +214,7 @@ def cmd_contrast_ed(args) -> int:
         args.kappa, args.M, args.L, gamma=gamma, S=args.S, phi=args.phi
     )
     series = ed_oracle.contrast_exact(
-        p,
-        args.delta,
-        T=args.T,
-        n_samples=args.n_samples,
-        family=args.family,
-        theta=args.theta,
+        p, args.delta, T=args.T, n_samples=args.n_samples, theta=args.theta
     )
     path = _out_path(args, "contrast_ed.csv")
     series.save_csv(path, params=_params_record(args))
@@ -341,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--dJx", type=float, default=0.0)
     sub.add_argument("--S", type=float, default=1.0)
     sub.add_argument("--T", type=float, default=30.0)
-    sub.add_argument("--dt", type=float, default=None)
     sub.add_argument("--n-samples", type=int, default=301)
     _add_out(sub)
     sub.set_defaults(func=cmd_contrast_sw)
@@ -351,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--gamma", type=float, help="texture parameter (or give --theta)")
     sub.add_argument("--theta", type=parse_angle, help="transverse polar angle (gamma = cos theta)")
     sub.add_argument("--delta", type=float, required=True, help="coupling detuning")
-    sub.add_argument("--family", choices=("transverse", "gtsh", "glsh"), default=None)
     sub.add_argument("--T", type=float, default=10.0)
     sub.add_argument("--n-samples", type=int, default=201)
     _add_out(sub)

@@ -5,7 +5,8 @@ sparse many-body Hamiltonians assembled by digit arithmetic on the basis
 index, Bloch coherent product states, eigenstate verification of scar
 textures, exact quench propagation by Krylov-type exponential actions
 (``expm_multiply``, accurate to double-precision roundoff per step), and
-the exact contrast against the classical trajectory. Dimensions are capped
+the exact contrast against the classical trajectory, read from one-site
+reduced density matrices. Dimensions are capped
 at :data:`DIMENSION_CAP`, which covers L = 7 at S = 1 and L = 12 at S = 1/2.
 """
 
@@ -20,9 +21,11 @@ from scipy import sparse
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
+from .elliptic import complete_K
 from .scars import (
     ScarParams,
     coupling_matrix,
+    helix_texture,
     parent_couplings,
     scar_texture,
     texture_energy,
@@ -104,8 +107,8 @@ def coherent_state(omega, S: float) -> np.ndarray:
 def product_state(texture, S: float) -> np.ndarray:
     """Tensor product of coherent states over the ring.
 
-    Site 0 is the fastest-varying index of the amplitude vector, matching
-    the kron layout of :func:`site_operator` and the state-dump format.
+    Site 0 is the fastest-varying index of the amplitude vector, as in the
+    state-dump format: reshaped to (d, ..., d), site j is axis L - 1 - j.
     """
     texture = np.asarray(texture, dtype=float)
     if texture.ndim != 2 or texture.shape[1] != 3:
@@ -115,16 +118,6 @@ def product_state(texture, S: float) -> np.ndarray:
     _check_dimension(dim_site**L)
     factors = [coherent_state(texture[j], S) for j in reversed(range(L))]
     return reduce(np.kron, factors)
-
-
-def site_operator(op: np.ndarray, j: int, L: int) -> sparse.csr_matrix:
-    """Embed a single-site matrix at site j of an L-site chain."""
-    d = op.shape[0]
-    if not 0 <= j < L:
-        raise ValueError(f"site index {j} outside 0..{L - 1}")
-    left = sparse.identity(d ** (L - 1 - j), format="csr")
-    right = sparse.identity(d**j, format="csr")
-    return sparse.kron(left, sparse.kron(sparse.csr_matrix(op), right), format="csr")
 
 
 def translation_operator(S: float, L: int) -> sparse.csr_matrix:
@@ -202,8 +195,6 @@ def _check_dimension(dim: int) -> None:
 
 
 def _require_commensurate(p: ScarParams) -> None:
-    from .elliptic import complete_K
-
     winding = p.q * p.L / (4.0 * complete_K(p.kappa))
     if abs(winding - round(winding)) > COMMENSURATE_TOL or round(winding) < 1:
         raise ValueError(
@@ -280,25 +271,37 @@ def _family_of(p: ScarParams) -> str:
     )
 
 
-def _trajectory(p: ScarParams, family: str, delta: float, times: np.ndarray):
+def _trajectory(p: ScarParams, delta: float, times: np.ndarray) -> np.ndarray:
     """Closed-form classical textures Omega_j(t), shape (nt, L, 3).
 
-    The detuned transverse helix precesses rigidly about z at
-    omega = -2 S cos(theta) dJz (checked against the Landau-Lifshitz
-    integrator to 1e-14); the two elliptic families are static solutions of
-    their detuned equations, so their textures do not move at all.
+    Each scar with a closed form moves rigidly about z:
+    Omega_j(t) = helix_texture(kappa, gamma, q j + phi - omega t). The
+    detuned transverse helix (kappa = 0) precesses at
+    omega = -2 S gamma dJz (checked against the Landau-Lifshitz integrator
+    to 1e-14); gtsh and glsh are static solutions of their detuned
+    equations, omega = 0.
     """
-    if family in ("gtsh", "glsh"):
-        static = scar_texture(p)
-        return np.broadcast_to(static, (times.size, p.L, 3))
-    cos_theta = p.gamma
-    sin_theta = math.sqrt(max(0.0, 1.0 - cos_theta**2))
-    omega = -2.0 * p.S * cos_theta * delta
-    phis = p.q * np.arange(p.L)[None, :] + p.phi - omega * times[:, None]
-    out = np.empty((times.size, p.L, 3))
-    out[:, :, 0] = sin_theta * np.cos(phis)
-    out[:, :, 1] = sin_theta * np.sin(phis)
-    out[:, :, 2] = cos_theta
+    omega = -2.0 * p.S * p.gamma * delta if p.kappa == 0.0 else 0.0
+    phases = p.q * np.arange(p.L)[None, :] + p.phi - omega * times[:, None]
+    return helix_texture(p.kappa, p.gamma, phases)
+
+
+def _site_expectations(states: np.ndarray, S: float, L: int) -> np.ndarray:
+    """<S^a_j> in each row of states (n, d^L), shape (n, L, 3).
+
+    Site j's one-site reduced density matrix rho_j = tr_{others} |psi><psi|
+    comes from one batched matmul over the (n, d, ..., d) state tensor, in
+    which site j is axis L - j, and <S^a_j> = Re tr(S^a rho_j).
+    """
+    ops = spin_operators(S)
+    spins = np.stack([ops.Sx, ops.Sy, ops.Sz])
+    n = len(states)
+    tensor = states.reshape((n,) + (ops.dim,) * L)
+    out = np.empty((n, L, 3))
+    for j in range(L):
+        kets = np.moveaxis(tensor, L - j, 1).reshape(n, ops.dim, -1)
+        rho = kets @ kets.conj().transpose(0, 2, 1)
+        out[:, j] = np.einsum("aik,tki->ta", spins, rho).real
     return out
 
 
@@ -307,7 +310,6 @@ def contrast_exact(
     delta: float,
     T: float = 10.0,
     n_samples: int = 201,
-    family: str | None = None,
     theta: float | None = None,
 ) -> ContrastSeries:
     """Exact contrast D(t) of a detuned quench from the scar.
@@ -319,23 +321,18 @@ def contrast_exact(
 
         D(t) = (1 / L S) sum_j <psi(t)| Omega_j(t) . S_j |psi(t)>.
 
-    family is what the parameters imply: transverse for kappa = 0,
-    gtsh/glsh for gamma = 0/1. An explicit family that disagrees with them
-    raises ValueError, since the state would be projected onto another
-    family's trajectory. theta, when given, adds the normalized spin
-    contrast column C exactly as the spin-wave series does.
+    The family follows from the parameters: transverse for kappa = 0,
+    gtsh/glsh for gamma = 0/1; any other (kappa, gamma) has no closed-form
+    trajectory and raises ValueError. <S^a_j>(t) is read from one-site
+    reduced density matrices of the evolved state. theta, when given, adds
+    the normalized spin contrast column C exactly as the spin-wave series
+    does.
     """
     if T <= 0.0:
         raise ValueError(f"T must be positive, got {T}")
     if n_samples < 2:
         raise ValueError(f"need at least two samples, got {n_samples}")
-    implied = _family_of(p)
-    if family not in (None, implied):
-        raise ValueError(
-            f"family {family!r} does not match the scar: kappa = {p.kappa}, "
-            f"gamma = {p.gamma} make it {implied!r}"
-        )
-    family = implied
+    family = _family_of(p)
     _require_commensurate(p)
 
     J = parent_couplings(p.kappa, p.q)
@@ -346,19 +343,9 @@ def contrast_exact(
 
     times = np.linspace(0.0, T, n_samples)
     states = evolve_exact(psi0, H, times)
-    omegas = _trajectory(p, family, delta, times)
-
-    ops = spin_operators(p.S)
-    # one (dim, nt) copy of the kets and bras for all 3L operators, so that
-    # each product op @ kets is the loop's only large temporary
-    kets = np.ascontiguousarray(states.T)
-    bras = kets.conj()
-    expectations = np.empty((n_samples, p.L, 3))
-    for j in range(p.L):
-        for a, component in enumerate((ops.Sx, ops.Sy, ops.Sz)):
-            op = site_operator(component, j, p.L)
-            expectations[:, j, a] = np.einsum("dt,dt->t", bras, op @ kets).real
-    D = np.einsum("tja,tja->t", omegas, expectations) / (p.L * p.S)
+    D = np.einsum(
+        "tja,tja->t", _trajectory(p, delta, times), _site_expectations(states, p.S, p.L)
+    ) / (p.L * p.S)
     C = None if theta is None else spin_contrast(D, theta)
     return ContrastSeries(times=times, D=D, f=p.S * (1.0 - D), C=C)
 

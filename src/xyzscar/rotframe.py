@@ -4,13 +4,14 @@ Each frame is a sequence of rotations R_j with R_j zhat = Omega_j. The bond
 couplings seen from the rotating frame are JR_j = R_j^T J R_{j+1}, and a
 frame rotating about the lab z axis at rate omega contributes the effective
 field hR_j = omega R_j^T zhat. The three helix families (transverse helix,
-generalized transverse helix, generalized longitudinal helix) share one axis
-gauge: the frame's y axis is the unit vector along Omega_j x axis, for a
-fixed lab axis the texture never touches (-zhat for the transverse families,
-+xhat for glsh). That gauge is continuous in Omega_j wherever Omega_j is not
-parallel to the axis. A geodesic frame covers arbitrary textures. The
-stationarity residual measures whether a texture is a mean-field solution
-in the given frame.
+generalized transverse helix, generalized longitudinal helix) take their
+textures from the one formula :func:`xyzscar.scars.helix_texture` and share
+one axis gauge: the frame's y axis is the unit vector along Omega_j x axis,
+for a fixed lab axis the texture never touches (-zhat for the transverse
+families, +xhat for glsh). That gauge is continuous in Omega_j wherever
+Omega_j is not parallel to the axis. A geodesic frame covers arbitrary
+textures. The stationarity residual measures whether a texture is a
+mean-field solution in the given frame.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import jacobi_sncndn
-from .scars import coupling_matrix, parent_couplings
+from .scars import coupling_matrix, helix_texture, parent_couplings
 
 
 @dataclass
@@ -68,18 +68,17 @@ def frame_transverse(
 ) -> FrameData:
     """Rotating frame for the transverse helix with cone angle theta.
 
-    Omega_j(t) sits at polar angle theta and azimuth q j - omega t, in the
-    axis gauge about -zhat, so R_j(t) = Rz(q j - omega t) Ry(theta). The
-    underlying couplings are the kappa = 0 parent diag(1, 1, cos q) plus the
-    detuning dJz; the frame rotation about z contributes the homogeneous
-    effective field hR = omega * (-sin theta, 0, cos theta).
+    Omega_j(t) = helix_texture(0, cos theta, q j - omega t) sits at polar
+    angle theta and azimuth q j - omega t, in the axis gauge about -zhat, so
+    R_j(t) = Rz(q j - omega t) Ry(theta). The underlying couplings are the
+    kappa = 0 parent diag(1, 1, cos q) plus the detuning dJz; the frame
+    rotation about z contributes the homogeneous effective field
+    hR = omega * (-sin theta, 0, cos theta).
     """
     if not 0.0 < theta < math.pi:
         raise ValueError(f"spherical chart is singular at theta = {theta}")
     J = np.diag([1.0, 1.0, math.cos(q) + dJz])
-    phis = q * np.arange(L) - omega * t
-    s = math.sin(theta)
-    texture = np.column_stack([s * np.cos(phis), s * np.sin(phis), np.full(L, math.cos(theta))])
+    texture = helix_texture(0.0, math.cos(theta), q * np.arange(L) - omega * t)
     return _axis_frame(texture, J, (0.0, 0.0, -1.0), omega)
 
 
@@ -92,27 +91,25 @@ def _check_family_domain(kappa: float) -> None:
 def frame_gtsh(kappa: float, q: float, L: int, dJz: float = 0.0) -> FrameData:
     """Static frame for the generalized transverse helix (in-plane texture).
 
-    Omega_j = (cn, sn, 0)(qj, kappa) in the axis gauge about -zhat, so the
-    frame x axis is -zhat for every j and the Jz coupling (cn(q) + dJz)
-    occupies the xx slot of JR.
+    Omega_j = helix_texture(kappa, 0, qj) = (cn, sn, 0)(qj, kappa) in the
+    axis gauge about -zhat, so the frame x axis is -zhat for every j and the
+    Jz coupling (cn(q) + dJz) occupies the xx slot of JR.
     """
     _check_family_domain(kappa)
     J = parent_couplings(kappa, q).detuned(dJz=dJz).as_matrix()
-    sn, cn, _ = jacobi_sncndn(q * np.arange(L), kappa)
-    return _axis_frame(np.column_stack([cn, sn, np.zeros(L)]), J, (0.0, 0.0, -1.0))
+    return _axis_frame(helix_texture(kappa, 0.0, q * np.arange(L)), J, (0.0, 0.0, -1.0))
 
 
 def frame_glsh(kappa: float, q: float, L: int, dJx: float = 0.0) -> FrameData:
     """Static frame for the generalized longitudinal helix (yz-plane texture).
 
-    Omega_j = (0, kappa sn, dn)(qj, kappa) in the axis gauge about +xhat, so
-    the frame x axis is the lab x axis for every j and the Jx coupling
-    (dn(q) + dJx) occupies the xx slot of JR.
+    Omega_j = helix_texture(kappa, 1, qj) = (0, kappa sn, dn)(qj, kappa) in
+    the axis gauge about +xhat, so the frame x axis is the lab x axis for
+    every j and the Jx coupling (dn(q) + dJx) occupies the xx slot of JR.
     """
     _check_family_domain(kappa)
     J = parent_couplings(kappa, q).detuned(dJx=dJx).as_matrix()
-    sn, _, dn = jacobi_sncndn(q * np.arange(L), kappa)
-    return _axis_frame(np.column_stack([np.zeros(L), kappa * sn, dn]), J, (1.0, 0.0, 0.0))
+    return _axis_frame(helix_texture(kappa, 1.0, q * np.arange(L)), J, (1.0, 0.0, 0.0))
 
 
 def frames_from_texture(texture: np.ndarray, J) -> FrameData:

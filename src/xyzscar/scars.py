@@ -1,11 +1,10 @@
 """Scar textures of the spin-S XYZ chain and their coupling maps.
 
 A scar texture is a product state of coherent spins whose Bloch vectors trace
-an elliptic helix: Omega_j = (a*cn(qj+phi), b*sn(qj+phi), g*dn(qj+phi)) with
-a = sqrt(1-g^2), b = sqrt(1-g^2(1-k^2)). For the parent couplings
-(Jx, Jy, Jz) = (dn(q,k), 1, cn(q,k)) this product state is an exact
-eigenstate of the XYZ ring; the residuals of the two eigenstate conditions
-are exposed by :func:`gz_condition_residuals`.
+an elliptic helix, Omega_j = helix_texture(kappa, gamma, qj + phi). For the
+parent couplings (Jx, Jy, Jz) = (dn(q,k), 1, cn(q,k)) this product state is
+an exact eigenstate of the XYZ ring; the residuals of the two eigenstate
+conditions are exposed by :func:`gz_condition_residuals`.
 """
 
 from __future__ import annotations
@@ -75,7 +74,6 @@ class ScarParams:
     L: int
     S: float = 1.0
     phi: float = 0.0
-    M: int | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.kappa <= 1.0:
@@ -107,30 +105,7 @@ class ScarParams:
     ) -> "ScarParams":
         """Scar with q = 4MK/L, the winding compatible with the periodic ring."""
         q = 4.0 * M * complete_K(kappa) / L
-        return cls(kappa=kappa, q=q, gamma=gamma, L=L, S=S, phi=phi, M=M)
-
-    def to_dict(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "q": self.q,
-            "gamma": self.gamma,
-            "L": self.L,
-            "S": self.S,
-            "phi": self.phi,
-            "M": self.M,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScarParams":
-        return cls(
-            kappa=d["kappa"],
-            q=d["q"],
-            gamma=d["gamma"],
-            L=int(d["L"]),
-            S=d.get("S", 1.0),
-            phi=d.get("phi", 0.0),
-            M=d.get("M"),
-        )
+        return cls(kappa=kappa, q=q, gamma=gamma, L=L, S=S, phi=phi)
 
 
 def parent_couplings(kappa: float, q: float) -> XYZCouplings:
@@ -185,13 +160,28 @@ def solve_kq(Jx: float, Jz: float) -> tuple[float, float]:
     return kappa, q
 
 
+def helix_texture(kappa: float, gamma: float, u) -> np.ndarray:
+    """Unit Bloch vectors (alpha cn u, beta sn u, gamma dn u) at modulus kappa.
+
+    The one formula of the Granovskii-Zhedanov texture family, for phases u
+    of any shape; the result has shape u.shape + (3,). alpha^2 =
+    (1-gamma)(1+gamma) and beta^2 = alpha^2 + (gamma kappa)^2 are written
+    without cancellation, so beta is exactly kappa at gamma = 1. Its cuts
+    are the transverse helix (kappa = 0, gamma = cos theta, which may be
+    negative), gtsh (gamma = 0) and glsh (gamma = 1).
+    """
+    if not -1.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma must lie in [-1, 1], got {gamma}")
+    alpha_sq = (1.0 - gamma) * (1.0 + gamma)
+    alpha = math.sqrt(alpha_sq)
+    beta = math.sqrt(alpha_sq + (gamma * kappa) ** 2)
+    sn, cn, dn = jacobi_sncndn(u, kappa)
+    return np.stack([alpha * cn, beta * sn, gamma * dn], axis=-1)
+
+
 def scar_texture(p: ScarParams) -> np.ndarray:
     """Bloch vectors of the scar, shape (L, 3), each row unit-norm."""
-    alpha = math.sqrt(max(0.0, 1.0 - p.gamma**2))
-    beta = math.sqrt(max(0.0, 1.0 - p.gamma**2 * (1.0 - p.kappa**2)))
-    args = p.q * np.arange(p.L) + p.phi
-    sn, cn, dn = jacobi_sncndn(args, p.kappa)
-    return np.column_stack([alpha * cn, beta * sn, p.gamma * dn])
+    return helix_texture(p.kappa, p.gamma, p.q * np.arange(p.L) + p.phi)
 
 
 def texture_energy(texture: np.ndarray, J, S: float) -> float:
@@ -233,16 +223,7 @@ def gz_condition_residuals(texture: np.ndarray, J) -> tuple[np.ndarray, np.ndarr
     """
     from .rotframe import frames_from_texture
 
-    omega = np.asarray(texture, dtype=float)
-    if isinstance(J, XYZCouplings) or np.asarray(J, dtype=float).ndim <= 2:
-        frame = frames_from_texture(omega, coupling_matrix(J))
-        JR = frame.JR
-    else:
-        JR = np.asarray(J, dtype=float)
-        if JR.shape != (len(omega), 3, 3):
-            raise ValueError(
-                f"per-bond couplings must have shape ({len(omega)}, 3, 3), got {JR.shape}"
-            )
+    JR = frames_from_texture(texture, J).JR
     r1 = np.abs(
         JR[:, 0, 0] - JR[:, 1, 1] + 1j * (JR[:, 0, 1] + JR[:, 1, 0])
     )

@@ -73,6 +73,15 @@ class TestArgumentParsing:
             run(["frobnicate"])
         assert excinfo.value.code == 2
 
+    def test_contrast_sw_dt_flag_exits_2(self, tmp_path):
+        """Static coefficients take one exponential per sample step, so a
+        step bound has nothing to act on and the flag does not exist."""
+        with pytest.raises(SystemExit) as excinfo:
+            run(["contrast-sw", "--family", "gtsh", "--kappa", "0.9", "--M", "1",
+                 "--L", "12", "--dJz", "0.02", "--dt", "0.5"], tmp_path)
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "contrast_sw.csv").exists()
+
 
 class TestScarVerify:
     def test_parent_couplings_pass(self, capsys):
@@ -279,17 +288,17 @@ class TestContrastEd:
         assert code == 2
         assert "exactly one of --gamma or --theta" in capsys.readouterr().err
 
-    def test_family_mismatch_is_numeric_error(self, tmp_path, capsys):
-        code = run(
-            ["contrast-ed", "--kappa", "0.5", "--M", "1", "--L", "6",
-             "--S", "0.5", "--gamma", "1", "--family", "transverse",
-             "--delta", "0", "--T", "1", "--n-samples", "3"],
-            tmp_path,
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "does not match" in err
-        assert len(err.strip().splitlines()) == 1
+    def test_family_flag_exits_2(self, tmp_path):
+        """The family follows from --kappa and --gamma/--theta; there is no
+        --family flag to disagree with them."""
+        with pytest.raises(SystemExit) as excinfo:
+            run(
+                ["contrast-ed", "--kappa", "0.5", "--M", "1", "--L", "6",
+                 "--S", "0.5", "--gamma", "1", "--family", "transverse",
+                 "--delta", "0", "--T", "1", "--n-samples", "3"],
+                tmp_path,
+            )
+        assert excinfo.value.code == 2
         assert not (tmp_path / "contrast_ed.csv").exists()
 
     def test_dimension_cap_is_numeric_error(self, tmp_path, capsys):

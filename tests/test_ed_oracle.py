@@ -6,7 +6,7 @@ from scipy import sparse
 
 from xyzscar import ed_oracle as ed
 from xyzscar import rotframe, scars, spinwave
-from xyzscar.elliptic import complete_K
+from xyzscar.elliptic import complete_K, jacobi_sncndn
 
 THETA = math.pi / 4
 GAMMA = math.cos(THETA)
@@ -14,6 +14,15 @@ GAMMA = math.cos(THETA)
 
 def transverse_params(L=6, M=1, S=1.0, gamma=GAMMA):
     return scars.ScarParams.commensurate(0.0, M, L, gamma=gamma, S=S)
+
+
+def site_operator(op, j, L):
+    """Single-site matrix op at site j of an L-site chain, embedded by kron
+    with site 0 the fastest-varying index."""
+    d = op.shape[0]
+    left = sparse.identity(d ** (L - 1 - j), format="csr")
+    right = sparse.identity(d**j, format="csr")
+    return sparse.kron(left, sparse.kron(sparse.csr_matrix(op), right), format="csr")
 
 
 def reference_kron_hamiltonian(J, S, L):
@@ -24,7 +33,7 @@ def reference_kron_hamiltonian(J, S, L):
     ops = ed.spin_operators(S)
     dim = ops.dim**L
     embedded = [
-        [ed.site_operator(c, j, L) for c in (ops.Sx, ops.Sy, ops.Sz)]
+        [site_operator(c, j, L) for c in (ops.Sx, ops.Sy, ops.Sz)]
         for j in range(L)
     ]
     H = sparse.csr_matrix((dim, dim), dtype=complex)
@@ -45,6 +54,42 @@ def reference_eigh_evolve(psi0, H, times):
     coeffs = vecs.conj().T @ np.asarray(psi0, dtype=complex)
     phases = np.exp(-1j * np.outer(np.atleast_1d(times), evals))
     return (phases * coeffs) @ vecs.T
+
+
+def reference_site_expectations(states, S, L):
+    """<S^a_j> of each row of states from the 3L kron-embedded sparse site
+    operators: the loop that the reduced-density route replaced, kept as
+    its oracle."""
+    ops = ed.spin_operators(S)
+    kets = np.asarray(states).T
+    out = np.empty((kets.shape[1], L, 3))
+    for j in range(L):
+        for a, component in enumerate((ops.Sx, ops.Sy, ops.Sz)):
+            op = site_operator(component, j, L)
+            out[:, j, a] = np.einsum("dt,dt->t", kets.conj(), op @ kets).real
+    return out
+
+
+def reference_trajectory(p, family, delta, times):
+    """The per-family closed forms of the classical trajectory that
+    helix_texture replaced: the transverse helix precessing about z at
+    omega = -2 S cos(theta) delta, and gtsh/glsh at rest."""
+    j = np.arange(p.L)
+    if family in ("gtsh", "glsh"):
+        sn, cn, dn = jacobi_sncndn(p.q * j + p.phi, p.kappa)
+        if family == "gtsh":
+            static = np.column_stack([cn, sn, np.zeros(p.L)])
+        else:
+            static = np.column_stack([np.zeros(p.L), p.kappa * sn, dn])
+        return np.broadcast_to(static, (times.size, p.L, 3))
+    cos_theta = p.gamma
+    sin_theta = math.sqrt(1.0 - cos_theta**2)
+    omega = -2.0 * p.S * cos_theta * delta
+    phis = p.q * j[None, :] + p.phi - omega * times[:, None]
+    return np.stack(
+        [sin_theta * np.cos(phis), sin_theta * np.sin(phis), np.full(phis.shape, cos_theta)],
+        axis=-1,
+    )
 
 
 # distinct (J, S, L) of gate 01's sweep: H depends on kappa, q, S and L only
@@ -137,14 +182,22 @@ class TestProductAndSiteOperators:
         ops = ed.spin_operators(1.0)
         for j in range(5):
             for axis, op in enumerate((ops.Sx, ops.Sy, ops.Sz)):
-                full = ed.site_operator(op, j, 5)
+                full = site_operator(op, j, 5)
                 value = float(np.vdot(psi, full @ psi).real)
                 assert abs(value - texture[j, axis]) <= 1e-10
 
-    def test_site_operator_rejects_bad_site(self):
-        op = ed.spin_operators(0.5).Sx
-        with pytest.raises(ValueError, match="site index"):
-            ed.site_operator(op, 4, 4)
+    @pytest.mark.parametrize("S, L", [(0.5, 2), (0.5, 7), (1.0, 2), (1.0, 5), (1.5, 3)])
+    def test_site_expectations_match_sparse_operators(self, S, L):
+        """One-site reduced density matrices give every <S^a_j> of random
+        states as the kron-embedded sparse operators do."""
+        dim = (int(round(2 * S)) + 1) ** L
+        rng = np.random.default_rng(17)
+        states = rng.normal(size=(9, dim)) + 1j * rng.normal(size=(9, dim))
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        got = ed._site_expectations(states, S, L)
+        ref = reference_site_expectations(states, S, L)
+        assert got.shape == (9, L, 3)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="cap"):
@@ -347,8 +400,29 @@ class TestContrastExact:
     )
     def test_static_families_flat_at_parent(self, kappa, gamma, family):
         p = scars.ScarParams.commensurate(kappa, 1, 6, gamma=gamma, S=0.5)
-        series = ed.contrast_exact(p, 0.0, T=5.0, n_samples=11, family=family)
+        assert ed._family_of(p) == family
+        series = ed.contrast_exact(p, 0.0, T=5.0, n_samples=11)
         assert np.abs(series.D - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "kappa,gamma,S,phi,delta,family",
+        [
+            (0.0, GAMMA, 1.0, 0.7, 0.05, "transverse"),
+            (0.0, 0.3, 0.5, -1.1, -0.04, "transverse"),
+            (0.5, 0.0, 0.5, 0.3, 0.05, "gtsh"),
+            (0.8, 1.0, 1.0, 0.3, -0.05, "glsh"),
+        ],
+    )
+    def test_trajectory_matches_family_closed_forms(self, kappa, gamma, S, phi, delta, family):
+        """The one helix_texture formula reproduces each family's closed-form
+        trajectory on 201 samples: the moving transverse helix (omega != 0,
+        phi != 0) and the static gtsh and glsh textures."""
+        p = scars.ScarParams.commensurate(kappa, 1, 7, gamma=gamma, S=S, phi=phi)
+        times = np.linspace(0.0, 10.0, 201)
+        got = ed._trajectory(p, delta, times)
+        ref = reference_trajectory(p, family, delta, times)
+        assert got.shape == (201, 7, 3)
+        assert np.abs(got - ref).max() <= 1e-15
 
     def test_detuning_decays_contrast(self):
         p = scars.ScarParams.commensurate(0.8, 1, 6, gamma=1.0, S=0.5)
@@ -385,17 +459,6 @@ class TestContrastExact:
         p = scars.ScarParams.commensurate(0.5, 1, 6, gamma=0.4, S=0.5)
         with pytest.raises(ValueError, match="gamma"):
             ed.contrast_exact(p, 0.01, T=1.0, n_samples=3)
-
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError, match="family"):
-            ed.contrast_exact(transverse_params(), 0.01, family="spiral")
-
-    def test_family_must_match_scar(self):
-        """The glsh scar is an exact eigenstate at delta = 0; projected on
-        the transverse trajectory it would read D(0) = 0.932, not 1."""
-        p = scars.ScarParams.commensurate(0.5, 1, 6, gamma=1.0, S=0.5)
-        with pytest.raises(ValueError, match="does not match"):
-            ed.contrast_exact(p, 0.0, T=1.0, n_samples=3, family="transverse")
 
     def test_theta_fills_spin_contrast_column(self):
         series = ed.contrast_exact(

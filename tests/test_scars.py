@@ -12,6 +12,7 @@ from xyzscar.scars import (
     commensurate_q,
     energy_density,
     gz_condition_residuals,
+    helix_texture,
     load_texture,
     parent_couplings,
     save_texture,
@@ -124,6 +125,26 @@ class TestScarTexture:
         np.testing.assert_allclose(tex[:, 0], 0.0, atol=1e-15)
         np.testing.assert_allclose(tex[:, 1], kappa * sn, atol=1e-14)
         np.testing.assert_allclose(tex[:, 2], dn, atol=1e-14)
+
+    @pytest.mark.parametrize("kappa", [1e-8, 1e-6])
+    def test_longitudinal_family_small_modulus(self, kappa):
+        """At gamma = 1 the y amplitude is kappa itself, not the cancelling
+        sqrt(1 - (1 - kappa^2)), which misses by 5.4e-10 at kappa = 1e-8."""
+        L = 12
+        q = commensurate_q(kappa, L)[0][1]
+        tex = scar_texture(ScarParams(kappa=kappa, q=q, gamma=1.0, L=L))
+        sn, _, dn = jacobi_sncndn(q * np.arange(L), kappa)
+        expected = np.column_stack([np.zeros(L), kappa * sn, dn])
+        assert np.abs(tex - expected).max() <= 1e-15
+
+    def test_helix_texture_any_phase_shape(self):
+        u = np.linspace(-3.0, 3.0, 24).reshape(2, 3, 4)
+        tex = helix_texture(0.6, 0.3, u)
+        assert tex.shape == (2, 3, 4, 3)
+        np.testing.assert_allclose(np.linalg.norm(tex, axis=-1), 1.0, atol=1e-14)
+        np.testing.assert_array_equal(helix_texture(0.6, 0.3, u[1, 2, 3]), tex[1, 2, 3])
+        with pytest.raises(ValueError, match="gamma"):
+            helix_texture(0.6, 1.5, u)
 
     def test_planar_family(self):
         kappa, L = 0.9, 6
