@@ -160,21 +160,28 @@ def solve_kq(Jx: float, Jz: float) -> tuple[float, float]:
     return kappa, q
 
 
-def helix_texture(kappa: float, gamma: float, u) -> np.ndarray:
-    """Unit Bloch vectors (alpha cn u, beta sn u, gamma dn u) at modulus kappa.
+def helix_amplitudes(kappa: float, gamma: float) -> tuple[float, float]:
+    """Texture amplitudes (alpha, beta) of helix_texture at modulus kappa.
 
-    The one formula of the Granovskii-Zhedanov texture family, for phases u
-    of any shape; the result has shape u.shape + (3,). alpha^2 =
-    (1-gamma)(1+gamma) and beta^2 = alpha^2 + (gamma kappa)^2 are written
-    without cancellation, so beta is exactly kappa at gamma = 1. Its cuts
-    are the transverse helix (kappa = 0, gamma = cos theta, which may be
-    negative), gtsh (gamma = 0) and glsh (gamma = 1).
+    alpha^2 = (1-gamma)(1+gamma) and beta^2 = alpha^2 + (gamma kappa)^2 are
+    written without cancellation, so beta is exactly kappa at gamma = 1.
     """
     if not -1.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [-1, 1], got {gamma}")
     alpha_sq = (1.0 - gamma) * (1.0 + gamma)
-    alpha = math.sqrt(alpha_sq)
-    beta = math.sqrt(alpha_sq + (gamma * kappa) ** 2)
+    return math.sqrt(alpha_sq), math.sqrt(alpha_sq + (gamma * kappa) ** 2)
+
+
+def helix_texture(kappa: float, gamma: float, u) -> np.ndarray:
+    """Unit Bloch vectors (alpha cn u, beta sn u, gamma dn u) at modulus kappa.
+
+    The one formula of the Granovskii-Zhedanov texture family, for phases u
+    of any shape; the result has shape u.shape + (3,). The amplitudes come
+    from helix_amplitudes. Its cuts are the transverse helix (kappa = 0,
+    gamma = cos theta, which may be negative), gtsh (gamma = 0) and glsh
+    (gamma = 1).
+    """
+    alpha, beta = helix_amplitudes(kappa, gamma)
     sn, cn, dn = jacobi_sncndn(u, kappa)
     return np.stack([alpha * cn, beta * sn, gamma * dn], axis=-1)
 

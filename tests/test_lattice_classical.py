@@ -251,11 +251,44 @@ class TestTravelingWaveResiduals:
         traj = lc.ll_evolve(tex, J, 1.0, T=2.0)
         assert np.abs(traj.textures[-1] - tex).max() > 1e-3
 
+    def test_glsh_amplitude_exact_at_small_kappa(self):
+        """At gamma = 1, beta is kappa itself, so r1 keeps full relative accuracy.
+
+        The cancelling form sqrt(1 - gamma^2 (1 - kappa^2)) reads 1.054e-8 at
+        kappa = 1e-8, a 5.4% error carried straight into r1.
+        """
+        kappa, q, S, L = 1e-8, 0.7, 1.5, 9
+        dJy, dJz = 0.02, 0.03
+        r1, _, _ = lc.traveling_wave_residuals(kappa, q, 1.0, 0.1, (0.01, dJy, dJz), S, L)
+        sn_u = elliptic.jacobi_sncndn(q * np.arange(L), kappa)[0]
+        sn_q, cn_q, dn_q = elliptic.jacobi_sncndn(q, kappa)
+        denom = 1.0 - (kappa * sn_u * sn_q) ** 2
+        expected = 2.0 * S * kappa * abs((dJy * cn_q - dJz) * dn_q) / denom
+        np.testing.assert_allclose(r1, expected, rtol=1e-12, atol=0.0)
+
+    def test_gamma_outside_unit_interval_raises(self):
+        with pytest.raises(ValueError, match="gamma"):
+            lc.traveling_wave_residuals(0.5, 0.7, 1.1, 0.0, (0.0, 0.0, 0.0), 1.0, 9)
+
     def test_residuals_are_per_site_arrays(self):
         r1, r2, r3 = lc.traveling_wave_residuals(
             0.5, 0.7, 0.3, 0.1, (0.01, 0.0, 0.02), 1.0, 9
         )
         assert r1.shape == r2.shape == r3.shape == (9,)
+
+
+@pytest.fixture(scope="module")
+def rotating_unstable_helix():
+    """A cheap converged case whose base moves: the L = 24 helix at dJz = +0.2.
+
+    The z-detuned helix rotates rigidly, and its k = 2 pi/24 mode grows at
+    about 0.073, so T = 100 gives 3.6 e-folds over the second half.
+    """
+    theta, q = np.pi / 4, np.pi / 3
+    helix = transverse_helix(theta, q, 24)
+    J = scars.XYZCouplings(1.0, 1.0, np.cos(q) + 0.2)
+    kwargs = {"S": 1.0, "T": 100.0, "discard_fraction": 0.5, "seed": 0}
+    return helix, J, kwargs, lc.classical_lyapunov(helix, J, **kwargs)
 
 
 class TestClassicalLyapunov:
@@ -271,7 +304,6 @@ class TestClassicalLyapunov:
         assert not est.converged
         assert float(est) == est.rate
 
-    @pytest.mark.slow
     def test_unstable_transverse_helix_rate(self):
         """Positive z-detuning: growth rate sin^2(theta) dJz S within 10%.
 
@@ -287,7 +319,6 @@ class TestClassicalLyapunov:
         expected = np.sin(theta) ** 2 * dJz * S
         assert abs(est.rate - expected) <= 0.1 * expected
 
-    @pytest.mark.slow
     def test_stable_transverse_helix(self):
         theta, q, dJz, S = np.pi / 4, np.pi / 3, -0.03, 1.0
         helix = transverse_helix(theta, q, 120)
@@ -328,13 +359,13 @@ class TestClassicalLyapunov:
             lc.classical_lyapunov(helix, J, 1.0, T=4.0, dt=0.5)
 
     def test_default_step_count(self, monkeypatch):
-        """The default dt gives 200 steps per renormalisation interval."""
+        """The default dt gives 20 steps per renormalisation interval."""
         calls = count_rk4_steps(monkeypatch)
         helix = transverse_helix(np.pi / 4, np.pi / 3, 12)
         J = scars.XYZCouplings(1.0, 1.0, np.cos(np.pi / 3) - 0.03)
         est = lc.classical_lyapunov(helix, J, 1.0, T=4.0)
         assert len(est.times) == 4
-        assert len(calls) == 4 * 200
+        assert len(calls) == 4 * 20
 
     HELIX = transverse_helix(np.pi / 4, np.pi / 3, 12)
 
@@ -364,6 +395,28 @@ class TestClassicalLyapunov:
         est = lc.classical_lyapunov(helix, J, 1.0, T=50.0)
         assert est.times.shape == est.log_growth.shape
         assert len(est.times) >= 4
+        # the fit's health is reported for an unconverged run too
+        assert np.isfinite([est.slope_se, est.efolds, est.max_norm_drift]).all()
+        assert est.efolds < 2.0
+
+    def test_default_step_matches_fine_step(self, rotating_unstable_helix):
+        """Oracle for the default dt: the rate at dt = 5e-3 agrees to 1e-3 relative."""
+        helix, J, kwargs, est = rotating_unstable_helix
+        fine = lc.classical_lyapunov(helix, J, dt=5e-3, **kwargs)
+        assert est.converged and fine.converged
+        assert abs(est.rate - fine.rate) <= 1e-3 * fine.rate
+
+    def test_fit_health_diagnostics(self, rotating_unstable_helix):
+        """slope_se, efolds and max_norm_drift describe the fit that set rate."""
+        _, _, kwargs, est = rotating_unstable_helix
+        assert est.converged
+        assert np.isfinite([est.slope_se, est.efolds, est.max_norm_drift]).all()
+        assert 0.0 < est.slope_se <= est.rate / 3.0
+        start = int(kwargs["discard_fraction"] * len(est.times))
+        window = est.times[-1] - est.times[start]
+        assert est.efolds >= 2.0
+        assert est.efolds == pytest.approx(est.rate * window, rel=1e-12)
+        assert 0.0 <= est.max_norm_drift <= lc.NORM_DRIFT_TOL
 
 
 class TestLinearizedDynamicsMatrix:
