@@ -399,25 +399,80 @@ def _momentum_grid(n_k: int) -> np.ndarray:
     return -math.pi + 2.0 * math.pi * (np.arange(n_k) + 0.5) / n_k
 
 
+def _reflection_basis(lam: int) -> np.ndarray:
+    """Unitary W whose columns are the reflection-conjugation invariant states.
+
+    The columns are |0>, then (|a> + |-a>)/sqrt2 and i(|a> - |-a>)/sqrt2 for
+    a = 1 .. ceil(lam/2) - 1, then |lam/2> for even lam (sites mod lam). Each
+    is fixed by s -> -s combined with complex conjugation, so every operator
+    that commutes with that antiunitary map is real in this basis.
+    """
+    W = np.zeros((lam, lam), dtype=complex)
+    W[0, 0] = 1.0
+    r = 1.0 / math.sqrt(2.0)
+    for a in range(1, (lam + 1) // 2):
+        W[[a, lam - a], 2 * a - 1] = r
+        W[[a, lam - a], 2 * a] = 1j * r, -1j * r
+    if lam % 2 == 0:
+        W[lam // 2, lam - 1] = 1.0
+    return W
+
+
+def _reflection_bloch_pair(eta: float, zeta: float, V, k_grid) -> tuple[np.ndarray, np.ndarray]:
+    """Real R-(k), R+(k) = W_k^dagger (B_k -/+ A_k) W_k stacked over k_grid.
+
+    For uniform real eta, zeta and a reflection-symmetric V (V_s = V_{-s}),
+    W_k = diag(e^{iks/lam}) W with W from _reflection_basis. The gauge spreads
+    the wrap phase over every bond, B_k +/- A_k = diag(V) +
+    (eta +/- zeta)[cos(k/lam) X + sin(k/lam) Y] with X = Sh + Sh^T,
+    Y = i(Sh - Sh^T) and Sh the cyclic shift, and W makes all three real.
+    """
+    V = np.asarray(V, dtype=float)
+    lam = len(V)
+    W = _reflection_basis(lam)
+    shift = np.roll(np.eye(lam), 1, axis=1)
+    X, Y, D = (
+        (W.conj().T @ M @ W).real
+        for M in (shift + shift.T, 1j * (shift - shift.T), np.diag(V))
+    )
+    theta = np.asarray(k_grid, dtype=float)[:, None, None] / lam
+    G = np.cos(theta) * X + np.sin(theta) * Y
+    return D + (eta - zeta) * G, D + (eta + zeta) * G
+
+
 def lyapunov_max(
     family: str, kappa: float, q: float, delta: float, S: float = 1.0, n_k: int = 400
 ) -> float:
     """Largest Bogoliubov growth rate over the sublattice Brillouin zone.
 
     The spectrum of C_k = [[B, A], [-A, -B]] is (+/-) the square roots of
-    spec((B-A)(B+A)), so the growth rate is max |Im sqrt(mu)|, taken from
-    one batched eigvals over the momenta k > 0 of an even n_k-point
-    full-zone midpoint grid (the -k matrices are elementwise conjugates of
-    the +k ones). No Hermitian shortcut applies: the onsite potential V is
-    negative on a scar's domain, so B-A and B+A have a negative diagonal
-    and neither factor is ever positive definite. Values at or below
-    STABILITY_THRESHOLD * S count as stable.
+    spec((B-A)(B+A)), so the growth rate is max |Im sqrt(mu)| over the
+    momenta k > 0 of an even n_k-point full-zone midpoint grid (the -k
+    matrices are elementwise conjugates of the +k ones). No Hermitian
+    shortcut applies: the onsite potential V is negative on a scar's
+    domain, so B-A and B+A have a negative diagonal and neither factor is
+    ever positive definite; the route is a general eigvals.
+
+    Two symmetries of the scar make that eigvals real and small. V depends
+    on sn^2 only, so V_s = V_{-s}: the gauge diag(e^{iks/lam}) and the
+    basis of states fixed by reflection plus conjugation turn B +/- A into
+    real symmetric R+/- (see _reflection_bloch_pair), and one unitary acts
+    on both factors, so spec(R- R+) = spec((B-A)(B+A)) from a real eigvals.
+    sn^2 has period 2K, so for even lam V has period p = lam/2; the lam-cell
+    spectrum at k is then the union of the p-cell spectra at k/2 and
+    k/2 + pi, and by conjugation symmetry the half zone maps onto p-cell
+    momenta {k/2, pi - k/2}: the same points at a quarter of the flops.
+    Values at or below STABILITY_THRESHOLD * S count as stable.
     """
     if n_k < 2 or n_k % 2:
         raise ValueError(f"n_k must be even and >= 2, got {n_k}")
-    k_half = _momentum_grid(n_k)[n_k // 2 :]
-    A, B = _bloch_stack(*family_coefficients(family, kappa, q, delta, S), k_half)
-    mu = np.linalg.eigvals((B - A) @ (B + A))
+    eta, zeta, V = family_coefficients(family, kappa, q, delta, S)
+    k_cell = _momentum_grid(n_k)[n_k // 2 :]
+    if len(V) % 2 == 0:
+        V = V[: len(V) // 2]
+        k_cell = np.concatenate([k_cell / 2.0, math.pi - k_cell / 2.0])
+    Rm, Rp = _reflection_bloch_pair(eta[0].real, zeta[0].real, V, k_cell)
+    mu = np.linalg.eigvals(Rm @ Rp)
     return float(np.abs(np.sqrt(mu.astype(complex)).imag).max())
 
 

@@ -96,8 +96,18 @@ def parse_float_grid(text: str) -> list[float]:
     return [float(part) for part in s.split(",")]
 
 
-def _default_workers() -> int:
-    return int(os.environ.get("XYZSCAR_WORKERS", "1"))
+def _worker_count(flag: int | None) -> int:
+    """Process count from --workers, else XYZSCAR_WORKERS, else 1; must be >= 1."""
+    source, count = "--workers", flag
+    if flag is None:
+        source, text = "XYZSCAR_WORKERS", os.environ.get("XYZSCAR_WORKERS", "1")
+        try:
+            count = int(text)
+        except ValueError:
+            raise UsageError(f"{source} must be an integer, got {text!r}") from None
+    if count < 1:
+        raise UsageError(f"{source} must be at least 1, got {count}")
+    return count
 
 
 def _out_path(args, name: str) -> Path:
@@ -233,13 +243,19 @@ def cmd_ll_evolve(args) -> int:
     texture_path = _out_path(args, "ll_trajectory.csv")
     energy_path = _out_path(args, "ll_energy.csv")
     trajectory.save_csv(texture_path, energy_path)
-    write_sidecar(texture_path, "classical_trajectory", _params_record(args))
+    write_sidecar(
+        texture_path,
+        "classical_trajectory",
+        _params_record(args),
+        diagnostics={"max_norm_drift": trajectory.max_norm_drift},
+    )
     print(f"wrote {texture_path}")
     print(f"wrote {energy_path}")
     return 0
 
 
 def cmd_phase_scan(args) -> int:
+    args.workers = _worker_count(args.workers)
     records = bg.phase_scan(
         args.kappa,
         args.lambdas,
@@ -368,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--dJ", type=float, default=0.01)
     sub.add_argument("--S", type=float, default=1.0)
     sub.add_argument("--n-k", type=int, default=400)
-    sub.add_argument("--workers", type=int, default=_default_workers(),
+    sub.add_argument("--workers", type=int,
                      help="process count (default from XYZSCAR_WORKERS or 1)")
     _add_out(sub)
     sub.set_defaults(func=cmd_phase_scan)

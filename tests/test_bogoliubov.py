@@ -20,6 +20,19 @@ def eig_multiset_distance(a, b):
     return cost[rows, cols].max()
 
 
+def reference_complex_lyapunov_max(family, kappa, q, delta, S=1.0, n_k=400):
+    """The growth rate from complex (B-A)(B+A) on the full lam-cell.
+
+    One batched complex eigvals over the half zone of the n_k-point grid,
+    with no reflection basis and no half-cell fold: the oracle for
+    lyapunov_max.
+    """
+    k_half = bg._momentum_grid(n_k)[n_k // 2 :]
+    A, B = bg._bloch_stack(*bg.family_coefficients(family, kappa, q, delta, S), k_half)
+    mu = np.linalg.eigvals((B - A) @ (B + A))
+    return float(np.abs(np.sqrt(mu.astype(complex)).imag).max())
+
+
 class TestTransverseDispersion:
     def test_undetuned_closed_form(self):
         k = np.linspace(-math.pi, math.pi, 101)
@@ -355,6 +368,7 @@ class TestLyapunovMax:
             ("glsh", 0.8, 7, -0.02),
             ("glsh", 0.04, 20, +0.01),
             ("glsh", 0.96, 61, -0.01),
+            ("glsh", 0.96, 60, -0.01),
         ],
     )
     def test_screened_route_matches_direct(self, family, kappa, lam, delta):
@@ -364,6 +378,63 @@ class TestLyapunovMax:
         eta, zeta, V = bg.family_coefficients(family, kappa, q, delta)
         direct = bg.growth_rate_direct(eta, zeta, V, bg._momentum_grid(n_k)[n_k // 2 :])
         assert abs(screened - direct) < 1e-10
+
+    # the rows of the benchmark's scan workload: (kappa, first lambda, last lambda)
+    SCAN_ROWS = [(0.20, 7, 7), (0.48, 7, 21), (0.80, 7, 30), (0.96, 60, 62)]
+
+    @pytest.mark.parametrize("family", ["glsh", "gtsh"])
+    @pytest.mark.parametrize("kappa,lo,hi", SCAN_ROWS)
+    def test_matches_complex_reference(self, family, kappa, lo, hi):
+        """Real, folded route against the complex lam-cell route, odd and even lam."""
+        thr = bg.STABILITY_THRESHOLD
+        for lam in range(lo, hi + 1):
+            q = 4.0 * elliptic.complete_K(kappa) / lam
+            for delta in (-0.01, 0.01):
+                rate = bg.lyapunov_max(family, kappa, q, delta)
+                ref = reference_complex_lyapunov_max(family, kappa, q, delta)
+                if ref > thr:
+                    assert abs(rate - ref) <= 1e-9 * ref, (family, kappa, lam, delta)
+                else:
+                    assert rate <= thr, (family, kappa, lam, delta)
+
+    @pytest.mark.parametrize(
+        "family,kappa,lam,delta", [("glsh", 0.8, 7, -0.02), ("gtsh", 0.9, 6, 0.02)]
+    )
+    def test_reflection_basis_makes_bloch_pair_real(self, family, kappa, lam, delta):
+        """W_k^dagger (B -/+ A) W_k is real and equals R-/+, W_k = diag(e^{iks/lam}) W."""
+        q = 4.0 * elliptic.complete_K(kappa) / lam
+        eta, zeta, V = bg.family_coefficients(family, kappa, q, delta)
+        k = np.array([0.3, 1.7, 3.0])
+        A, B = bg._bloch_stack(eta, zeta, V, k)
+        Rm, Rp = bg._reflection_bloch_pair(eta[0].real, zeta[0].real, V, k)
+        W = bg._reflection_basis(lam)
+        np.testing.assert_allclose(W.conj().T @ W, np.eye(lam), atol=1e-15)
+        for i, kk in enumerate(k):
+            Wk = np.exp(1j * kk * np.arange(lam) / lam)[:, None] * W
+            for M, R in ((B[i] - A[i], Rm[i]), (B[i] + A[i], Rp[i])):
+                rotated = Wk.conj().T @ M @ Wk
+                assert np.abs(rotated.imag).max() <= 1e-14
+                np.testing.assert_allclose(rotated.real, R, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("family,kappa,lam", [("glsh", 0.96, 60), ("gtsh", 0.9, 6)])
+    def test_half_cell_fold(self, family, kappa, lam):
+        """Even lam: V has period lam/2, and the lam-cell spectrum at k is the
+        union of the half-cell spectra at k/2 and k/2 + pi, or equally at k/2
+        and pi - k/2 (the momenta lyapunov_max takes)."""
+        q = 4.0 * elliptic.complete_K(kappa) / lam
+        eta, zeta, V = bg.family_coefficients(family, kappa, q, -0.01)
+        p = lam // 2
+        np.testing.assert_allclose(V[:p], V[p:], rtol=0, atol=1e-14)
+        k = 1.1
+
+        def spectrum(cell, momenta):
+            Rm, Rp = bg._reflection_bloch_pair(eta[0].real, zeta[0].real, cell, momenta)
+            return np.linalg.eigvals(Rm @ Rp).ravel()
+
+        full = spectrum(V, [k])
+        scale = np.abs(full).max()
+        for folded in ([k / 2, k / 2 + math.pi], [k / 2, math.pi - k / 2]):
+            assert eig_multiset_distance(full, spectrum(V[:p], folded)) <= 1e-12 * scale
 
     def test_single_flavour_recast_matches_dispersion(self):
         """A transverse helix as a one-flavour cell gives S max Im w~."""

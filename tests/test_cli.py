@@ -332,6 +332,20 @@ class TestLlEvolve:
         drift = [float(r["energy"]) for r in energy]
         assert max(drift) - min(drift) < 1e-10
 
+    def test_sidecar_reports_norm_drift(self, tmp_path):
+        """The drift goes under "diagnostics", outside "params", and reruns stay byte-identical."""
+        argv = ["ll-evolve", "--kappa", "0.5", "--M", "1", "--L", "8",
+                "--gamma", "0.3", "--dJz", "0.05", "--T", "2", "--max-samples", "5"]
+        names = ("ll_trajectory.csv", "ll_energy.csv", "ll_trajectory.json")
+        assert run(argv, tmp_path) == 0
+        first = [(tmp_path / name).read_bytes() for name in names]
+        assert run(argv, tmp_path) == 0
+        assert [(tmp_path / name).read_bytes() for name in names] == first
+        sidecar = json.loads((tmp_path / "ll_trajectory.json").read_text())
+        assert "max_norm_drift" not in sidecar["params"]
+        drift = sidecar["diagnostics"]["max_norm_drift"]
+        assert 0.0 < drift <= 1e-6
+
     def test_norm_drift_is_numeric_error(self, tmp_path, capsys):
         code = run(
             ["ll-evolve", "--kappa", "0", "--M", "1", "--L", "8",
@@ -412,6 +426,24 @@ class TestPhaseScan:
         )
         sidecar = json.loads((tmp_path / "phase_scan.json").read_text())
         assert sidecar["params"]["workers"] == 3
+
+    @pytest.mark.parametrize(
+        "env, flag, source",
+        [("abc", [], "XYZSCAR_WORKERS"), ("0", [], "XYZSCAR_WORKERS"),
+         (None, ["--workers", "0"], "--workers"), ("2", ["--workers", "-1"], "--workers")],
+    )
+    def test_bad_worker_count_is_usage_error(self, tmp_path, capsys, monkeypatch, env, flag, source):
+        if env is None:
+            monkeypatch.delenv("XYZSCAR_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("XYZSCAR_WORKERS", env)
+        code = run(["phase-scan", "--kappa", "0.8", "--lambda", "7", "--n-k", "100", *flag],
+                   tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {source} must be")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "phase_scan.csv").exists()
 
 
 class TestArtifacts:

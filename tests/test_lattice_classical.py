@@ -120,6 +120,9 @@ class TestLLEvolve:
         norms = np.linalg.norm(traj.textures, axis=-1)
         assert np.abs(norms - 1.0).max() <= 1e-9
         assert np.abs(traj.energy - traj.energy[0]).max() <= 1e-8 * abs(traj.energy[0])
+        # the drift the run checked is the drift of the samples it returned
+        assert traj.max_norm_drift == pytest.approx(np.abs(norms[1:] - 1.0).max(), rel=1e-12)
+        assert 0.0 < traj.max_norm_drift <= lc.NORM_DRIFT_TOL
 
     def test_time_reversal(self):
         """Running the flow with J -> -J retraces the trajectory."""
