@@ -15,12 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
 from .elliptic import complete_K, jacobi_sncndn
 from .scars import parent_couplings
-from .spinwave import ContrastSeries, _pair_density
+from .spinwave import ContrastSeries, _power_contrast
 
 STABILITY_THRESHOLD = 1e-6
 
@@ -355,21 +354,6 @@ def multiflavour_matrices(
     return bloch_matrices(eta, zeta, V, k)
 
 
-def bogoliubov_generator(pair: BlochMatrixPair, pair_minus: BlochMatrixPair | None = None) -> np.ndarray:
-    """Complex generator C_k of d/dt (a_k, a+_{-k}) = -i C_k (a_k, a+_{-k}).
-
-    The general lower row is (-conj(A_{-k}), -conj(B_{-k})). For real eta and
-    zeta the -k matrices are the elementwise conjugates of the +k ones and
-    the generator reduces to the printed form [[B, A], [-A, -B]]; pass
-    pair_minus explicitly when the hopping is complex (the single-flavour
-    transverse recast).
-    """
-    A, B = pair.A, pair.B
-    if pair_minus is None:
-        return np.block([[B, A], [-A, -B]])
-    return np.block([[B, A], [-np.conj(pair_minus.A), -np.conj(pair_minus.B)]])
-
-
 def dynamical_matrix(pair: BlochMatrixPair) -> np.ndarray:
     """Real dynamical matrix D_k of the canonical quadrature evolution.
 
@@ -476,21 +460,6 @@ def lyapunov_max(
     return float(np.abs(np.sqrt(mu.astype(complex)).imag).max())
 
 
-def growth_rate_direct(eta, zeta, V, k_grid) -> float:
-    """Growth rate via direct diagonalization of C_k (no symmetry shortcuts).
-
-    Works for complex hopping too, by building B at both +k and -k. Slower
-    than lyapunov_max; used as the independent route in consistency tests.
-    """
-    rate = 0.0
-    for k in np.atleast_1d(k_grid):
-        pair = bloch_matrices(eta, zeta, V, float(k))
-        pair_m = bloch_matrices(eta, zeta, V, -float(k))
-        C = bogoliubov_generator(pair, pair_m)
-        rate = max(rate, float(np.abs(np.linalg.eigvals(C).imag).max()))
-    return rate
-
-
 def contrast_multiflavour(
     family: str,
     kappa: float,
@@ -505,18 +474,34 @@ def contrast_multiflavour(
 
         D_SW(t) = 1 - (1/2 pi lam S) sum_{ss'} Int dk |exp(-i C_k t)_{s, lam+s'}|^2
 
-    The k integral is a midpoint rule with n_k points; each momentum is
-    propagated by powers of its own sample-step exponential.
+    The k integral is a midpoint rule with n_k points. In the basis of
+    _reflection_bloch_pair, C_k = [[B, A], [-A, -B]] has the real blocks
+    B = (R- + R+)/2 and A = (R+ - R-)/2, so its quadrature generator is
+    [[0, R-], [-R+, 0]]; for even lam the cell folds onto the half cell at
+    momenta {k/2, k/2 + pi}, as in lyapunov_max. The stack of generators
+    goes through the power/Frobenius kernel of the real-space ring
+    (spinwave._power_contrast), with its finiteness and symplectic checks.
+    Without detuning nothing creates pairs, and D = 1 exactly.
     """
     if T <= 0 or n_samples < 2:
         raise ValueError("need T > 0 and at least two samples")
-    k_grid = _momentum_grid(n_k)
-    A, B = _bloch_stack(*family_coefficients(family, kappa, q, delta, S), k_grid)
-    C = np.block([[B, A], [-A, -B]])
+    if n_k < 1:
+        raise ValueError(f"need at least one momentum, got n_k = {n_k}")
     times = np.linspace(0.0, T, n_samples)
-    E = expm(-1j * (times[1] - times[0]) * C)
-    D, _ = _pair_density(lambda n, V: E @ V, len(k_grid), A.shape[1], n_samples, S)
-    return ContrastSeries(times=times, D=D, f=S * (1.0 - D))
+    eta, zeta, V = family_coefficients(family, kappa, q, delta, S)
+    if zeta[0] == 0.0:
+        return ContrastSeries(times=times, D=np.ones(n_samples), f=np.zeros(n_samples))
+    k_cell = _momentum_grid(n_k)
+    if len(V) % 2 == 0:
+        V = V[: len(V) // 2]
+        k_cell = np.concatenate([k_cell / 2.0, k_cell / 2.0 + math.pi])
+    Rm, Rp = _reflection_bloch_pair(eta[0].real, zeta[0].real, V, k_cell)
+    zero = np.zeros_like(Rm)
+    generators = np.block([[zero, Rm], [-Rp, zero]])
+    D, defect = _power_contrast(generators, times[1] - times[0], n_samples, S)
+    return ContrastSeries(
+        times=times, D=D, f=S * (1.0 - D), pseudo_unitarity_defect=defect
+    )
 
 
 def _scan_cell(args) -> dict:

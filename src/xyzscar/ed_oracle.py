@@ -120,20 +120,6 @@ def product_state(texture, S: float) -> np.ndarray:
     return reduce(np.kron, factors)
 
 
-def translation_operator(S: float, L: int) -> sparse.csr_matrix:
-    """Cyclic one-site translation: the content of site j moves to j+1."""
-    d = int(round(2 * S)) + 1
-    dim = d**L
-    _check_dimension(dim)
-    n = np.arange(dim)
-    digits = (n[:, None] // d ** np.arange(L)[None, :]) % d
-    shifted = np.roll(digits, 1, axis=1)
-    target = shifted @ (d ** np.arange(L))
-    return sparse.csr_matrix(
-        (np.ones(dim), (target, n)), shape=(dim, dim), dtype=float
-    )
-
-
 def build_hamiltonian(J, S: float, L: int) -> sparse.csr_matrix:
     """Sparse XYZ ring Hamiltonian H = sum_j sum_ab J_ab S^a_j S^b_{j+1}.
 
@@ -141,11 +127,11 @@ def build_hamiltonian(J, S: float, L: int) -> sparse.csr_matrix:
     coupling appears twice there. J may be an XYZCouplings, a 3-vector of
     diagonal couplings, or a full 3x3 matrix.
 
-    Assembled by digit arithmetic, as :func:`translation_operator` is: the
-    d^2 x d^2 bond operator sum_ab J_ab S^a (x) S^b is formed once, and each
-    of its non-zero entries (r, c) on bond (j, j+1) connects every basis
-    index whose digits at (j, j+1) read c to the index with those two
-    digits replaced by r. No operator is embedded by kron.
+    Assembled by digit arithmetic: the d^2 x d^2 bond operator
+    sum_ab J_ab S^a (x) S^b is formed once, and each of its non-zero
+    entries (r, c) on bond (j, j+1) connects every basis index whose digits
+    at (j, j+1) read c to the index with those two digits replaced by r. No
+    operator is embedded by kron.
 
     Raises
     ------
@@ -203,7 +189,7 @@ def _require_commensurate(p: ScarParams) -> None:
         )
 
 
-def eigenstate_residual(p: ScarParams, J=None) -> float:
+def eigenstate_residual(p: ScarParams, J=None, H=None) -> float:
     """Relative eigenstate defect of the scar on its parent Hamiltonian.
 
     Builds |psi> = prod_j |Omega_j> from the texture, H from the parent
@@ -212,14 +198,17 @@ def eigenstate_residual(p: ScarParams, J=None) -> float:
     (absolute norm in the measure-zero case E = 0). Values at rounding
     level certify the texture as an exact eigenstate; detuning a coupling
     through J (an explicit XYZCouplings / 3-vector / 3x3 override) pushes
-    the residual above 1e-3.
+    the residual above 1e-3. H, when given, must be the Hamiltonian of J
+    (of the parent couplings by default); it is used instead of building
+    one, so a caller that needs H anyway builds it once.
     """
     _require_commensurate(p)
     if J is None:
         J = parent_couplings(p.kappa, p.q)
     texture = scar_texture(p)
     psi = product_state(texture, p.S)
-    H = build_hamiltonian(J, p.S, p.L)
+    if H is None:
+        H = build_hamiltonian(J, p.S, p.L)
     energy = texture_energy(texture, J, p.S)
     defect = float(np.linalg.norm(H @ psi - energy * psi))
     return defect / abs(energy) if abs(energy) > 1e-12 else defect

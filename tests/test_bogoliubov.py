@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment, minimize_scalar
 
 from xyzscar import bogoliubov as bg
@@ -31,6 +32,57 @@ def reference_complex_lyapunov_max(family, kappa, q, delta, S=1.0, n_k=400):
     A, B = bg._bloch_stack(*bg.family_coefficients(family, kappa, q, delta, S), k_half)
     mu = np.linalg.eigvals((B - A) @ (B + A))
     return float(np.abs(np.sqrt(mu.astype(complex)).imag).max())
+
+
+def bogoliubov_generator(pair, pair_minus=None):
+    """Complex generator C_k of d/dt (a_k, a+_{-k}) = -i C_k (a_k, a+_{-k}).
+
+    The general lower row is (-conj(A_{-k}), -conj(B_{-k})). For real eta and
+    zeta the -k matrices are the elementwise conjugates of the +k ones and
+    the generator reduces to the printed form [[B, A], [-A, -B]]; pass
+    pair_minus explicitly when the hopping is complex (the single-flavour
+    transverse recast).
+    """
+    A, B = pair.A, pair.B
+    if pair_minus is None:
+        return np.block([[B, A], [-A, -B]])
+    return np.block([[B, A], [-np.conj(pair_minus.A), -np.conj(pair_minus.B)]])
+
+
+def growth_rate_direct(eta, zeta, V, k_grid):
+    """Growth rate via direct diagonalization of C_k (no symmetry shortcuts).
+
+    Works for complex hopping too, by building B at both +k and -k: the
+    independent route for lyapunov_max.
+    """
+    rate = 0.0
+    for k in np.atleast_1d(k_grid):
+        pair = bg.bloch_matrices(eta, zeta, V, float(k))
+        pair_m = bg.bloch_matrices(eta, zeta, V, -float(k))
+        C = bogoliubov_generator(pair, pair_m)
+        rate = max(rate, float(np.abs(np.linalg.eigvals(C).imag).max()))
+    return rate
+
+
+def reference_contrast_multiflavour(
+    family, kappa, q, delta, S=1.0, T=20.0, n_k=400, n_samples=201
+):
+    """The complex k-space contrast: half-columns of exp(-i C_k dt) stepped
+    sample by sample on the full lam-cell, with no reflection basis, no fold
+    and no Frobenius rule. The oracle for contrast_multiflavour."""
+    coefficients = bg.family_coefficients(family, kappa, q, delta, S)
+    A, B = bg._bloch_stack(*coefficients, bg._momentum_grid(n_k))
+    lam = A.shape[1]
+    times = np.linspace(0.0, T, n_samples)
+    E = expm(-1j * (times[1] - times[0]) * np.block([[B, A], [-A, -B]]))
+    V = np.zeros((n_k, 2 * lam, lam), dtype=complex)
+    V[:, :lam] = np.eye(lam)
+    D = np.empty(n_samples)
+    D[0] = 1.0
+    for n in range(1, n_samples):
+        V = E @ V
+        D[n] = 1.0 - np.sum(np.abs(V[:, lam:]) ** 2) / n_k / (lam * S)
+    return D
 
 
 class TestTransverseDispersion:
@@ -307,7 +359,7 @@ class TestMultiflavour:
         for n in range(M):
             k = 2.0 * math.pi * n / M
             pair = bg.multiflavour_matrices(k, "gtsh", kappa, q, delta, S)
-            blocks.append(np.linalg.eigvals(bg.bogoliubov_generator(pair)))
+            blocks.append(np.linalg.eigvals(bogoliubov_generator(pair)))
         assert eig_multiset_distance(ring, np.concatenate(blocks)) < tol
 
 
@@ -333,15 +385,15 @@ class TestDynamicalMatrix:
     @pytest.mark.parametrize("k", [0.9, -1.7, 2.4])
     def test_spectrum_matches_bloch_generators(self, k):
         eD = np.linalg.eigvals(bg.dynamical_matrix(self.pair_at(k)))
-        eC = np.linalg.eigvals(bg.bogoliubov_generator(self.pair_at(k)))
-        eCm = np.linalg.eigvals(bg.bogoliubov_generator(self.pair_at(-k)))
+        eC = np.linalg.eigvals(bogoliubov_generator(self.pair_at(k)))
+        eCm = np.linalg.eigvals(bogoliubov_generator(self.pair_at(-k)))
         target = np.concatenate([-1j * eC, -1j * np.conj(eCm)])
         assert eig_multiset_distance(eD, target) < 1e-10
 
     @pytest.mark.parametrize("k", [0.0, math.pi])
     def test_self_conjugate_momenta_match_at_parent(self, k):
         eD = np.linalg.eigvals(bg.dynamical_matrix(self.pair_at(k, delta=0.0)))
-        eC = np.linalg.eigvals(bg.bogoliubov_generator(self.pair_at(k, delta=0.0)))
+        eC = np.linalg.eigvals(bogoliubov_generator(self.pair_at(k, delta=0.0)))
         assert eig_multiset_distance(eD, -1j * eC) < 1e-10
 
 
@@ -376,7 +428,7 @@ class TestLyapunovMax:
         n_k = 200
         screened = bg.lyapunov_max(family, kappa, q, delta, n_k=n_k)
         eta, zeta, V = bg.family_coefficients(family, kappa, q, delta)
-        direct = bg.growth_rate_direct(eta, zeta, V, bg._momentum_grid(n_k)[n_k // 2 :])
+        direct = growth_rate_direct(eta, zeta, V, bg._momentum_grid(n_k)[n_k // 2 :])
         assert abs(screened - direct) < 1e-10
 
     # the rows of the benchmark's scan workload: (kappa, first lambda, last lambda)
@@ -443,7 +495,7 @@ class TestLyapunovMax:
         frame = rotframe.frame_transverse(theta=THETA, q=Q, omega=omega, L=12, dJz=dJz)
         co = sw.sw_coefficients(frame, S)
         grid = bg._momentum_grid(801)
-        direct = bg.growth_rate_direct(co.eta[:1], co.zeta[:1].real, co.V[:1], grid)
+        direct = growth_rate_direct(co.eta[:1], co.zeta[:1].real, co.V[:1], grid)
         disp = bg.transverse_dispersion(grid, Q, THETA, dJz, S)
         assert abs(direct - S * np.abs(disp.w_tilde.imag).max()) < 1e-10
 
@@ -473,6 +525,37 @@ class TestContrastMultiflavour:
         series_r = sw.contrast_sw(sw.sw_coefficients(frame, S), S, T=20.0, n_samples=81)
         assert np.abs(series_k.D - series_r.D).max() < 1e-3
 
+    @pytest.mark.parametrize(
+        "family,kappa,lam,delta,S,T,n_samples",
+        [
+            ("glsh", 0.8, 7, -0.02, 1.0, 20.0, 81),
+            ("gtsh", 0.9, 6, 0.02, 1.0, 20.0, 201),
+            ("gtsh", 0.9, 6, -0.02, 2.0, 50.0, 201),
+            ("glsh", 0.8, 8, 0.03, 1.0, 100.0, 401),
+        ],
+    )
+    def test_matches_complex_reference(self, family, kappa, lam, delta, S, T, n_samples):
+        """Real reflection basis, half-cell fold (even lam) and Frobenius rule
+        against the complex lam-cell half-column loop."""
+        q = 4.0 * elliptic.complete_K(kappa) / lam
+        series = bg.contrast_multiflavour(family, kappa, q, delta, S=S, T=T, n_samples=n_samples)
+        ref = reference_contrast_multiflavour(
+            family, kappa, q, delta, S=S, T=T, n_samples=n_samples
+        )
+        assert series.D[0] == 1.0
+        assert np.abs(series.D - ref).max() <= 1e-12
+        assert series.pseudo_unitarity_defect <= 1e-12
+
+    def test_checks_symplectic_and_finite(self, monkeypatch):
+        q = 4 * elliptic.complete_K(0.9) / 6
+        expm_real = sw.expm
+        monkeypatch.setattr(sw, "expm", lambda a: 1.001 * expm_real(a))
+        with pytest.raises(RuntimeError, match="pseudo-unitarity"):
+            bg.contrast_multiflavour("gtsh", 0.9, q, 0.02, T=2.0, n_samples=11)
+        monkeypatch.setattr(sw, "expm", lambda a: np.full_like(a, np.inf))
+        with pytest.raises(RuntimeError, match="overflowed"):
+            bg.contrast_multiflavour("gtsh", 0.9, q, 0.02, T=2.0, n_samples=11)
+
     def test_unstable_sign_decays_faster(self):
         q = 4 * elliptic.complete_K(0.9) / 6
         D_plus = bg.contrast_multiflavour("gtsh", 0.9, q, +0.02, T=20.0).D[-1]
@@ -483,6 +566,8 @@ class TestContrastMultiflavour:
         q = 4 * elliptic.complete_K(0.9) / 6
         with pytest.raises(ValueError, match="T > 0"):
             bg.contrast_multiflavour("gtsh", 0.9, q, 0.0, T=-1.0)
+        with pytest.raises(ValueError, match="n_k"):
+            bg.contrast_multiflavour("gtsh", 0.9, q, 0.02, n_k=0)
 
 
 class TestPhaseScan:

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,38 @@ class TestContrastSw:
             tmp_path,
         )
         assert code == 0
+
+    def test_sidecar_reports_pseudo_unitarity_defect(self, tmp_path):
+        """The defect goes under "diagnostics", outside "params", and reruns
+        stay byte-identical."""
+        argv = ["contrast-sw", "--family", "transverse", "--theta", "pi/4",
+                "--q", "pi/3", "--dJz", "0.03", "--L", "24", "--T", "5",
+                "--n-samples", "11"]
+        names = ("contrast_sw.csv", "contrast_sw.json")
+        assert run(argv, tmp_path) == 0
+        first = [(tmp_path / name).read_bytes() for name in names]
+        assert run(argv, tmp_path) == 0
+        assert [(tmp_path / name).read_bytes() for name in names] == first
+        sidecar = json.loads((tmp_path / "contrast_sw.json").read_text())
+        assert "pseudo_unitarity_defect" not in sidecar["params"]
+        defect = sidecar["diagnostics"]["pseudo_unitarity_defect"]
+        assert 0.0 <= defect <= 1e-12
+
+    def test_overflow_is_numeric_error(self, tmp_path, capsys):
+        """A run whose growth leaves double range exits 1 with one line and no CSV."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(
+                ["contrast-sw", "--family", "transverse", "--theta", "pi/4",
+                 "--q", "pi/3", "--L", "24", "--dJz", "0.5", "--T", "3000",
+                 "--n-samples", "31"],
+                tmp_path,
+            )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: spin-wave propagator overflowed")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "contrast_sw.csv").exists()
 
     def test_transverse_without_q_is_usage_error(self, tmp_path, capsys):
         code = run(

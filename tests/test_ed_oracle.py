@@ -25,6 +25,16 @@ def site_operator(op, j, L):
     return sparse.kron(left, sparse.kron(sparse.csr_matrix(op), right), format="csr")
 
 
+def translation_operator(S, L):
+    """Cyclic one-site translation: the content of site j moves to j+1."""
+    d = int(round(2 * S)) + 1
+    dim = d**L
+    n = np.arange(dim)
+    digits = (n[:, None] // d ** np.arange(L)[None, :]) % d
+    target = np.roll(digits, 1, axis=1) @ (d ** np.arange(L))
+    return sparse.csr_matrix((np.ones(dim), (target, n)), shape=(dim, dim), dtype=float)
+
+
 def reference_kron_hamiltonian(J, S, L):
     """H = sum_j sum_ab J_ab S^a_j S^b_{j+1} summed from kron-embedded site
     operators: the assembly that build_hamiltonian's digit arithmetic
@@ -254,11 +264,11 @@ class TestBuildHamiltonian:
 
     def test_translation_symmetry(self):
         H = ed.build_hamiltonian((0.7, 1.0, 0.4), 0.5, 6)
-        T = ed.translation_operator(0.5, 6)
+        T = translation_operator(0.5, 6)
         assert np.abs((H @ T - T @ H).toarray()).max() <= 1e-12
 
     def test_translation_is_permutation(self):
-        T = ed.translation_operator(1.0, 3)
+        T = translation_operator(1.0, 3)
         assert np.abs((T @ T.conj().T - sparse.identity(27)).toarray()).max() == 0.0
 
     def test_full_matrix_coupling_accepted(self):
@@ -303,6 +313,19 @@ class TestEigenstateResidual:
         p = transverse_params()
         J = scars.parent_couplings(p.kappa, p.q).detuned(dJz=0.03)
         assert ed.eigenstate_residual(p, J=J) > 1e-3
+
+    def test_given_hamiltonian_is_used_as_built(self, monkeypatch):
+        """A passed H gives the same bits and builds nothing."""
+        for p, J in [
+            (scars.ScarParams.commensurate(0.9, 1, 5, gamma=0.7071, S=1.0), None),
+            (transverse_params(), scars.XYZCouplings(1.0, 1.0, 0.53)),
+        ]:
+            J_H = scars.parent_couplings(p.kappa, p.q) if J is None else J
+            H = ed.build_hamiltonian(J_H, p.S, p.L)
+            expected = ed.eigenstate_residual(p, J=J)
+            with monkeypatch.context() as patch:
+                patch.setattr(ed, "build_hamiltonian", None)
+                assert ed.eigenstate_residual(p, J=J, H=H) == expected
 
     def test_rejects_incommensurate(self):
         p = scars.ScarParams(kappa=0.0, q=1.0, gamma=GAMMA, L=6, S=0.5)

@@ -2,11 +2,13 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from xyzscar import elliptic, lattice_classical as lc, rotframe, spinwave as sw
+from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
 
@@ -245,6 +247,24 @@ class TestPropagator:
             sw.contrast_sw(sw.sw_coefficients(frame, 1.0), 1.0, T=2.0, n_samples=11)
 
 
+def reference_static_contrast(coeffs, S, T, n_samples):
+    """The complex half-column loop: the left half-columns of U, carried by
+    one sample-step exponential of -iC per sample, and the pair density
+    summed over the anomalous block. The oracle for the static branch of
+    contrast_sw."""
+    L = coeffs.L
+    times = np.linspace(0.0, T, n_samples)
+    E = expm(-1j * (times[1] - times[0]) * sw.build_linear_generator(coeffs))
+    V = np.zeros((2 * L, L), dtype=complex)
+    V[:L] = np.eye(L)
+    D = np.empty(n_samples)
+    D[0] = 1.0
+    for n in range(1, n_samples):
+        V = E @ V
+        D[n] = 1.0 - np.sum(np.abs(V[L:]) ** 2) / (L * S)
+    return D
+
+
 class TestContrastSW:
     def test_parent_state_keeps_full_contrast(self):
         # q = K/2 means an 8-site unit cell, so the ring must be a multiple of 8
@@ -260,6 +280,42 @@ class TestContrastSW:
         assert series.D[0] == 1.0
         assert np.all(series.D <= 1.0 + 1e-12)
         np.testing.assert_allclose(series.f, 1.0 - series.D, rtol=1e-15)
+
+    @pytest.mark.parametrize(
+        "family,L,S,detuning,T,n_samples",
+        [
+            ("transverse", 240, 1.0, 0.03, 30.0, 301),
+            ("transverse", 120, 1.0, -0.03, 20.0, 201),
+            ("transverse", 120, 2.0, -0.03, 10.0, 201),
+            ("glsh", 140, 1.0, -0.02, 20.0, 81),
+            ("transverse", 48, 1.0, 0.03, 200.0, 2001),
+        ],
+    )
+    def test_static_route_matches_half_column_loop(self, family, L, S, detuning, T, n_samples):
+        """Real quadrature powers and Frobenius norms against the complex
+        half-column loop: gate 07's ring at the unstable sign, gate 06's
+        collapse entries, the benchmark's glsh ring, and a long run whose
+        1 - D grows far past 1."""
+        if family == "glsh":
+            q = 4.0 * elliptic.complete_K(0.8) / 7
+            frame = rotframe.frame_glsh(kappa=0.8, q=q, L=L, dJx=detuning)
+        else:
+            frame = co_rotating_transverse(math.pi / 4, math.pi / 3, detuning, L, S)
+        co = sw.sw_coefficients(frame, S)
+        series = sw.contrast_sw(co, S, T=T, n_samples=n_samples)
+        assert series.D[0] == 1.0
+        assert np.abs(series.D - reference_static_contrast(co, S, T, n_samples)).max() <= 1e-12
+        assert series.pseudo_unitarity_defect <= 1e-12
+
+    def test_overflow_raises_one_error_without_warnings(self):
+        frame = co_rotating_transverse(math.pi / 4, math.pi / 3, 0.5, 24, 1.0)
+        co = sw.sw_coefficients(frame, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="overflowed"):
+                sw.contrast_sw(co, 1.0, T=3000.0, n_samples=31)
+            with pytest.raises(RuntimeError, match="pseudo-unitarity"):
+                sw.contrast_sw(lambda t: co, 1.0, T=3000.0, n_samples=4, dt=1000.0)
 
     def test_static_and_callable_routes_agree(self):
         frame = co_rotating_transverse(math.pi / 4, math.pi / 3, 0.03, 12, 1.0)
@@ -299,6 +355,9 @@ class TestContrastSW:
             sw.contrast_sw(co, 1.0, T=0.0)
         with pytest.raises(ValueError, match="two samples"):
             sw.contrast_sw(co, 1.0, n_samples=1)
+        for S in (0.0, -1.0):
+            with pytest.raises(ValueError, match="spin length"):
+                sw.contrast_sw(co, S)
 
 
 class TestScalingCollapse:
