@@ -198,7 +198,8 @@ def scaling_function(tau, q: float, theta: float, dJz: float, n_k: int | None = 
     s2 = np.sin(k / 2.0) ** 2
     w2 = 8.0 * math.cos(q) * s2 * (2.0 * math.cos(q) * s2 - X * np.cos(k))
     out = np.empty(len(tau))
-    chunk = max(1, int(2e7) // n_k)
+    # 2.5e5 (tau, k) points per chunk bound the temporaries at a few MB
+    chunk = max(1, 250_000 // n_k)
     for i in range(0, len(tau), chunk):
         t = tau[i : i + chunk, None]
         vals = (A_red**2)[None, :] * t**2 * _phi(w2[None, :] * t**2)

@@ -247,7 +247,11 @@ def cmd_ll_evolve(args) -> int:
         texture_path,
         "classical_trajectory",
         _params_record(args),
-        diagnostics={"max_norm_drift": trajectory.max_norm_drift},
+        diagnostics={
+            "dt": trajectory.dt,
+            "max_energy_drift": trajectory.max_energy_drift,
+            "max_norm_drift": trajectory.max_norm_drift,
+        },
     )
     print(f"wrote {texture_path}")
     print(f"wrote {energy_path}")
@@ -369,9 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scar_geometry(sub)
     sub.add_argument("--dJx", type=float, default=0.0)
     sub.add_argument("--dJz", type=float, default=0.0)
-    sub.add_argument("--T", type=float, default=10.0)
-    sub.add_argument("--dt", type=float, default=None)
-    sub.add_argument("--max-samples", type=int, default=1001)
+    sub.add_argument("--T", type=float, default=10.0, help="final time (default 10)")
+    sub.add_argument("--dt", type=float, default=None,
+                     help="upper bound on the RK4 step; the run takes the fewest "
+                          "equal steps no longer than it (default 5e-3/S, or "
+                          "T/(max-samples - 1) where that is shorter)")
+    sub.add_argument("--max-samples", type=int, default=1001,
+                     help="keep at most this many snapshots after t = 0 (default 1001)")
     _add_out(sub)
     sub.set_defaults(func=cmd_ll_evolve)
 

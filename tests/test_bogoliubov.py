@@ -222,6 +222,14 @@ class TestScalingFunction:
         with pytest.raises(ValueError, match="tau"):
             bg.scaling_function([-1.0], Q, THETA, -0.03)
 
+    def test_chunked_call_matches_per_tau_calls(self):
+        """A tau array spanning several chunks gives the per-tau values bit for bit."""
+        n_k = 8192
+        tau = np.linspace(0.0, 30.0, 4 * (250_000 // n_k) + 7)
+        f = bg.scaling_function(tau, Q, THETA, 0.03, n_k=n_k)
+        single = [bg.scaling_function(t, Q, THETA, 0.03, n_k=n_k)[0] for t in tau]
+        assert np.array_equal(f, single)
+
 
 class TestRates:
     def test_algebraic_branch_anchor(self):

@@ -366,7 +366,7 @@ class TestLlEvolve:
         assert max(drift) - min(drift) < 1e-10
 
     def test_sidecar_reports_norm_drift(self, tmp_path):
-        """The drift goes under "diagnostics", outside "params", and reruns stay byte-identical."""
+        """Drifts and the step taken go under "diagnostics", outside "params"; reruns are byte-identical."""
         argv = ["ll-evolve", "--kappa", "0.5", "--M", "1", "--L", "8",
                 "--gamma", "0.3", "--dJz", "0.05", "--T", "2", "--max-samples", "5"]
         names = ("ll_trajectory.csv", "ll_energy.csv", "ll_trajectory.json")
@@ -375,9 +375,17 @@ class TestLlEvolve:
         assert run(argv, tmp_path) == 0
         assert [(tmp_path / name).read_bytes() for name in names] == first
         sidecar = json.loads((tmp_path / "ll_trajectory.json").read_text())
-        assert "max_norm_drift" not in sidecar["params"]
-        drift = sidecar["diagnostics"]["max_norm_drift"]
-        assert 0.0 < drift <= 1e-6
+        diagnostics = sidecar["diagnostics"]
+        assert not {"max_norm_drift", "max_energy_drift"} & sidecar["params"].keys()
+        assert sidecar["params"]["dt"] is None
+        assert 0.0 < diagnostics["max_norm_drift"] <= 1e-6
+        assert 0.0 < diagnostics["max_energy_drift"] <= 1e-8
+        # the default bound 5e-3/S at S = 1 over T = 2 is met exactly: 400 steps
+        assert diagnostics["dt"] == 2.0 / 400
+        energy = np.loadtxt(tmp_path / "ll_energy.csv", delimiter=",", skiprows=1)[:, 1]
+        assert diagnostics["max_energy_drift"] == pytest.approx(
+            np.abs(energy - energy[0]).max() / abs(energy[0]), rel=1e-9
+        )
 
     def test_norm_drift_is_numeric_error(self, tmp_path, capsys):
         code = run(

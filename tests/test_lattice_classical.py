@@ -92,21 +92,23 @@ class TestLLEvolve:
         assert dev <= 1e-8
 
     def test_transverse_helix_rotates_rigidly(self):
-        theta, q, dJz, S = np.pi / 4, np.pi / 3, 0.03, 1.0
+        """At the default step the closed-form rotation holds to rounding at either S."""
+        theta, q, dJz = np.pi / 4, np.pi / 3, 0.03
         L = 12
         helix = transverse_helix(theta, q, L)
         J = scars.XYZCouplings(1.0, 1.0, np.cos(q) + dJz)
-        traj = lc.ll_evolve(helix, J, S, T=7.0)
-        omega = -2.0 * S * np.cos(theta) * dJz
-        ang = q * np.arange(L) - omega * traj.times[-1]
-        predicted = np.column_stack(
-            [
-                np.sin(theta) * np.cos(ang),
-                np.sin(theta) * np.sin(ang),
-                np.full(L, np.cos(theta)),
-            ]
-        )
-        assert np.abs(traj.textures[-1] - predicted).max() <= 1e-7
+        for S in (0.5, 1.0):
+            traj = lc.ll_evolve(helix, J, S, T=7.0 / S)
+            omega = -2.0 * S * np.cos(theta) * dJz
+            ang = q * np.arange(L) - omega * traj.times[-1]
+            predicted = np.column_stack(
+                [
+                    np.sin(theta) * np.cos(ang),
+                    np.sin(theta) * np.sin(ang),
+                    np.full(L, np.cos(theta)),
+                ]
+            )
+            assert np.abs(traj.textures[-1] - predicted).max() <= 1e-12, S
 
     def test_collinear_pair_is_static(self):
         up = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
@@ -123,6 +125,8 @@ class TestLLEvolve:
         # the drift the run checked is the drift of the samples it returned
         assert traj.max_norm_drift == pytest.approx(np.abs(norms[1:] - 1.0).max(), rel=1e-12)
         assert 0.0 < traj.max_norm_drift <= lc.NORM_DRIFT_TOL
+        energy_drift = np.abs(traj.energy - traj.energy[0]).max() / abs(traj.energy[0])
+        assert traj.max_energy_drift == energy_drift
 
     def test_time_reversal(self):
         """Running the flow with J -> -J retraces the trajectory."""
@@ -174,13 +178,39 @@ class TestLLEvolve:
         up = np.tile([0.0, 0.0, 1.0], (2, 1))
         traj = lc.ll_evolve(up, np.diag([0.0, 0.0, 1.0]), 0.5, dt=0.8, T=1.0)
         np.testing.assert_array_equal(traj.times, [0.0, 0.5, 1.0])
+        assert traj.dt == 0.5
 
     def test_default_step_count(self, monkeypatch):
-        """T / dt = 20 / 1e-3 lands on 20,000 steps despite its rounding error."""
+        """T / dt = 20 / 5e-3 lands on 4,000 steps despite its rounding error."""
         calls = count_rk4_steps(monkeypatch)
         up = np.tile([0.0, 0.0, 1.0], (2, 1))
-        lc.ll_evolve(up, np.diag([0.0, 0.0, 1.0]), 1.0, T=20.0)
-        assert len(calls) == 20_000
+        traj = lc.ll_evolve(up, np.diag([0.0, 0.0, 1.0]), 1.0, T=20.0)
+        assert len(calls) == 4_000
+        assert traj.dt == 20.0 / 4_000
+
+    def test_default_step_matches_finer_step(self):
+        """Oracle for the default dt = 5e-3/S: the 1e-3/S path it replaced agrees."""
+        tex = random_texture(10, seed=7)
+        J = scars.XYZCouplings(1.0, 0.7, 0.4)
+        coarse = lc.ll_evolve(tex, J, 1.0, T=10.0)
+        fine = lc.ll_evolve(tex, J, 1.0, dt=1e-3, T=10.0)
+        np.testing.assert_allclose(coarse.times, fine.times, rtol=0, atol=1e-12)
+        assert np.abs(coarse.textures - fine.textures).max() <= 1e-7
+
+    def test_short_default_run_steps_to_every_sample(self, monkeypatch):
+        """Under max_samples - 1 steps of 5e-3/S, the default step shrinks to T / (max_samples - 1)."""
+        calls = count_rk4_steps(monkeypatch)
+        up = np.tile([0.0, 0.0, 1.0], (2, 1))
+        J = np.diag([0.0, 0.0, 1.0])
+        traj = lc.ll_evolve(up, J, 1.0, T=2.0)
+        assert len(calls) == 1_000
+        assert len(traj.times) == 1_001
+        assert traj.dt == 2.0 / 1_000
+        # an explicit bound is taken as given
+        calls.clear()
+        traj = lc.ll_evolve(up, J, 1.0, dt=5e-3, T=2.0)
+        assert len(calls) == 400
+        assert len(traj.times) == 401
 
     def test_snapshot_thinning(self):
         tex = random_texture(6, seed=1)
