@@ -1,24 +1,25 @@
 """Exact dynamics of small spin-S XYZ rings.
 
 Desk-scale ground truth for everything the semiclassical modules predict:
-sparse many-body Hamiltonians assembled by digit arithmetic on the basis
-index, Bloch coherent product states, eigenstate verification of scar
-textures, exact quench propagation by Krylov-type exponential actions
-(``expm_multiply``, accurate to double-precision roundoff per step), and
-the exact contrast against the classical trajectory, read from one-site
-reduced density matrices. Dimensions are capped
-at :data:`DIMENSION_CAP`, which covers L = 7 at S = 1 and L = 12 at S = 1/2.
+sparse many-body Hamiltonians gathered into an assembly pattern that digit
+arithmetic on the basis index builds once per (2S+1, L, bond sparsity) and
+caches, Bloch coherent product states from the closed-form Wigner-d
+amplitudes, eigenstate verification of scar textures, exact quench
+propagation by Krylov-type exponential actions (``expm_multiply``, accurate
+to double-precision roundoff per step), and the exact contrast against the
+classical trajectory, read from one-site reduced density matrices.
+Dimensions are capped at :data:`DIMENSION_CAP`, which covers L = 7 at S = 1
+and L = 12 at S = 1/2.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from .elliptic import complete_K
@@ -57,10 +58,7 @@ def spin_operators(S: float) -> SpinOperatorSet:
     Satisfies [Sx, Sy] = i Sz (and cyclic) and the Casimir identity
     Sx^2 + Sy^2 + Sz^2 = S(S+1) I at machine precision.
     """
-    two_s = 2.0 * S
-    if two_s <= 0 or abs(two_s - round(two_s)) > 1e-12:
-        raise ValueError(f"2S must be a positive integer, got S = {S}")
-    dim = int(round(two_s)) + 1
+    dim = _twice_spin(S) + 1
     m = S - np.arange(dim)
     amp = np.sqrt(S * (S + 1.0) - m[1:] * (m[1:] + 1.0))
     s_plus = np.zeros((dim, dim), dtype=complex)
@@ -73,35 +71,54 @@ def spin_operators(S: float) -> SpinOperatorSet:
     )
 
 
+def _twice_spin(S: float) -> int:
+    """2S as an int; S must be a positive, finite half-integer."""
+    two_s = 2.0 * S
+    if not 0.0 < two_s < math.inf or abs(two_s - round(two_s)) > 1e-12:
+        raise ValueError(f"2S must be a positive integer, got S = {S}")
+    return int(round(two_s))
+
+
 def coherent_state(omega, S: float) -> np.ndarray:
     """Spin-S Bloch coherent state pointing along the unit vector omega.
 
-    The highest-weight state |S, S> is rotated by the geodesic that takes
-    the z axis onto omega; for omega = -z the rotation axis degenerates and
-    the convention is a rotation by pi about x. The result satisfies
-    <omega|S^a|omega> = S omega^a.
+    The state is |S, S> rotated by the geodesic that takes the z axis onto
+    omega = (sin t cos p, sin t sin p, cos t). In closed form its amplitude
+    on |S, m>, with k = S - m, is the Wigner-d value
+
+        sqrt(C(2S, k)) cos^(2S-k)(t/2) sin^k(t/2) e^(i k p).
+
+    At a pole (|omega_xy| < 1e-12) the azimuth is taken as p = -pi/2, the
+    rotation by t about x: +z gives |S, S> and -z gives (-i)^(2S) |S, -S>.
+    The result satisfies <omega|S^a|omega> = S omega^a.
     """
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (3,):
         raise ValueError(f"omega must be a 3-vector, got shape {omega.shape}")
-    norm = float(np.linalg.norm(omega))
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError(f"omega must be unit length, got |omega| = {norm}")
-    omega = omega / norm
-    ops = spin_operators(S)
-    theta = math.acos(max(-1.0, min(1.0, omega[2])))
-    axis = np.array([-omega[1], omega[0], 0.0])
-    axis_norm = float(np.linalg.norm(axis))
-    if axis_norm < 1e-12:
-        if theta < 1e-12:
-            psi = np.zeros(ops.dim, dtype=complex)
-            psi[0] = 1.0
-            return psi
-        axis = np.array([1.0, 0.0, 0.0])
-    else:
-        axis = axis / axis_norm
-    generator = theta * (axis[0] * ops.Sx + axis[1] * ops.Sy)
-    return expm(-1j * generator)[:, 0]
+    return _coherent_amplitudes(omega[None, :], S)[0]
+
+
+def _coherent_amplitudes(omegas: np.ndarray, S: float) -> np.ndarray:
+    """Coherent-state amplitudes of each row of omegas (n, 3), shape (n, 2S+1)."""
+    two_s = _twice_spin(S)
+    norms = np.linalg.norm(omegas, axis=1)
+    bad = ~(np.abs(norms - 1.0) <= 1e-6)
+    if bad.any():
+        raise ValueError(f"omega must be unit length, got |omega| = {norms[bad][0]}")
+    omegas = omegas / norms[:, None]
+    theta = np.arccos(np.clip(omegas[:, 2], -1.0, 1.0))
+    at_pole = np.hypot(omegas[:, 0], omegas[:, 1]) < 1e-12
+    phi = np.where(at_pole, -0.5 * math.pi, np.arctan2(omegas[:, 1], omegas[:, 0]))
+    k = np.arange(two_s + 1)
+    root_binomial = np.sqrt([float(math.comb(two_s, i)) for i in k])
+    cos_half = np.cos(0.5 * theta)[:, None]
+    sin_half = np.sin(0.5 * theta)[:, None]
+    return (
+        root_binomial
+        * cos_half ** (two_s - k)
+        * sin_half**k
+        * np.exp(1j * k * phi[:, None])
+    )
 
 
 def product_state(texture, S: float) -> np.ndarray:
@@ -109,15 +126,124 @@ def product_state(texture, S: float) -> np.ndarray:
 
     Site 0 is the fastest-varying index of the amplitude vector, as in the
     state-dump format: reshaped to (d, ..., d), site j is axis L - 1 - j.
+    The sites' amplitudes come from :func:`coherent_state`'s closed form and
+    are joined by outer products.
     """
     texture = np.asarray(texture, dtype=float)
     if texture.ndim != 2 or texture.shape[1] != 3:
         raise ValueError(f"texture must have shape (L, 3), got {texture.shape}")
-    L = texture.shape[0]
-    dim_site = int(round(2 * S)) + 1
-    _check_dimension(dim_site**L)
-    factors = [coherent_state(texture[j], S) for j in reversed(range(L))]
-    return reduce(np.kron, factors)
+    _check_dimension((_twice_spin(S) + 1) ** texture.shape[0])
+    factors = _coherent_amplitudes(texture, S)[::-1]
+    return functools.reduce(np.multiply.outer, factors).ravel()
+
+
+@functools.lru_cache(maxsize=16)
+def _bond_products(two_s: int) -> np.ndarray:
+    """S^a (x) S^b for a, b in (x, y, z), shape (3, 3, d^2, d^2), read-only."""
+    ops = spin_operators(two_s / 2.0)
+    triple = (ops.Sx, ops.Sy, ops.Sz)
+    products = np.array([[np.kron(sa, sb) for sb in triple] for sa in triple])
+    products.flags.writeable = False
+    return products
+
+
+@dataclass(frozen=True)
+class _RingPattern:
+    """Where each stored entry of a ring Hamiltonian takes its value from.
+
+    Fixed by (d, L, non-zero mask of the bond operator); the values come
+    from the bond operator of each call. The arrays are read-only and held
+    in the smallest unsigned dtype that fits.
+    """
+
+    #: CSR row pointer (dim + 1,) and column indices (nnz,), sorted
+    indptr: np.ndarray
+    indices: np.ndarray
+    #: flat positions of the bond operator's non-zeros
+    entries: np.ndarray
+    #: (k, nnz) ids into ``entries`` of the terms summed into each stored
+    #: entry, one row per term in summation order; id len(entries) stands
+    #: for no term, and fills the rows of every diagonal entry
+    ids: np.ndarray
+    #: positions of the stored diagonal entries among the stored ones
+    diag_slots: np.ndarray
+    #: (L, len(diag_slots)) digit pairs d n_j + n_(j+1) of each state with
+    #: a stored diagonal, one row per bond, in summation order
+    pairs: np.ndarray
+
+
+def _compact(values) -> np.ndarray:
+    """Non-negative integers in the smallest unsigned dtype that holds them."""
+    values = np.asarray(values)
+    return values.astype(np.min_scalar_type(int(values.max(initial=0))))
+
+
+@functools.lru_cache(maxsize=64)
+def _ring_pattern(d: int, L: int, mask_bytes: bytes) -> _RingPattern:
+    """Digit arithmetic of :func:`build_hamiltonian`, run once per key.
+
+    Each non-zero (r, c) of the bond operator on bond (j, j+1) adds a term
+    to the entries that take every basis index whose digits at (j, j+1)
+    read c to the index with those two digits replaced by r. The terms of
+    one entry are summed in the order in which scipy's COO -> CSR
+    conversion sums them: row by row, in the order its ``sort_indices``
+    leaves, which for rows longer than 16 is not the input order. That
+    order is read off by converting the terms' labels.
+    """
+    mask = np.frombuffer(mask_bytes, dtype=bool).reshape(d * d, d * d)
+    dim = d**L
+    n = np.arange(dim, dtype=np.int32)
+    pairs = _compact([(n // d**j % d) * d + n // d ** ((j + 1) % L) % d for j in range(L)])
+    out_pairs, in_pairs = np.nonzero(mask)
+    # seeded with empty arrays so that a zero bond gives no terms
+    rows, cols, bonds, ids = [n[:0]], [n[:0]], [n[:0]], [n[:0]]
+    for j in range(L):
+        nxt = (j + 1) % L
+        for e, (r, c) in enumerate(zip(out_pairs, in_pairs)):
+            source = n[pairs[j] == c]
+            rows.append(source + int((r // d - c // d) * d**j + (r % d - c % d) * d**nxt))
+            cols.append(source)
+            bonds.append(np.full(source.size, j, dtype=np.int32))
+            ids.append(np.full(source.size, e, dtype=np.int32))
+    rows, cols, bonds, ids = (np.concatenate(a) for a in (rows, cols, bonds, ids))
+
+    # the conversion on labels: rows bucketed in input order, then sorted
+    row_ptr = np.zeros(dim + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=dim), out=row_ptr[1:])
+    bucketed = np.argsort(rows, kind="stable")
+    labels = sparse.csr_matrix((bucketed, cols[bucketed], row_ptr), shape=(dim, dim))
+    labels.sort_indices()
+    order, cols = labels.data, labels.indices
+    rows, bonds, ids = rows[order], bonds[order], ids[order]
+
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    slot = np.cumsum(first) - 1
+    depth = np.arange(rows.size) - np.flatnonzero(first)[slot]
+    indptr = np.zeros(dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[first], minlength=dim), out=indptr[1:])
+    diag = rows == cols
+
+    # each state's bonds in the order its diagonal is summed; bonds with a
+    # zero bond diagonal there add no term and go last
+    rank = np.tile(L + np.arange(L)[:, None], (1, dim))
+    rank[bonds[diag], rows[diag]] = depth[diag]
+    pairs = np.take_along_axis(pairs, np.argsort(rank, axis=0), axis=0)
+
+    table = np.full((depth[~diag].max(initial=-1) + 1, int(first.sum())), out_pairs.size)
+    table[depth[~diag], slot[~diag]] = ids[~diag]
+
+    pattern = _RingPattern(
+        indptr=_compact(indptr),
+        indices=_compact(cols[first]),
+        entries=_compact(np.flatnonzero(mask)),
+        ids=_compact(table),
+        diag_slots=_compact(np.flatnonzero(diag[first])),
+        pairs=pairs[:, np.unique(rows[diag])],
+    )
+    for array in vars(pattern).values():
+        array.flags.writeable = False
+    return pattern
 
 
 def build_hamiltonian(J, S: float, L: int) -> sparse.csr_matrix:
@@ -127,11 +253,17 @@ def build_hamiltonian(J, S: float, L: int) -> sparse.csr_matrix:
     coupling appears twice there. J may be an XYZCouplings, a 3-vector of
     diagonal couplings, or a full 3x3 matrix.
 
-    Assembled by digit arithmetic: the d^2 x d^2 bond operator
-    sum_ab J_ab S^a (x) S^b is formed once, and each of its non-zero
-    entries (r, c) on bond (j, j+1) connects every basis index whose digits
-    at (j, j+1) read c to the index with those two digits replaced by r. No
-    operator is embedded by kron.
+    The d^2 x d^2 bond operator sum_ab J_ab S^a (x) S^b is formed first.
+    Where its entries land in H, and which of them add up in one entry,
+    depends only on d = 2S+1, L and which bond entries are non-zero. That
+    assembly pattern is built once per key by digit arithmetic on the basis
+    index and cached (64 keys); a call only gathers bond entries into it.
+    A state's diagonal is the sum over bonds of the bond diagonal at the
+    state's digit pair (n_j, n_{j+1}). Every sum runs in the order in which
+    scipy's COO -> CSR conversion added the same terms before the pattern
+    was cached, so H is the same to the bit: sums such as +-Jz/4 over twelve
+    bonds cancel to exactly zero, and are dropped, where they did there. The
+    returned H owns its arrays. No operator is embedded by kron.
 
     Raises
     ------
@@ -141,33 +273,27 @@ def build_hamiltonian(J, S: float, L: int) -> sparse.csr_matrix:
     if L < 2:
         raise ValueError(f"need at least two sites, got L = {L}")
     mat = coupling_matrix(J)
-    ops = spin_operators(S)
-    d = ops.dim
+    two_s = _twice_spin(S)
+    d = two_s + 1
     dim = d**L
     _check_dimension(dim)
-    triple = (ops.Sx, ops.Sy, ops.Sz)
-    bond = sum(
-        mat[a, b] * np.kron(triple[a], triple[b])
-        for a in range(3)
-        for b in range(3)
-    )
-    out_pairs, in_pairs = np.nonzero(bond)
-    n = np.arange(dim)
-    # seeded with empty arrays so that zero couplings give an empty H
-    rows, cols, vals = [n[:0]], [n[:0]], [np.zeros(0, dtype=complex)]
-    for j in range(L):
-        nxt = (j + 1) % L
-        pair = (n // d**j % d) * d + n // d**nxt % d
-        for r, c in zip(out_pairs, in_pairs):
-            source = n[pair == c]
-            shift = (r // d - c // d) * d**j + (r % d - c % d) * d**nxt
-            rows.append(source + shift)
-            cols.append(source)
-            vals.append(np.full(source.size, bond[r, c]))
+    products = _bond_products(two_s)
+    bond = sum(mat[a, b] * products[a, b] for a in range(3) for b in range(3))
+    pattern = _ring_pattern(d, L, (bond != 0).tobytes())
+
+    values = np.append(bond.ravel()[pattern.entries], 0.0)
+    data = np.zeros(pattern.indices.size, dtype=complex)
+    for ids in pattern.ids:
+        data += values[ids]
+    bond_diag = np.diagonal(bond)
+    diag = np.zeros(pattern.diag_slots.size, dtype=complex)
+    for pair in pattern.pairs:
+        diag += bond_diag[pair]
+    data[pattern.diag_slots] = diag
+
     H = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        (data, pattern.indices.astype(np.int32), pattern.indptr.astype(np.int32)),
         shape=(dim, dim),
-        dtype=complex,
     )
     H.eliminate_zeros()
     return H
@@ -317,8 +443,8 @@ def contrast_exact(
     the normalized spin contrast column C exactly as the spin-wave series
     does.
     """
-    if T <= 0.0:
-        raise ValueError(f"T must be positive, got {T}")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"T must be positive and finite, got {T}")
     if n_samples < 2:
         raise ValueError(f"need at least two samples, got {n_samples}")
     family = _family_of(p)
@@ -347,7 +473,7 @@ def save_state(path, psi, L: int, S: float) -> None:
     (re, im) little-endian float64 pairs.
     """
     psi = np.asarray(psi, dtype=complex)
-    two_s = int(round(2 * S))
+    two_s = _twice_spin(S)
     dim = (two_s + 1) ** L
     if psi.shape != (dim,):
         raise ValueError(

@@ -83,7 +83,7 @@ class ScarParams:
         if self.L < 2:
             raise ValueError(f"need at least two sites, got L = {self.L}")
         two_s = 2.0 * self.S
-        if two_s <= 0 or abs(two_s - round(two_s)) > 1e-12:
+        if not 0.0 < two_s < math.inf or abs(two_s - round(two_s)) > 1e-12:
             raise ValueError(f"2S must be a positive integer, got S = {self.S}")
         if self.kappa < 1.0:
             if not 0.0 < self.q < complete_K(self.kappa):

@@ -334,6 +334,33 @@ class TestContrastEd:
         assert excinfo.value.code == 2
         assert not (tmp_path / "contrast_ed.csv").exists()
 
+    @pytest.mark.parametrize("S", ["inf", "nan"])
+    @pytest.mark.parametrize("command", ["contrast-ed", "scar-verify"])
+    def test_non_finite_spin_is_numeric_error(self, tmp_path, capsys, command, S):
+        """A spin length that is no half-integer exits 1 with one line."""
+        args = ["--kappa", "0", "--M", "1", "--L", "6", "--S", S]
+        if command == "contrast-ed":
+            code = run([command, *args, "--theta", "pi/4", "--delta", "0.03"], tmp_path)
+        else:
+            code = run([command, *args, "--gamma", "0.7071"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: 2S must be a positive integer, got S = {S}\n"
+        assert not (tmp_path / "contrast_ed.csv").exists()
+
+    @pytest.mark.parametrize("T", ["inf", "nan"])
+    def test_non_finite_duration_is_numeric_error(self, tmp_path, capsys, T):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(
+                ["contrast-ed", "--kappa", "0", "--M", "1", "--L", "6",
+                 "--S", "0.5", "--theta", "pi/4", "--delta", "0.03", "--T", T],
+                tmp_path,
+            )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: T must be positive and finite, got {T}\n"
+        assert not (tmp_path / "contrast_ed.csv").exists()
+
     def test_dimension_cap_is_numeric_error(self, tmp_path, capsys):
         code = run(
             ["contrast-ed", "--kappa", "0", "--M", "1", "--L", "13",

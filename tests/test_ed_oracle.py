@@ -1,8 +1,10 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import expm
 
 from xyzscar import ed_oracle as ed
 from xyzscar import rotframe, scars, spinwave
@@ -54,6 +56,58 @@ def reference_kron_hamiltonian(J, S, L):
                 if mat[a, b] != 0.0:
                     H = H + mat[a, b] * (embedded[j][a] @ embedded[nxt][b])
     return H.tocsr()
+
+
+def reference_coo_hamiltonian(J, S, L):
+    """The uncached digit-arithmetic assembly that build_hamiltonian's
+    cached pattern replaced, kept as its oracle: every non-zero (r, c) of
+    the bond operator on bond (j, j+1) maps the states whose digits at
+    (j, j+1) read c to those digits replaced by r, and scipy's COO -> CSR
+    conversion sums the duplicates."""
+    mat = scars.coupling_matrix(J)
+    ops = ed.spin_operators(S)
+    d = ops.dim
+    dim = d**L
+    triple = (ops.Sx, ops.Sy, ops.Sz)
+    bond = sum(mat[a, b] * np.kron(triple[a], triple[b]) for a in range(3) for b in range(3))
+    n = np.arange(dim)
+    rows, cols, vals = [n[:0]], [n[:0]], [np.zeros(0, dtype=complex)]
+    for j in range(L):
+        nxt = (j + 1) % L
+        pair = (n // d**j % d) * d + n // d**nxt % d
+        for r, c in zip(*np.nonzero(bond)):
+            source = n[pair == c]
+            rows.append(source + (r // d - c // d) * d**j + (r % d - c % d) * d**nxt)
+            cols.append(source)
+            vals.append(np.full(source.size, bond[r, c]))
+    H = sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim),
+        dtype=complex,
+    )
+    H.eliminate_zeros()
+    return H
+
+
+def reference_expm_coherent_state(omega, S):
+    """|S, S> rotated by exp(-i theta n.S) about the axis z x omega, by a
+    dense matrix exponential (rotation about x at the poles): the route that
+    coherent_state's closed form replaced, kept as its oracle."""
+    omega = np.asarray(omega, dtype=float)
+    omega = omega / np.linalg.norm(omega)
+    ops = ed.spin_operators(S)
+    theta = math.acos(max(-1.0, min(1.0, omega[2])))
+    axis = np.array([-omega[1], omega[0], 0.0])
+    axis_norm = float(np.linalg.norm(axis))
+    if axis_norm < 1e-12:
+        if theta < 1e-12:
+            psi = np.zeros(ops.dim, dtype=complex)
+            psi[0] = 1.0
+            return psi
+        axis = np.array([1.0, 0.0, 0.0])
+    else:
+        axis = axis / axis_norm
+    return expm(-1j * theta * (axis[0] * ops.Sx + axis[1] * ops.Sy))[:, 0]
 
 
 def reference_eigh_evolve(psi0, H, times):
@@ -139,7 +193,7 @@ class TestSpinOperators:
         ops = ed.spin_operators(1.5)
         np.testing.assert_allclose(np.diag(ops.Sz).real, [1.5, 0.5, -0.5, -1.5])
 
-    @pytest.mark.parametrize("S", [0.0, -1.0, 0.7])
+    @pytest.mark.parametrize("S", [0.0, -1.0, 0.7, math.inf, math.nan])
     def test_rejects_bad_spin(self, S):
         with pytest.raises(ValueError, match="2S"):
             ed.spin_operators(S)
@@ -174,6 +228,43 @@ class TestCoherentState:
                 value = float(np.vdot(psi, op @ psi).real)
                 assert abs(value / S - omega[axis]) <= 1e-10
 
+    @pytest.mark.parametrize("S", [0.5, 1.0, 1.5, 2.0, 2.5])
+    def test_matches_expm_reference(self, S):
+        """The closed form against the dense rotation to 1e-13: random
+        directions, both poles, and |omega_xy| = 1e-13 and 1e-11 beside
+        each pole, at several azimuths."""
+        rng = np.random.default_rng(23)
+        directions = [rng.normal(size=3) for _ in range(8)]
+        for z in (1.0, -1.0):
+            directions.append(np.array([0.0, 0.0, z]))
+            for rho in (1e-13, 1e-11):
+                for azimuth in (0.0, 1.0, -2.5):
+                    xy = rho * np.array([math.cos(azimuth), math.sin(azimuth)])
+                    directions.append(np.array([xy[0], xy[1], z * math.sqrt(1.0 - rho**2)]))
+        for omega in directions:
+            omega = omega / np.linalg.norm(omega)
+            got = ed.coherent_state(omega, S)
+            ref = reference_expm_coherent_state(omega, S)
+            assert np.abs(got - ref).max() <= 1e-13, omega
+
+    def test_pole_phases(self):
+        """+z is |S, S> exactly; -z is (-i)^(2S) |S, -S>."""
+        for S in (0.5, 1.0, 1.5, 2.0):
+            north = ed.coherent_state([0.0, 0.0, 1.0], S)
+            assert north[0] == 1.0 and np.all(north[1:] == 0.0)
+            south = ed.coherent_state([0.0, 0.0, -1.0], S)
+            assert abs(south[-1] - (-1j) ** int(2 * S)) <= 1e-15
+            assert np.abs(south[:-1]).max() <= 1e-15
+
+    @pytest.mark.parametrize(
+        "omega", [[math.nan, 0.0, 1.0], [0.0, math.inf, 0.0], [math.nan] * 3]
+    )
+    def test_rejects_non_finite_direction(self, omega):
+        with pytest.raises(ValueError, match="unit length"):
+            ed.coherent_state(omega, 1.0)
+        with pytest.raises(ValueError, match="unit length"):
+            ed.product_state([[0.0, 0.0, 1.0], omega], 1.0)
+
     def test_rejects_non_unit_vector(self):
         with pytest.raises(ValueError, match="unit length"):
             ed.coherent_state([0.0, 0.0, 2.0], 1.0)
@@ -195,6 +286,19 @@ class TestProductAndSiteOperators:
                 full = site_operator(op, j, 5)
                 value = float(np.vdot(psi, full @ psi).real)
                 assert abs(value - texture[j, axis]) <= 1e-10
+
+    @pytest.mark.parametrize("S, L", [(0.5, 2), (0.5, 9), (1.0, 5), (2.5, 3)])
+    def test_product_state_matches_kron_of_expm_states(self, S, L):
+        """Outer products of closed-form states against the kron chain of
+        the dense-rotation states, site 0 fastest-varying."""
+        rng = np.random.default_rng(29)
+        texture = rng.normal(size=(L, 3))
+        texture /= np.linalg.norm(texture, axis=1, keepdims=True)
+        texture[0] = [0.0, 0.0, -1.0]
+        ref = reduce(
+            np.kron, [reference_expm_coherent_state(texture[j], S) for j in reversed(range(L))]
+        )
+        assert np.abs(ed.product_state(texture, S) - ref).max() <= 1e-13
 
     @pytest.mark.parametrize("S, L", [(0.5, 2), (0.5, 7), (1.0, 2), (1.0, 5), (1.5, 3)])
     def test_site_expectations_match_sparse_operators(self, S, L):
@@ -249,6 +353,86 @@ class TestBuildHamiltonian:
         assert H.shape == ref.shape
         assert np.abs((H - ref).toarray()).max(initial=0.0) <= 1e-14
         assert np.all(H.data != 0.0)  # no explicit zeros stored
+
+    @pytest.mark.parametrize("S", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("L", [2, 3, 5])
+    @pytest.mark.parametrize(
+        "J", [(0.7, 1.0, 0.4), ASYMMETRIC_COUPLING, (0.0, 0.0, 0.0)],
+        ids=["diagonal", "full", "zero"],
+    )
+    def test_cached_pattern_matches_kron_reference(self, J, S, L):
+        """Built twice, from a cold and from a warm cache: both equal the
+        kron assembly to 1e-14 and the uncached digit assembly exactly."""
+        ed._ring_pattern.cache_clear()
+        ref = reference_kron_hamiltonian(J, S, L)
+        uncached = reference_coo_hamiltonian(J, S, L)
+        for _ in range(2):
+            H = ed.build_hamiltonian(J, S, L)
+            assert np.abs((H - ref).toarray()).max(initial=0.0) <= 1e-14
+            assert np.array_equal(H.indptr, uncached.indptr)
+            assert np.array_equal(H.indices, uncached.indices)
+            assert np.array_equal(H.data, uncached.data)
+        assert ed._ring_pattern.cache_info().hits >= 1
+
+    def test_sweep_matches_uncached_assembly_bit_for_bit(self):
+        """Gate 01's Hamiltonians, plain and detuned: same nnz, indices and
+        data bits as the uncached assembly. Diagonal sums such as
+        (+-Jz/4) over twelve bonds cancel to exactly zero only in the order
+        scipy sums duplicates, so this pins that order."""
+        for kappa, q, S, L in SWEEP_HAMILTONIANS:
+            for J in (scars.parent_couplings(kappa, q), scars.parent_couplings(kappa, q).detuned(dJz=0.03)):
+                H, ref = ed.build_hamiltonian(J, S, L), reference_coo_hamiltonian(J, S, L)
+                assert H.nnz == ref.nnz, (kappa, q, S, L)
+                assert np.array_equal(H.indptr, ref.indptr)
+                assert np.array_equal(H.indices, ref.indices)
+                assert np.array_equal(H.data, ref.data)
+
+    def test_shared_key_different_couplings(self):
+        """Two couplings with one non-zero pattern share a cached pattern and
+        still give their own Hamiltonians."""
+        first, second = (0.7, 1.0, 0.4), (0.9, 1.0, 0.35)
+        ed.build_hamiltonian(first, 1.0, 4)
+        hits = ed._ring_pattern.cache_info().hits
+        H1 = ed.build_hamiltonian(first, 1.0, 4)
+        H2 = ed.build_hamiltonian(second, 1.0, 4)
+        assert ed._ring_pattern.cache_info().hits == hits + 2
+        for J, H in ((first, H1), (second, H2)):
+            ref = reference_kron_hamiltonian(J, 1.0, 4)
+            assert np.abs((H - ref).toarray()).max() <= 1e-14
+        assert np.abs((H1 - H2).toarray()).max() > 0.1
+
+    def test_returned_arrays_are_owned(self):
+        """Writing into one H's arrays leaves the cached pattern, and so the
+        next build, untouched."""
+        J = (0.9, 1.0, 0.35)
+        H = ed.build_hamiltonian(J, 0.5, 6)
+        expected = H.copy()
+        H.data[:] = 0.0
+        H.indices[:] = 0
+        H.indptr[1:] = 0
+        again = ed.build_hamiltonian(J, 0.5, 6)
+        assert np.array_equal(again.indptr, expected.indptr)
+        assert np.array_equal(again.indices, expected.indices)
+        assert np.array_equal(again.data, expected.data)
+
+    def test_pattern_cache_is_compact(self, monkeypatch):
+        """Gate 01's 45 Hamiltonians need 22 patterns, which hold at most
+        2 MB, all read-only."""
+        cached = ed._ring_pattern
+        cached.cache_clear()
+        patterns = {}
+
+        def recording(*key):
+            patterns[key] = cached(*key)
+            return patterns[key]
+
+        monkeypatch.setattr(ed, "_ring_pattern", recording)
+        for kappa, q, S, L in SWEEP_HAMILTONIANS:
+            ed.build_hamiltonian(scars.parent_couplings(kappa, q), S, L)
+        assert len(patterns) == cached.cache_info().currsize == 22
+        arrays = [a for p in patterns.values() for a in vars(p).values()]
+        assert not any(a.flags.writeable for a in arrays)
+        assert sum(a.nbytes for a in arrays) <= 2e6
 
     def test_sweep_matches_kron_reference(self):
         """Every distinct Hamiltonian of gate 01's sweep, entry by entry."""
@@ -493,6 +677,9 @@ class TestContrastExact:
     def test_validates_grid(self):
         with pytest.raises(ValueError, match="positive"):
             ed.contrast_exact(transverse_params(), 0.01, T=0.0)
+        for T in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                ed.contrast_exact(transverse_params(), 0.01, T=T)
         with pytest.raises(ValueError, match="two samples"):
             ed.contrast_exact(transverse_params(), 0.01, n_samples=1)
 

@@ -1,5 +1,7 @@
 """Texture construction, coupling maps, and the product-eigenstate conditions."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,9 @@ class TestScarTexture:
             ScarParams(kappa=0.5, q=0.5, gamma=0.0, L=1)
         with pytest.raises(ValueError):
             ScarParams(kappa=0.5, q=0.5, gamma=0.0, L=6, S=0.3)
+        for S in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="2S must be a positive integer"):
+                ScarParams(kappa=0.5, q=0.5, gamma=0.0, L=6, S=S)
         with pytest.raises(ValueError):
             ScarParams(kappa=0.5, q=-0.2, gamma=0.0, L=6)
         with pytest.raises(ValueError):
