@@ -132,6 +132,8 @@ def instability_window(q: float, theta: float, dJz: float):
     monotonically to k = pi, so the maximizer is the edge itself. Returns
     None when the spectrum is real everywhere.
     """
+    if not all(map(math.isfinite, (q, theta, dJz))):
+        raise ValueError(f"q, theta and dJz must be finite, got {q}, {theta}, {dJz}")
     X = math.sin(theta) ** 2 * dJz
     cq = math.cos(q)
     if dJz > 0.0:
@@ -230,6 +232,8 @@ def rates(q: float, theta: float, dJz: float, S: float = 1.0) -> DecayRates:
     Unstable branch (dJz > 0):
         gamma2 = 2 S b1(k*) exactly, ~ 2 S sin^2(theta) dJz perturbatively.
     """
+    if not all(map(math.isfinite, (q, theta, dJz))):
+        raise ValueError(f"q, theta and dJz must be finite, got {q}, {theta}, {dJz}")
     if dJz > 0.0:
         win = instability_window(q, theta, dJz)
         return DecayRates(
@@ -329,8 +333,8 @@ def family_coefficients(family: str, kappa: float, q: float, delta: float, S: fl
     The scar's domain is enforced here: 0 < q < K(kappa) (so lambda > 4,
     via parent_couplings) and S > 0, which make V negative on every site.
     """
-    if S <= 0:
-        raise ValueError(f"spin length S must be positive, got {S}")
+    if not 0.0 < S < math.inf:
+        raise ValueError(f"spin length S must be positive and finite, got {S}")
     lam = unit_cell_size(kappa, q)
     parent = parent_couplings(kappa, q)
     snq = jacobi_sncndn(q, kappa)[0]
@@ -381,6 +385,8 @@ def _momentum_grid(n_k: int) -> np.ndarray:
     """Midpoint grid over (-pi, pi). For even n_k it avoids the marginal
     k = 0 mode, whose numerically split zero eigenvalue would otherwise set
     the noise floor; odd n_k puts a point on k = 0."""
+    if n_k < 1:
+        raise ValueError(f"need at least one momentum, got n_k = {n_k}")
     return -math.pi + 2.0 * math.pi * (np.arange(n_k) + 0.5) / n_k
 
 
@@ -484,15 +490,13 @@ def contrast_multiflavour(
     (spinwave._power_contrast), with its finiteness and symplectic checks.
     Without detuning nothing creates pairs, and D = 1 exactly.
     """
-    if T <= 0 or n_samples < 2:
-        raise ValueError("need T > 0 and at least two samples")
-    if n_k < 1:
-        raise ValueError(f"need at least one momentum, got n_k = {n_k}")
+    if not 0.0 < T < math.inf or n_samples < 2:
+        raise ValueError("need a finite T > 0 and at least two samples")
+    k_cell = _momentum_grid(n_k)
     times = np.linspace(0.0, T, n_samples)
     eta, zeta, V = family_coefficients(family, kappa, q, delta, S)
     if zeta[0] == 0.0:
         return ContrastSeries(times=times, D=np.ones(n_samples), f=np.zeros(n_samples))
-    k_cell = _momentum_grid(n_k)
     if len(V) % 2 == 0:
         V = V[: len(V) // 2]
         k_cell = np.concatenate([k_cell / 2.0, k_cell / 2.0 + math.pi])

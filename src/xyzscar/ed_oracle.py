@@ -445,6 +445,8 @@ def contrast_exact(
     """
     if not 0.0 < T < math.inf:
         raise ValueError(f"T must be positive and finite, got {T}")
+    if not math.isfinite(delta):
+        raise ValueError(f"detuning delta must be finite, got {delta}")
     if n_samples < 2:
         raise ValueError(f"need at least two samples, got {n_samples}")
     family = _family_of(p)

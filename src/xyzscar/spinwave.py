@@ -4,8 +4,9 @@ The frame supplies bond couplings J_R and an effective field h_R; from these
 the quadratic boson theory is fixed by three coefficient arrays: a hopping
 amplitude eta_j, a pair-creation amplitude zeta_j (both per bond) and an
 onsite potential V_j. The 2L x 2L one-particle generator C built from them
-drives d/dt (a, a+) = -iC (a, a+), and the contrast D_SW(t) follows from the
-anomalous block of the propagator.
+drives d/dt (a, a+) = -iC (a, a+). Every propagation runs in the quadratures
+x = (a + a+)/sqrt2, p = (a - a+)/(i sqrt2), on a real generator G and a real
+symplectic propagator E, whose Frobenius norm gives the contrast D_SW(t).
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ class SpinWaveCoefficients:
             raise ValueError("eta, zeta, V must have equal length")
         if len(self.V) < 2:
             raise ValueError("need at least two sites")
+        if not all(np.isfinite(a).all() for a in (self.eta, self.zeta, self.V)):
+            raise ValueError("spin-wave coefficients eta, zeta and V must be finite")
 
     @property
     def L(self) -> int:
@@ -100,18 +103,6 @@ def build_linear_generator(coeffs, t: float = 0.0) -> np.ndarray:
     return np.block([[M, N], [-np.conj(N), -np.conj(M)]])
 
 
-def _full_from_half(V: np.ndarray) -> np.ndarray:
-    """Reconstruct U from its left half-columns.
-
-    The generator obeys conj(C) = -Sigma C Sigma with Sigma the block swap,
-    hence conj(U) = Sigma U Sigma and the right half of U is the row-swapped
-    conjugate of the left half.
-    """
-    L = V.shape[1]
-    right = np.vstack([np.conj(V[L:, :]), np.conj(V[:L, :])])
-    return np.hstack([V, right])
-
-
 def propagator(coeffs, t: float, dt: float | None = None) -> np.ndarray:
     """Time-ordered propagator U(t) for the one-particle problem.
 
@@ -119,68 +110,68 @@ def propagator(coeffs, t: float, dt: float | None = None) -> np.ndarray:
     rounding; no diagonalization, so the defective k = 0 Goldstone pair of a
     translation-invariant ring is handled correctly). Callable coefficients:
     the commutator-free 4th-order Magnus scheme in the fewest equal steps no
-    longer than dt (default 1e-3), so dt is an upper bound. Either way U is
-    checked for pseudo-unitarity (RuntimeError if lost).
+    longer than dt (default 1e-3), so dt is an upper bound. Either way the
+    real quadrature propagator is checked for pseudo-unitarity (RuntimeError
+    if lost) and mapped to U.
     """
-    if dt is None:
-        dt = 1e-3
-    advance, h = _stepper(coeffs, t, dt)
+    advance, h = _stepper(coeffs, t, 1e-3 if dt is None else dt)
     L = coeffs(0.0).L if callable(coeffs) else coeffs.L
-    U = advance(0.0, np.eye(2 * L, dtype=complex))
-    _check_pseudo_unitarity(U, h)
-    return U
+    E = advance(0.0, np.eye(2 * L))
+    _check_symplectic(E, h)
+    return _complex_from_quadratures(E)
 
 
 def _stepper(coeffs, span: float, dt: float):
-    """Propagation across one span: returns (advance(t0, V), step length).
+    """Propagation across one span: returns (advance(t0, E), step length).
 
-    advance(t0, V) carries V from t0 to t0 + span. Static coefficients take
-    one exponential of the whole span; callable coefficients take the fewest
-    equal CF4 steps no longer than dt (at least one).
+    advance(t0, E) carries a real quadrature matrix E from t0 to t0 + span.
+    Static coefficients take one exponential of the whole span; callable
+    coefficients the fewest equal CF4 steps no longer than dt (at least one).
     """
     if not callable(coeffs):
-        E = expm(-1j * span * build_linear_generator(coeffs))
-        return (lambda t0, V: E @ V), span
+        step = expm(span * _quadrature_generator(coeffs))
+        return (lambda t0, E: step @ E), span
     n = max(1, _step_count(span, dt))
     h = span / n
 
-    def advance(t0, V):
+    def advance(t0, E):
         for m in range(n):
-            V = _cf4_step(coeffs, t0 + m * h, h) @ V
-        return V
+            E = _cf4_step(coeffs, t0 + m * h, h) @ E
+        return E
 
     return advance, h
 
 
 def _cf4_step(coeffs, t0: float, h: float) -> np.ndarray:
-    F1 = -1j * build_linear_generator(coeffs, t0 + _CF4_C1 * h)
-    F2 = -1j * build_linear_generator(coeffs, t0 + _CF4_C2 * h)
-    first = expm(h * (_CF4_A1 * F1 + _CF4_A2 * F2))
-    second = expm(h * (_CF4_A2 * F1 + _CF4_A1 * F2))
+    """CF4 step from t0 to t0 + h; G = Q(-iC)Q^dagger at every t, so this is
+    the complex scheme in the quadrature basis."""
+    G1 = _quadrature_generator(coeffs(t0 + _CF4_C1 * h))
+    G2 = _quadrature_generator(coeffs(t0 + _CF4_C2 * h))
+    first = expm(h * (_CF4_A1 * G1 + _CF4_A2 * G2))
+    second = expm(h * (_CF4_A2 * G1 + _CF4_A1 * G2))
     return second @ first
 
 
-def _check_pseudo_unitarity(U: np.ndarray, h: float) -> float:
-    """Defect max |U eta U^dagger - eta| of a complex propagator, eta = diag(1, -1)."""
-    L = U.shape[0] // 2
-    eta = np.ones(2 * L)
-    eta[L:] = -1.0
-    return _checked_defect(np.abs((U * eta) @ U.conj().T - np.diag(eta)).max(), h)
+def _complex_from_quadratures(E: np.ndarray) -> np.ndarray:
+    """U = Q^dagger E Q = [[u, v], [conj v, conj u]] for E = [[xx, xp], [px, pp]],
+    block by block so that the identity maps to the identity exactly."""
+    L = E.shape[0] // 2
+    xx, xp, px, pp = E[:L, :L], E[:L, L:], E[L:, :L], E[L:, L:]
+    u = 0.5 * ((xx + pp) + 1j * (px - xp))
+    v = 0.5 * ((xx - pp) + 1j * (px + xp))
+    return np.block([[u, v], [v.conj(), u.conj()]])
 
 
 def _check_symplectic(E: np.ndarray, h: float) -> float:
     """Defect max |E^T Omega E - Omega| over a stack of real propagators.
 
     Omega = [[0, 1], [-1, 0]]; in quadratures this is the pseudo-unitarity
-    condition, so the check keeps its tolerance and message.
+    condition, with its tolerance and message. Raises RuntimeError past it.
     """
     m = E.shape[-1] // 2
     omega_E = np.concatenate([E[..., m:, :], -E[..., :m, :]], axis=-2)
     omega = np.block([[np.zeros((m, m)), np.eye(m)], [-np.eye(m), np.zeros((m, m))]])
-    return _checked_defect(np.abs(np.swapaxes(E, -1, -2) @ omega_E - omega).max(), h)
-
-
-def _checked_defect(err: float, h: float) -> float:
+    err = np.abs(np.swapaxes(E, -1, -2) @ omega_E - omega).max()
     # written so that a NaN defect fails too
     if not err <= PSEUDO_UNITARITY_TOL:
         raise RuntimeError(
@@ -232,37 +223,36 @@ def contrast_sw(
 
         D_SW(t) = 1 - (1/LS) sum_j sum_l |U(t)_{j, l+L}|^2
 
-    i.e. one minus the vacuum pair density read off the anomalous block of
-    the propagator. Static coefficients go through the real quadrature
-    generator (_quadrature_generator) and powers of its sample-step
-    exponential, with the pair density read from a Frobenius norm
-    (_power_contrast); D(0) = 1 holds exactly. For callable (time-dependent)
-    coefficients the left half-columns of U are carried (the other half is
-    fixed by conjugation symmetry), each sample interval covered by the
-    fewest equal CF4 micro-steps no longer than dt (default 1e-3/S), so dt
-    is an upper bound. Either way the final propagator is checked for
-    pseudo-unitarity, and the measured defect is returned with the series;
-    a lost check or an overflow raises RuntimeError.
+    i.e. one minus the vacuum pair density. Both branches carry the real
+    quadrature propagator E and read D = 1 - (||E||_F^2 - 2L)/(4LS), so
+    D(0) = 1 exactly. Static coefficients take powers of the sample-step
+    exponential (_power_contrast); callable ones carry E sample by sample in
+    the fewest equal CF4 micro-steps no longer than dt (default 1e-3/S), so
+    dt is an upper bound. The final propagator's pseudo-unitarity defect is
+    checked and returned with the series; a lost check or an overflow
+    raises RuntimeError.
 
     theta, when given, also fills the spin-contrast column
     C = (D - cos^2 theta)/sin^2 theta.
     """
-    if S <= 0:
-        raise ValueError(f"spin length S must be positive, got {S}")
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not 0.0 < S < math.inf:
+        raise ValueError(f"spin length S must be positive and finite, got {S}")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"T must be positive and finite, got {T}")
     if n_samples < 2:
         raise ValueError("need at least two samples")
     times = np.linspace(0.0, T, n_samples)
     h = times[1] - times[0]
     if callable(coeffs):
         advance, step = _stepper(coeffs, h, 1e-3 / S if dt is None else dt)
-        # an overflow fails the check below: one error, no warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            D, V = _pair_density(
-                lambda n, V: advance(times[n - 1], V), coeffs(0.0).L, n_samples, S
-            )
-            defect = _check_pseudo_unitarity(_full_from_half(V), step)
+        E = np.eye(2 * coeffs(0.0).L)
+        norms = np.full(n_samples, float(len(E)))
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the check
+            for n in range(1, n_samples):
+                E = advance(times[n - 1], E)
+                norms[n] = np.vdot(E, E)
+            defect = _check_symplectic(E, step)
+        D = _contrast_from_norms(norms, len(E), S)
     else:
         D, defect = _power_contrast(_quadrature_generator(coeffs)[None], h, n_samples, S)
     C = None if theta is None else spin_contrast(D, theta)
@@ -279,9 +269,7 @@ def _quadrature_generator(coeffs) -> np.ndarray:
     C = [[M, N], [-conj N, -conj M]] that is
     G = [[Im(M + N), Re(M - N)], [-Re(M + N), Im(M - N)]], real.
     """
-    C = build_linear_generator(coeffs)
-    L = coeffs.L
-    M, N = C[:L, :L], C[:L, L:]
+    M, N = np.split(build_linear_generator(coeffs)[: coeffs.L], 2, axis=1)
     return np.block([[(M + N).imag, (M - N).real], [-(M + N).real, (M - N).imag]])
 
 
@@ -291,12 +279,11 @@ def _power_contrast(G: np.ndarray, h: float, n_samples: int, S: float):
 
     G has shape (batch, 2m, 2m), each block a quadrature generator of m
     modes, so E = expm(h G) is real symplectic and the propagator at t_n is
-    E^n = Q U(t_n) Q^dagger for the complex propagator U. From
-    u u^dagger - v v^dagger = 1 the pair density is a Frobenius norm,
-    ||v||_F^2 = (||E^n||_F^2 - 2m)/4, and D is one minus its batch mean
-    over m S: a batch of Bloch momenta gives the midpoint-rule k integral,
-    a batch of one the real-space ring. Nothing is diagonalised, so the
-    defective k = 0 Goldstone pair is harmless.
+    E^n = Q U(t_n) Q^dagger for the complex propagator U. D follows from
+    the batch mean of ||E^n||_F^2 (_contrast_from_norms): a batch of Bloch
+    momenta gives the midpoint-rule k integral, a batch of one the
+    real-space ring. Nothing is diagonalised, so the defective k = 0
+    Goldstone pair is harmless.
 
     Powers take baby and giant steps. With N = n_samples - 1, r = isqrt(N)
     and n = a + r b,
@@ -339,7 +326,13 @@ def _power_contrast(G: np.ndarray, h: float, n_samples: int, S: float):
                 "the growth exceeds double range, so shorten T"
             )
     defect = _check_symplectic(giant @ tail, h)
-    return 1.0 - (norms / batch - dim) / (2.0 * dim * S), defect
+    return _contrast_from_norms(norms / batch, dim, S), defect
+
+
+def _contrast_from_norms(sq_norms: np.ndarray, dim: int, S: float) -> np.ndarray:
+    """D = 1 - (||E||_F^2 - dim)/(2 dim S) for real symplectic E of size dim:
+    u u^dagger - v v^dagger = 1 makes ||v||_F^2 = (||E||_F^2 - dim)/4."""
+    return 1.0 - (sq_norms - dim) / (2.0 * dim * S)
 
 
 def _flush_tiny(X: np.ndarray) -> np.ndarray:
@@ -354,24 +347,6 @@ def _flush_tiny(X: np.ndarray) -> np.ndarray:
     """
     X[np.abs(X) < _SQRT_TINY] = 0.0
     return X
-
-
-def _pair_density(advance, L: int, n_samples: int, S: float):
-    """Contrast D = 1 - (pair density)/(L S) at n_samples equispaced samples.
-
-    Propagates the left half-columns of U, shape (2L, L), from the identity:
-    advance(n, V) carries them from sample n-1 to sample n, and the pair
-    density is the sum of |anomalous block|^2. Returns D (with D[0] = 1
-    exactly) and the final half-columns.
-    """
-    V = np.zeros((2 * L, L), dtype=complex)
-    V[:L] = np.eye(L)
-    D = np.empty(n_samples)
-    D[0] = 1.0
-    for n in range(1, n_samples):
-        V = advance(n, V)
-        D[n] = 1.0 - np.sum(np.abs(V[L:]) ** 2) / (L * S)
-    return D, V
 
 
 def spin_contrast(series, theta: float) -> np.ndarray:

@@ -164,6 +164,16 @@ class TestInstabilityWindow:
         assert bg.instability_window(Q, THETA, -0.03) is None
         assert bg.instability_window(Q, THETA, 0.0) is None
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_rejects_non_finite_arguments(self, slot, bad):
+        args = [Q, THETA, 0.03]
+        args[slot] = bad
+        with pytest.raises(ValueError, match="q, theta and dJz must be finite"):
+            bg.instability_window(*args)
+        with pytest.raises(ValueError, match="q, theta and dJz must be finite"):
+            bg.rates(*args)
+
     def test_zone_edge_window(self):
         theta = math.pi / 4
         dJz = -2.2 * math.cos(Q) / math.sin(theta) ** 2
@@ -221,6 +231,13 @@ class TestScalingFunction:
     def test_rejects_negative_tau(self):
         with pytest.raises(ValueError, match="tau"):
             bg.scaling_function([-1.0], Q, THETA, -0.03)
+
+    def test_rejects_empty_momentum_grid(self):
+        for n_k in (0, -3):
+            with pytest.raises(ValueError, match="at least one momentum"):
+                bg._momentum_grid(n_k)
+            with pytest.raises(ValueError, match="at least one momentum"):
+                bg.scaling_function([1.0], Q, THETA, -0.03, n_k=n_k)
 
     def test_chunked_call_matches_per_tau_calls(self):
         """A tau array spanning several chunks gives the per-tau values bit for bit."""
@@ -572,10 +589,15 @@ class TestContrastMultiflavour:
 
     def test_validation(self):
         q = 4 * elliptic.complete_K(0.9) / 6
-        with pytest.raises(ValueError, match="T > 0"):
-            bg.contrast_multiflavour("gtsh", 0.9, q, 0.0, T=-1.0)
-        with pytest.raises(ValueError, match="n_k"):
-            bg.contrast_multiflavour("gtsh", 0.9, q, 0.02, n_k=0)
+        for T in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="T > 0"):
+                bg.contrast_multiflavour("gtsh", 0.9, q, 0.0, T=T)
+        for delta in (0.0, 0.02):
+            with pytest.raises(ValueError, match="n_k"):
+                bg.contrast_multiflavour("gtsh", 0.9, q, delta, n_k=0)
+        for S in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive"):
+                bg.contrast_multiflavour("gtsh", 0.9, q, 0.02, S=S)
 
 
 class TestPhaseScan:

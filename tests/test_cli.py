@@ -174,6 +174,15 @@ class TestRates:
             2 * 0.014779939172464398, rel=1e-6
         )
 
+    @pytest.mark.parametrize("dJz", ["nan", "inf"])
+    def test_non_finite_detuning_is_numeric_error(self, tmp_path, capsys, dJz):
+        code = run(["rates", "--q", "pi/3", "--theta", "pi/4", "--dJz", dJz], tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: q, theta and dJz must be finite")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "rates.csv").exists()
+
 
 class TestDispersion:
     def test_csv_columns_and_window(self, tmp_path):
@@ -199,6 +208,16 @@ class TestDispersion:
         )
         rows = read_rows(tmp_path / "dispersion.csv")
         assert all(float(r["omega_im"]) == 0 for r in rows)
+
+    def test_empty_grid_is_numeric_error(self, tmp_path, capsys):
+        code = run(
+            ["dispersion", "--q", "pi/3", "--theta", "pi/4", "--dJz", "0.03",
+             "--n-k", "0"],
+            tmp_path,
+        )
+        assert code == 1
+        assert "at least one momentum" in capsys.readouterr().err
+        assert not (tmp_path / "dispersion.csv").exists()
 
 
 class TestContrastSw:
@@ -265,6 +284,35 @@ class TestContrastSw:
         assert err.count("\n") == 1
         assert not (tmp_path / "contrast_sw.csv").exists()
 
+    @pytest.mark.parametrize("T", ["nan", "inf"])
+    def test_non_finite_duration_is_numeric_error(self, tmp_path, capsys, T):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(
+                ["contrast-sw", "--family", "transverse", "--theta", "pi/4",
+                 "--q", "pi/3", "--L", "12", "--dJz", "0.03", "--T", T],
+                tmp_path,
+            )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: T must be positive and finite")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "contrast_sw.csv").exists()
+
+    def test_non_finite_detuning_names_the_coefficients(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(
+                ["contrast-sw", "--family", "gtsh", "--kappa", "0.9", "--M", "2",
+                 "--L", "12", "--dJz", "nan", "--T", "2"],
+                tmp_path,
+            )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: spin-wave coefficients eta, zeta and V must be finite")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "contrast_sw.csv").exists()
+
     def test_transverse_without_q_is_usage_error(self, tmp_path, capsys):
         code = run(
             ["contrast-sw", "--family", "transverse", "--theta", "pi/4",
@@ -320,6 +368,19 @@ class TestContrastEd:
         )
         assert code == 2
         assert "exactly one of --gamma or --theta" in capsys.readouterr().err
+
+    def test_non_finite_delta_is_numeric_error(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(
+                ["contrast-ed", "--kappa", "0", "--M", "1", "--L", "6",
+                 "--S", "0.5", "--theta", "pi/4", "--delta", "nan"],
+                tmp_path,
+            )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: detuning delta must be finite")
+        assert err.count("\n") == 1
 
     def test_family_flag_exits_2(self, tmp_path):
         """The family follows from --kappa and --gamma/--theta; there is no

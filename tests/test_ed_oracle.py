@@ -683,6 +683,11 @@ class TestContrastExact:
         with pytest.raises(ValueError, match="two samples"):
             ed.contrast_exact(transverse_params(), 0.01, n_samples=1)
 
+    def test_rejects_non_finite_detuning(self):
+        for delta in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="delta must be finite"):
+                ed.contrast_exact(transverse_params(), delta, T=1.0, n_samples=3)
+
 
 class TestStateIO:
     def test_round_trip(self, tmp_path):

@@ -71,6 +71,12 @@ class TestSWCoefficients:
             sw.SpinWaveCoefficients(eta=np.ones(3), zeta=np.ones(2), V=np.ones(3))
         with pytest.raises(ValueError, match="two sites"):
             sw.SpinWaveCoefficients(eta=np.ones(1), zeta=np.ones(1), V=np.ones(1))
+        for field in ("eta", "zeta", "V"):
+            for bad in (math.nan, math.inf):
+                arrays = {"eta": np.ones(3), "zeta": np.ones(3), "V": np.ones(3)}
+                arrays[field][1] = bad
+                with pytest.raises(ValueError, match="must be finite"):
+                    sw.SpinWaveCoefficients(**arrays)
 
 
 class TestLinearGenerator:
@@ -155,13 +161,42 @@ def manufactured_coefficients(t):
 
 
 def reference_cf4_propagator(coeffs, t, dt):
-    """The hand-written CF4 loop: round(t / dt) equal steps, at least one."""
+    """The hand-written CF4 loop: round(t / dt) equal steps, at least one,
+    of the real quadrature propagator, mapped to U at the end."""
     n = max(1, int(round(t / dt)))
     h = t / n
-    U = np.eye(2 * coeffs(0.0).L, dtype=complex)
+    E = np.eye(2 * coeffs(0.0).L)
     for step in range(n):
-        U = sw._cf4_step(coeffs, step * h, h) @ U
-    return U
+        E = sw._cf4_step(coeffs, step * h, h) @ E
+    return sw._complex_from_quadratures(E)
+
+
+def complex_cf4_step(coeffs, t0, h):
+    """The CF4 step on the complex generator -iC: the oracle for the real
+    quadrature step."""
+    F1 = -1j * sw.build_linear_generator(coeffs, t0 + sw._CF4_C1 * h)
+    F2 = -1j * sw.build_linear_generator(coeffs, t0 + sw._CF4_C2 * h)
+    first = expm(h * (sw._CF4_A1 * F1 + sw._CF4_A2 * F2))
+    second = expm(h * (sw._CF4_A2 * F1 + sw._CF4_A1 * F2))
+    return second @ first
+
+
+def complex_pair_density(advance, L, n_samples, S):
+    """Contrast D = 1 - (pair density)/(L S) at n_samples equispaced samples.
+
+    Propagates the left half-columns of U, shape (2L, L), from the identity:
+    advance(n, V) carries them from sample n-1 to sample n, and the pair
+    density is the sum of |anomalous block|^2. Returns D (with D[0] = 1
+    exactly) and the final half-columns.
+    """
+    V = np.zeros((2 * L, L), dtype=complex)
+    V[:L] = np.eye(L)
+    D = np.empty(n_samples)
+    D[0] = 1.0
+    for n in range(1, n_samples):
+        V = advance(n, V)
+        D[n] = 1.0 - np.sum(np.abs(V[L:]) ** 2) / (L * S)
+    return D, V
 
 
 def count_cf4_steps(monkeypatch) -> list:
@@ -184,6 +219,16 @@ class TestPropagator:
             sw.propagator(manufactured_coefficients, t, dt=dt),
             reference_cf4_propagator(manufactured_coefficients, t, dt),
         )
+
+    @pytest.mark.parametrize("t,dt", [(1.0, 0.25), (1.0, 1.0 / 64), (2.0, 0.01), (0.3, 0.1)])
+    def test_matches_complex_cf4_oracle(self, t, dt):
+        """The real quadrature route against CF4 on the complex generator."""
+        n = max(1, int(round(t / dt)))
+        h = t / n
+        U = np.eye(6, dtype=complex)
+        for step in range(n):
+            U = complex_cf4_step(manufactured_coefficients, step * h, h) @ U
+        assert np.abs(sw.propagator(manufactured_coefficients, t, dt=dt) - U).max() <= 1e-13
 
     def test_dt_is_an_upper_bound(self, monkeypatch):
         calls = count_cf4_steps(monkeypatch)
@@ -236,7 +281,7 @@ class TestPropagator:
 
     def test_pseudo_unitarity_guard(self):
         with pytest.raises(RuntimeError, match="reduce the step"):
-            sw._check_pseudo_unitarity(1.1 * np.eye(6), 0.1)
+            sw._check_symplectic(1.1 * np.eye(6), 0.1)
 
     def test_static_contrast_checks_pseudo_unitarity(self, monkeypatch):
         """A corrupted sample-step exponential must not pass silently."""
@@ -248,21 +293,11 @@ class TestPropagator:
 
 
 def reference_static_contrast(coeffs, S, T, n_samples):
-    """The complex half-column loop: the left half-columns of U, carried by
-    one sample-step exponential of -iC per sample, and the pair density
-    summed over the anomalous block. The oracle for the static branch of
-    contrast_sw."""
-    L = coeffs.L
+    """The complex half-column loop with one sample-step exponential of -iC
+    per sample: the oracle for the static branch of contrast_sw."""
     times = np.linspace(0.0, T, n_samples)
     E = expm(-1j * (times[1] - times[0]) * sw.build_linear_generator(coeffs))
-    V = np.zeros((2 * L, L), dtype=complex)
-    V[:L] = np.eye(L)
-    D = np.empty(n_samples)
-    D[0] = 1.0
-    for n in range(1, n_samples):
-        V = E @ V
-        D[n] = 1.0 - np.sum(np.abs(V[L:]) ** 2) / (L * S)
-    return D
+    return complex_pair_density(lambda n, V: E @ V, coeffs.L, n_samples, S)[0]
 
 
 class TestContrastSW:
@@ -317,6 +352,36 @@ class TestContrastSW:
             with pytest.raises(RuntimeError, match="pseudo-unitarity"):
                 sw.contrast_sw(lambda t: co, 1.0, T=3000.0, n_samples=4, dt=1000.0)
 
+    @pytest.mark.parametrize(
+        "L,dJz", [(12, -0.03), (12, 0.03), (48, -0.03), (48, 0.03), (3, None)]
+    )
+    def test_cf4_route_matches_complex_half_column_loop(self, L, dJz):
+        """The CF4 branch of contrast_sw, real quadratures and Frobenius
+        norms, against complex CF4 steps on the left half-columns of U: the
+        detuned transverse ring, and (dJz None) the time-dependent
+        manufactured coefficients, which also check each sample's start time."""
+        if dJz is None:
+            coeffs = manufactured_coefficients
+        else:
+            frame = co_rotating_transverse(math.pi / 4, math.pi / 3, dJz, L, 1.0)
+            co = sw.sw_coefficients(frame, 1.0)
+            coeffs = lambda t: co
+        T, n_samples, dt = 10.0, 51, 0.02
+        series = sw.contrast_sw(coeffs, 1.0, T=T, n_samples=n_samples, dt=dt)
+        times = np.linspace(0.0, T, n_samples)
+        n = round((times[1] - times[0]) / dt)
+        h = (times[1] - times[0]) / n
+
+        def advance(k, V):
+            for m in range(n):
+                V = complex_cf4_step(coeffs, times[k - 1] + m * h, h) @ V
+            return V
+
+        D, _ = complex_pair_density(advance, L, n_samples, 1.0)
+        assert series.D[0] == 1.0
+        assert np.abs(series.D - D).max() <= 1e-12
+        assert series.pseudo_unitarity_defect <= 1e-12
+
     def test_static_and_callable_routes_agree(self):
         frame = co_rotating_transverse(math.pi / 4, math.pi / 3, 0.03, 12, 1.0)
         co = sw.sw_coefficients(frame, 1.0)
@@ -351,11 +416,12 @@ class TestContrastSW:
     def test_validation(self):
         frame = co_rotating_transverse(math.pi / 4, math.pi / 3, 0.0, 6, 1.0)
         co = sw.sw_coefficients(frame, 1.0)
-        with pytest.raises(ValueError, match="positive"):
-            sw.contrast_sw(co, 1.0, T=0.0)
+        for T in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive"):
+                sw.contrast_sw(co, 1.0, T=T)
         with pytest.raises(ValueError, match="two samples"):
             sw.contrast_sw(co, 1.0, n_samples=1)
-        for S in (0.0, -1.0):
+        for S in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="spin length"):
                 sw.contrast_sw(co, S)
 
