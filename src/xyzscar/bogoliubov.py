@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .elliptic import complete_K, jacobi_sncndn
-from .scars import parent_couplings
+from .scars import check_spin_length, parent_couplings
 from .spinwave import ContrastSeries, _power_contrast
 
 STABILITY_THRESHOLD = 1e-6
@@ -63,6 +63,9 @@ def transverse_dispersion(k, q: float, theta: float, dJz: float, S: float = 1.0)
         raise ValueError(f"need 0 < q < pi/2, got {q}")
     if not (0.0 < theta < math.pi):
         raise ValueError(f"need 0 < theta < pi, got {theta}")
+    if not math.isfinite(dJz):
+        raise ValueError(f"dJz must be finite, got {dJz}")
+    check_spin_length(S)
     k = np.asarray(k, dtype=float)
     X = math.sin(theta) ** 2 * dJz
     s2 = np.sin(k / 2.0) ** 2
@@ -190,8 +193,8 @@ def scaling_function(tau, q: float, theta: float, dJz: float, n_k: int | None = 
     grows with tau to resolve the oscillations.
     """
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    if np.any(tau < 0):
-        raise ValueError("tau must be >= 0")
+    if not np.all((tau >= 0) & (tau < math.inf)):
+        raise ValueError("tau must be finite and >= 0")
     if n_k is None:
         n_k = max(8192, 256 * (int(np.max(tau)) + 1))
     k = _momentum_grid(n_k)
@@ -234,6 +237,7 @@ def rates(q: float, theta: float, dJz: float, S: float = 1.0) -> DecayRates:
     """
     if not all(map(math.isfinite, (q, theta, dJz))):
         raise ValueError(f"q, theta and dJz must be finite, got {q}, {theta}, {dJz}")
+    check_spin_length(S)
     if dJz > 0.0:
         win = instability_window(q, theta, dJz)
         return DecayRates(
@@ -333,8 +337,9 @@ def family_coefficients(family: str, kappa: float, q: float, delta: float, S: fl
     The scar's domain is enforced here: 0 < q < K(kappa) (so lambda > 4,
     via parent_couplings) and S > 0, which make V negative on every site.
     """
-    if not 0.0 < S < math.inf:
-        raise ValueError(f"spin length S must be positive and finite, got {S}")
+    check_spin_length(S)
+    if not math.isfinite(delta):
+        raise ValueError(f"detuning delta must be finite, got {delta}")
     lam = unit_cell_size(kappa, q)
     parent = parent_couplings(kappa, q)
     snq = jacobi_sncndn(q, kappa)[0]

@@ -3,11 +3,12 @@
 Desk-scale ground truth for everything the semiclassical modules predict:
 sparse many-body Hamiltonians gathered into an assembly pattern that digit
 arithmetic on the basis index builds once per (2S+1, L, bond sparsity) and
-caches, Bloch coherent product states from the closed-form Wigner-d
-amplitudes, eigenstate verification of scar textures, exact quench
-propagation by Krylov-type exponential actions (``expm_multiply``, accurate
-to double-precision roundoff per step), and the exact contrast against the
-classical trajectory, read from one-site reduced density matrices.
+caches, each entry summed in bond order; Bloch coherent product states
+from the closed-form Wigner-d amplitudes, eigenstate verification of scar
+textures, exact quench propagation by Krylov-type exponential actions
+(``expm_multiply``, accurate to double-precision roundoff per step), and
+the exact contrast against the classical trajectory, read from one-site
+reduced density matrices.
 Dimensions are capped at :data:`DIMENSION_CAP`, which covers L = 7 at S = 1
 and L = 12 at S = 1/2.
 """
@@ -162,13 +163,13 @@ class _RingPattern:
     #: flat positions of the bond operator's non-zeros
     entries: np.ndarray
     #: (k, nnz) ids into ``entries`` of the terms summed into each stored
-    #: entry, one row per term in summation order; id len(entries) stands
+    #: entry, one row per term in bond order; id len(entries) stands
     #: for no term, and fills the rows of every diagonal entry
     ids: np.ndarray
     #: positions of the stored diagonal entries among the stored ones
     diag_slots: np.ndarray
     #: (L, len(diag_slots)) digit pairs d n_j + n_(j+1) of each state with
-    #: a stored diagonal, one row per bond, in summation order
+    #: a stored diagonal, one row per bond, in bond order
     pairs: np.ndarray
 
 
@@ -184,11 +185,9 @@ def _ring_pattern(d: int, L: int, mask_bytes: bytes) -> _RingPattern:
 
     Each non-zero (r, c) of the bond operator on bond (j, j+1) adds a term
     to the entries that take every basis index whose digits at (j, j+1)
-    read c to the index with those two digits replaced by r. The terms of
-    one entry are summed in the order in which scipy's COO -> CSR
-    conversion sums them: row by row, in the order its ``sort_indices``
-    leaves, which for rows longer than 16 is not the input order. That
-    order is read off by converting the terms' labels.
+    read c to the index with those two digits replaced by r. The terms are
+    listed in bond order, and each entry sums its terms in that order, as
+    the sum of kron-embedded bond terms does.
     """
     mask = np.frombuffer(mask_bytes, dtype=bool).reshape(d * d, d * d)
     dim = d**L
@@ -196,50 +195,37 @@ def _ring_pattern(d: int, L: int, mask_bytes: bytes) -> _RingPattern:
     pairs = _compact([(n // d**j % d) * d + n // d ** ((j + 1) % L) % d for j in range(L)])
     out_pairs, in_pairs = np.nonzero(mask)
     # seeded with empty arrays so that a zero bond gives no terms
-    rows, cols, bonds, ids = [n[:0]], [n[:0]], [n[:0]], [n[:0]]
+    rows, cols, ids = [n[:0]], [n[:0]], [n[:0]]
     for j in range(L):
         nxt = (j + 1) % L
         for e, (r, c) in enumerate(zip(out_pairs, in_pairs)):
             source = n[pairs[j] == c]
             rows.append(source + int((r // d - c // d) * d**j + (r % d - c % d) * d**nxt))
             cols.append(source)
-            bonds.append(np.full(source.size, j, dtype=np.int32))
             ids.append(np.full(source.size, e, dtype=np.int32))
-    rows, cols, bonds, ids = (np.concatenate(a) for a in (rows, cols, bonds, ids))
+    rows, cols, ids = (np.concatenate(a) for a in (rows, cols, ids))
 
-    # the conversion on labels: rows bucketed in input order, then sorted
-    row_ptr = np.zeros(dim + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=dim), out=row_ptr[1:])
-    bucketed = np.argsort(rows, kind="stable")
-    labels = sparse.csr_matrix((bucketed, cols[bucketed], row_ptr), shape=(dim, dim))
-    labels.sort_indices()
-    order, cols = labels.data, labels.indices
-    rows, bonds, ids = rows[order], bonds[order], ids[order]
+    # stored entries in CSR order, and the stored entry of each term
+    stored, slot = np.unique(rows * dim + cols, return_inverse=True)
+    stored_rows, indices = np.divmod(stored, dim)
+    indptr = np.searchsorted(stored_rows, np.arange(dim + 1))
+    diag_slots = np.flatnonzero(stored_rows == indices)
 
-    first = np.ones(rows.size, dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    slot = np.cumsum(first) - 1
-    depth = np.arange(rows.size) - np.flatnonzero(first)[slot]
-    indptr = np.zeros(dim + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[first], minlength=dim), out=indptr[1:])
-    diag = rows == cols
-
-    # each state's bonds in the order its diagonal is summed; bonds with a
-    # zero bond diagonal there add no term and go last
-    rank = np.tile(L + np.arange(L)[:, None], (1, dim))
-    rank[bonds[diag], rows[diag]] = depth[diag]
-    pairs = np.take_along_axis(pairs, np.argsort(rank, axis=0), axis=0)
-
-    table = np.full((depth[~diag].max(initial=-1) + 1, int(first.sum())), out_pairs.size)
-    table[depth[~diag], slot[~diag]] = ids[~diag]
+    # the off-diagonal terms grouped by stored entry, in bond order
+    off = rows != cols
+    order = np.argsort(slot[off], kind="stable")
+    slot, ids = slot[off][order], ids[off][order]
+    depth = np.arange(slot.size) - np.searchsorted(slot, slot)
+    table = np.full((depth.max(initial=-1) + 1, stored.size), out_pairs.size)
+    table[depth, slot] = ids
 
     pattern = _RingPattern(
         indptr=_compact(indptr),
-        indices=_compact(cols[first]),
+        indices=_compact(indices),
         entries=_compact(np.flatnonzero(mask)),
         ids=_compact(table),
-        diag_slots=_compact(np.flatnonzero(diag[first])),
-        pairs=pairs[:, np.unique(rows[diag])],
+        diag_slots=_compact(diag_slots),
+        pairs=pairs[:, stored_rows[diag_slots]],
     )
     for array in vars(pattern).values():
         array.flags.writeable = False
@@ -259,10 +245,10 @@ def build_hamiltonian(J, S: float, L: int) -> sparse.csr_matrix:
     assembly pattern is built once per key by digit arithmetic on the basis
     index and cached (64 keys); a call only gathers bond entries into it.
     A state's diagonal is the sum over bonds of the bond diagonal at the
-    state's digit pair (n_j, n_{j+1}). Every sum runs in the order in which
-    scipy's COO -> CSR conversion added the same terms before the pattern
-    was cached, so H is the same to the bit: sums such as +-Jz/4 over twelve
-    bonds cancel to exactly zero, and are dropped, where they did there. The
+    state's digit pair (n_j, n_{j+1}). Every sum runs in bond order, as the
+    sum of kron-embedded bond terms does, so H is that sum to the bit except
+    on a two-site ring with J_ab != J_ba: sums such as +-Jz/4 over twelve
+    bonds cancel to exactly zero, and are dropped, where they do there. The
     returned H owns its arrays. No operator is embedded by kron.
 
     Raises

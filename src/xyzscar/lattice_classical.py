@@ -18,7 +18,7 @@ import numpy as np
 
 from .elliptic import jacobi_sncndn
 from .rotframe import FrameData, stationarity_residual
-from .scars import coupling_matrix, helix_amplitudes, write_csv
+from .scars import check_spin_length, coupling_matrix, helix_amplitudes, write_csv
 
 #: per-site norm drift beyond this aborts the integration
 NORM_DRIFT_TOL = 1e-6
@@ -100,14 +100,9 @@ def _coupling_diagonal(J) -> np.ndarray:
     return np.diag(mat).copy()
 
 
-def _check_spin(S: float) -> None:
-    """Reject S <= 0 (NaN included) before it scales a default step."""
-    if not S > 0:
-        raise ValueError(f"spin length S must be positive, got {S}")
-
-
 def _checked_texture(initial, **spans: float) -> np.ndarray:
-    """Copy of a unit-norm (L, 3) texture with L >= 2; every named span must be > 0."""
+    """Copy of a unit-norm (L, 3) texture with L >= 2; every named span must
+    be positive and finite."""
     omega = np.array(initial, dtype=float)
     if omega.ndim != 2 or omega.shape[1] != 3:
         raise ValueError(f"initial texture must be (L, 3), got {omega.shape}")
@@ -116,8 +111,8 @@ def _checked_texture(initial, **spans: float) -> np.ndarray:
     if not np.all(np.abs(np.linalg.norm(omega, axis=1) - 1.0) <= 1e-9):
         raise ValueError("initial texture must be unit-norm per site")
     for name, value in spans.items():
-        if not value > 0:
-            raise ValueError(f"{name} must be positive, got {value}")
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     return omega
 
 
@@ -185,14 +180,14 @@ def ll_evolve(
     Raises
     ------
     ValueError
-        On S not positive, a texture that is not unit-norm (L, 3) with
-        L >= 2, off-diagonal couplings, dt or T not positive, or max_samples
-        below 1.
+        On S not positive and finite, a texture that is not unit-norm (L, 3)
+        with L >= 2, off-diagonal or non-finite couplings, dt or T not
+        positive and finite, or max_samples below 1.
     IntegrationError
         If any site norm drifts from 1 by more than NORM_DRIFT_TOL; the drift
         is reported, not projected away. Reduce dt in that case.
     """
-    _check_spin(S)
+    check_spin_length(S)
     default_step = dt is None
     if default_step:
         dt = 5e-3 / S
@@ -329,10 +324,10 @@ def classical_lyapunov(
     drifts by more than NORM_DRIFT_TOL at a renormalisation, before the
     renormalisation can project the twin's drift away.
     Raises ValueError on an S, texture, J, dt or T that ll_evolve would reject,
-    on eps0 outside (0, 1e-6], on a non-positive renorm_interval and on
-    discard_fraction outside [0, 1).
+    on eps0 outside (0, 1e-6], on a renorm_interval that is not positive
+    and finite, and on discard_fraction outside [0, 1).
     """
-    _check_spin(S)
+    check_spin_length(S)
     if not 0.0 < eps0 <= 1e-6:
         raise ValueError(f"eps0 must lie in (0, 1e-6] for a tangent-space estimate, got {eps0}")
     if T is None:

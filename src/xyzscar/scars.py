@@ -53,15 +53,21 @@ class XYZCouplings:
 
 
 def coupling_matrix(J) -> np.ndarray:
-    """Coerce an XYZCouplings or an array-like into a 3x3 coupling matrix."""
-    if isinstance(J, XYZCouplings):
-        return J.as_matrix()
-    mat = np.asarray(J, dtype=float)
+    """Coerce an XYZCouplings or an array-like into a finite 3x3 coupling matrix."""
+    mat = J.as_matrix() if isinstance(J, XYZCouplings) else np.asarray(J, dtype=float)
     if mat.shape == (3,):
-        return np.diag(mat)
+        mat = np.diag(mat)
     if mat.shape != (3, 3):
         raise ValueError(f"coupling must be XYZCouplings, 3-vector or 3x3, got {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ValueError(f"couplings must be finite, got {mat.tolist()}")
     return mat
+
+
+def check_spin_length(S: float) -> None:
+    """Reject a spin length S that is not positive and finite (NaN included)."""
+    if not 0.0 < S < math.inf:
+        raise ValueError(f"spin length S must be positive and finite, got {S}")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from scipy.linalg import expm
 
 from .lattice_classical import _step_count
 from .rotframe import FrameData
-from .scars import write_csv, write_sidecar
+from .scars import check_spin_length, write_csv, write_sidecar
 
 PSEUDO_UNITARITY_TOL = 1e-9
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
@@ -70,6 +70,7 @@ def sw_coefficients(frame: FrameData, S: float) -> SpinWaveCoefficients:
     For a scar texture at parent couplings zeta vanishes identically, which
     is the linear-level statement that the state stays an eigenstate.
     """
+    check_spin_length(S)
     JR = frame.JR
     eta = 0.5 * S * (JR[:, 0, 0] + JR[:, 1, 1] + 1j * (JR[:, 0, 1] - JR[:, 1, 0]))
     zeta = 0.5 * S * (JR[:, 0, 0] - JR[:, 1, 1] + 1j * (JR[:, 0, 1] + JR[:, 1, 0]))
@@ -235,8 +236,7 @@ def contrast_sw(
     theta, when given, also fills the spin-contrast column
     C = (D - cos^2 theta)/sin^2 theta.
     """
-    if not 0.0 < S < math.inf:
-        raise ValueError(f"spin length S must be positive and finite, got {S}")
+    check_spin_length(S)
     if not 0.0 < T < math.inf:
         raise ValueError(f"T must be positive and finite, got {T}")
     if n_samples < 2:

@@ -95,6 +95,15 @@ class TestTransverseDispersion:
         )
         assert np.abs(disp.omega_sw.imag).max() == 0.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_detuning_and_spin(self, bad):
+        k = np.linspace(-math.pi, math.pi, 9)
+        with pytest.raises(ValueError, match="dJz must be finite"):
+            bg.transverse_dispersion(k, Q, THETA, bad)
+        for S in (bad, 0.0, -1.0):
+            with pytest.raises(ValueError, match="spin length S"):
+                bg.transverse_dispersion(k, Q, THETA, 0.03, S=S)
+
     def test_real_everywhere_on_stable_side(self):
         k = np.linspace(-math.pi, math.pi, 2001)
         disp = bg.transverse_dispersion(k, Q, THETA, -0.03)
@@ -232,6 +241,11 @@ class TestScalingFunction:
         with pytest.raises(ValueError, match="tau"):
             bg.scaling_function([-1.0], Q, THETA, -0.03)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_tau(self, bad):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            bg.scaling_function([1.0, bad], Q, THETA, -0.03)
+
     def test_rejects_empty_momentum_grid(self):
         for n_k in (0, -3):
             with pytest.raises(ValueError, match="at least one momentum"):
@@ -291,6 +305,12 @@ class TestRates:
             bg.rates(Q, THETA, 0.0)
         with pytest.raises(ValueError, match="outside both"):
             bg.rates(Q, THETA, -2.0)
+
+    @pytest.mark.parametrize("S", [math.nan, math.inf, 0.0, -2.0])
+    @pytest.mark.parametrize("dJz", [-0.03, 0.03])
+    def test_rejects_bad_spin_length_on_both_branches(self, dJz, S):
+        with pytest.raises(ValueError, match="spin length S"):
+            bg.rates(Q, THETA, dJz, S=S)
 
 
 class TestBlochMatrices:
@@ -365,6 +385,13 @@ class TestMultiflavour:
         q = 4.0 * elliptic.complete_K(0.9) / 6
         with pytest.raises(ValueError, match="family"):
             bg.multiflavour_matrices(0.3, "helix", 0.9, q, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_detuning(self, bad):
+        q = 4.0 * elliptic.complete_K(0.9) / 6
+        for family in ("gtsh", "glsh"):
+            with pytest.raises(ValueError, match="detuning delta must be finite"):
+                bg.family_coefficients(family, 0.9, q, bad)
 
     @pytest.mark.parametrize("delta,tol", [(0.0, 1e-10), (0.03, 1e-8)])
     def test_real_space_ring_oracle(self, delta, tol):

@@ -646,3 +646,68 @@ class TestArtifacts:
         assert sidecar["kind"] == "dispersion"
         assert sidecar["params"]["n_k"] == 8
         assert sidecar["params"]["q"] == pytest.approx(math.pi / 3)
+
+
+# a small valid run of each subcommand, and the float flags that it reads
+NON_FINITE_CASES = [
+    (["scar-verify", "--kappa", "0", "--M", "1", "--L", "6", "--gamma", "0.7", "--S", "0.5"],
+     ["--kappa", "--gamma", "--S", "--phi", "--Jx", "--Jy", "--Jz"]),
+    (["scar-verify", "--kappa", "0", "--q", "pi/3", "--L", "6", "--gamma", "0.7", "--S", "0.5"],
+     ["--q"]),
+    (["dispersion", "--q", "pi/3", "--theta", "pi/4", "--dJz", "0.03", "--n-k", "16"],
+     ["--q", "--theta", "--dJz", "--S"]),
+    (["contrast-sw", "--family", "transverse", "--theta", "pi/4", "--q", "pi/3", "--L", "12",
+      "--dJz", "0.02", "--T", "1", "--n-samples", "5"],
+     ["--theta", "--q", "--dJz", "--dJx", "--S", "--T"]),
+    (["contrast-sw", "--family", "glsh", "--kappa", "0.5", "--M", "1", "--L", "12",
+      "--dJx", "-0.02", "--T", "1", "--n-samples", "5"],
+     ["--kappa", "--dJx", "--dJz", "--S", "--T"]),
+    (["contrast-ed", "--kappa", "0", "--M", "1", "--L", "6", "--S", "0.5", "--theta", "pi/4",
+      "--delta", "0.03", "--T", "0.5", "--n-samples", "3"],
+     ["--kappa", "--S", "--phi", "--theta", "--delta", "--T"]),
+    (["contrast-ed", "--kappa", "0", "--M", "1", "--L", "6", "--S", "0.5", "--gamma", "0.7",
+      "--delta", "0.03", "--T", "0.5", "--n-samples", "3"],
+     ["--gamma"]),
+    (["ll-evolve", "--kappa", "0", "--M", "1", "--L", "6", "--gamma", "0.7", "--dJz", "0.02",
+      "--T", "0.5", "--max-samples", "5"],
+     ["--kappa", "--gamma", "--S", "--phi", "--dJx", "--dJz", "--T", "--dt"]),
+    (["phase-scan", "--family", "glsh", "--lambda", "7", "--kappa", "0.8", "--n-k", "16"],
+     ["--kappa", "--dJ", "--S"]),
+    (["rates", "--q", "pi/3", "--theta", "pi/4", "--dJz", "0.03"],
+     ["--q", "--theta", "--dJz", "--S"]),
+]
+
+
+def _with_flag(base, flag, value):
+    argv = list(base)
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    return argv
+
+
+def _run_case(argv, tmp_path):
+    """scar-verify writes no files and takes no --out."""
+    return run(argv, None if argv[0] == "scar-verify" else tmp_path)
+
+
+class TestNonFiniteFlags:
+    def test_every_base_run_succeeds(self, tmp_path):
+        for base, _ in NON_FINITE_CASES:
+            assert _run_case(base, tmp_path) == 0, base
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "base, flag",
+        [(base, flag) for base, flags in NON_FINITE_CASES for flag in flags],
+        ids=[f"{base[0]}{flag}" for base, flags in NON_FINITE_CASES for flag in flags],
+    )
+    def test_non_finite_value_exits_with_one_line(self, tmp_path, capsys, base, flag, value):
+        """Exit 1 or 2 with a single error line: no traceback, and no numpy
+        warning (the suite turns RuntimeWarning into an error)."""
+        code = _run_case(_with_flag(base, flag, value), tmp_path)
+        err = capsys.readouterr().err
+        assert code in (1, 2)
+        assert err.count("\n") == 1, err
+        assert err.startswith(("error:", "usage error:")), err

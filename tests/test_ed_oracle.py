@@ -58,37 +58,6 @@ def reference_kron_hamiltonian(J, S, L):
     return H.tocsr()
 
 
-def reference_coo_hamiltonian(J, S, L):
-    """The uncached digit-arithmetic assembly that build_hamiltonian's
-    cached pattern replaced, kept as its oracle: every non-zero (r, c) of
-    the bond operator on bond (j, j+1) maps the states whose digits at
-    (j, j+1) read c to those digits replaced by r, and scipy's COO -> CSR
-    conversion sums the duplicates."""
-    mat = scars.coupling_matrix(J)
-    ops = ed.spin_operators(S)
-    d = ops.dim
-    dim = d**L
-    triple = (ops.Sx, ops.Sy, ops.Sz)
-    bond = sum(mat[a, b] * np.kron(triple[a], triple[b]) for a in range(3) for b in range(3))
-    n = np.arange(dim)
-    rows, cols, vals = [n[:0]], [n[:0]], [np.zeros(0, dtype=complex)]
-    for j in range(L):
-        nxt = (j + 1) % L
-        pair = (n // d**j % d) * d + n // d**nxt % d
-        for r, c in zip(*np.nonzero(bond)):
-            source = n[pair == c]
-            rows.append(source + (r // d - c // d) * d**j + (r % d - c % d) * d**nxt)
-            cols.append(source)
-            vals.append(np.full(source.size, bond[r, c]))
-    H = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-        dtype=complex,
-    )
-    H.eliminate_zeros()
-    return H
-
-
 def reference_expm_coherent_state(omega, S):
     """|S, S> rotated by exp(-i theta n.S) about the axis z x omega, by a
     dense matrix exponential (rotation about x at the poles): the route that
@@ -362,26 +331,34 @@ class TestBuildHamiltonian:
     )
     def test_cached_pattern_matches_kron_reference(self, J, S, L):
         """Built twice, from a cold and from a warm cache: both equal the
-        kron assembly to 1e-14 and the uncached digit assembly exactly."""
+        kron assembly to 1e-14, and to the bit except on the asymmetric
+        two-site ring. There both bonds join the same two sites, so one
+        entry takes an (a, b) term from each bond; the kron sum adds each
+        (a, b) term to the running total, while the bond operator first
+        sums a bond's terms, and the two orders may round apart."""
         ed._ring_pattern.cache_clear()
         ref = reference_kron_hamiltonian(J, S, L)
-        uncached = reference_coo_hamiltonian(J, S, L)
+        ref.sort_indices()
+        bitwise = not (L == 2 and J is ASYMMETRIC_COUPLING)
         for _ in range(2):
             H = ed.build_hamiltonian(J, S, L)
             assert np.abs((H - ref).toarray()).max(initial=0.0) <= 1e-14
-            assert np.array_equal(H.indptr, uncached.indptr)
-            assert np.array_equal(H.indices, uncached.indices)
-            assert np.array_equal(H.data, uncached.data)
+            if bitwise:
+                assert np.array_equal(H.indptr, ref.indptr)
+                assert np.array_equal(H.indices, ref.indices)
+                assert np.array_equal(H.data, ref.data)
         assert ed._ring_pattern.cache_info().hits >= 1
 
-    def test_sweep_matches_uncached_assembly_bit_for_bit(self):
-        """Gate 01's Hamiltonians, plain and detuned: same nnz, indices and
-        data bits as the uncached assembly. Diagonal sums such as
-        (+-Jz/4) over twelve bonds cancel to exactly zero only in the order
-        scipy sums duplicates, so this pins that order."""
+    def test_sweep_matches_kron_reference_bit_for_bit(self):
+        """Gate 01's Hamiltonians, plain and detuned in Jz and in Jx: same
+        nnz, indices and data bits as the kron assembly. Diagonal sums such
+        as (+-Jz/4) over twelve bonds cancel to exactly zero only in some
+        orders, so this pins bond order."""
         for kappa, q, S, L in SWEEP_HAMILTONIANS:
-            for J in (scars.parent_couplings(kappa, q), scars.parent_couplings(kappa, q).detuned(dJz=0.03)):
-                H, ref = ed.build_hamiltonian(J, S, L), reference_coo_hamiltonian(J, S, L)
+            parent = scars.parent_couplings(kappa, q)
+            for J in (parent, parent.detuned(dJz=0.03), parent.detuned(dJx=-0.02)):
+                H, ref = ed.build_hamiltonian(J, S, L), reference_kron_hamiltonian(J, S, L)
+                ref.sort_indices()
                 assert H.nnz == ref.nnz, (kappa, q, S, L)
                 assert np.array_equal(H.indptr, ref.indptr)
                 assert np.array_equal(H.indices, ref.indices)

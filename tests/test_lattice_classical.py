@@ -172,6 +172,13 @@ class TestLLEvolve:
         for S in (0.0, -1.0):
             with pytest.raises(ValueError, match="spin length S"):
                 lc.ll_evolve(up, J, S)
+        for span in ("dt", "T"):
+            for value in (math.inf, math.nan):
+                with pytest.raises(ValueError, match=f"{span} must be positive and finite"):
+                    lc.ll_evolve(up, J, 1.0, **{span: value})
+        for J_bad in ((math.inf, 1.0, 0.5), scars.XYZCouplings(1.0, 1.0, 0.5, dJz=math.nan)):
+            with pytest.raises(ValueError, match="couplings must be finite"):
+                lc.ll_evolve(up, J_bad, 1.0, T=1.0)
 
     def test_dt_is_an_upper_bound(self):
         """dt = 0.8 over T = 1 takes two steps of 0.5, not one of 1.0."""
@@ -415,6 +422,13 @@ class TestClassicalLyapunov:
             pytest.param(HELIX[:1], {}, "L >= 2", id="one_site"),
             pytest.param(HELIX, {"S": 0.0}, "spin length S", id="S_zero"),
             pytest.param(HELIX, {"S": -1.0}, "spin length S", id="S_negative"),
+            pytest.param(HELIX, {"T": math.inf}, "T must be positive and finite", id="T_inf"),
+            pytest.param(HELIX, {"dt": math.inf}, "dt must be positive and finite", id="dt_inf"),
+            pytest.param(
+                HELIX, {"renorm_interval": math.inf}, "renorm_interval must be positive and finite",
+                id="renorm_inf",
+            ),
+            pytest.param(HELIX, {"renorm_interval": math.nan}, "renorm_interval", id="renorm_nan"),
         ],
     )
     def test_input_validation(self, texture, kwargs, match):

@@ -11,7 +11,9 @@ from xyzscar.scars import (
     EXACT_RESIDUAL_TOL,
     ScarParams,
     XYZCouplings,
+    check_spin_length,
     commensurate_q,
+    coupling_matrix,
     energy_density,
     gz_condition_residuals,
     helix_texture,
@@ -310,3 +312,21 @@ class TestCouplings:
         J2 = J.detuned(dJz=0.03).detuned(dJz=0.01, dJx=-0.005)
         assert J2.dJz == pytest.approx(0.04)
         assert J2.dJx == pytest.approx(-0.005)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_coupling_matrix_rejects_non_finite(self, bad):
+        full = np.eye(3)
+        full[0, 1] = bad
+        for J in (
+            XYZCouplings(Jx=bad, Jy=1.0, Jz=0.5),
+            XYZCouplings(Jx=0.9, Jy=1.0, Jz=0.5, dJz=bad),
+            (0.9, bad, 0.5),
+            full,
+        ):
+            with pytest.raises(ValueError, match="couplings must be finite"):
+                coupling_matrix(J)
+
+    @pytest.mark.parametrize("S", [0.0, -2.0, math.nan, math.inf])
+    def test_check_spin_length(self, S):
+        with pytest.raises(ValueError, match="spin length S must be positive and finite"):
+            check_spin_length(S)

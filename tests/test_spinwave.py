@@ -78,6 +78,13 @@ class TestSWCoefficients:
                 with pytest.raises(ValueError, match="must be finite"):
                     sw.SpinWaveCoefficients(**arrays)
 
+    @pytest.mark.parametrize("S", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_spin_length(self, S):
+        """The same message as contrast_sw, and no overflow warning first."""
+        frame = rotframe.frame_glsh(kappa=0.5, q=elliptic.complete_K(0.5) / 2, L=8, dJx=0.02)
+        with pytest.raises(ValueError, match="spin length S must be positive and finite"):
+            sw.sw_coefficients(frame, S)
+
 
 class TestLinearGenerator:
     def test_two_site_ring_by_hand(self):
