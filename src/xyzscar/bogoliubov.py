@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .elliptic import complete_K, jacobi_sncndn
 from .scars import check_spin_length, parent_couplings
@@ -128,8 +127,10 @@ def instability_window(q: float, theta: float, dJz: float):
     """Locate the complex window of the transverse dispersion, if any.
 
     dJz > 0: a window (0, k_*) opens about k = 0 with
-    sin^2(k_*/2) = X / (2(cos q + X)), X = sin^2(theta) dJz; the interior
-    growth maximum is found by bounded golden-section/parabolic search.
+    sin^2(k_*/2) = X / (2(cos q + X)), X = sin^2(theta) dJz. Inside it
+    b1^2 is proportional to s (X - 2(cos q + X) s), s = sin^2(k/2), so the
+    growth peaks at sin^2(k_max/2) = X / (4(cos q + X)) with
+    rate_max = X sqrt(cos q / (cos q + X)).
     dJz <= 0: the dispersion stays real until dJz < -2 cos q / sin^2 theta,
     where a window opens at the zone edge; there the growth increases
     monotonically to k = pi, so the maximizer is the edge itself. Returns
@@ -140,18 +141,11 @@ def instability_window(q: float, theta: float, dJz: float):
     X = math.sin(theta) ** 2 * dJz
     cq = math.cos(q)
     if dJz > 0.0:
-        k_star = 2.0 * math.asin(math.sqrt(X / (2.0 * (cq + X))))
-        res = minimize_scalar(
-            lambda kk: -_b1(kk, q, X),
-            bounds=(0.0, k_star),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
         return InstabilityWindow(
             k_lower=0.0,
-            k_upper=k_star,
-            k_max=float(res.x),
-            rate_max=float(-res.fun),
+            k_upper=2.0 * math.asin(math.sqrt(X / (2.0 * (cq + X)))),
+            k_max=2.0 * math.asin(math.sqrt(X / (4.0 * (cq + X)))),
+            rate_max=X * math.sqrt(cq / (cq + X)),
             side="gapless",
         )
     if X >= -2.0 * cq:

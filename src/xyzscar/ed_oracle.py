@@ -5,10 +5,11 @@ sparse many-body Hamiltonians gathered into an assembly pattern that digit
 arithmetic on the basis index builds once per (2S+1, L, bond sparsity) and
 caches, each entry summed in bond order; Bloch coherent product states
 from the closed-form Wigner-d amplitudes, eigenstate verification of scar
-textures, exact quench propagation by Krylov-type exponential actions
-(``expm_multiply``, accurate to double-precision roundoff per step), and
-the exact contrast against the classical trajectory, read from one-site
-reduced density matrices.
+textures, exact quench propagation by one dense eigendecomposition per
+conserved sector (connected component of H), or by ``expm_multiply``
+steps where a sector is too large for that to pay, and the exact contrast
+against the classical trajectory, read from one-site reduced density
+matrices.
 Dimensions are capped at :data:`DIMENSION_CAP`, which covers L = 7 at S = 1
 and L = 12 at S = 1/2.
 """
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 
 from .elliptic import complete_K
@@ -38,6 +40,11 @@ from .spinwave import ContrastSeries, spin_contrast
 DIMENSION_CAP = 4096
 #: q must equal 4MK/L to this accuracy to count as a ring-commensurate scar
 COMMENSURATE_TOL = 1e-9
+#: largest sector evolve_exact diagonalizes densely: the largest at which
+#: eigh per sector was not slower than stepping (BENCH_16.json, "crossover")
+SPECTRAL_SECTOR_MAX = 924
+#: relative norm drift beyond which evolve_exact reports a failed propagation
+NORM_DRIFT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -125,8 +132,9 @@ def _coherent_amplitudes(omegas: np.ndarray, S: float) -> np.ndarray:
 def product_state(texture, S: float) -> np.ndarray:
     """Tensor product of coherent states over the ring.
 
-    Site 0 is the fastest-varying index of the amplitude vector, as in the
-    state-dump format: reshaped to (d, ..., d), site j is axis L - 1 - j.
+    Site 0 is the fastest-varying index of the amplitude vector: basis index
+    n = sum_j k_j d^j for site j in |S, S - k_j>, so reshaped to (d, ..., d),
+    site j is axis L - 1 - j.
     The sites' amplitudes come from :func:`coherent_state`'s closed form and
     are joined by outer products.
     """
@@ -329,16 +337,40 @@ def eigenstate_residual(p: ScarParams, J=None, H=None) -> float:
 def evolve_exact(psi0, H, times) -> np.ndarray:
     """Propagate psi0 under H to each of a grid of times.
 
-    The state is stepped from t = 0 through the requested times in
-    ascending order, each step applying exp(-i H dt) to the current state
-    with scipy's ``expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci. Comput.
-    33, 488 (2011)): a truncated Taylor series with scaling whose degree
-    and step count are chosen from 1-norm bounds so that the backward error
-    of each step stays below the double-precision unit roundoff 2^-53. Only
-    products H @ v are formed, so H stays sparse. The grid may be unsorted
-    and repeat times; results come back in the order given, with shape
-    (len(times), dim). H may be dense or sparse; it must be Hermitian to
-    1e-10.
+    H is split into the connected components of its sparsity graph: the
+    sectors of whatever its couplings conserve, such as the 2SL + 1
+    magnetization sectors of an XXZ ring (the detuned transverse helix),
+    the two spin-flip parity sectors of a diagonal XYZ ring (gtsh, glsh),
+    or a single sector when J has off-diagonal entries. Sectors in which
+    psi0 has no amplitude stay at zero.
+
+    When every sector that carries weight of psi0 has at most
+    :data:`SPECTRAL_SECTOR_MAX` states, each is diagonalized once by dense
+    ``eigh`` (real when H is) and psi(t) = V exp(-i E t) V^H psi0 is formed
+    for all times in one product. Otherwise the whole state is stepped from
+    t = 0 through the times in ascending order, each step applying
+    exp(-i H dt) with scipy's ``expm_multiply`` (Al-Mohy & Higham, SIAM J.
+    Sci. Comput. 33, 488 (2011)), whose per-step backward error stays below
+    the double-precision unit roundoff 2^-53 and which forms only products
+    H @ v. The route is read from the input alone. For scar quenches at
+    T = 10 with 201 samples on one BLAS thread, eigh per sector was 2-6x
+    faster up to sectors of 580 states, level at 924 (transverse L = 12,
+    S = 1/2), up to 1.2x slower at 1,024 and 1,094 (the parity sectors of
+    L = 11, S = 1/2 and L = 7, S = 1) and 4-5x slower at 2,048 (L = 12,
+    S = 1/2). Stepping's cost grows with T, eigh's does not.
+
+    The grid may be unsorted, repeat times or hold negative ones; results
+    come back in the order given, with shape (len(times), dim). H may be
+    dense or sparse; it must be Hermitian to 1e-10.
+
+    Raises
+    ------
+    ValueError
+        for a non-Hermitian H, a dimension over :data:`DIMENSION_CAP`, or
+        an H whose shape does not match psi0.
+    RuntimeError
+        if a returned state's norm departs from ||psi0|| by more than
+        :data:`NORM_DRIFT_TOL` relative.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -349,14 +381,54 @@ def evolve_exact(psi0, H, times) -> np.ndarray:
     herm_defect = float(abs(H - H.conj().T).max())
     if herm_defect > 1e-10:
         raise ValueError(f"H is not Hermitian: defect {herm_defect:.2e}")
-    generator = -1j * H
-    states = np.empty((times.size, psi0.size), dtype=complex)
-    psi, t_prev = psi0, 0.0
-    for k in np.argsort(times, kind="stable"):
-        psi = expm_multiply(generator * (times[k] - t_prev), psi)
-        states[k] = psi
-        t_prev = times[k]
+
+    weighted = [s for s in _sectors(H) if np.any(psi0[s])]
+    if all(s.size <= SPECTRAL_SECTOR_MAX for s in weighted):
+        if not H.data.imag.any():
+            H = H.real
+        states = np.zeros((times.size, psi0.size), dtype=complex)
+        for s in weighted:
+            evals, vecs = np.linalg.eigh(H[s][:, s].toarray())
+            # (n, len(times)) amplitudes exp(-i E t) V^H psi0 in the eigenbasis
+            amps = np.exp(-1j * np.outer(evals, times)) * (vecs.conj().T @ psi0[s])[:, None]
+            if vecs.dtype == float:
+                # a real V acts on the (re, im) pairs in one real product
+                states[:, s] = (vecs @ amps.view(float)).view(complex).T
+            else:
+                states[:, s] = (vecs @ amps).T
+    else:
+        generator = -1j * H
+        states = np.empty((times.size, psi0.size), dtype=complex)
+        psi, t_prev = psi0, 0.0
+        for k in np.argsort(times, kind="stable"):
+            psi = expm_multiply(generator * (times[k] - t_prev), psi)
+            states[k] = psi
+            t_prev = times[k]
+
+    drift = _norm_drift(states, psi0)
+    if not drift <= NORM_DRIFT_TOL:
+        raise RuntimeError(
+            f"exact propagation lost the norm: relative drift {drift:.2e} "
+            f"exceeds {NORM_DRIFT_TOL:.0e}"
+        )
     return states
+
+
+def _sectors(H: sparse.csr_matrix) -> list[np.ndarray]:
+    """Basis indices of each connected component of H's sparsity graph."""
+    pattern = sparse.csr_matrix(
+        (np.ones(H.indices.size), H.indices, H.indptr), shape=H.shape
+    )
+    n_sectors, labels = connected_components(pattern, directed=False)
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels, minlength=n_sectors))[:-1])
+
+
+def _norm_drift(states: np.ndarray, psi0: np.ndarray) -> float:
+    """Largest relative departure of the rows' norms from ||psi0||."""
+    norm0 = float(np.linalg.norm(psi0))
+    deviation = float(np.abs(np.linalg.norm(states, axis=1) - norm0).max(initial=0.0))
+    return deviation / norm0 if norm0 > 0.0 else deviation
 
 
 def _family_of(p: ScarParams) -> str:
@@ -427,7 +499,8 @@ def contrast_exact(
     trajectory and raises ValueError. <S^a_j>(t) is read from one-site
     reduced density matrices of the evolved state. theta, when given, adds
     the normalized spin contrast column C exactly as the spin-wave series
-    does.
+    does. The series carries the largest relative norm drift of the evolved
+    states as max_norm_drift.
     """
     if not 0.0 < T < math.inf:
         raise ValueError(f"T must be positive and finite, got {T}")
@@ -450,46 +523,6 @@ def contrast_exact(
         "tja,tja->t", _trajectory(p, delta, times), _site_expectations(states, p.S, p.L)
     ) / (p.L * p.S)
     C = None if theta is None else spin_contrast(D, theta)
-    return ContrastSeries(times=times, D=D, f=p.S * (1.0 - D), C=C)
-
-
-def save_state(path, psi, L: int, S: float) -> None:
-    """Dump a many-body state vector in the portable binary layout.
-
-    Header: three little-endian int64 values (L, 2S, dimension). Body:
-    the amplitudes with site 0 fastest-varying, written as interleaved
-    (re, im) little-endian float64 pairs.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    two_s = _twice_spin(S)
-    dim = (two_s + 1) ** L
-    if psi.shape != (dim,):
-        raise ValueError(
-            f"state has shape {psi.shape}, expected ({dim},) for L = {L}, S = {S}"
-        )
-    with open(path, "wb") as fh:
-        np.array([L, two_s, dim], dtype="<i8").tofile(fh)
-        interleaved = np.empty(2 * dim, dtype="<f8")
-        interleaved[0::2] = psi.real
-        interleaved[1::2] = psi.imag
-        interleaved.tofile(fh)
-
-
-def load_state(path):
-    """Read a state dump written by :func:`save_state`.
-
-    Returns (psi, L, S).
-    """
-    with open(path, "rb") as fh:
-        header = np.fromfile(fh, dtype="<i8", count=3)
-        if header.size != 3:
-            raise ValueError(f"{path}: truncated header")
-        L, two_s, dim = (int(v) for v in header)
-        if dim != (two_s + 1) ** L:
-            raise ValueError(
-                f"{path}: header inconsistent, dim {dim} != ({two_s}+1)^{L}"
-            )
-        body = np.fromfile(fh, dtype="<f8", count=2 * dim)
-    if body.size != 2 * dim:
-        raise ValueError(f"{path}: truncated body")
-    return body[0::2] + 1j * body[1::2], L, two_s / 2.0
+    return ContrastSeries(
+        times=times, D=D, f=p.S * (1.0 - D), C=C, max_norm_drift=_norm_drift(states, psi0)
+    )

@@ -116,12 +116,20 @@ def _checked_texture(initial, **spans: float) -> np.ndarray:
     return omega
 
 
-def _step_count(span: float, dt: float) -> int:
+def _span_ratio(names: str, span: float, step: float) -> float:
+    """span / step; ValueError naming both spans when the ratio overflows."""
+    ratio = span / step
+    if ratio == math.inf:
+        raise ValueError(f"{names} = {span:g} / {step:g} is not a finite number of steps")
+    return ratio
+
+
+def _step_count(names: str, span: float, dt: float) -> int:
     """Fewest equal steps across span that are no longer than dt.
 
     The 1e-9 relative slack keeps ratios such as 200.00000000000003 at 200.
     """
-    return math.ceil(span / dt * (1.0 - 1e-9))
+    return math.ceil(_span_ratio(names, span, dt) * (1.0 - 1e-9))
 
 
 def _check_norm_drift(omega: np.ndarray, t: float, dt: float) -> float:
@@ -182,7 +190,7 @@ def ll_evolve(
     ValueError
         On S not positive and finite, a texture that is not unit-norm (L, 3)
         with L >= 2, off-diagonal or non-finite couplings, dt or T not
-        positive and finite, or max_samples below 1.
+        positive and finite, T / dt overflowing, or max_samples below 1.
     IntegrationError
         If any site norm drifts from 1 by more than NORM_DRIFT_TOL; the drift
         is reported, not projected away. Reduce dt in that case.
@@ -197,7 +205,7 @@ def ll_evolve(
     mat = coupling_matrix(J)
     J_diag = _coupling_diagonal(mat)
 
-    n_steps = _step_count(T, dt)
+    n_steps = _step_count("T / dt", T, dt)
     if default_step:
         # a short default run takes a step per sample
         n_steps = max(n_steps, max_samples - 1)
@@ -325,7 +333,8 @@ def classical_lyapunov(
     renormalisation can project the twin's drift away.
     Raises ValueError on an S, texture, J, dt or T that ll_evolve would reject,
     on eps0 outside (0, 1e-6], on a renorm_interval that is not positive
-    and finite, and on discard_fraction outside [0, 1).
+    and finite, on T / renorm_interval or renorm_interval / dt overflowing,
+    and on discard_fraction outside [0, 1).
     """
     check_spin_length(S)
     if not 0.0 < eps0 <= 1e-6:
@@ -355,8 +364,8 @@ def classical_lyapunov(
     twin = base + tangent
     twin /= np.linalg.norm(twin, axis=1, keepdims=True)
 
-    steps_per_block = _step_count(renorm_interval, dt)
-    n_blocks = max(4, int(round(T / renorm_interval)))
+    steps_per_block = _step_count("renorm_interval / dt", renorm_interval, dt)
+    n_blocks = max(4, int(round(_span_ratio("T / renorm_interval", T, renorm_interval))))
     dt_eff = renorm_interval / steps_per_block
 
     pair = np.stack([base, twin])

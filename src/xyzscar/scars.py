@@ -255,12 +255,6 @@ def commensurate_q(kappa: float, L: int) -> list[tuple[int, float]]:
     return [(M, 4.0 * M * K / L) for M in range(1, (L - 1) // 4 + 1)]
 
 
-def save_texture(path, texture: np.ndarray) -> None:
-    """Write a texture as CSV with columns (j, Ox, Oy, Oz)."""
-    omega = np.asarray(texture, dtype=float)
-    write_csv(path, ["j", "Ox", "Oy", "Oz"], [np.arange(len(omega)), *omega.T])
-
-
 def write_csv(path, header, columns) -> None:
     """Write equal-length columns as CSV, the package's one text format.
 
@@ -288,10 +282,3 @@ def write_sidecar(csv_path, kind: str, params: dict | None = None, **fields) -> 
     if params is not None:
         record["params"] = params
     Path(csv_path).with_suffix(".json").write_text(json.dumps(record, indent=2, sort_keys=True))
-
-
-def load_texture(path) -> np.ndarray:
-    """Read a texture written by :func:`save_texture`."""
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    order = np.argsort(rows[:, 0])
-    return rows[order, 1:4]

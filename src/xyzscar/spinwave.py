@@ -132,7 +132,7 @@ def _stepper(coeffs, span: float, dt: float):
     if not callable(coeffs):
         step = expm(span * _quadrature_generator(coeffs))
         return (lambda t0, E: step @ E), span
-    n = max(1, _step_count(span, dt))
+    n = max(1, _step_count("span / dt", span, dt))
     h = span / n
 
     def advance(t0, E):
@@ -189,7 +189,9 @@ class ContrastSeries:
     D is the spin-wave contrast, f = S(1 - D) its scaling form sampled at
     tau = S t, and C the spin contrast (filled when the polar angle is
     known, else None). pseudo_unitarity_defect is the defect measured by a
-    spin-wave route's final propagator check (None where no check runs).
+    spin-wave route's final propagator check, and max_norm_drift the largest
+    relative norm drift of the exact route's states (None where the route
+    does not measure it).
     """
 
     times: np.ndarray
@@ -197,18 +199,22 @@ class ContrastSeries:
     f: np.ndarray
     C: np.ndarray | None = None
     pseudo_unitarity_defect: float | None = None
+    max_norm_drift: float | None = None
 
     def save_csv(self, path, params: dict | None = None) -> None:
         """Write (t, D, C, f) rows plus a JSON sidecar next to the CSV.
 
-        A measured pseudo-unitarity defect goes to the sidecar under
-        "diagnostics".
+        A measured pseudo-unitarity defect or norm drift goes to the sidecar
+        under "diagnostics".
         """
         Ccol = self.C if self.C is not None else np.full_like(self.D, np.nan)
         write_csv(path, ["t", "D", "C", "f"], [self.times, self.D, Ccol, self.f])
-        extra = {}
-        if self.pseudo_unitarity_defect is not None:
-            extra["diagnostics"] = {"pseudo_unitarity_defect": self.pseudo_unitarity_defect}
+        measured = {
+            "pseudo_unitarity_defect": self.pseudo_unitarity_defect,
+            "max_norm_drift": self.max_norm_drift,
+        }
+        diagnostics = {k: v for k, v in measured.items() if v is not None}
+        extra = {"diagnostics": diagnostics} if diagnostics else {}
         write_sidecar(path, "contrast_series", params, n_samples=len(self.times), **extra)
 
 

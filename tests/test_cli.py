@@ -265,6 +265,7 @@ class TestContrastSw:
         assert [(tmp_path / name).read_bytes() for name in names] == first
         sidecar = json.loads((tmp_path / "contrast_sw.json").read_text())
         assert "pseudo_unitarity_defect" not in sidecar["params"]
+        assert list(sidecar["diagnostics"]) == ["pseudo_unitarity_defect"]
         defect = sidecar["diagnostics"]["pseudo_unitarity_defect"]
         assert 0.0 <= defect <= 1e-12
 
@@ -358,6 +359,22 @@ class TestContrastEd:
         rows = read_rows(tmp_path / "contrast_ed.csv")
         assert len(rows) == 5
         assert float(rows[0]["f"]) == pytest.approx(0.0, abs=1e-12)
+
+    def test_sidecar_reports_norm_drift(self, tmp_path):
+        """The evolved states' norm drift goes under "diagnostics", outside
+        "params", and reruns stay byte-identical in CSV and sidecar."""
+        argv = ["contrast-ed", "--kappa", "0", "--M", "1", "--L", "8",
+                "--S", "0.5", "--theta", "pi/4", "--delta", "-0.03",
+                "--T", "4", "--n-samples", "9"]
+        names = ("contrast_ed.csv", "contrast_ed.json")
+        assert run(argv, tmp_path) == 0
+        first = [(tmp_path / name).read_bytes() for name in names]
+        assert run(argv, tmp_path) == 0
+        assert [(tmp_path / name).read_bytes() for name in names] == first
+        sidecar = json.loads((tmp_path / "contrast_ed.json").read_text())
+        assert "max_norm_drift" not in sidecar["params"]
+        assert list(sidecar["diagnostics"]) == ["max_norm_drift"]
+        assert 0.0 <= sidecar["diagnostics"]["max_norm_drift"] <= 1e-10
 
     def test_gamma_and_theta_together_is_usage_error(self, tmp_path, capsys):
         code = run(
@@ -485,6 +502,17 @@ class TestLlEvolve:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: norm drift")
+        assert err.count("\n") == 1
+
+    def test_step_count_overflow_is_numeric_error(self, tmp_path, capsys):
+        code = run(
+            ["ll-evolve", "--kappa", "0.9", "--M", "1", "--L", "6",
+             "--gamma", "0", "--T", "1e308", "--dt", "1e-10"],
+            tmp_path,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: T / dt = 1e+308 / 1e-10")
         assert err.count("\n") == 1
 
     def test_zero_max_samples_is_numeric_error(self, tmp_path, capsys):

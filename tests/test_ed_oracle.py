@@ -79,11 +79,14 @@ def reference_expm_coherent_state(omega, S):
     return expm(-1j * theta * (axis[0] * ops.Sx + axis[1] * ops.Sy))[:, 0]
 
 
-def reference_eigh_evolve(psi0, H, times):
-    """States exp(-i H t) psi0 from a full dense eigendecomposition: the
-    propagator that evolve_exact's stepping replaced, kept as its oracle."""
-    H_dense = H.toarray() if sparse.issparse(H) else np.asarray(H)
-    evals, vecs = np.linalg.eigh(H_dense)
+def reference_eigh_evolve(psi0, H, times, eig=None):
+    """States exp(-i H t) psi0 from one dense eigendecomposition of the
+    whole H, blind to its sectors: the oracle of both evolve_exact routes,
+    eigh per sector and expm_multiply stepping. eig, when given, is that
+    decomposition (evals, vecs), computed once for several calls."""
+    if eig is None:
+        eig = np.linalg.eigh(H.toarray() if sparse.issparse(H) else np.asarray(H))
+    evals, vecs = eig
     coeffs = vecs.conj().T @ np.asarray(psi0, dtype=complex)
     phases = np.exp(-1j * np.outer(np.atleast_1d(times), evals))
     return (phases * coeffs) @ vecs.T
@@ -545,6 +548,35 @@ class TestEvolveExact:
         with pytest.raises(ValueError, match="cap"):
             ed.evolve_exact(np.ones(dim), sparse.identity(dim), [0.1])
 
+    @pytest.fixture(scope="class")
+    def sector_cases(self):
+        """(H, psi0, SPECTRAL_SECTOR_MAX, eigh of H) for each input of
+        test_matches_eigh_reference; each H is diagonalized once."""
+        rng = np.random.default_rng(5)
+        psi0 = rng.normal(size=729) + 1j * rng.normal(size=729)
+        psi0 /= np.linalg.norm(psi0)
+        couplings = {
+            "xyz": (0.9, 1.0, 0.35),
+            "xxz": (1.0, 1.0, 0.4),
+            "full": FULL_COUPLING,
+            "asymmetric": ASYMMETRIC_COUPLING,
+        }
+        H = {name: ed.build_hamiltonian(J, 1.0, 6) for name, J in couplings.items()}
+        eig = {name: np.linalg.eigh(h.toarray()) for name, h in H.items()}
+        confined = np.zeros(729, dtype=complex)
+        sector = next(s for s in ed._sectors(H["xxz"]) if s.size == 126)
+        confined[sector] = psi0[sector] / np.linalg.norm(psi0[sector])
+        spectral = ed.SPECTRAL_SECTOR_MAX
+        cases = [
+            ("xyz", psi0, spectral),
+            ("xxz", psi0, spectral),
+            ("full", psi0, spectral),
+            ("asymmetric", psi0, spectral),
+            ("xxz", confined, spectral),
+            ("xyz", psi0, 0),
+        ]
+        return [(H[name], state, cap, eig[name]) for name, state, cap in cases]
+
     @pytest.mark.parametrize(
         "times",
         [
@@ -556,17 +588,49 @@ class TestEvolveExact:
         ids=["uniform", "non_uniform", "unsorted_repeat", "negative"],
     )
     @pytest.mark.parametrize("as_dense", [False, True])
-    def test_matches_eigh_reference(self, times, as_dense):
+    def test_matches_eigh_reference(self, times, as_dense, sector_cases, monkeypatch):
         """729 states (L = 6, S = 1): every amplitude within 1e-12 of dense
-        eigh, whatever the grid's order, repeats, first time or H's format."""
-        H = ed.build_hamiltonian((0.9, 1.0, 0.35), 1.0, 6)
-        rng = np.random.default_rng(5)
-        psi0 = rng.normal(size=729) + 1j * rng.normal(size=729)
-        psi0 /= np.linalg.norm(psi0)
-        states = ed.evolve_exact(psi0, H.toarray() if as_dense else H, times)
-        assert states.shape == (times.size, 729)
-        ref = reference_eigh_evolve(psi0, H, times)
-        assert np.abs(states - ref).max() <= 1e-12
+        eigh of the whole H, whatever the grid's order, repeats, first time
+        or H's format, on every sector structure and both routes: the two
+        parity sectors of a diagonal XYZ ring, the 13 magnetization sectors
+        of an XXZ ring, complex H with two sectors (FULL_COUPLING) and with
+        one (ASYMMETRIC_COUPLING), a state confined to one magnetization
+        sector, and the XYZ ring stepped by expm_multiply."""
+        stepper = ed.expm_multiply
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the spectral route reached expm_multiply")
+
+        for H, psi0, cap, eig in sector_cases:
+            monkeypatch.setattr(ed, "SPECTRAL_SECTOR_MAX", cap)
+            monkeypatch.setattr(ed, "expm_multiply", stepper if cap == 0 else refuse)
+            states = ed.evolve_exact(psi0, H.toarray() if as_dense else H, times)
+            assert states.shape == (times.size, 729)
+            ref = reference_eigh_evolve(psi0, H, times, eig=eig)
+            assert np.abs(states - ref).max() <= 1e-12
+
+    def test_sectors_without_weight_stay_zero(self):
+        """A state in one magnetization sector of an XXZ ring keeps every
+        other amplitude at exactly zero."""
+        H = ed.build_hamiltonian((1.0, 1.0, 0.4), 1.0, 6)
+        sectors = ed._sectors(H)
+        assert len(sectors) == 13
+        sector = max(sectors, key=len)
+        psi0 = np.zeros(729, dtype=complex)
+        psi0[sector] = np.random.default_rng(7).normal(size=sector.size)
+        states = ed.evolve_exact(psi0, H, np.linspace(0.0, 5.0, 11))
+        outside = np.setdiff1d(np.arange(729), sector)
+        assert not states[:, outside].any()
+        assert np.abs(states[:, sector]).max() > 0.0
+
+    def test_norm_loss_raises(self, monkeypatch):
+        """A propagation that loses the norm beyond 1e-10 relative raises
+        RuntimeError with one line naming the drift."""
+        monkeypatch.setattr(ed, "SPECTRAL_SECTOR_MAX", 0)
+        monkeypatch.setattr(ed, "expm_multiply", lambda A, v: (1.0 + 1e-9) * v)
+        with pytest.raises(RuntimeError, match="relative drift 2.00e-09 exceeds 1e-10") as info:
+            ed.evolve_exact(self.psi0, self.H, [0.5, 1.0])
+        assert "\n" not in str(info.value)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
@@ -651,6 +715,21 @@ class TestContrastExact:
         assert series.C is not None
         assert abs(series.C[0] - 1.0) <= 1e-10
 
+    def test_exact_ring_never_steps(self, monkeypatch):
+        """The 1,024-state transverse ring (L = 10, S = 1/2, theta = pi/4)
+        splits into 11 magnetization sectors of at most 252 states, so its
+        quench never reaches expm_multiply, and reports its norm drift."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("expm_multiply called")
+
+        monkeypatch.setattr(ed, "expm_multiply", refuse)
+        p = transverse_params(L=10, S=0.5)
+        for delta in (+0.03, -0.03):
+            series = ed.contrast_exact(p, delta, T=10.0, n_samples=201)
+            assert series.D.shape == (201,)
+            assert 0.0 <= series.max_norm_drift <= ed.NORM_DRIFT_TOL
+
     def test_validates_grid(self):
         with pytest.raises(ValueError, match="positive"):
             ed.contrast_exact(transverse_params(), 0.01, T=0.0)
@@ -664,47 +743,3 @@ class TestContrastExact:
         for delta in (math.nan, math.inf):
             with pytest.raises(ValueError, match="delta must be finite"):
                 ed.contrast_exact(transverse_params(), delta, T=1.0, n_samples=3)
-
-
-class TestStateIO:
-    def test_round_trip(self, tmp_path):
-        p = transverse_params(L=5, S=1.0)
-        psi = ed.product_state(scars.scar_texture(p), 1.0)
-        path = tmp_path / "state.bin"
-        ed.save_state(path, psi, 5, 1.0)
-        loaded, L, S = ed.load_state(path)
-        assert (L, S) == (5, 1.0)
-        np.testing.assert_array_equal(loaded, psi)
-
-    def test_layout_is_documented_format(self, tmp_path):
-        """Header: three little-endian int64 (L, 2S, dim); body: interleaved
-        re/im little-endian float64."""
-        psi = np.array([0.5 + 0.25j, -0.5 - 0.75j], dtype=complex)
-        path = tmp_path / "tiny.bin"
-        ed.save_state(path, psi, 1, 0.5)
-        raw = path.read_bytes()
-        header = np.frombuffer(raw[:24], dtype="<i8")
-        np.testing.assert_array_equal(header, [1, 1, 2])
-        body = np.frombuffer(raw[24:], dtype="<f8")
-        np.testing.assert_array_equal(body, [0.5, 0.25, -0.5, -0.75])
-
-    def test_save_rejects_wrong_dimension(self, tmp_path):
-        with pytest.raises(ValueError, match="shape"):
-            ed.save_state(tmp_path / "x.bin", np.ones(3, dtype=complex), 2, 0.5)
-
-    def test_load_rejects_truncation(self, tmp_path):
-        p = transverse_params(L=5, S=0.5)
-        psi = ed.product_state(scars.scar_texture(p), 0.5)
-        path = tmp_path / "state.bin"
-        ed.save_state(path, psi, 5, 0.5)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError, match="truncated"):
-            ed.load_state(path)
-
-    def test_load_rejects_inconsistent_header(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        with open(path, "wb") as fh:
-            np.array([2, 1, 3], dtype="<i8").tofile(fh)
-            np.zeros(6, dtype="<f8").tofile(fh)
-        with pytest.raises(ValueError, match="inconsistent"):
-            ed.load_state(path)

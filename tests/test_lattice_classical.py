@@ -179,6 +179,8 @@ class TestLLEvolve:
         for J_bad in ((math.inf, 1.0, 0.5), scars.XYZCouplings(1.0, 1.0, 0.5, dJz=math.nan)):
             with pytest.raises(ValueError, match="couplings must be finite"):
                 lc.ll_evolve(up, J_bad, 1.0, T=1.0)
+        with pytest.raises(ValueError, match="T / dt = 1e\\+308 / 1e-10 is not a finite"):
+            lc.ll_evolve(up, J, 1.0, T=1e308, dt=1e-10)
 
     def test_dt_is_an_upper_bound(self):
         """dt = 0.8 over T = 1 takes two steps of 0.5, not one of 1.0."""
@@ -429,6 +431,14 @@ class TestClassicalLyapunov:
                 id="renorm_inf",
             ),
             pytest.param(HELIX, {"renorm_interval": math.nan}, "renorm_interval", id="renorm_nan"),
+            pytest.param(
+                HELIX, {"T": 1e308, "renorm_interval": 1e-10},
+                r"T / renorm_interval = 1e\+308 / 1e-10 is not a finite", id="blocks_overflow",
+            ),
+            pytest.param(
+                HELIX, {"renorm_interval": 1e308, "dt": 1e-10},
+                r"renorm_interval / dt = 1e\+308 / 1e-10 is not a finite", id="steps_overflow",
+            ),
         ],
     )
     def test_input_validation(self, texture, kwargs, match):

@@ -17,9 +17,7 @@ from xyzscar.scars import (
     energy_density,
     gz_condition_residuals,
     helix_texture,
-    load_texture,
     parent_couplings,
-    save_texture,
     scar_texture,
     solve_kq,
     texture_energy,
@@ -288,17 +286,6 @@ class TestCommensurate:
     def test_rejects_tiny_chain(self):
         with pytest.raises(ValueError):
             commensurate_q(0.5, 1)
-
-
-class TestTextureIO:
-    def test_roundtrip(self, tmp_path):
-        p = ScarParams(kappa=0.6, q=0.7, gamma=0.3, L=10, phi=0.2)
-        tex = scar_texture(p)
-        path = tmp_path / "texture.csv"
-        save_texture(path, tex)
-        header = path.read_text().splitlines()[0]
-        assert header == "j,Ox,Oy,Oz"
-        np.testing.assert_allclose(load_texture(path), tex, atol=1e-15)
 
 
 class TestCouplings:
