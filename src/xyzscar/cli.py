@@ -31,8 +31,8 @@ import numpy as np
 
 from . import bogoliubov as bg
 from . import ed_oracle, lattice_classical, rotframe, spinwave
-from .elliptic import complete_K
 from .scars import (
+    DETUNED_COUPLING,
     EXACT_RESIDUAL_TOL,
     ScarParams,
     XYZCouplings,
@@ -128,15 +128,28 @@ def _params_record(args) -> dict:
 
 
 def _scar_params(args) -> ScarParams:
-    if (args.M is None) == (args.q is None):
+    """The CLI's one ScarParams. --theta spells gamma = cos(theta); contrast-sw's
+    --family spells kappa = 0 (transverse) or gamma = 0 (gtsh) or 1 (glsh)."""
+    kappa, gamma = args.kappa, getattr(args, "gamma", None)
+    family = getattr(args, "family", None)
+    if family == "transverse":
+        kappa = 0.0
+    elif family is not None:
+        gamma = 0.0 if family == "gtsh" else 1.0
+    theta = getattr(args, "theta", None)
+    if (gamma is None) == (theta is None):
+        raise UsageError("give exactly one of --gamma or --theta")
+    if theta is not None:
+        if not math.isfinite(theta):
+            raise ValueError(f"theta must be finite, got {theta}")
+        gamma = math.cos(theta)
+    M, q = args.M, getattr(args, "q", None)
+    if (M is None) == (q is None):
         raise UsageError("give exactly one of --M or --q")
-    if args.M is not None:
-        return ScarParams.commensurate(
-            args.kappa, args.M, args.L, gamma=args.gamma, S=args.S, phi=args.phi
-        )
-    return ScarParams(
-        kappa=args.kappa, q=args.q, gamma=args.gamma, L=args.L, S=args.S, phi=args.phi
-    )
+    shape = dict(gamma=gamma, S=args.S, phi=getattr(args, "phi", 0.0))
+    if M is not None:
+        return ScarParams.commensurate(kappa, M, args.L, **shape)
+    return ScarParams(kappa=kappa, q=q, L=args.L, **shape)
 
 
 def cmd_scar_verify(args) -> int:
@@ -154,20 +167,14 @@ def cmd_scar_verify(args) -> int:
         print(f"{j:4d}  {r1[j]:.6e}  {r2[j]:.6e}")
     ok = bool(max(r1.max(), r2.max()) <= EXACT_RESIDUAL_TOL)
 
-    dim = (int(round(2 * p.S)) + 1) ** p.L
-    if dim <= ed_oracle.DIMENSION_CAP:
-        try:
-            exact = ed_oracle.eigenstate_residual(p, J=J)
-        except ValueError as exc:
-            print(f"exact residual skipped: {exc}")
-        else:
-            print(f"exact eigenstate residual: {exact:.6e} (dimension {dim})")
-            ok = ok and exact <= EXACT_RESIDUAL_TOL
+    try:
+        exact = ed_oracle.eigenstate_residual(p, J=J)
+    except ValueError as exc:
+        print(f"exact residual skipped: {exc}")
     else:
-        print(
-            f"exact residual skipped: dimension {dim} exceeds cap "
-            f"{ed_oracle.DIMENSION_CAP}"
-        )
+        dim = (int(round(2 * p.S)) + 1) ** p.L
+        print(f"exact eigenstate residual: {exact:.6e} (dimension {dim})")
+        ok = ok and exact <= EXACT_RESIDUAL_TOL
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -187,28 +194,22 @@ def cmd_dispersion(args) -> int:
 
 
 def cmd_contrast_sw(args) -> int:
-    # each family's frame takes one detuning: Jx for glsh, Jz for the others
-    flag, value = ("--dJz", args.dJz) if args.family == "glsh" else ("--dJx", args.dJx)
-    if value != 0.0:
-        raise UsageError(f"{args.family} family takes no {flag} detuning")
-    theta = None
-    if args.family == "transverse":
-        if args.theta is None or args.q is None:
-            raise UsageError("transverse family needs --theta and --q")
-        theta = args.theta
-        omega = -2.0 * args.S * math.cos(theta) * args.dJz
-        frame = rotframe.frame_transverse(theta, args.q, omega, args.L, dJz=args.dJz)
-    else:
-        if args.kappa is None or args.M is None:
-            raise UsageError(f"{args.family} family needs --kappa and --M")
-        q = 4.0 * args.M * complete_K(args.kappa) / args.L
-        if args.family == "gtsh":
-            frame = rotframe.frame_gtsh(args.kappa, q, args.L, dJz=args.dJz)
-        else:
-            frame = rotframe.frame_glsh(args.kappa, q, args.L, dJx=args.dJx)
+    # the flags each --family spelling reads; any other given flag exits 2
+    geometry = ("--theta", "--q") if args.family == "transverse" else ("--kappa", "--M")
+    detuning = "--d" + DETUNED_COUPLING[args.family]
+    for flag, value in (("--dJx", args.dJx), ("--dJz", args.dJz)):
+        if flag != detuning and value != 0.0:
+            raise UsageError(f"{args.family} family takes no {flag} detuning")
+    given = {"--theta": args.theta, "--q": args.q, "--kappa": args.kappa, "--M": args.M}
+    if any(given[flag] is None for flag in geometry):
+        raise UsageError(f"{args.family} family needs {geometry[0]} and {geometry[1]}")
+    for flag, value in given.items():
+        if flag not in geometry and value is not None:
+            raise UsageError(f"{args.family} family takes no {flag}")
+    frame = rotframe.scar_frame(_scar_params(args), getattr(args, detuning[2:]))
     coeffs = spinwave.sw_coefficients(frame, args.S)
     series = spinwave.contrast_sw(
-        coeffs, args.S, T=args.T, n_samples=args.n_samples, theta=theta
+        coeffs, args.S, T=args.T, n_samples=args.n_samples, theta=args.theta
     )
     path = _out_path(args, "contrast_sw.csv")
     series.save_csv(path, params=_params_record(args))
@@ -217,12 +218,7 @@ def cmd_contrast_sw(args) -> int:
 
 
 def cmd_contrast_ed(args) -> int:
-    if (args.gamma is None) == (args.theta is None):
-        raise UsageError("give exactly one of --gamma or --theta")
-    gamma = args.gamma if args.gamma is not None else math.cos(args.theta)
-    p = ScarParams.commensurate(
-        args.kappa, args.M, args.L, gamma=gamma, S=args.S, phi=args.phi
-    )
+    p = _scar_params(args)
     series = ed_oracle.contrast_exact(
         p, args.delta, T=args.T, n_samples=args.n_samples, theta=args.theta
     )
@@ -233,9 +229,7 @@ def cmd_contrast_ed(args) -> int:
 
 
 def cmd_ll_evolve(args) -> int:
-    p = ScarParams.commensurate(
-        args.kappa, args.M, args.L, gamma=args.gamma, S=args.S, phi=args.phi
-    )
+    p = _scar_params(args)
     J = parent_couplings(p.kappa, p.q).detuned(dJx=args.dJx, dJz=args.dJz)
     trajectory = lattice_classical.ll_evolve(
         scar_texture(p), J, S=args.S, dt=args.dt, T=args.T, max_samples=args.max_samples

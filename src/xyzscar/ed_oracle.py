@@ -31,6 +31,7 @@ from .scars import (
     coupling_matrix,
     helix_texture,
     parent_couplings,
+    scar_quench,
     scar_texture,
     texture_energy,
 )
@@ -431,30 +432,15 @@ def _norm_drift(states: np.ndarray, psi0: np.ndarray) -> float:
     return deviation / norm0 if norm0 > 0.0 else deviation
 
 
-def _family_of(p: ScarParams) -> str:
-    if p.kappa == 0.0:
-        return "transverse"
-    if p.gamma == 0.0:
-        return "gtsh"
-    if p.gamma == 1.0:
-        return "glsh"
-    raise ValueError(
-        "no closed-form classical trajectory for kappa > 0 unless "
-        f"gamma is 0 (gtsh) or 1 (glsh), got gamma = {p.gamma}"
-    )
-
-
 def _trajectory(p: ScarParams, delta: float, times: np.ndarray) -> np.ndarray:
     """Closed-form classical textures Omega_j(t), shape (nt, L, 3).
 
     Each scar with a closed form moves rigidly about z:
-    Omega_j(t) = helix_texture(kappa, gamma, q j + phi - omega t). The
-    detuned transverse helix (kappa = 0) precesses at
-    omega = -2 S gamma dJz (checked against the Landau-Lifshitz integrator
-    to 1e-14); gtsh and glsh are static solutions of their detuned
-    equations, omega = 0.
+    Omega_j(t) = helix_texture(kappa, gamma, q j + phi - omega t), at the
+    rate omega that scar_quench gives (for the transverse helix it was
+    checked against the Landau-Lifshitz integrator to 1e-14).
     """
-    omega = -2.0 * p.S * p.gamma * delta if p.kappa == 0.0 else 0.0
+    _, omega = scar_quench(p, delta)
     phases = p.q * np.arange(p.L)[None, :] + p.phi - omega * times[:, None]
     return helix_texture(p.kappa, p.gamma, phases)
 
@@ -494,13 +480,13 @@ def contrast_exact(
 
         D(t) = (1 / L S) sum_j <psi(t)| Omega_j(t) . S_j |psi(t)>.
 
-    The family follows from the parameters: transverse for kappa = 0,
-    gtsh/glsh for gamma = 0/1; any other (kappa, gamma) has no closed-form
-    trajectory and raises ValueError. <S^a_j>(t) is read from one-site
-    reduced density matrices of the evolved state. theta, when given, adds
-    the normalized spin contrast column C exactly as the spin-wave series
-    does. The series carries the largest relative norm drift of the evolved
-    states as max_norm_drift.
+    The family follows from the parameters (scars.scar_family): transverse
+    for kappa = 0, gtsh/glsh for gamma = 0/1; any other (kappa, gamma) has
+    no closed-form trajectory and raises ValueError. <S^a_j>(t) is read
+    from one-site reduced density matrices of the evolved state. theta,
+    when given, adds the normalized spin contrast column C exactly as the
+    spin-wave series does. The series carries the largest relative norm
+    drift of the evolved states as max_norm_drift.
     """
     if not 0.0 < T < math.inf:
         raise ValueError(f"T must be positive and finite, got {T}")
@@ -508,11 +494,8 @@ def contrast_exact(
         raise ValueError(f"detuning delta must be finite, got {delta}")
     if n_samples < 2:
         raise ValueError(f"need at least two samples, got {n_samples}")
-    family = _family_of(p)
+    J, _ = scar_quench(p, delta)
     _require_commensurate(p)
-
-    J = parent_couplings(p.kappa, p.q)
-    J = J.detuned(dJx=delta) if family == "glsh" else J.detuned(dJz=delta)
     texture = scar_texture(p)
     psi0 = product_state(texture, p.S)
     H = build_hamiltonian(J, p.S, p.L)

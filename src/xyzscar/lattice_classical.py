@@ -22,6 +22,8 @@ from .scars import check_spin_length, coupling_matrix, helix_amplitudes, write_c
 
 #: per-site norm drift beyond this aborts the integration
 NORM_DRIFT_TOL = 1e-6
+#: most RK4 steps a run may take, 200 times BENCH_12.json's 5e5-step dt = 1e-4/S study
+MAX_STEPS = 10**8
 
 
 class IntegrationError(RuntimeError):
@@ -132,6 +134,13 @@ def _step_count(names: str, span: float, dt: float) -> int:
     return math.ceil(_span_ratio(names, span, dt) * (1.0 - 1e-9))
 
 
+def _check_step_budget(T: float, dt: float, n_steps: float) -> None:
+    if n_steps > MAX_STEPS:
+        raise ValueError(
+            f"T = {T:g} at dt = {dt:g} takes {n_steps:.3g} RK4 steps, over {MAX_STEPS:.0e}"
+        )
+
+
 def _check_norm_drift(omega: np.ndarray, t: float, dt: float) -> float:
     """Largest site-norm drift of omega; IntegrationError beyond NORM_DRIFT_TOL or NaN."""
     drift = float(np.max(np.abs(np.linalg.norm(omega, axis=-1) - 1.0)))
@@ -190,7 +199,8 @@ def ll_evolve(
     ValueError
         On S not positive and finite, a texture that is not unit-norm (L, 3)
         with L >= 2, off-diagonal or non-finite couplings, dt or T not
-        positive and finite, T / dt overflowing, or max_samples below 1.
+        positive and finite, T / dt overflowing, more than MAX_STEPS steps,
+        or max_samples below 1.
     IntegrationError
         If any site norm drifts from 1 by more than NORM_DRIFT_TOL; the drift
         is reported, not projected away. Reduce dt in that case.
@@ -209,6 +219,7 @@ def ll_evolve(
     if default_step:
         # a short default run takes a step per sample
         n_steps = max(n_steps, max_samples - 1)
+    _check_step_budget(T, dt, n_steps)
     dt_eff = T / n_steps
     stride = max(1, math.ceil(n_steps / max_samples))
 
@@ -334,7 +345,8 @@ def classical_lyapunov(
     Raises ValueError on an S, texture, J, dt or T that ll_evolve would reject,
     on eps0 outside (0, 1e-6], on a renorm_interval that is not positive
     and finite, on T / renorm_interval or renorm_interval / dt overflowing,
-    and on discard_fraction outside [0, 1).
+    on more than MAX_STEPS steps in all, and on discard_fraction outside
+    [0, 1).
     """
     check_spin_length(S)
     if not 0.0 < eps0 <= 1e-6:
@@ -366,6 +378,7 @@ def classical_lyapunov(
 
     steps_per_block = _step_count("renorm_interval / dt", renorm_interval, dt)
     n_blocks = max(4, int(round(_span_ratio("T / renorm_interval", T, renorm_interval))))
+    _check_step_budget(T, dt, float(n_blocks) * steps_per_block)
     dt_eff = renorm_interval / steps_per_block
 
     pair = np.stack([base, twin])

@@ -3,15 +3,13 @@
 Each frame is a sequence of rotations R_j with R_j zhat = Omega_j. The bond
 couplings seen from the rotating frame are JR_j = R_j^T J R_{j+1}, and a
 frame rotating about the lab z axis at rate omega contributes the effective
-field hR_j = omega R_j^T zhat. The three helix families (transverse helix,
-generalized transverse helix, generalized longitudinal helix) take their
-textures from the one formula :func:`xyzscar.scars.helix_texture` and share
-one axis gauge: the frame's y axis is the unit vector along Omega_j x axis,
-for a fixed lab axis the texture never touches (-zhat for the transverse
-families, +xhat for glsh). That gauge is continuous in Omega_j wherever
-Omega_j is not parallel to the axis. A geodesic frame covers arbitrary
-textures. The stationarity residual measures whether a texture is a
-mean-field solution in the given frame.
+field hR_j = omega R_j^T zhat. :func:`scar_frame` is the frame of a quenched
+scar, from its texture, couplings and precession rate in :mod:`xyzscar.scars`,
+in one axis gauge: the frame's y axis is the unit vector along Omega_j x
+axis, for a fixed lab axis the texture never touches (+xhat for glsh, -zhat
+otherwise). :func:`frame_transverse` rotates the transverse helix at a free
+rate. A geodesic frame covers arbitrary textures. The stationarity residual
+measures whether a texture is a mean-field solution in the given frame.
 """
 
 from __future__ import annotations
@@ -21,7 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scars import coupling_matrix, helix_texture, parent_couplings
+from .scars import (
+    ScarParams,
+    coupling_matrix,
+    helix_texture,
+    scar_family,
+    scar_quench,
+    scar_texture,
+)
 
 
 @dataclass
@@ -50,10 +55,13 @@ def _axis_frame(texture: np.ndarray, J: np.ndarray, axis, omega: float = 0.0) ->
     """Axis-gauge frame R_j = [e2 x Omega_j, e2, Omega_j], e2 = unit(Omega_j x axis).
 
     The frame rotates about the lab z axis at rate omega, which adds the
-    field hR_j = omega R_j^T zhat. Undefined where Omega_j is parallel to axis.
+    field hR_j = omega R_j^T zhat. Raises where Omega_j is parallel to axis.
     """
     e2 = np.cross(texture, axis)
-    e2 /= np.linalg.norm(e2, axis=1, keepdims=True)
+    norms = np.linalg.norm(e2, axis=1, keepdims=True)
+    if not norms.all():
+        raise ValueError(f"axis gauge undefined: a spin lies along the axis {axis}")
+    e2 /= norms
     R = np.stack([np.cross(e2, texture), e2, texture], axis=-1)
     return FrameData(R=R, JR=_bond_couplings(R, J), hR=omega * R[:, 2, :])
 
@@ -82,34 +90,14 @@ def frame_transverse(
     return _axis_frame(texture, J, (0.0, 0.0, -1.0), omega)
 
 
-def _check_family_domain(kappa: float) -> None:
-    # parent_couplings admits kappa = 0 and checks 0 < q < K(kappa) itself
-    if not 0.0 < kappa < 1.0:
-        raise ValueError(f"kappa must lie in (0, 1), got {kappa}")
-
-
-def frame_gtsh(kappa: float, q: float, L: int, dJz: float = 0.0) -> FrameData:
-    """Static frame for the generalized transverse helix (in-plane texture).
-
-    Omega_j = helix_texture(kappa, 0, qj) = (cn, sn, 0)(qj, kappa) in the
-    axis gauge about -zhat, so the frame x axis is -zhat for every j and the
-    Jz coupling (cn(q) + dJz) occupies the xx slot of JR.
-    """
-    _check_family_domain(kappa)
-    J = parent_couplings(kappa, q).detuned(dJz=dJz).as_matrix()
-    return _axis_frame(helix_texture(kappa, 0.0, q * np.arange(L)), J, (0.0, 0.0, -1.0))
-
-
-def frame_glsh(kappa: float, q: float, L: int, dJx: float = 0.0) -> FrameData:
-    """Static frame for the generalized longitudinal helix (yz-plane texture).
-
-    Omega_j = helix_texture(kappa, 1, qj) = (0, kappa sn, dn)(qj, kappa) in
-    the axis gauge about +xhat, so the frame x axis is the lab x axis for
-    every j and the Jx coupling (dn(q) + dJx) occupies the xx slot of JR.
-    """
-    _check_family_domain(kappa)
-    J = parent_couplings(kappa, q).detuned(dJx=dJx).as_matrix()
-    return _axis_frame(helix_texture(kappa, 1.0, q * np.arange(L)), J, (1.0, 0.0, 0.0))
+def scar_frame(p: ScarParams, delta: float = 0.0) -> FrameData:
+    """Axis-gauge frame of the scar p quenched by delta (scars.scar_quench);
+    a non-finite precession rate raises before it forms hR."""
+    J, omega = scar_quench(p, delta)
+    if not math.isfinite(omega):
+        raise ValueError(f"detuning delta must be finite, got {delta}")
+    axis = (1.0, 0.0, 0.0) if scar_family(p.kappa, p.gamma) == "glsh" else (0.0, 0.0, -1.0)
+    return _axis_frame(scar_texture(p), J.as_matrix(), axis, omega)
 
 
 def frames_from_texture(texture: np.ndarray, J) -> FrameData:

@@ -24,32 +24,29 @@ EXACT_RESIDUAL_TOL = 1e-10
 BROKEN_RESIDUAL_TOL = 1e-3
 #: rows per formatting chunk in write_csv
 _CSV_CHUNK_ROWS = 8192
+#: the parent coupling a quench of each scar_family cut detunes
+DETUNED_COUPLING = {"transverse": "Jz", "gtsh": "Jz", "glsh": "Jx"}
 
 
 @dataclass(frozen=True)
 class XYZCouplings:
-    """Diagonal exchange couplings, with optional detunings dJx, dJz.
+    """Diagonal exchange couplings (Jx, Jy, Jz).
 
-    The parent convention is Jy = 1 with 0 <= Jz <= Jx <= 1; the detunings
-    model the perturbed Hamiltonians used in the stability analysis and add
-    onto Jx and Jz in :meth:`totals`.
+    The parent convention is Jy = 1 with 0 <= Jz <= Jx <= 1; :meth:`detuned`
+    gives the perturbed couplings of the stability analysis.
     """
 
     Jx: float
     Jy: float
     Jz: float
-    dJx: float = 0.0
-    dJz: float = 0.0
-
-    def totals(self) -> tuple[float, float, float]:
-        return (self.Jx + self.dJx, self.Jy, self.Jz + self.dJz)
 
     def as_matrix(self) -> np.ndarray:
-        """3x3 diagonal coupling matrix including detunings."""
-        return np.diag(self.totals())
+        """3x3 diagonal coupling matrix."""
+        return np.diag((self.Jx, self.Jy, self.Jz))
 
     def detuned(self, dJx: float = 0.0, dJz: float = 0.0) -> "XYZCouplings":
-        return XYZCouplings(self.Jx, self.Jy, self.Jz, self.dJx + dJx, self.dJz + dJz)
+        """These couplings with dJx added onto Jx and dJz onto Jz."""
+        return XYZCouplings(self.Jx + dJx, self.Jy, self.Jz + dJz)
 
 
 def coupling_matrix(J) -> np.ndarray:
@@ -130,6 +127,29 @@ def parent_couplings(kappa: float, q: float) -> XYZCouplings:
         raise ValueError(f"q = {q} outside (0, K(kappa))")
     _, cn, dn = jacobi_sncndn(q, kappa)
     return XYZCouplings(Jx=dn, Jy=1.0, Jz=cn)
+
+
+def scar_family(kappa: float, gamma: float) -> str:
+    """The family's cut: transverse at kappa = 0, else gtsh (gamma 0) or glsh (gamma 1)."""
+    if kappa == 0.0:
+        return "transverse"
+    if gamma == 0.0:
+        return "gtsh"
+    if gamma == 1.0:
+        return "glsh"
+    raise ValueError(
+        "no closed-form classical trajectory for kappa > 0 unless "
+        f"gamma is 0 (gtsh) or 1 (glsh), got gamma = {gamma}"
+    )
+
+
+def scar_quench(p: ScarParams, delta: float) -> tuple[XYZCouplings, float]:
+    """Parent couplings of p with delta on its DETUNED_COUPLING, and the rate
+    the quenched scar precesses about z at: -2 S gamma delta for the
+    transverse helix, 0 for gtsh and glsh, which stay static solutions."""
+    family = scar_family(p.kappa, p.gamma)
+    J = parent_couplings(p.kappa, p.q).detuned(**{"d" + DETUNED_COUPLING[family]: delta})
+    return J, (-2.0 * p.S * p.gamma * delta if family == "transverse" else 0.0)
 
 
 def solve_kq(Jx: float, Jz: float) -> tuple[float, float]:

@@ -179,12 +179,12 @@ def test_08_quantum_classical_correspondence():
         rotframe.frame_transverse(math.pi / 4, math.pi / 3, 0.05, 24, dJz=0.03),
         rotframe.frame_transverse(math.pi / 3, math.pi / 5, 0.1, 20),
         rotframe.frame_transverse(2 * math.pi / 5, math.pi / 6, 0.3, 24, dJz=-0.04),
-        rotframe.frame_gtsh(0.9, K9 / 2, 16),
-        rotframe.frame_gtsh(0.5, complete_K(0.5) / 3, 12),
-        rotframe.frame_gtsh(0.9, K9 / 2, 13, dJz=0.02),
-        rotframe.frame_glsh(0.8, K8 / 3, 16, dJx=-0.02),
-        rotframe.frame_glsh(0.6, complete_K(0.6) / 2, 14, dJx=0.04),
-        rotframe.frame_glsh(0.3, complete_K(0.3) / 4, 12),
+        rotframe.scar_frame(scars.ScarParams(0.9, K9 / 2, 0.0, 16)),
+        rotframe.scar_frame(scars.ScarParams(0.5, complete_K(0.5) / 3, 0.0, 12)),
+        rotframe.scar_frame(scars.ScarParams(0.9, K9 / 2, 0.0, 13), 0.02),
+        rotframe.scar_frame(scars.ScarParams(0.8, K8 / 3, 1.0, 16), -0.02),
+        rotframe.scar_frame(scars.ScarParams(0.6, complete_K(0.6) / 2, 1.0, 14), 0.04),
+        rotframe.scar_frame(scars.ScarParams(0.3, complete_K(0.3) / 4, 1.0, 12)),
     ]
     for frame in frames:
         C = sw.build_linear_generator(sw.sw_coefficients(frame, 1.0))

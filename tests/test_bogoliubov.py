@@ -10,6 +10,7 @@ from scipy.optimize import linear_sum_assignment, minimize_scalar
 
 from xyzscar import bogoliubov as bg
 from xyzscar import elliptic, rotframe, spinwave as sw
+from xyzscar.scars import ScarParams
 
 
 Q, THETA = math.pi / 3, math.pi / 4
@@ -404,7 +405,7 @@ class TestMultiflavour:
         kappa, lam, M, S = 0.6, 5, 4, 1.0
         K = elliptic.complete_K(kappa)
         q = 4.0 * K / lam
-        frame = rotframe.frame_gtsh(kappa=kappa, q=q, L=lam * M, dJz=delta)
+        frame = rotframe.scar_frame(ScarParams(kappa=kappa, q=q, gamma=0.0, L=lam * M), delta)
         co = sw.sw_coefficients(frame, S)
         ring = np.linalg.eigvals(sw.build_linear_generator(co))
         blocks = []
@@ -572,8 +573,8 @@ class TestContrastMultiflavour:
         S = 1.0
         q = 4.0 * elliptic.complete_K(kappa) / lam
         series_k = bg.contrast_multiflavour(family, kappa, q, delta, S=S, T=20.0, n_samples=81)
-        maker = getattr(rotframe, f"frame_{family}")
-        frame = maker(kappa=kappa, q=q, L=lam * 20, **{kw: delta})
+        p = ScarParams(kappa=kappa, q=q, gamma=0.0 if family == "gtsh" else 1.0, L=lam * 20)
+        frame = rotframe.scar_frame(p, delta)  # which detunes the family's coupling kw
         series_r = sw.contrast_sw(sw.sw_coefficients(frame, S), S, T=20.0, n_samples=81)
         assert np.abs(series_k.D - series_r.D).max() < 1e-3
 

@@ -6,7 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from xyzscar import cli
+from xyzscar import cli, rotframe, spinwave
+from xyzscar.elliptic import complete_K
+from xyzscar.scars import helix_texture, parent_couplings
 
 
 def run(argv, tmp_path=None):
@@ -142,7 +144,7 @@ class TestScarVerify:
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "exceeds cap" in out
+        assert "exceeds the cap" in out
 
 
 class TestRates:
@@ -328,23 +330,89 @@ class TestContrastSw:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "family_args, flag",
+        "family_args, flag, value",
         [
-            (["--family", "glsh", "--kappa", "0.8", "--M", "2", "--L", "14"], "--dJz"),
-            (["--family", "gtsh", "--kappa", "0.9", "--M", "1", "--L", "12"], "--dJx"),
-            (["--family", "transverse", "--theta", "pi/4", "--q", "pi/3", "--L", "12"], "--dJx"),
+            (["--family", "glsh", "--kappa", "0.8", "--M", "2", "--L", "14"], "--dJz", "0.05"),
+            (["--family", "gtsh", "--kappa", "0.9", "--M", "1", "--L", "12"], "--dJx", "0.05"),
+            (["--family", "transverse", "--theta", "pi/4", "--q", "pi/3", "--L", "12"], "--dJx",
+             "0.05"),
+            (["--family", "transverse", "--theta", "pi/4", "--q", "pi/3", "--L", "12"], "--kappa",
+             "nan"),
+            (["--family", "transverse", "--theta", "pi/4", "--q", "pi/3", "--L", "12"], "--M", "3"),
+            (["--family", "gtsh", "--kappa", "0.9", "--M", "1", "--L", "12"], "--theta", "pi/4"),
+            (["--family", "glsh", "--kappa", "0.8", "--M", "2", "--L", "14"], "--q", "0.5"),
         ],
-        ids=["glsh_dJz", "gtsh_dJx", "transverse_dJx"],
+        ids=["glsh_dJz", "gtsh_dJx", "transverse_dJx", "transverse_kappa", "transverse_M",
+             "gtsh_theta", "glsh_q"],
     )
-    def test_foreign_detuning_is_usage_error(self, tmp_path, capsys, family_args, flag):
-        """A detuning the family's frame does not take must not be dropped silently."""
+    def test_foreign_detuning_is_usage_error(self, tmp_path, capsys, family_args, flag, value):
+        """A detuning or geometry flag the family does not read must not be
+        dropped silently: exit 2 with one line that names it."""
         code = run(
-            ["contrast-sw", *family_args, flag, "0.05", "--T", "1", "--n-samples", "3"],
+            ["contrast-sw", *family_args, flag, value, "--T", "1", "--n-samples", "3"],
             tmp_path,
         )
         assert code == 2
-        assert f"takes no {flag}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert f"takes no {flag}" in err
         assert not (tmp_path / "contrast_sw.csv").exists()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--q", "2pi/3"], "outside the principal branch"),
+            (["--theta", "3pi/4"], "gamma must lie in [0, 1]"),
+            (["--S", "0.7"], "2S must be a positive integer"),
+        ],
+        ids=["q_past_pi_2", "theta_past_pi_2", "S_not_half_integer"],
+    )
+    def test_outside_scar_domain_is_numeric_error(self, tmp_path, capsys, extra, message):
+        """contrast-sw takes ScarParams' domain, as every scar subcommand does;
+        each case maps onto one inside it (see CHANGES.md)."""
+        argv = _with_flag(
+            ["contrast-sw", "--family", "transverse", "--theta", "pi/4", "--q", "pi/3",
+             "--L", "12", "--dJz", "0.02", "--T", "1", "--n-samples", "3"], *extra
+        )
+        assert run(argv, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "contrast_sw.csv").exists()
+
+    @pytest.mark.parametrize("family", ["transverse", "gtsh", "glsh"])
+    def test_csv_is_the_reference_frame_series(self, tmp_path, family):
+        """One path for every family: the CSV equals, byte for byte, what
+        ContrastSeries.save_csv writes from the family's own frame, built as
+        frame_transverse and the deleted gtsh/glsh frames built it."""
+        S, T, n_samples, theta = 1.0, 4.0, 21, None
+        if family == "transverse":
+            theta, q, L, dJz = math.pi / 4, math.pi / 3, 24, -0.03
+            argv = ["--theta", "pi/4", "--q", "pi/3", "--L", "24", "--dJz", "-0.03"]
+            omega = -2.0 * S * math.cos(theta) * dJz
+            frame = rotframe.frame_transverse(theta, q, omega, L, dJz=dJz)
+        else:
+            kappa, M, L, gamma = (0.9, 1, 12, 0.0) if family == "gtsh" else (0.8, 2, 14, 1.0)
+            flag, delta = ("--dJz", 0.02) if family == "gtsh" else ("--dJx", -0.02)
+            argv = ["--kappa", str(kappa), "--M", str(M), "--L", str(L), flag, str(delta)]
+            q = 4.0 * M * complete_K(kappa) / L
+            parent = parent_couplings(kappa, q)
+            J = parent.detuned(dJz=delta) if family == "gtsh" else parent.detuned(dJx=delta)
+            axis = (0.0, 0.0, -1.0) if family == "gtsh" else (1.0, 0.0, 0.0)
+            texture = helix_texture(kappa, gamma, q * np.arange(L))
+            frame = rotframe._axis_frame(texture, J.as_matrix(), axis)
+        argv = ["contrast-sw", "--family", family, *argv, "--T", str(T), "--n-samples",
+                str(n_samples)]
+        assert run(argv, tmp_path / "cli") == 0
+        series = spinwave.contrast_sw(
+            spinwave.sw_coefficients(frame, S), S, T=T, n_samples=n_samples, theta=theta
+        )
+        series.save_csv(tmp_path / "reference.csv")
+        got = (tmp_path / "cli" / "contrast_sw.csv").read_bytes()
+        assert got == (tmp_path / "reference.csv").read_bytes()
+        sidecars = [json.loads(path.read_text()) for path in
+                    (tmp_path / "cli" / "contrast_sw.json", tmp_path / "reference.json")]
+        assert sidecars[0]["diagnostics"] == sidecars[1]["diagnostics"]
 
 
 class TestContrastEd:
@@ -514,6 +582,19 @@ class TestLlEvolve:
         err = capsys.readouterr().err
         assert err.startswith("error: T / dt = 1e+308 / 1e-10")
         assert err.count("\n") == 1
+
+    def test_step_budget_is_numeric_error(self, tmp_path, capsys):
+        """A finite but absurd T exits 1 at once instead of running for ever."""
+        code = run(
+            ["ll-evolve", "--kappa", "0.9", "--M", "1", "--L", "6",
+             "--gamma", "0", "--T", "1e12"],
+            tmp_path,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: T = 1e+12 at dt = 0.005 takes 2e+14 RK4 steps")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "ll_trajectory.csv").exists()
 
     def test_zero_max_samples_is_numeric_error(self, tmp_path, capsys):
         code = run(

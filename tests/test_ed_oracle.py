@@ -648,7 +648,7 @@ class TestContrastExact:
     )
     def test_static_families_flat_at_parent(self, kappa, gamma, family):
         p = scars.ScarParams.commensurate(kappa, 1, 6, gamma=gamma, S=0.5)
-        assert ed._family_of(p) == family
+        assert scars.scar_family(p.kappa, p.gamma) == family
         series = ed.contrast_exact(p, 0.0, T=5.0, n_samples=11)
         assert np.abs(series.D - 1.0).max() <= 1e-12
 

@@ -1,7 +1,6 @@
 """Landau-Lifshitz integration, traveling-wave residuals, Lyapunov estimates."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -143,7 +142,7 @@ class TestLLEvolve:
             q = 4.0 * 2 * K / 12
             params = scars.ScarParams(kappa=kappa, q=q, gamma=gamma, L=12, S=1.0)
             tex = scars.scar_texture(params)
-            J = replace(scars.parent_couplings(kappa, q), **detuning)
+            J = scars.parent_couplings(kappa, q).detuned(**detuning)
             traj = lc.ll_evolve(tex, J, 1.0, T=10.0)
             assert np.abs(traj.textures[-1] - tex).max() <= 1e-8
 
@@ -176,11 +175,26 @@ class TestLLEvolve:
             for value in (math.inf, math.nan):
                 with pytest.raises(ValueError, match=f"{span} must be positive and finite"):
                     lc.ll_evolve(up, J, 1.0, **{span: value})
-        for J_bad in ((math.inf, 1.0, 0.5), scars.XYZCouplings(1.0, 1.0, 0.5, dJz=math.nan)):
+        for J_bad in ((math.inf, 1.0, 0.5), scars.XYZCouplings(1.0, 1.0, 0.5).detuned(dJz=math.nan)):
             with pytest.raises(ValueError, match="couplings must be finite"):
                 lc.ll_evolve(up, J_bad, 1.0, T=1.0)
         with pytest.raises(ValueError, match="T / dt = 1e\\+308 / 1e-10 is not a finite"):
             lc.ll_evolve(up, J, 1.0, T=1e308, dt=1e-10)
+
+    def test_step_budget(self, monkeypatch):
+        """A run over MAX_STEPS raises, naming T, dt and the count, before its
+        first step; a run of exactly MAX_STEPS goes ahead."""
+        up = np.tile([0.0, 0.0, 1.0], (2, 1))
+        J = np.diag([0.0, 0.0, 1.0])
+        calls = count_rk4_steps(monkeypatch)
+        with pytest.raises(ValueError, match=r"T = 1e\+12 at dt = 0.005 takes 2e\+14 RK4 steps"):
+            lc.ll_evolve(up, J, 1.0, T=1e12)
+        monkeypatch.setattr(lc, "MAX_STEPS", 100)
+        with pytest.raises(ValueError, match="takes 101 RK4 steps, over 1e\\+02"):
+            lc.ll_evolve(up, J, 1.0, T=1.01, dt=0.01)
+        assert not calls
+        lc.ll_evolve(up, J, 1.0, T=1.0, dt=0.01)
+        assert len(calls) == 100
 
     def test_dt_is_an_upper_bound(self):
         """dt = 0.8 over T = 1 takes two steps of 0.5, not one of 1.0."""
@@ -289,7 +303,7 @@ class TestTravelingWaveResiduals:
         assert max(r1.max(), r2.max(), r3.max()) > 1e-3
         params = scars.ScarParams(kappa=kappa, q=q, gamma=gamma, L=12, S=1.0)
         tex = scars.scar_texture(params)
-        J = replace(scars.parent_couplings(kappa, q), dJz=dJz)
+        J = scars.parent_couplings(kappa, q).detuned(dJz=dJz)
         traj = lc.ll_evolve(tex, J, 1.0, T=2.0)
         assert np.abs(traj.textures[-1] - tex).max() > 1e-3
 
@@ -445,6 +459,20 @@ class TestClassicalLyapunov:
         J = scars.XYZCouplings(1.0, 1.0, 0.5)
         with pytest.raises(ValueError, match=match):
             lc.classical_lyapunov(texture, J, **{"S": 1.0, "T": 4.0, **kwargs})
+
+    def test_step_budget(self, monkeypatch):
+        """All blocks' steps together count against MAX_STEPS, checked before
+        the first step."""
+        J = scars.XYZCouplings(1.0, 1.0, 0.5)
+        calls = count_rk4_steps(monkeypatch)
+        with pytest.raises(ValueError, match=r"T = 1e\+12 at dt = 0.05 takes 2e\+13 RK4 steps"):
+            lc.classical_lyapunov(self.HELIX, J, 1.0, T=1e12)
+        monkeypatch.setattr(lc, "MAX_STEPS", 80)
+        with pytest.raises(ValueError, match="takes 100 RK4 steps, over 8e\\+01"):
+            lc.classical_lyapunov(self.HELIX, J, 1.0, T=5.0)
+        assert not calls
+        lc.classical_lyapunov(self.HELIX, J, 1.0, T=4.0)
+        assert len(calls) == 4 * 20
 
     def test_growth_curve_is_recorded(self):
         helix = transverse_helix(np.pi / 4, np.pi / 3, 12)

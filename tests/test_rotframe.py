@@ -8,14 +8,26 @@ import pytest
 from xyzscar.elliptic import complete_K, jacobi_sncndn
 from xyzscar.rotframe import (
     FrameData,
+    _axis_frame,
     _bond_couplings,
-    frame_glsh,
-    frame_gtsh,
     frame_transverse,
     frames_from_texture,
+    scar_frame,
     stationarity_residual,
 )
-from xyzscar.scars import ScarParams, commensurate_q, parent_couplings, scar_texture
+from xyzscar.scars import (
+    ScarParams,
+    commensurate_q,
+    helix_texture,
+    parent_couplings,
+    scar_family,
+    scar_texture,
+)
+
+
+def elliptic_frame(kappa, q, gamma, L, delta=0.0):
+    """scar_frame of gtsh (gamma = 0) or glsh (gamma = 1) at S = 1."""
+    return scar_frame(ScarParams(kappa=kappa, q=q, gamma=gamma, L=L), delta)
 
 
 def assert_frame_wellformed(frame: FrameData):
@@ -28,8 +40,8 @@ def assert_frame_wellformed(frame: FrameData):
 def all_frames_for(kappa, q, L, theta=np.pi / 4):
     yield frame_transverse(theta, q, 0.0, L)
     if 0.0 < kappa < 1.0:
-        yield frame_gtsh(kappa, q, L)
-        yield frame_glsh(kappa, q, L)
+        yield elliptic_frame(kappa, q, 0.0, L)
+        yield elliptic_frame(kappa, q, 1.0, L)
 
 
 def _rotation_z(phis):
@@ -87,10 +99,27 @@ def reference_frame_glsh(kappa, q, L, dJx=0.0):
     return FrameData(R=R, JR=_bond_couplings(R, J), hR=np.zeros((L, 3)))
 
 
+def axis_frame_gtsh(kappa, q, L, dJz=0.0):
+    """The gtsh frame as its own function built it before scar_frame."""
+    J = parent_couplings(kappa, q).detuned(dJz=dJz).as_matrix()
+    return _axis_frame(helix_texture(kappa, 0.0, q * np.arange(L)), J, (0.0, 0.0, -1.0))
+
+
+def axis_frame_glsh(kappa, q, L, dJx=0.0):
+    """The glsh frame as its own function built it before scar_frame."""
+    J = parent_couplings(kappa, q).detuned(dJx=dJx).as_matrix()
+    return _axis_frame(helix_texture(kappa, 1.0, q * np.arange(L)), J, (1.0, 0.0, 0.0))
+
+
 def assert_frames_match(frame, ref):
     np.testing.assert_allclose(frame.R, ref.R, rtol=0, atol=1e-15)
     np.testing.assert_allclose(frame.JR, ref.JR, rtol=0, atol=1e-14)
     np.testing.assert_allclose(frame.hR, ref.hR, rtol=0, atol=1e-14)
+
+
+def assert_frames_equal(frame, ref):
+    for name in ("R", "JR", "hR"):
+        assert np.array_equal(getattr(frame, name), getattr(ref, name)), name
 
 
 class TestAxisGauge:
@@ -119,11 +148,61 @@ class TestAxisGauge:
         L = 40
         q = commensurate_q(kappa, L)[1][1]
         assert_frames_match(
-            frame_gtsh(kappa, q, L, dJz=delta), reference_frame_gtsh(kappa, q, L, dJz=delta)
+            elliptic_frame(kappa, q, 0.0, L, delta), reference_frame_gtsh(kappa, q, L, dJz=delta)
         )
         assert_frames_match(
-            frame_glsh(kappa, q, L, dJx=delta), reference_frame_glsh(kappa, q, L, dJx=delta)
+            elliptic_frame(kappa, q, 1.0, L, delta), reference_frame_glsh(kappa, q, L, dJx=delta)
         )
+
+
+class TestScarFrame:
+    """scar_frame is the one frame of a quenched scar; it reproduces every
+    family's earlier frame bit for bit."""
+
+    @pytest.mark.parametrize("delta", [-0.05, 0.0, 0.02, 0.05])
+    @pytest.mark.parametrize("kappa", [1e-6, 0.3, 0.5, 0.8, 0.9, 0.96])
+    @pytest.mark.parametrize("L, winding", [(12, 0), (13, None), (40, 1)])
+    def test_elliptic_families_bitwise(self, kappa, delta, L, winding):
+        q = complete_K(kappa) / 3 if winding is None else commensurate_q(kappa, L)[winding][1]
+        gtsh, glsh = (elliptic_frame(kappa, q, gamma, L, delta) for gamma in (0.0, 1.0))
+        assert_frames_equal(gtsh, axis_frame_gtsh(kappa, q, L, delta))
+        assert_frames_equal(glsh, axis_frame_glsh(kappa, q, L, delta))
+
+    @pytest.mark.parametrize("delta", [-0.04, 0.0, 0.03])
+    @pytest.mark.parametrize("S", [0.5, 1.0, 2.5])
+    @pytest.mark.parametrize(
+        "theta, q", [(np.pi / 4, np.pi / 3), (0.3, 0.4), (1.2, 1.1), (np.pi / 2, 0.7)]
+    )
+    def test_transverse_is_frame_transverse_at_its_rate(self, theta, q, S, delta):
+        p = ScarParams(kappa=0.0, q=q, gamma=math.cos(theta), L=24, S=S)
+        omega = -2.0 * S * math.cos(theta) * delta
+        assert_frames_equal(scar_frame(p, delta), frame_transverse(theta, q, omega, 24, dJz=delta))
+
+    @pytest.mark.parametrize("kappa, gamma", [(0.0, 0.7), (0.0, 0.0), (0.9, 0.0), (0.8, 1.0)])
+    @pytest.mark.parametrize("delta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_precession_rejected_before_hR(self, kappa, gamma, delta):
+        """A non-finite delta at kappa = 0 raises before omega * R forms hR
+        (inf times the texture's zeros would warn); at kappa > 0 the rate is
+        0 and the non-finite coupling reaches JR, where sw_coefficients
+        names it."""
+        p = ScarParams(kappa=kappa, q=0.5, gamma=gamma, L=8)
+        if kappa == 0.0:
+            with pytest.raises(ValueError, match="detuning delta must be finite"):
+                scar_frame(p, delta)
+        else:
+            frame = scar_frame(p, delta)
+            assert not np.isfinite(frame.JR).all()
+            assert np.array_equal(frame.hR, np.zeros((8, 3)))
+
+    def test_texture_on_the_gauge_axis_rejected(self):
+        """kappa = 0, gamma = 1 is the uniform z state: it lies on the -zhat
+        gauge axis, and the frame refuses it instead of dividing by zero."""
+        with pytest.raises(ValueError, match="axis gauge undefined"):
+            scar_frame(ScarParams(kappa=0.0, q=0.5, gamma=1.0, L=6), 0.02)
+
+    def test_generic_gamma_has_no_frame(self):
+        with pytest.raises(ValueError, match="no closed-form classical trajectory"):
+            scar_frame(ScarParams(kappa=0.5, q=0.5, gamma=0.4, L=6))
 
 
 class TestFrameGeometry:
@@ -132,12 +211,12 @@ class TestFrameGeometry:
         for frame in all_frames_for(kappa, q, L):
             assert_frame_wellformed(frame)
 
-    @pytest.mark.parametrize("gamma,build", [(0.0, frame_gtsh), (1.0, frame_glsh)])
-    def test_axis_reproduces_texture(self, gamma, build):
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_axis_reproduces_texture(self, gamma):
         kappa, L = 0.8, 7
         q = commensurate_q(kappa, L)[0][1]
         tex = scar_texture(ScarParams(kappa=kappa, q=q, gamma=gamma, L=L))
-        frame = build(kappa, q, L)
+        frame = elliptic_frame(kappa, q, gamma, L)
         np.testing.assert_allclose(frame.R[:, :, 2], tex, atol=1e-12)
 
     def test_transverse_axis(self):
@@ -205,8 +284,8 @@ class TestTransverseFrame:
 
 
 class TestEllipticFrames:
-    @pytest.mark.parametrize("build,slot", [(frame_gtsh, "Jz"), (frame_glsh, "Jx")])
-    def test_closed_form_couplings(self, build, slot):
+    @pytest.mark.parametrize("gamma,slot", [(0.0, "Jz"), (1.0, "Jx")])
+    def test_closed_form_couplings(self, gamma, slot):
         kappa, L = 0.9, 12
         q = commensurate_q(kappa, L)[0][1]
         j = np.arange(L)
@@ -228,7 +307,7 @@ class TestEllipticFrames:
             expected[:, 1, 1] = dnq
             expected[:, 1, 2] = kappa * snq * cnj
             expected[:, 2, 1] = -kappa * snq * cnj1
-        frame = build(kappa, q, L)
+        frame = elliptic_frame(kappa, q, gamma, L)
         np.testing.assert_allclose(frame.JR, expected, atol=1e-10)
         np.testing.assert_allclose(frame.hR, 0.0, atol=0)
 
@@ -236,7 +315,7 @@ class TestEllipticFrames:
         # at sites where sn(qj) = 0 the zz entry reduces to Jy cn(q) dn(q)
         kappa, L = 0.7, 8
         q = commensurate_q(kappa, L)[0][1]
-        frame = frame_gtsh(kappa, q, L)
+        frame = elliptic_frame(kappa, q, 0.0, L)
         _, cnq, dnq = jacobi_sncndn(q, kappa)
         assert frame.JR[0, 2, 2] == pytest.approx(cnq * dnq, abs=1e-12)
         # sn(q L/2) = sn(2K) = 0 as well
@@ -246,7 +325,7 @@ class TestEllipticFrames:
         kappa, L = 0.6, 10
         q = commensurate_q(kappa, L)[0][1]
         dJx = 0.02
-        frame = frame_glsh(kappa, q, L, dJx=dJx)
+        frame = elliptic_frame(kappa, q, 1.0, L, dJx)
         dnq = jacobi_sncndn(q, kappa)[2]
         np.testing.assert_allclose(frame.JR[:, 0, 0], dnq + dJx, atol=1e-12)
 
@@ -254,27 +333,30 @@ class TestEllipticFrames:
         kappa, L = 0.9, 6
         q = commensurate_q(kappa, L)[0][1]
         dJz = 0.05
-        plain = frame_gtsh(kappa, q, L)
-        detuned = frame_gtsh(kappa, q, L, dJz=dJz)
+        plain = elliptic_frame(kappa, q, 0.0, L)
+        detuned = elliptic_frame(kappa, q, 0.0, L, dJz)
         diff = detuned.JR - plain.JR
         np.testing.assert_allclose(diff[:, 0, 0], dJz, atol=1e-13)
         diff[:, 0, 0] = 0.0
         np.testing.assert_allclose(diff, 0.0, atol=1e-13)
 
     def test_domain(self):
+        # gtsh at kappa = 0 is the transverse helix at theta = pi/2; it
+        # differs from frame_transverse(pi/2) only by cos(pi/2) = 6.1e-17
+        assert scar_family(0.0, 0.0) == "transverse"
+        equator = frame_transverse(np.pi / 2, 0.5, 0.0, 6)
+        assert_frames_match(elliptic_frame(0.0, 0.5, 0.0, 6), equator)
         with pytest.raises(ValueError):
-            frame_gtsh(0.0, 0.5, 6)
+            elliptic_frame(1.0, 0.5, 1.0, 6)
         with pytest.raises(ValueError):
-            frame_glsh(1.0, 0.5, 6)
-        with pytest.raises(ValueError):
-            frame_gtsh(0.5, complete_K(0.5), 6)
+            elliptic_frame(0.5, complete_K(0.5), 0.0, 6)
 
     def test_family_overlap_at_equator(self):
         # gtsh at kappa -> 0 degenerates to the equatorial transverse helix
         # in the same gauge, so the rotated couplings must agree.
         q, L = 0.7, 9
         kappa = 1e-6
-        a = frame_gtsh(kappa, q, L)
+        a = elliptic_frame(kappa, q, 0.0, L)
         b = frame_transverse(np.pi / 2, q, 0.0, L)
         np.testing.assert_allclose(a.JR, b.JR, atol=1e-8)
         np.testing.assert_allclose(a.R, b.R, atol=1e-8)
@@ -310,7 +392,7 @@ class TestStationarity:
     def test_scar_families_are_static(self):
         kappa, L = 0.8, 14
         q = commensurate_q(kappa, L)[0][1]
-        for frame in (frame_gtsh(kappa, q, L), frame_glsh(kappa, q, L)):
+        for frame in (elliptic_frame(kappa, q, 0.0, L), elliptic_frame(kappa, q, 1.0, L)):
             residual, _ = stationarity_residual(frame, 1.0)
             assert residual.max() <= 1e-10
 

@@ -18,6 +18,8 @@ from xyzscar.scars import (
     gz_condition_residuals,
     helix_texture,
     parent_couplings,
+    scar_family,
+    scar_quench,
     scar_texture,
     solve_kq,
     texture_energy,
@@ -290,15 +292,18 @@ class TestCommensurate:
 
 class TestCouplings:
     def test_totals_and_matrix(self):
-        J = XYZCouplings(Jx=0.9, Jy=1.0, Jz=0.8, dJx=0.01, dJz=-0.02)
-        assert J.totals() == (0.91, 1.0, 0.78)
-        np.testing.assert_allclose(J.as_matrix(), np.diag([0.91, 1.0, 0.78]))
+        """detuned stores the couplings it means: Jx + dJx and Jz + dJz, bit
+        for bit, and as_matrix is their diagonal."""
+        J = XYZCouplings(Jx=0.9, Jy=1.0, Jz=0.8).detuned(dJx=0.01, dJz=-0.02)
+        assert (J.Jx, J.Jy, J.Jz) == (0.9 + 0.01, 1.0, 0.8 - 0.02)
+        np.testing.assert_array_equal(J.as_matrix(), np.diag([0.9 + 0.01, 1.0, 0.8 - 0.02]))
 
     def test_detuned_accumulates(self):
         J = XYZCouplings(Jx=0.9, Jy=1.0, Jz=0.8)
         J2 = J.detuned(dJz=0.03).detuned(dJz=0.01, dJx=-0.005)
-        assert J2.dJz == pytest.approx(0.04)
-        assert J2.dJx == pytest.approx(-0.005)
+        assert J2.Jz == pytest.approx(0.84)
+        assert J2.Jx == pytest.approx(0.895)
+        assert J2.Jy == 1.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_coupling_matrix_rejects_non_finite(self, bad):
@@ -306,7 +311,7 @@ class TestCouplings:
         full[0, 1] = bad
         for J in (
             XYZCouplings(Jx=bad, Jy=1.0, Jz=0.5),
-            XYZCouplings(Jx=0.9, Jy=1.0, Jz=0.5, dJz=bad),
+            XYZCouplings(Jx=0.9, Jy=1.0, Jz=0.5).detuned(dJz=bad),
             (0.9, bad, 0.5),
             full,
         ):
@@ -317,3 +322,33 @@ class TestCouplings:
     def test_check_spin_length(self, S):
         with pytest.raises(ValueError, match="spin length S must be positive and finite"):
             check_spin_length(S)
+
+
+class TestScarFamily:
+    """The family rules: which cut a (kappa, gamma) is, which coupling its
+    detuning moves and how fast the quenched scar precesses."""
+
+    @pytest.mark.parametrize(
+        "kappa,gamma,family",
+        [(0.0, 0.7, "transverse"), (0.0, 0.0, "transverse"), (0.0, 1.0, "transverse"),
+         (0.5, 0.0, "gtsh"), (0.8, 1.0, "glsh"), (1e-6, 1.0, "glsh")],
+    )
+    def test_family_of_kappa_and_gamma(self, kappa, gamma, family):
+        assert scar_family(kappa, gamma) == family
+
+    @pytest.mark.parametrize("gamma", [0.4, 1e-12, 1.0 - 1e-12])
+    def test_generic_gamma_has_no_closed_form(self, gamma):
+        with pytest.raises(ValueError, match=f"got gamma = {gamma}"):
+            scar_family(0.5, gamma)
+
+    @pytest.mark.parametrize(
+        "kappa,gamma,S,coupling",
+        [(0.0, 0.6, 1.5, "Jz"), (0.7, 0.0, 1.0, "Jz"), (0.7, 1.0, 0.5, "Jx")],
+    )
+    def test_quench_detunes_one_coupling(self, kappa, gamma, S, coupling):
+        p = ScarParams(kappa=kappa, q=0.4, gamma=gamma, L=8, S=S)
+        parent = parent_couplings(kappa, 0.4)
+        J, omega = scar_quench(p, 0.03)
+        moved = {"Jx": parent.detuned(dJx=0.03), "Jz": parent.detuned(dJz=0.03)}[coupling]
+        assert J == moved
+        assert omega == (-2.0 * S * gamma * 0.03 if kappa == 0.0 else 0.0)

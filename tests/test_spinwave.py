@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from xyzscar import elliptic, lattice_classical as lc, rotframe, spinwave as sw
+from xyzscar import elliptic, lattice_classical as lc, rotframe, scars, spinwave as sw
 from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
@@ -15,6 +15,11 @@ from scipy.optimize import linear_sum_assignment
 def co_rotating_transverse(theta, q, dJz, L, S):
     omega = -2.0 * S * math.cos(theta) * dJz
     return rotframe.frame_transverse(theta=theta, q=q, omega=omega, L=L, dJz=dJz)
+
+
+def elliptic_frame(kappa, q, gamma, L, delta=0.0):
+    """scar_frame of gtsh (gamma = 0) or glsh (gamma = 1) at S = 1."""
+    return rotframe.scar_frame(scars.ScarParams(kappa=kappa, q=q, gamma=gamma, L=L), delta)
 
 
 def eig_multiset_distance(a, b):
@@ -40,10 +45,10 @@ class TestSWCoefficients:
 
     @pytest.mark.parametrize("family,kw", [("gtsh", "dJz"), ("glsh", "dJx")])
     def test_parent_pairing_vanishes(self, family, kw):
+        """At zero detuning of the family's coupling kw."""
         kappa = 0.7
         q = elliptic.complete_K(kappa) / 2.0
-        maker = getattr(rotframe, f"frame_{family}")
-        frame = maker(kappa=kappa, q=q, L=16, **{kw: 0.0})
+        frame = elliptic_frame(kappa, q, 0.0 if family == "gtsh" else 1.0, 16)
         co = sw.sw_coefficients(frame, 1.0)
         assert np.abs(co.zeta).max() < 1e-15
 
@@ -52,14 +57,14 @@ class TestSWCoefficients:
         S = 1.0
         for frame in [
             co_rotating_transverse(math.pi / 4, math.pi / 3, 0.03, 10, S),
-            rotframe.frame_gtsh(kappa=0.9, q=elliptic.complete_K(0.9) / 2, L=12, dJz=0.05),
+            elliptic_frame(0.9, elliptic.complete_K(0.9) / 2, 0.0, 12, 0.05),
         ]:
             co = sw.sw_coefficients(frame, S)
             _, omega = rotframe.stationarity_residual(frame, S)
             np.testing.assert_allclose(co.V, -omega, atol=1e-13)
 
     def test_linear_in_spin_length(self):
-        frame = rotframe.frame_glsh(kappa=0.5, q=elliptic.complete_K(0.5) / 2, L=8, dJx=0.02)
+        frame = elliptic_frame(0.5, elliptic.complete_K(0.5) / 2, 1.0, 8, 0.02)
         one = sw.sw_coefficients(frame, 1.0)
         three = sw.sw_coefficients(frame, 3.0)
         np.testing.assert_allclose(three.eta, 3.0 * one.eta, rtol=1e-15)
@@ -81,7 +86,7 @@ class TestSWCoefficients:
     @pytest.mark.parametrize("S", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_spin_length(self, S):
         """The same message as contrast_sw, and no overflow warning first."""
-        frame = rotframe.frame_glsh(kappa=0.5, q=elliptic.complete_K(0.5) / 2, L=8, dJx=0.02)
+        frame = elliptic_frame(0.5, elliptic.complete_K(0.5) / 2, 1.0, 8, 0.02)
         with pytest.raises(ValueError, match="spin length S must be positive and finite"):
             sw.sw_coefficients(frame, S)
 
@@ -129,8 +134,8 @@ class TestLinearGenerator:
         "frame,S",
         [
             (co_rotating_transverse(math.pi / 4, math.pi / 3, 0.03, 12, 1.0), 1.0),
-            (rotframe.frame_gtsh(kappa=0.9, q=elliptic.complete_K(0.9) / 2, L=16, dJz=0.02), 1.0),
-            (rotframe.frame_glsh(kappa=0.8, q=elliptic.complete_K(0.8) / 2, L=16, dJx=-0.02), 0.5),
+            (elliptic_frame(0.9, elliptic.complete_K(0.9) / 2, 0.0, 16, 0.02), 1.0),
+            (elliptic_frame(0.8, elliptic.complete_K(0.8) / 2, 1.0, 16, -0.02), 0.5),
         ],
     )
     def test_similarity_with_classical_linearization(self, frame, S):
@@ -310,7 +315,7 @@ def reference_static_contrast(coeffs, S, T, n_samples):
 class TestContrastSW:
     def test_parent_state_keeps_full_contrast(self):
         # q = K/2 means an 8-site unit cell, so the ring must be a multiple of 8
-        frame = rotframe.frame_gtsh(kappa=0.6, q=elliptic.complete_K(0.6) / 2, L=16)
+        frame = elliptic_frame(0.6, elliptic.complete_K(0.6) / 2, 0.0, 16)
         co = sw.sw_coefficients(frame, 1.0)
         series = sw.contrast_sw(co, 1.0, T=10.0, n_samples=101)
         np.testing.assert_allclose(series.D, 1.0, atol=1e-12)
@@ -340,7 +345,7 @@ class TestContrastSW:
         1 - D grows far past 1."""
         if family == "glsh":
             q = 4.0 * elliptic.complete_K(0.8) / 7
-            frame = rotframe.frame_glsh(kappa=0.8, q=q, L=L, dJx=detuning)
+            frame = elliptic_frame(0.8, q, 1.0, L, detuning)
         else:
             frame = co_rotating_transverse(math.pi / 4, math.pi / 3, detuning, L, S)
         co = sw.sw_coefficients(frame, S)
