@@ -281,15 +281,34 @@ def write_csv(path, header, columns) -> None:
     Lines end in LF and each value is written as str() of the Python scalar,
     which for floats is the shortest repr that round-trips every bit. Rows
     are formatted in chunks of _CSV_CHUNK_ROWS to bound the memory held by
-    Python scalars on long tables.
+    Python scalars on long tables, one column at a time and one write per
+    chunk. Within a chunk each distinct value of a numeric column is
+    formatted once (_column_text), so repeated times, site indices and
+    static texture components cost a gather, not a repr.
     """
     columns = [np.asarray(col) for col in columns]
     n_rows = len(columns[0])
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n_rows, _CSV_CHUNK_ROWS):
-            chunk = [col[start : start + _CSV_CHUNK_ROWS].tolist() for col in columns]
-            fh.writelines(",".join(map(str, row)) + "\n" for row in zip(*chunk))
+            texts = [_column_text(col[start : start + _CSV_CHUNK_ROWS]) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+
+
+def _column_text(col: np.ndarray) -> list[str]:
+    """str() of each entry of a 1-D column, formatting each distinct value once.
+
+    Numeric values are keyed by their bit pattern, not by ==, so -0.0 and
+    0.0 keep their own text and NaNs, unequal to everything, still group;
+    the unique keys viewed back as col's dtype are exactly the values to
+    format. Other dtypes (strings, objects, complex, long double) format
+    every entry.
+    """
+    if col.dtype.kind not in "biuf" or col.dtype.itemsize > 8:
+        return list(map(str, col.tolist()))
+    keys, inverse = np.unique(col.view(f"u{col.dtype.itemsize}"), return_inverse=True)
+    texts = np.array(list(map(str, keys.view(col.dtype).tolist())), dtype=object)
+    return texts[inverse].tolist()
 
 
 def write_sidecar(csv_path, kind: str, params: dict | None = None, **fields) -> None:

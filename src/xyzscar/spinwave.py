@@ -168,6 +168,11 @@ def _check_symplectic(E: np.ndarray, h: float) -> float:
 
     Omega = [[0, 1], [-1, 0]]; in quadratures this is the pseudo-unitarity
     condition, with its tolerance and message. Raises RuntimeError past it.
+    The message names the largest ||E||_F and the defect relative to its
+    square: rounding alone leaves up to about 2m eps ||E||_F^2 in E^T Omega E,
+    so a relative defect at that level, or an E that overflowed, means the
+    propagator has grown past what doubles resolve, which a shorter T avoids
+    and a smaller step cannot.
     """
     m = E.shape[-1] // 2
     omega_E = np.concatenate([E[..., m:, :], -E[..., :m, :]], axis=-2)
@@ -175,9 +180,18 @@ def _check_symplectic(E: np.ndarray, h: float) -> float:
     err = np.abs(np.swapaxes(E, -1, -2) @ omega_E - omega).max()
     # written so that a NaN defect fails too
     if not err <= PSEUDO_UNITARITY_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm_sq = np.square(E).sum(axis=(-2, -1)).max()
+            relative = err / norm_sq
+        advice = (
+            "the growth exceeds double precision, so shorten T"
+            if not norm_sq < math.inf or relative <= 2 * m * np.finfo(float).eps
+            else f"reduce the step (currently {h:.2e})"
+        )
         raise RuntimeError(
             f"propagator lost pseudo-unitarity (err {err:.2e} > "
-            f"{PSEUDO_UNITARITY_TOL:.0e}); reduce the step (currently {h:.2e})"
+            f"{PSEUDO_UNITARITY_TOL:.0e}, ||E||_F {math.sqrt(norm_sq):.2e}, "
+            f"err/||E||_F^2 {relative:.2e}); {advice}"
         )
     return float(err)
 

@@ -2,11 +2,12 @@ import csv
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from xyzscar import cli, rotframe, spinwave
+from xyzscar import cli, lattice_classical, rotframe, scars, spinwave
 from xyzscar.elliptic import complete_K
 from xyzscar.scars import helix_texture, parent_couplings
 
@@ -414,6 +415,28 @@ class TestContrastSw:
                     (tmp_path / "cli" / "contrast_sw.json", tmp_path / "reference.json")]
         assert sidecars[0]["diagnostics"] == sidecars[1]["diagnostics"]
 
+    @pytest.mark.parametrize("dJz", ["0.03", "-0.03"])
+    def test_pseudo_unitarity_message_names_the_growth(self, tmp_path, capsys, dJz):
+        """At S = 1000 the unstable side's propagator outgrows double
+        precision within T = 1: the defect is rounding of ||E||_F^2, so the
+        one-line error advises a shorter T, not a smaller step. The stable
+        side passes."""
+        code = run(
+            ["contrast-sw", "--family", "transverse", "--theta", "pi/4", "--q", "pi/3",
+             "--L", "48", "--S", "1000", "--dJz", dJz, "--T", "1", "--n-samples", "11"],
+            tmp_path,
+        )
+        err = capsys.readouterr().err
+        if dJz == "-0.03":
+            assert code == 0 and err == ""
+            return
+        assert code == 1
+        assert err.count("\n") == 1
+        assert err.startswith("error: propagator lost pseudo-unitarity (err ")
+        assert "||E||_F 1.10e+06, err/||E||_F^2 " in err
+        assert err.endswith("; the growth exceeds double precision, so shorten T\n")
+        assert not (tmp_path / "contrast_sw.csv").exists()
+
 
 class TestContrastEd:
     def test_transverse_ring(self, tmp_path):
@@ -744,6 +767,39 @@ class TestArtifacts:
             ]
             assert floats, name
             assert all(field == repr(float(field)) for field in floats), name
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ll-evolve", "--kappa", "0.8", "--M", "1", "--L", "8", "--gamma", "1",
+             "--dJx", "0.05", "--T", "1"],
+            ["phase-scan", "--kappa", "0.8", "--lambda", "7", "--n-k", "100"],
+            ["rates", "--q", "pi/3", "--theta", "pi/4", "--dJz", "0.03"],
+            ["rates", "--q", "pi/3", "--theta", "pi/4", "--dJz", "-0.03"],
+            ["dispersion", "--q", "pi/3", "--theta", "pi/4", "--dJz", "0.03", "--n-k", "64"],
+            ["contrast-sw", "--family", "glsh", "--kappa", "0.8", "--M", "1", "--L", "14",
+             "--dJx", "0.02", "--T", "2", "--n-samples", "9"],
+            ["contrast-ed", "--kappa", "0", "--M", "1", "--L", "6", "--S", "0.5",
+             "--theta", "pi/4", "--delta", "0.03", "--T", "2", "--n-samples", "5"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_csvs_match_row_wise_writer(self, tmp_path, monkeypatch, csv_oracle, argv):
+        """Each subcommand's CSVs equal, byte for byte, what the row-wise
+        writer makes of the same columns."""
+        tables = []
+
+        def recording_write_csv(path, header, columns):
+            tables.append((path, header, columns))
+            scars.write_csv(path, header, columns)
+
+        for module in (cli, spinwave, lattice_classical):
+            monkeypatch.setattr(module, "write_csv", recording_write_csv)
+        assert run(argv, tmp_path) == 0
+        assert tables
+        for n, (path, header, columns) in enumerate(tables):
+            csv_oracle(tmp_path / f"oracle_{n}.csv", header, columns)
+            assert (tmp_path / f"oracle_{n}.csv").read_bytes() == Path(path).read_bytes()
 
     def test_every_writer_leaves_a_sidecar(self, tmp_path):
         run(

@@ -12,6 +12,7 @@ import pytest
 from scipy import integrate, special
 
 from xyzscar.elliptic import (
+    _agm_chain,
     complete_E,
     complete_K,
     jacobi_am,
@@ -68,6 +69,30 @@ class TestCompleteIntegrals:
     def test_E_vs_scipy(self, kappa):
         ref = special.ellipe(kappa**2)
         assert abs(complete_E(kappa) - ref) <= 1e-13 * ref
+
+    def test_agm_chain_stops_at_convergence(self):
+        """The chain ends once c_n is within 2^-52 a_n: at most 8 entries up to
+        kappa = 1 - 1e-6 and 10 for any kappa < 1, never the iteration cap."""
+        grid = np.arange(2000) / 2000
+        near_one = np.append(1.0 - np.logspace(-6, -16, 41), np.nextafter(1.0, 0.0))
+        for kappa, longest in [(k, 8) for k in grid] + [(k, 10) for k in near_one]:
+            aa, _, cc = _agm_chain(float(kappa))
+            assert len(aa) <= longest, kappa
+            assert abs(cc[-1]) <= 2.0**-52 * aa[-1], kappa
+
+    def test_E_vs_scipy_on_a_fine_grid(self):
+        """No spurious c_n terms: E within a few ulps of ellipe on 2000 moduli."""
+        kappa = np.arange(2000) / 2000
+        ours = np.array([complete_E(float(k)) for k in kappa])
+        np.testing.assert_allclose(ours, special.ellipe(kappa**2), rtol=2e-15, atol=0)
+
+    def test_legendre_relation(self):
+        """E K' + E' K - K K' = pi/2, with K', E' at the complementary modulus."""
+        for kappa in np.arange(1, 1000) / 1000:
+            comp = np.sqrt((1.0 - kappa) * (1.0 + kappa))
+            K, E = complete_K(kappa), complete_E(kappa)
+            Kc, Ec = complete_K(comp), complete_E(comp)
+            assert abs(E * Kc + Ec * K - K * Kc - np.pi / 2) <= 1e-14, kappa
 
     @pytest.mark.parametrize("bad", [1.0, 1.5, -0.2, np.inf, np.nan])
     def test_K_domain(self, bad):

@@ -7,6 +7,7 @@ import pytest
 
 from xyzscar.elliptic import complete_K, jacobi_sncndn
 from xyzscar.scars import (
+    _CSV_CHUNK_ROWS,
     BROKEN_RESIDUAL_TOL,
     EXACT_RESIDUAL_TOL,
     ScarParams,
@@ -23,6 +24,7 @@ from xyzscar.scars import (
     scar_texture,
     solve_kq,
     texture_energy,
+    write_csv,
 )
 
 
@@ -352,3 +354,68 @@ class TestScarFamily:
         moved = {"Jx": parent.detuned(dJx=0.03), "Jz": parent.detuned(dJz=0.03)}[coupling]
         assert J == moved
         assert omega == (-2.0 * S * gamma * 0.03 if kappa == 0.0 else 0.0)
+
+
+EDGE_FLOATS = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e-300,
+               1e16, 1e-5, 0.1, -2.5, 1.0 / 3.0]
+
+
+class TestWriteCsv:
+    """write_csv gives the bytes of the row-wise writer it replaced."""
+
+    @staticmethod
+    def assert_same_bytes(tmp_path, oracle, header, columns):
+        write_csv(tmp_path / "new.csv", header, columns)
+        oracle(tmp_path / "old.csv", header, columns)
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        return new.decode()
+
+    def test_edge_floats(self, tmp_path, csv_oracle):
+        rng = np.random.default_rng(18)
+        values = np.array(EDGE_FLOATS)[rng.integers(len(EDGE_FLOATS), size=500)]
+        # a NaN with another payload is another key, and still prints nan
+        payload_nan = np.array([0x7FF8000000000001], dtype=np.uint64).view(float)
+        values = np.concatenate([values, payload_nan, -values])
+        text = self.assert_same_bytes(tmp_path, csv_oracle, ["x", "y"], [values, values[::-1]])
+        words = set(text.replace("\n", ",").split(",")[:-1])
+        assert {"-0.0", "0.0", "nan", "inf", "-inf", "5e-324", "1e-300", "1e+16", "1e-05"} <= words
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            np.arange(-40, 40).repeat(3),
+            np.array([0, 2**64 - 1, 2**63, 7] * 9, dtype=np.uint64),
+            np.array([-128, 0, 127] * 11, dtype=np.int8),
+            np.array([True, False, False] * 13),
+            np.array(EDGE_FLOATS * 3, dtype=np.float32),
+            np.array([-0.0, 0.0, np.nan, np.inf, 6e-8, 1e-5, 0.1, 65504.0] * 3, dtype=np.float16),
+            np.array(["U", "S", "ES", "U"] * 5),
+            np.array([1.5, None, "nan", 2] * 4, dtype=object),
+            np.array([1 + 2j, -0.0j, complex("nan+1j")] * 4),
+            np.array([0.1, -0.0, 1e-300] * 4, dtype=np.longdouble),
+        ],
+        ids=["int64", "uint64", "int8", "bool", "float32", "float16", "str", "object", "complex",
+             "longdouble"],
+    )
+    def test_column_dtypes(self, tmp_path, csv_oracle, column):
+        self.assert_same_bytes(tmp_path, csv_oracle, ["c", "n"], [column, np.arange(len(column))])
+
+    def test_strided_columns_and_lists(self, tmp_path, csv_oracle):
+        texture = np.random.default_rng(3).standard_normal((40, 3)).round(2)
+        columns = [list(range(40)), *texture.T, ["gapless"] * 40]
+        self.assert_same_bytes(tmp_path, csv_oracle, ["j", "Ox", "Oy", "Oz", "branch"], columns)
+
+    def test_empty_table(self, tmp_path, csv_oracle):
+        text = self.assert_same_bytes(tmp_path, csv_oracle, ["t", "D"], [np.empty(0), []])
+        assert text == "t,D\n"
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_chunk_boundaries(self, tmp_path, csv_oracle, extra):
+        n = 2 * _CSV_CHUNK_ROWS + extra
+        times = np.repeat(np.linspace(0.0, 20.0, n // 7 + 1), 7)[:n]
+        noise = np.random.default_rng(extra + 1).standard_normal(n)
+        text = self.assert_same_bytes(
+            tmp_path, csv_oracle, ["t", "j", "x"], [times, np.arange(n) % 7, noise]
+        )
+        assert text.count("\n") == n + 1

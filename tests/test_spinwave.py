@@ -295,6 +295,19 @@ class TestPropagator:
         with pytest.raises(RuntimeError, match="reduce the step"):
             sw._check_symplectic(1.1 * np.eye(6), 0.1)
 
+    def test_pseudo_unitarity_guard_names_rounding_growth(self):
+        """A symplectic squeeze of gain 1e5 has a defect of rounding alone,
+        relative to ||E||_F^2, yet above the tolerance: the message says so."""
+        def rotation(a):
+            return np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+
+        E = rotation(0.3) @ np.diag([1e5, 1e-5]) @ rotation(1.1)
+        with pytest.raises(RuntimeError, match=r"\|\|E\|\|_F 1.00e\+05, .*so shorten T$"):
+            sw._check_symplectic(E, 0.1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RuntimeError, match=r"\|\|E\|\|_F inf, .*so shorten T$"):
+                sw._check_symplectic(E * 1e300, 0.1)
+
     def test_static_contrast_checks_pseudo_unitarity(self, monkeypatch):
         """A corrupted sample-step exponential must not pass silently."""
         expm = sw.expm
