@@ -12,6 +12,7 @@ routes and demand agreement.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,9 @@ from .scars import check_spin_length, parent_couplings
 from .spinwave import ContrastSeries, _power_contrast
 
 STABILITY_THRESHOLD = 1e-6
+# lyapunov_max takes momenta in blocks of at most this many matrix elements
+# per stack (1 MiB of doubles): it bounds the temporaries of each scan thread
+_BLOCK_ELEMENTS = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -408,24 +412,38 @@ def _reflection_basis(lam: int) -> np.ndarray:
     return W
 
 
-def _reflection_bloch_pair(eta: float, zeta: float, V, k_grid) -> tuple[np.ndarray, np.ndarray]:
-    """Real R-(k), R+(k) = W_k^dagger (B_k -/+ A_k) W_k stacked over k_grid.
+def _reflection_operators(V) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """X = Sh + Sh^T, Y = i(Sh - Sh^T) and diag(V) in the basis W of
+    _reflection_basis, with Sh the cyclic shift of a len(V)-site cell.
 
-    For uniform real eta, zeta and a reflection-symmetric V (V_s = V_{-s}),
-    W_k = diag(e^{iks/lam}) W with W from _reflection_basis. The gauge spreads
-    the wrap phase over every bond, B_k +/- A_k = diag(V) +
-    (eta +/- zeta)[cos(k/lam) X + sin(k/lam) Y] with X = Sh + Sh^T,
-    Y = i(Sh - Sh^T) and Sh the cyclic shift, and W makes all three real.
+    All three are real there for a reflection-symmetric V (V_s = V_{-s}).
     """
     V = np.asarray(V, dtype=float)
     lam = len(V)
     W = _reflection_basis(lam)
+    # W^dagger in C order: with more than one BLAS thread, the transposed
+    # operand took OpenBLAS's zgemm up to 500x longer (32 ms at lam = 43) for
+    # the same bits
+    W_dag = np.ascontiguousarray(W.conj().T)
     shift = np.roll(np.eye(lam), 1, axis=1)
     X, Y, D = (
-        (W.conj().T @ M @ W).real
+        (W_dag @ M @ W).real
         for M in (shift + shift.T, 1j * (shift - shift.T), np.diag(V))
     )
-    theta = np.asarray(k_grid, dtype=float)[:, None, None] / lam
+    return X, Y, D
+
+
+def _reflection_bloch_pair(eta: float, zeta: float, operators, k_grid) -> tuple[np.ndarray, np.ndarray]:
+    """Real R-(k), R+(k) = W_k^dagger (B_k -/+ A_k) W_k stacked over k_grid.
+
+    For uniform real eta, zeta and a reflection-symmetric V,
+    W_k = diag(e^{iks/lam}) W with W from _reflection_basis. The gauge spreads
+    the wrap phase over every bond, so B_k +/- A_k = diag(V) +
+    (eta +/- zeta)[cos(k/lam) X + sin(k/lam) Y]; operators is
+    _reflection_operators(V) = (X, Y, diag(V)) in the basis W.
+    """
+    X, Y, D = operators
+    theta = np.asarray(k_grid, dtype=float)[:, None, None] / len(D)
     G = np.cos(theta) * X + np.sin(theta) * Y
     return D + (eta - zeta) * G, D + (eta + zeta) * G
 
@@ -452,7 +470,9 @@ def lyapunov_max(
     spectrum at k is then the union of the p-cell spectra at k/2 and
     k/2 + pi, and by conjugation symmetry the half zone maps onto p-cell
     momenta {k/2, pi - k/2}: the same points at a quarter of the flops.
-    Values at or below STABILITY_THRESHOLD * S count as stable.
+    The momenta go through eigvals in blocks of at most _BLOCK_ELEMENTS
+    matrix elements; eigvals treats each matrix alone, so the blocks change
+    no bit. Values at or below STABILITY_THRESHOLD * S count as stable.
     """
     if n_k < 2 or n_k % 2:
         raise ValueError(f"n_k must be even and >= 2, got {n_k}")
@@ -461,8 +481,14 @@ def lyapunov_max(
     if len(V) % 2 == 0:
         V = V[: len(V) // 2]
         k_cell = np.concatenate([k_cell / 2.0, math.pi - k_cell / 2.0])
-    Rm, Rp = _reflection_bloch_pair(eta[0].real, zeta[0].real, V, k_cell)
-    mu = np.linalg.eigvals(Rm @ Rp)
+    operators = _reflection_operators(V)
+    step = max(1, _BLOCK_ELEMENTS // len(V) ** 2)
+    mu = []
+    for start in range(0, len(k_cell), step):
+        ks = k_cell[start : start + step]
+        Rm, Rp = _reflection_bloch_pair(eta[0].real, zeta[0].real, operators, ks)
+        mu.append(np.linalg.eigvals(Rm @ Rp))
+    mu = np.concatenate(mu, axis=None)
     return float(np.abs(np.sqrt(mu.astype(complex)).imag).max())
 
 
@@ -499,29 +525,13 @@ def contrast_multiflavour(
     if len(V) % 2 == 0:
         V = V[: len(V) // 2]
         k_cell = np.concatenate([k_cell / 2.0, k_cell / 2.0 + math.pi])
-    Rm, Rp = _reflection_bloch_pair(eta[0].real, zeta[0].real, V, k_cell)
+    Rm, Rp = _reflection_bloch_pair(eta[0].real, zeta[0].real, _reflection_operators(V), k_cell)
     zero = np.zeros_like(Rm)
     generators = np.block([[zero, Rm], [-Rp, zero]])
     D, defect = _power_contrast(generators, times[1] - times[0], n_samples, S)
     return ContrastSeries(
         times=times, D=D, f=S * (1.0 - D), pseudo_unitarity_defect=defect
     )
-
-
-def _scan_cell(args) -> dict:
-    kappa, lam, delta, family, S, n_k = args
-    q = 4.0 * complete_K(kappa) / lam
-    thr = STABILITY_THRESHOLD * S
-    lm = lyapunov_max(family, kappa, q, -delta, S, n_k)
-    lp = lyapunov_max(family, kappa, q, +delta, S, n_k)
-    return {
-        "kappa": kappa,
-        "lambda": int(lam),
-        "q": q,
-        "class": f"{'U' if lm > thr else 'S'}-{'U' if lp > thr else 'S'}",
-        "lyap_minus": float(lm),
-        "lyap_plus": float(lp),
-    }
 
 
 def phase_scan(
@@ -537,17 +547,34 @@ def phase_scan(
 
     Each record holds the growth rates at -delta and +delta and the class
     string "{U|S}-{U|S}" (minus sign first), with U meaning the rate exceeds
-    STABILITY_THRESHOLD * S. Cells are independent, so workers > 1 fans them
-    out over a process pool; record order is grid order either way.
+    STABILITY_THRESHOLD * S. Every (cell, sign) is one lyapunov_max task on a
+    pool of `workers` threads (default: the CPUs this process may run on;
+    never more than the tasks); its eigvals releases the GIL, and each rate
+    is the serial call's bit for bit. Records come back in grid order.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
+    if workers is None:
+        workers = len(os.sched_getaffinity(0))
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     cells = [
-        (float(kappa), int(lam), delta, family, S, n_k)
+        (float(kappa), int(lam), 4.0 * complete_K(float(kappa)) / int(lam))
         for kappa in np.atleast_1d(kappa_grid)
         for lam in lambdas
     ]
-    if workers is not None and workers > 1 and len(cells) > 1:
-        from multiprocessing import Pool
-
-        with Pool(min(workers, len(cells))) as pool:
-            return pool.map(_scan_cell, cells)
-    return [_scan_cell(cell) for cell in cells]
+    tasks = [(family, kappa, q, d, S, n_k) for kappa, _, q in cells for d in (-delta, delta)]
+    with ThreadPoolExecutor(max(1, min(workers, len(tasks)))) as pool:
+        rates = list(pool.map(lambda task: lyapunov_max(*task), tasks))
+    thr = STABILITY_THRESHOLD * S
+    return [
+        {
+            "kappa": kappa,
+            "lambda": lam,
+            "q": q,
+            "class": f"{'U' if lm > thr else 'S'}-{'U' if lp > thr else 'S'}",
+            "lyap_minus": lm,
+            "lyap_plus": lp,
+        }
+        for (kappa, lam, q), lm, lp in zip(cells, rates[0::2], rates[1::2])
+    ]

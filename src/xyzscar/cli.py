@@ -14,8 +14,9 @@ File-writing subcommands emit CSV plus a JSON sidecar echoing the full
 parameter record, so any run can be reproduced from its artifacts alone and
 identical configs produce byte-identical outputs. Angles accept pi-rational
 strings ("pi/3", "2pi/5") as well as decimals. Exit codes: 0 success,
-1 numeric failure, 2 usage error. XYZSCAR_WORKERS sets the default process
-count for phase-scan.
+1 numeric failure, 2 usage error. phase-scan runs on threads; --workers,
+else XYZSCAR_WORKERS, sets their count (default: the CPUs this process may
+run on).
 """
 
 from __future__ import annotations
@@ -96,11 +97,17 @@ def parse_float_grid(text: str) -> list[float]:
     return [float(part) for part in s.split(",")]
 
 
-def _worker_count(flag: int | None) -> int:
-    """Process count from --workers, else XYZSCAR_WORKERS, else 1; must be >= 1."""
+def _worker_count(flag: int | None) -> int | None:
+    """Thread count from --workers, else XYZSCAR_WORKERS; must be >= 1.
+
+    None when neither is set: phase_scan then takes the CPUs this process may
+    run on, and the sidecar records null rather than this machine's count.
+    """
     source, count = "--workers", flag
     if flag is None:
-        source, text = "XYZSCAR_WORKERS", os.environ.get("XYZSCAR_WORKERS", "1")
+        source, text = "XYZSCAR_WORKERS", os.environ.get("XYZSCAR_WORKERS")
+        if text is None:
+            return None
         try:
             count = int(text)
         except ValueError:
@@ -387,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--S", type=float, default=1.0)
     sub.add_argument("--n-k", type=int, default=400)
     sub.add_argument("--workers", type=int,
-                     help="process count (default from XYZSCAR_WORKERS or 1)")
+                     help="thread count (default: XYZSCAR_WORKERS, else the CPUs "
+                          "this process may run on)")
     _add_out(sub)
     sub.set_defaults(func=cmd_phase_scan)
 

@@ -1,6 +1,7 @@
 """Dispersion windows, decay rates, flavour matrices, k-space stability."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -458,6 +459,18 @@ class TestLyapunovMax:
         assert bg.lyapunov_max("gtsh", 0.9, 4 * self.K9 / 6, 0.0) <= bg.STABILITY_THRESHOLD
         assert bg.lyapunov_max("glsh", 0.8, 4 * self.K8 / 7, 0.0) <= bg.STABILITY_THRESHOLD
 
+    @pytest.mark.parametrize("lam", [61, 60, 7])
+    def test_momentum_blocks_change_no_bit(self, monkeypatch, lam):
+        """One block of every momentum (the unblocked route), the default
+        blocks and one momentum per block give the same rate bit for bit."""
+        q = 4.0 * elliptic.complete_K(0.96) / lam
+        rates = []
+        for block in (2**62, bg._BLOCK_ELEMENTS, 1):
+            monkeypatch.setattr(bg, "_BLOCK_ELEMENTS", block)
+            rates.append(bg.lyapunov_max("glsh", 0.96, q, -0.01))
+        assert rates[0] > bg.STABILITY_THRESHOLD
+        assert rates[1] == rates[0] and rates[2] == rates[0]
+
     def test_benchmark_signs(self):
         q = 4 * self.K9 / 6
         assert bg.lyapunov_max("gtsh", 0.9, q, +0.02) > bg.STABILITY_THRESHOLD
@@ -511,7 +524,7 @@ class TestLyapunovMax:
         eta, zeta, V = bg.family_coefficients(family, kappa, q, delta)
         k = np.array([0.3, 1.7, 3.0])
         A, B = bg._bloch_stack(eta, zeta, V, k)
-        Rm, Rp = bg._reflection_bloch_pair(eta[0].real, zeta[0].real, V, k)
+        Rm, Rp = bg._reflection_bloch_pair(eta[0].real, zeta[0].real, bg._reflection_operators(V), k)
         W = bg._reflection_basis(lam)
         np.testing.assert_allclose(W.conj().T @ W, np.eye(lam), atol=1e-15)
         for i, kk in enumerate(k):
@@ -533,7 +546,9 @@ class TestLyapunovMax:
         k = 1.1
 
         def spectrum(cell, momenta):
-            Rm, Rp = bg._reflection_bloch_pair(eta[0].real, zeta[0].real, cell, momenta)
+            Rm, Rp = bg._reflection_bloch_pair(
+                eta[0].real, zeta[0].real, bg._reflection_operators(cell), momenta
+            )
             return np.linalg.eigvals(Rm @ Rp).ravel()
 
         full = spectrum(V, [k])
@@ -656,3 +671,40 @@ class TestPhaseScan:
         rec = bg.phase_scan([0.5], [8], delta=0.01)[0]
         assert set(rec) == {"kappa", "lambda", "q", "class", "lyap_minus", "lyap_plus"}
         assert rec["lambda"] == 8
+
+    def test_threaded_scan_matches_direct_calls(self):
+        """Every thread count gives the same records in grid order, and each
+        rate is a direct lyapunov_max call bit for bit. The grid has odd and
+        even lambda (half-cell folding), two kappa rows, and S-S as well as
+        U-S cells at delta = 0.001. Eight threads with a 1 us switch interval
+        stress the hand-off of tasks and results."""
+        kappas, lambdas, delta = [0.04, 0.8], [5, 6, 7, 8], 0.001
+        serial = bg.phase_scan(kappas, lambdas, delta=delta, workers=1)
+        assert bg.phase_scan(kappas, lambdas, delta=delta, workers=2) == serial
+        assert bg.phase_scan(kappas, lambdas, delta=delta) == serial
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert bg.phase_scan(kappas, lambdas, delta=delta, workers=8) == serial
+        finally:
+            sys.setswitchinterval(interval)
+        assert [(r["kappa"], r["lambda"]) for r in serial] == [
+            (k, lam) for k in kappas for lam in lambdas
+        ]
+        assert {r["class"] for r in serial} == {"S-S", "U-S"}
+        for r in serial:
+            assert r["q"] == 4.0 * elliptic.complete_K(r["kappa"]) / r["lambda"]
+            assert r["lyap_minus"] == bg.lyapunov_max("glsh", r["kappa"], r["q"], -delta)
+            assert r["lyap_plus"] == bg.lyapunov_max("glsh", r["kappa"], r["q"], delta)
+
+    def test_off_domain_cell_raises_through_threads(self):
+        q = 4.0 * elliptic.complete_K(0.8) / 3
+        with pytest.raises(ValueError) as direct:
+            bg.lyapunov_max("glsh", 0.8, q, -0.01)
+        with pytest.raises(ValueError) as threaded:
+            bg.phase_scan([0.8], [7, 3, 8], delta=0.01, workers=2)
+        assert str(threaded.value) == str(direct.value)
+
+    def test_worker_count_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            bg.phase_scan([0.8], [7], workers=0)

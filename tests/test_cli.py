@@ -648,10 +648,12 @@ class TestPhaseScan:
         assert float(rows[0]["lyap_plus"]) <= 1e-6
 
     @pytest.mark.parametrize(
-        "extra", [["--lambda", "3"], ["--lambda", "7", "--S", "-1"]]
+        "extra",
+        [["--lambda", "3"], ["--lambda", "7", "--S", "-1"], ["--lambda", "3", "--workers", "2"]],
     )
     def test_off_scar_domain_is_numeric_error(self, tmp_path, capsys, extra):
-        """lambda <= 4 puts q at or past K(kappa); S <= 0 flips the onsite sign."""
+        """lambda <= 4 puts q at or past K(kappa); S <= 0 flips the onsite sign.
+        The error reaches the user the same way from a scan thread."""
         code = run(["phase-scan", "--kappa", "0.8", "--n-k", "100", *extra], tmp_path)
         assert code == 1
         err = capsys.readouterr().err
@@ -687,6 +689,18 @@ class TestPhaseScan:
         )
         sidecar = json.loads((tmp_path / "phase_scan.json").read_text())
         assert sidecar["params"]["workers"] == 3
+
+    def test_default_workers_are_recorded_as_null(self, tmp_path, monkeypatch):
+        """Without --workers or XYZSCAR_WORKERS the scan takes every CPU it
+        may use, and the sidecar holds null, not this machine's count."""
+        monkeypatch.delenv("XYZSCAR_WORKERS", raising=False)
+        run(
+            ["phase-scan", "--family", "glsh", "--kappa", "0.8",
+             "--lambda", "7", "--n-k", "100"],
+            tmp_path,
+        )
+        sidecar = json.loads((tmp_path / "phase_scan.json").read_text())
+        assert sidecar["params"]["workers"] is None
 
     @pytest.mark.parametrize(
         "env, flag, source",

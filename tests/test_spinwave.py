@@ -308,6 +308,18 @@ class TestPropagator:
             with pytest.raises(RuntimeError, match=r"\|\|E\|\|_F inf, .*so shorten T$"):
                 sw._check_symplectic(E * 1e300, 0.1)
 
+    def test_overflow_raises_one_error_without_warnings(self):
+        """An overflowing E fails the pseudo-unitarity check, with no numpy
+        overflow warning ahead of the error, static and callable alike."""
+        frame = co_rotating_transverse(math.pi / 4, math.pi / 3, 0.5, 24, 1.0)
+        co = sw.sw_coefficients(frame, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="pseudo-unitarity.*so shorten T$"):
+                sw.propagator(co, 3000.0)
+            with pytest.raises(RuntimeError, match="pseudo-unitarity.*so shorten T$"):
+                sw.propagator(lambda t: co, 3000.0, dt=1000.0)
+
     def test_static_contrast_checks_pseudo_unitarity(self, monkeypatch):
         """A corrupted sample-step exponential must not pass silently."""
         expm = sw.expm
