@@ -270,52 +270,6 @@ class BlochMatrixPair:
     A: np.ndarray
     B: np.ndarray
 
-    @property
-    def V_diagonal(self) -> np.ndarray:
-        return np.real(np.diag(self.B))
-
-
-def bloch_matrices(eta, zeta, V, k: float) -> BlochMatrixPair:
-    """Assemble (A_k, B_k) for a unit cell with per-bond eta, zeta and onsite V.
-
-    B has V on the diagonal, eta_s at (s+1, s) with conjugates mirrored, and
-    the wrap bond carries the Bloch phase: B[lam-1, 0] = eta e^{ik}. A has
-    the same layout with zeta (zero diagonal). For lam <= 2 the wrap bond
-    coincides with an interior bond and the contributions accumulate.
-    zeta must be real for the pair to be Hermitian.
-    """
-    A, B = _bloch_stack(eta, zeta, V, [k])
-    return BlochMatrixPair(k=k, A=A[0], B=B[0])
-
-
-def _bloch_stack(eta, zeta, V, k_grid) -> tuple[np.ndarray, np.ndarray]:
-    """(A_k, B_k) stacked over k_grid, laid out as in bloch_matrices.
-
-    k enters only through the wrap phase, so the interior bonds are filled
-    once and the wrap bond is added per momentum.
-    """
-    eta = np.atleast_1d(np.asarray(eta, dtype=complex))
-    zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
-    V = np.atleast_1d(np.asarray(V, dtype=float))
-    lam = len(V)
-    if not (len(eta) == len(zeta) == lam):
-        raise ValueError("eta, zeta, V must have equal length")
-    if np.abs(zeta.imag).max() > 1e-12:
-        raise ValueError("pairing amplitude zeta must be real")
-    A0 = np.zeros((lam, lam), dtype=complex)
-    B0 = np.diag(V).astype(complex)
-    for s in range(lam - 1):
-        B0[s + 1, s] += eta[s]
-        B0[s, s + 1] += np.conj(eta[s])
-        A0[s + 1, s] += zeta[s]
-        A0[s, s + 1] += np.conj(zeta[s])
-    wrap = np.zeros((lam, lam), dtype=complex)
-    wrap[lam - 1, 0] = 1.0
-    ph = np.exp(1j * np.asarray(k_grid, dtype=float))[:, None, None]
-    B = B0[None] + eta[lam - 1] * ph * wrap + np.conj(eta[lam - 1] * ph) * wrap.T
-    A = A0[None] + zeta[lam - 1] * ph * wrap + np.conj(zeta[lam - 1] * ph) * wrap.T
-    return A, B
-
 
 def unit_cell_size(kappa: float, q: float) -> int:
     """lambda = 4K(kappa)/q, required to be an integer (commensurate cell)."""
@@ -327,11 +281,12 @@ def unit_cell_size(kappa: float, q: float) -> int:
 
 
 def family_coefficients(family: str, kappa: float, q: float, delta: float, S: float = 1.0):
-    """Per-cell (eta, zeta, V) arrays for the gtsh or glsh family.
+    """Uniform hopping eta, pairing zeta and onsite array V of a gtsh or glsh cell.
 
     gtsh takes a z detuning, glsh an x detuning; either way the pairing is
     (S/2) delta, the hopping adds delta to twice the parent elliptic value,
-    and the onsite potential is the detuning-independent elliptic profile.
+    and the onsite potential (one value per site of the lambda-cell) is the
+    detuning-independent elliptic profile.
     The scar's domain is enforced here: 0 < q < K(kappa) (so lambda > 4,
     via parent_couplings) and S > 0, which make V negative on every site.
     """
@@ -351,15 +306,25 @@ def family_coefficients(family: str, kappa: float, q: float, delta: float, S: fl
     zeta = 0.5 * S * delta
     sn_s = jacobi_sncndn(q * np.arange(lam), kappa)[0]
     V = -2.0 * S * cnq * dnq / (1.0 - (kappa * sn_s * snq) ** 2)
-    return np.full(lam, eta, dtype=complex), np.full(lam, zeta, dtype=complex), V
+    return eta, zeta, V
 
 
 def multiflavour_matrices(
     k: float, family: str, kappa: float, q: float, delta: float, S: float = 1.0
 ) -> BlochMatrixPair:
-    """Bloch pair (A_k, B_k) of the detuned gtsh/glsh flavour problem."""
+    """Bloch pair (A_k, B_k) of the detuned gtsh/glsh flavour problem.
+
+    B = diag(V) + eta (T + T^dagger) and A = zeta (T + T^dagger), with T the
+    cell's bond matrix: ones at (s, s+1) and the Bloch phase e^{ik} on the
+    wrap bond (lambda-1, 0).
+    """
     eta, zeta, V = family_coefficients(family, kappa, q, delta, S)
-    return bloch_matrices(eta, zeta, V, k)
+    T = np.eye(len(V), k=1, dtype=complex)
+    T[-1, 0] = np.exp(1j * k)
+    bonds = T + T.conj().T
+    # the zero matrix keeps A's entries off the bonds +0.0 for a negative zeta
+    A = np.zeros(bonds.shape) + zeta * bonds
+    return BlochMatrixPair(k=k, A=A, B=np.diag(V) + eta * bonds)
 
 
 def dynamical_matrix(pair: BlochMatrixPair) -> np.ndarray:
@@ -448,6 +413,29 @@ def _reflection_bloch_pair(eta: float, zeta: float, operators, k_grid) -> tuple[
     return D + (eta - zeta) * G, D + (eta + zeta) * G
 
 
+def _bloch_cell(family: str, kappa: float, q: float, delta: float, S: float, n_k: int):
+    """(eta, zeta, k_cell, operators) of the real Bloch route, shared by
+    lyapunov_max and contrast_multiflavour.
+
+    k_cell is the k > 0 half of the even n_k-point midpoint grid: the -k
+    matrices are elementwise conjugates of the +k ones, and the cell
+    reflection s -> -s, a diagonal +/-1 matrix P in the basis of
+    _reflection_basis, gives R+/-(-k) = P R+/-(k) P. sn^2 has period 2K, so
+    for even lam V has period p = lam/2; the lam-cell spectrum at k is then
+    the union of the p-cell spectra at k/2 and k/2 + pi, and by conjugation
+    symmetry the half zone maps onto p-cell momenta {k/2, pi - k/2}.
+    operators is _reflection_operators of the (possibly halved) cell.
+    """
+    if n_k < 2 or n_k % 2:
+        raise ValueError(f"n_k must be even and >= 2, got {n_k}")
+    eta, zeta, V = family_coefficients(family, kappa, q, delta, S)
+    k_cell = _momentum_grid(n_k)[n_k // 2 :]
+    if len(V) % 2 == 0:
+        V = V[: len(V) // 2]
+        k_cell = np.concatenate([k_cell / 2.0, math.pi - k_cell / 2.0])
+    return eta, zeta, k_cell, _reflection_operators(V)
+
+
 def lyapunov_max(
     family: str, kappa: float, q: float, delta: float, S: float = 1.0, n_k: int = 400
 ) -> float:
@@ -455,8 +443,7 @@ def lyapunov_max(
 
     The spectrum of C_k = [[B, A], [-A, -B]] is (+/-) the square roots of
     spec((B-A)(B+A)), so the growth rate is max |Im sqrt(mu)| over the
-    momenta k > 0 of an even n_k-point full-zone midpoint grid (the -k
-    matrices are elementwise conjugates of the +k ones). No Hermitian
+    momenta k > 0 of an even n_k-point full-zone midpoint grid. No Hermitian
     shortcut applies: the onsite potential V is negative on a scar's
     domain, so B-A and B+A have a negative diagonal and neither factor is
     ever positive definite; the route is a general eigvals.
@@ -466,27 +453,17 @@ def lyapunov_max(
     basis of states fixed by reflection plus conjugation turn B +/- A into
     real symmetric R+/- (see _reflection_bloch_pair), and one unitary acts
     on both factors, so spec(R- R+) = spec((B-A)(B+A)) from a real eigvals.
-    sn^2 has period 2K, so for even lam V has period p = lam/2; the lam-cell
-    spectrum at k is then the union of the p-cell spectra at k/2 and
-    k/2 + pi, and by conjugation symmetry the half zone maps onto p-cell
-    momenta {k/2, pi - k/2}: the same points at a quarter of the flops.
-    The momenta go through eigvals in blocks of at most _BLOCK_ELEMENTS
-    matrix elements; eigvals treats each matrix alone, so the blocks change
-    no bit. Values at or below STABILITY_THRESHOLD * S count as stable.
+    For even lam the cell folds onto its half (_bloch_cell): the same points
+    at a quarter of the flops. The momenta go through eigvals in blocks of
+    at most _BLOCK_ELEMENTS matrix elements; eigvals treats each matrix
+    alone, so the blocks change no bit. Values at or below
+    STABILITY_THRESHOLD * S count as stable.
     """
-    if n_k < 2 or n_k % 2:
-        raise ValueError(f"n_k must be even and >= 2, got {n_k}")
-    eta, zeta, V = family_coefficients(family, kappa, q, delta, S)
-    k_cell = _momentum_grid(n_k)[n_k // 2 :]
-    if len(V) % 2 == 0:
-        V = V[: len(V) // 2]
-        k_cell = np.concatenate([k_cell / 2.0, math.pi - k_cell / 2.0])
-    operators = _reflection_operators(V)
-    step = max(1, _BLOCK_ELEMENTS // len(V) ** 2)
+    eta, zeta, k_cell, operators = _bloch_cell(family, kappa, q, delta, S, n_k)
+    step = max(1, _BLOCK_ELEMENTS // len(operators[0]) ** 2)
     mu = []
     for start in range(0, len(k_cell), step):
-        ks = k_cell[start : start + step]
-        Rm, Rp = _reflection_bloch_pair(eta[0].real, zeta[0].real, operators, ks)
+        Rm, Rp = _reflection_bloch_pair(eta, zeta, operators, k_cell[start : start + step])
         mu.append(np.linalg.eigvals(Rm @ Rp))
     mu = np.concatenate(mu, axis=None)
     return float(np.abs(np.sqrt(mu.astype(complex)).imag).max())
@@ -506,26 +483,25 @@ def contrast_multiflavour(
 
         D_SW(t) = 1 - (1/2 pi lam S) sum_{ss'} Int dk |exp(-i C_k t)_{s, lam+s'}|^2
 
-    The k integral is a midpoint rule with n_k points. In the basis of
-    _reflection_bloch_pair, C_k = [[B, A], [-A, -B]] has the real blocks
-    B = (R- + R+)/2 and A = (R+ - R-)/2, so its quadrature generator is
-    [[0, R-], [-R+, 0]]; for even lam the cell folds onto the half cell at
-    momenta {k/2, k/2 + pi}, as in lyapunov_max. The stack of generators
-    goes through the power/Frobenius kernel of the real-space ring
-    (spinwave._power_contrast), with its finiteness and symplectic checks.
-    Without detuning nothing creates pairs, and D = 1 exactly.
+    The k integral is a midpoint rule on an even n_k-point grid. In the
+    basis of _reflection_bloch_pair, C_k = [[B, A], [-A, -B]] has the real
+    blocks B = (R- + R+)/2 and A = (R+ - R-)/2, so its quadrature generator
+    is [[0, R-], [-R+, 0]]. The integrand is even in k (R+/-(-k) =
+    P R+/-(k) P with P the diagonal +/-1 cell reflection), so the rule runs
+    over the k > 0 half zone, and for even lam the cell folds onto the half
+    cell at momenta {k/2, pi - k/2}: the momenta of lyapunov_max
+    (_bloch_cell). The stack of generators goes through the power/Frobenius
+    kernel of the real-space ring (spinwave._power_contrast), with its
+    finiteness and symplectic checks. Without detuning nothing creates
+    pairs, and D = 1 exactly.
     """
     if not 0.0 < T < math.inf or n_samples < 2:
         raise ValueError("need a finite T > 0 and at least two samples")
-    k_cell = _momentum_grid(n_k)
     times = np.linspace(0.0, T, n_samples)
-    eta, zeta, V = family_coefficients(family, kappa, q, delta, S)
-    if zeta[0] == 0.0:
+    eta, zeta, k_cell, operators = _bloch_cell(family, kappa, q, delta, S, n_k)
+    if zeta == 0.0:
         return ContrastSeries(times=times, D=np.ones(n_samples), f=np.zeros(n_samples))
-    if len(V) % 2 == 0:
-        V = V[: len(V) // 2]
-        k_cell = np.concatenate([k_cell / 2.0, k_cell / 2.0 + math.pi])
-    Rm, Rp = _reflection_bloch_pair(eta[0].real, zeta[0].real, _reflection_operators(V), k_cell)
+    Rm, Rp = _reflection_bloch_pair(eta, zeta, operators, k_cell)
     zero = np.zeros_like(Rm)
     generators = np.block([[zero, Rm], [-Rp, zero]])
     D, defect = _power_contrast(generators, times[1] - times[0], n_samples, S)
@@ -541,30 +517,27 @@ def phase_scan(
     family: str = "glsh",
     S: float = 1.0,
     n_k: int = 400,
-    workers: int | None = None,
 ) -> list[dict]:
     """Classify helix stability over a (kappa, lambda) grid at detuning +-delta.
 
     Each record holds the growth rates at -delta and +delta and the class
     string "{U|S}-{U|S}" (minus sign first), with U meaning the rate exceeds
     STABILITY_THRESHOLD * S. Every (cell, sign) is one lyapunov_max task on a
-    pool of `workers` threads (default: the CPUs this process may run on;
-    never more than the tasks); its eigvals releases the GIL, and each rate
-    is the serial call's bit for bit. Records come back in grid order.
+    pool of one thread per CPU this process may run on (os.sched_getaffinity,
+    so `taskset` narrows it), never more than the tasks; its eigvals releases
+    the GIL, and each rate is the serial call's bit for bit. Records come
+    back in grid order.
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    if workers is None:
-        workers = len(os.sched_getaffinity(0))
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     cells = [
         (float(kappa), int(lam), 4.0 * complete_K(float(kappa)) / int(lam))
         for kappa in np.atleast_1d(kappa_grid)
         for lam in lambdas
     ]
     tasks = [(family, kappa, q, d, S, n_k) for kappa, _, q in cells for d in (-delta, delta)]
-    with ThreadPoolExecutor(max(1, min(workers, len(tasks)))) as pool:
+    threads = max(1, min(len(os.sched_getaffinity(0)), len(tasks)))
+    with ThreadPoolExecutor(threads) as pool:
         rates = list(pool.map(lambda task: lyapunov_max(*task), tasks))
     thr = STABILITY_THRESHOLD * S
     return [

@@ -14,16 +14,14 @@ File-writing subcommands emit CSV plus a JSON sidecar echoing the full
 parameter record, so any run can be reproduced from its artifacts alone and
 identical configs produce byte-identical outputs. Angles accept pi-rational
 strings ("pi/3", "2pi/5") as well as decimals. Exit codes: 0 success,
-1 numeric failure, 2 usage error. phase-scan runs on threads; --workers,
-else XYZSCAR_WORKERS, sets their count (default: the CPUs this process may
-run on).
+1 numeric failure, 2 usage error. phase-scan runs one thread per CPU this
+process may run on; `taskset -c 0 xyzscar phase-scan ...` runs it on one.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import re
 import sys
 from pathlib import Path
@@ -95,26 +93,6 @@ def parse_float_grid(text: str) -> list[float]:
             raise ValueError(f"grid {text!r} needs at least one point")
         return [float(v) for v in np.linspace(lo, hi, count)]
     return [float(part) for part in s.split(",")]
-
-
-def _worker_count(flag: int | None) -> int | None:
-    """Thread count from --workers, else XYZSCAR_WORKERS; must be >= 1.
-
-    None when neither is set: phase_scan then takes the CPUs this process may
-    run on, and the sidecar records null rather than this machine's count.
-    """
-    source, count = "--workers", flag
-    if flag is None:
-        source, text = "XYZSCAR_WORKERS", os.environ.get("XYZSCAR_WORKERS")
-        if text is None:
-            return None
-        try:
-            count = int(text)
-        except ValueError:
-            raise UsageError(f"{source} must be an integer, got {text!r}") from None
-    if count < 1:
-        raise UsageError(f"{source} must be at least 1, got {count}")
-    return count
 
 
 def _out_path(args, name: str) -> Path:
@@ -260,7 +238,6 @@ def cmd_ll_evolve(args) -> int:
 
 
 def cmd_phase_scan(args) -> int:
-    args.workers = _worker_count(args.workers)
     records = bg.phase_scan(
         args.kappa,
         args.lambdas,
@@ -268,7 +245,6 @@ def cmd_phase_scan(args) -> int:
         family=args.family,
         S=args.S,
         n_k=args.n_k,
-        workers=args.workers,
     )
     path = _out_path(args, "phase_scan.csv")
     header = ["kappa", "lambda", "q", "class", "lyap_minus", "lyap_plus"]
@@ -393,9 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--dJ", type=float, default=0.01)
     sub.add_argument("--S", type=float, default=1.0)
     sub.add_argument("--n-k", type=int, default=400)
-    sub.add_argument("--workers", type=int,
-                     help="thread count (default: XYZSCAR_WORKERS, else the CPUs "
-                          "this process may run on)")
     _add_out(sub)
     sub.set_defaults(func=cmd_phase_scan)
 

@@ -34,6 +34,7 @@ from .scars import (
     scar_quench,
     scar_texture,
     texture_energy,
+    _twice_spin,
 )
 from .spinwave import ContrastSeries, spin_contrast
 
@@ -78,14 +79,6 @@ def spin_operators(S: float) -> SpinOperatorSet:
         Sy=-0.5j * (s_plus - s_minus),
         Sz=np.diag(m).astype(complex),
     )
-
-
-def _twice_spin(S: float) -> int:
-    """2S as an int; S must be a positive, finite half-integer."""
-    two_s = 2.0 * S
-    if not 0.0 < two_s < math.inf or abs(two_s - round(two_s)) > 1e-12:
-        raise ValueError(f"2S must be a positive integer, got S = {S}")
-    return int(round(two_s))
 
 
 def coherent_state(omega, S: float) -> np.ndarray:

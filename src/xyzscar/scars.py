@@ -67,6 +67,14 @@ def check_spin_length(S: float) -> None:
         raise ValueError(f"spin length S must be positive and finite, got {S}")
 
 
+def _twice_spin(S: float) -> int:
+    """2S as an int; S must be a positive, finite half-integer."""
+    two_s = 2.0 * S
+    if not 0.0 < two_s < math.inf or abs(two_s - round(two_s)) > 1e-12:
+        raise ValueError(f"2S must be a positive integer, got S = {S}")
+    return int(round(two_s))
+
+
 @dataclass(frozen=True)
 class ScarParams:
     """Parameters of a scar texture on a periodic ring of L sites."""
@@ -85,9 +93,7 @@ class ScarParams:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if self.L < 2:
             raise ValueError(f"need at least two sites, got L = {self.L}")
-        two_s = 2.0 * self.S
-        if not 0.0 < two_s < math.inf or abs(two_s - round(two_s)) > 1e-12:
-            raise ValueError(f"2S must be a positive integer, got S = {self.S}")
+        _twice_spin(self.S)
         if self.kappa < 1.0:
             if not 0.0 < self.q < complete_K(self.kappa):
                 raise ValueError(

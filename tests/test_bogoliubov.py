@@ -23,6 +23,42 @@ def eig_multiset_distance(a, b):
     return cost[rows, cols].max()
 
 
+def bloch_stack(eta, zeta, V, k_grid):
+    """(A_k, B_k) stacked over k_grid for a cell with per-bond eta, zeta and
+    onsite V; scalar eta and zeta mean uniform bonds.
+
+    B has V on the diagonal, eta_s at (s+1, s) with conjugates mirrored, and
+    the wrap bond carries the Bloch phase: B[lam-1, 0] = eta e^{ik}. A has
+    the same layout with zeta (zero diagonal). For lam <= 2 the wrap bond
+    coincides with an interior bond and the contributions accumulate. The
+    generic complex assembler: the reference the real Bloch route is
+    checked against.
+    """
+    V = np.atleast_1d(np.asarray(V, dtype=float))
+    lam = len(V)
+    eta = np.broadcast_to(np.asarray(eta, dtype=complex), (lam,))
+    zeta = np.broadcast_to(np.asarray(zeta, dtype=complex), (lam,))
+    A0 = np.zeros((lam, lam), dtype=complex)
+    B0 = np.diag(V).astype(complex)
+    for s in range(lam - 1):
+        B0[s + 1, s] += eta[s]
+        B0[s, s + 1] += np.conj(eta[s])
+        A0[s + 1, s] += zeta[s]
+        A0[s, s + 1] += np.conj(zeta[s])
+    wrap = np.zeros((lam, lam), dtype=complex)
+    wrap[lam - 1, 0] = 1.0
+    ph = np.exp(1j * np.asarray(k_grid, dtype=float))[:, None, None]
+    B = B0[None] + eta[lam - 1] * ph * wrap + np.conj(eta[lam - 1] * ph) * wrap.T
+    A = A0[None] + zeta[lam - 1] * ph * wrap + np.conj(zeta[lam - 1] * ph) * wrap.T
+    return A, B
+
+
+def bloch_pair(eta, zeta, V, k):
+    """bloch_stack at one momentum, as a BlochMatrixPair."""
+    A, B = bloch_stack(eta, zeta, V, [k])
+    return bg.BlochMatrixPair(k=k, A=A[0], B=B[0])
+
+
 def reference_complex_lyapunov_max(family, kappa, q, delta, S=1.0, n_k=400):
     """The growth rate from complex (B-A)(B+A) on the full lam-cell.
 
@@ -31,7 +67,7 @@ def reference_complex_lyapunov_max(family, kappa, q, delta, S=1.0, n_k=400):
     lyapunov_max.
     """
     k_half = bg._momentum_grid(n_k)[n_k // 2 :]
-    A, B = bg._bloch_stack(*bg.family_coefficients(family, kappa, q, delta, S), k_half)
+    A, B = bloch_stack(*bg.family_coefficients(family, kappa, q, delta, S), k_half)
     mu = np.linalg.eigvals((B - A) @ (B + A))
     return float(np.abs(np.sqrt(mu.astype(complex)).imag).max())
 
@@ -59,8 +95,8 @@ def growth_rate_direct(eta, zeta, V, k_grid):
     """
     rate = 0.0
     for k in np.atleast_1d(k_grid):
-        pair = bg.bloch_matrices(eta, zeta, V, float(k))
-        pair_m = bg.bloch_matrices(eta, zeta, V, -float(k))
+        pair = bloch_pair(eta, zeta, V, float(k))
+        pair_m = bloch_pair(eta, zeta, V, -float(k))
         C = bogoliubov_generator(pair, pair_m)
         rate = max(rate, float(np.abs(np.linalg.eigvals(C).imag).max()))
     return rate
@@ -73,7 +109,7 @@ def reference_contrast_multiflavour(
     sample by sample on the full lam-cell, with no reflection basis, no fold
     and no Frobenius rule. The oracle for contrast_multiflavour."""
     coefficients = bg.family_coefficients(family, kappa, q, delta, S)
-    A, B = bg._bloch_stack(*coefficients, bg._momentum_grid(n_k))
+    A, B = bloch_stack(*coefficients, bg._momentum_grid(n_k))
     lam = A.shape[1]
     times = np.linspace(0.0, T, n_samples)
     E = expm(-1j * (times[1] - times[0]) * np.block([[B, A], [-A, -B]]))
@@ -321,7 +357,7 @@ class TestBlochMatrices:
         zeta = [0.02, 0.04, 0.06]
         V = [-1.0, -2.0, -3.0]
         k = 0.9
-        pair = bg.bloch_matrices(eta, zeta, V, k)
+        pair = bloch_pair(eta, zeta, V, k)
         ph = np.exp(1j * k)
         B_expected = np.array(
             [[-1.0, 0.3, 0.7 * np.conj(ph)], [0.3, -2.0, 0.5], [0.7 * ph, 0.5, -3.0]]
@@ -333,27 +369,19 @@ class TestBlochMatrices:
         np.testing.assert_allclose(pair.A, A_expected, atol=1e-15)
 
     def test_two_flavour_wrap_accumulates(self):
-        pair = bg.bloch_matrices([0.3, 0.5], [0.0, 0.0], [-1.0, -1.0], 1.1)
+        pair = bloch_pair([0.3, 0.5], [0.0, 0.0], [-1.0, -1.0], 1.1)
         assert pair.B[1, 0] == 0.3 + 0.5 * np.exp(1.1j)
 
     def test_single_flavour_scalars(self):
         eta, zeta, V, k = 0.4 - 0.2j, 0.05, -1.7, 0.6
-        pair = bg.bloch_matrices([eta], [zeta], [V], k)
+        pair = bloch_pair([eta], [zeta], [V], k)
         assert abs(pair.B[0, 0] - (V + 2.0 * (eta * np.exp(1j * k)).real)) < 1e-15
         assert abs(pair.A[0, 0] - 2.0 * zeta * math.cos(k)) < 1e-15
 
     def test_hermitian_for_real_couplings(self):
-        pair = bg.bloch_matrices([0.3, 0.5, 0.7, 0.2], [0.1] * 4, [-1.0] * 4, 2.3)
+        pair = bloch_pair([0.3, 0.5, 0.7, 0.2], [0.1] * 4, [-1.0] * 4, 2.3)
         np.testing.assert_allclose(pair.B, np.conj(pair.B).T, atol=1e-16)
         np.testing.assert_allclose(pair.A, np.conj(pair.A).T, atol=1e-16)
-
-    def test_rejects_complex_pairing(self):
-        with pytest.raises(ValueError, match="zeta"):
-            bg.bloch_matrices([0.3, 0.3], [0.1j, 0.1], [-1.0, -1.0], 0.5)
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError, match="equal length"):
-            bg.bloch_matrices([0.3], [0.1, 0.2], [-1.0], 0.5)
 
 
 class TestMultiflavour:
@@ -371,10 +399,23 @@ class TestMultiflavour:
         snq, cnq, dnq = elliptic.jacobi_sncndn(q, kappa)
         sn_s = elliptic.jacobi_sncndn(q * np.arange(lam), kappa)[0]
         np.testing.assert_allclose(
-            pair.V_diagonal, -2.0 * S * cnq * dnq / (1.0 - (kappa * sn_s * snq) ** 2), atol=1e-14
+            np.diag(pair.B).real, -2.0 * S * cnq * dnq / (1.0 - (kappa * sn_s * snq) ** 2), atol=1e-14
         )
         assert abs(pair.B[1, 0] - 0.5 * S * (2.0 * cnq + 0.02)) < 1e-15
         assert abs(pair.A[1, 0] - 0.5 * S * 0.02) < 1e-15
+
+    @pytest.mark.parametrize(
+        "family,kappa,lam,delta", [("gtsh", 0.9, 6, 0.02), ("glsh", 0.8, 7, -0.02)]
+    )
+    def test_matches_generic_assembler(self, family, kappa, lam, delta):
+        """B = diag(V) + eta(T + T^dagger), A = zeta(T + T^dagger) is the
+        per-bond assembler's pair, wrap phase included, bit for bit."""
+        q = 4.0 * elliptic.complete_K(kappa) / lam
+        for k in (0.0, 0.9, -1.7, math.pi):
+            pair = bg.multiflavour_matrices(k, family, kappa, q, delta)
+            ref = bloch_pair(*bg.family_coefficients(family, kappa, q, delta), k)
+            np.testing.assert_array_equal(pair.A, ref.A)
+            np.testing.assert_array_equal(pair.B, ref.B)
 
     def test_glsh_hopping_uses_dn(self):
         kappa, lam = 0.8, 7
@@ -523,8 +564,8 @@ class TestLyapunovMax:
         q = 4.0 * elliptic.complete_K(kappa) / lam
         eta, zeta, V = bg.family_coefficients(family, kappa, q, delta)
         k = np.array([0.3, 1.7, 3.0])
-        A, B = bg._bloch_stack(eta, zeta, V, k)
-        Rm, Rp = bg._reflection_bloch_pair(eta[0].real, zeta[0].real, bg._reflection_operators(V), k)
+        A, B = bloch_stack(eta, zeta, V, k)
+        Rm, Rp = bg._reflection_bloch_pair(eta, zeta, bg._reflection_operators(V), k)
         W = bg._reflection_basis(lam)
         np.testing.assert_allclose(W.conj().T @ W, np.eye(lam), atol=1e-15)
         for i, kk in enumerate(k):
@@ -546,9 +587,7 @@ class TestLyapunovMax:
         k = 1.1
 
         def spectrum(cell, momenta):
-            Rm, Rp = bg._reflection_bloch_pair(
-                eta[0].real, zeta[0].real, bg._reflection_operators(cell), momenta
-            )
+            Rm, Rp = bg._reflection_bloch_pair(eta, zeta, bg._reflection_operators(cell), momenta)
             return np.linalg.eigvals(Rm @ Rp).ravel()
 
         full = spectrum(V, [k])
@@ -614,6 +653,23 @@ class TestContrastMultiflavour:
         assert np.abs(series.D - ref).max() <= 1e-12
         assert series.pseudo_unitarity_defect <= 1e-12
 
+    @pytest.mark.parametrize("lam", [7, 8])
+    def test_integrand_is_even_in_k(self, lam):
+        """The cell reflection s -> -s is a diagonal +/-1 matrix P in the
+        reflection basis, and R+/-(-k) = P R+/-(k) P: the half zone suffices."""
+        q = 4.0 * elliptic.complete_K(0.8) / lam
+        eta, zeta, V = bg.family_coefficients("glsh", 0.8, q, -0.02)
+        operators = bg._reflection_operators(V)
+        W = bg._reflection_basis(lam)
+        reflection = np.eye(lam)[:, (-np.arange(lam)) % lam]
+        P = W.conj().T @ reflection @ W
+        np.testing.assert_allclose(P, np.diag(np.sign(np.diag(P).real)), rtol=0, atol=1e-15)
+        k = np.array([0.7, 2.1, 3.0])
+        plus = bg._reflection_bloch_pair(eta, zeta, operators, k)
+        minus = bg._reflection_bloch_pair(eta, zeta, operators, -k)
+        for R, R_minus in zip(plus, minus):
+            np.testing.assert_allclose(P.real @ R @ P.real, R_minus, rtol=0, atol=1e-14)
+
     def test_checks_symplectic_and_finite(self, monkeypatch):
         q = 4 * elliptic.complete_K(0.9) / 6
         expm_real = sw.expm
@@ -636,8 +692,9 @@ class TestContrastMultiflavour:
             with pytest.raises(ValueError, match="T > 0"):
                 bg.contrast_multiflavour("gtsh", 0.9, q, 0.0, T=T)
         for delta in (0.0, 0.02):
-            with pytest.raises(ValueError, match="n_k"):
-                bg.contrast_multiflavour("gtsh", 0.9, q, delta, n_k=0)
+            for n_k in (0, 401):
+                with pytest.raises(ValueError, match="n_k must be even"):
+                    bg.contrast_multiflavour("gtsh", 0.9, q, delta, n_k=n_k)
         for S in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="positive"):
                 bg.contrast_multiflavour("gtsh", 0.9, q, 0.02, S=S)
@@ -672,20 +729,27 @@ class TestPhaseScan:
         assert set(rec) == {"kappa", "lambda", "q", "class", "lyap_minus", "lyap_plus"}
         assert rec["lambda"] == 8
 
-    def test_threaded_scan_matches_direct_calls(self):
-        """Every thread count gives the same records in grid order, and each
+    @staticmethod
+    def cpus(monkeypatch, n):
+        """Let phase_scan see n CPUs, as `taskset` would."""
+        monkeypatch.setattr(bg.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    def test_threaded_scan_matches_direct_calls(self, monkeypatch):
+        """Every CPU count gives the same records in grid order, and each
         rate is a direct lyapunov_max call bit for bit. The grid has odd and
         even lambda (half-cell folding), two kappa rows, and S-S as well as
         U-S cells at delta = 0.001. Eight threads with a 1 us switch interval
         stress the hand-off of tasks and results."""
         kappas, lambdas, delta = [0.04, 0.8], [5, 6, 7, 8], 0.001
-        serial = bg.phase_scan(kappas, lambdas, delta=delta, workers=1)
-        assert bg.phase_scan(kappas, lambdas, delta=delta, workers=2) == serial
+        self.cpus(monkeypatch, 1)
+        serial = bg.phase_scan(kappas, lambdas, delta=delta)
+        self.cpus(monkeypatch, 2)
         assert bg.phase_scan(kappas, lambdas, delta=delta) == serial
+        self.cpus(monkeypatch, 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            assert bg.phase_scan(kappas, lambdas, delta=delta, workers=8) == serial
+            assert bg.phase_scan(kappas, lambdas, delta=delta) == serial
         finally:
             sys.setswitchinterval(interval)
         assert [(r["kappa"], r["lambda"]) for r in serial] == [
@@ -697,14 +761,11 @@ class TestPhaseScan:
             assert r["lyap_minus"] == bg.lyapunov_max("glsh", r["kappa"], r["q"], -delta)
             assert r["lyap_plus"] == bg.lyapunov_max("glsh", r["kappa"], r["q"], delta)
 
-    def test_off_domain_cell_raises_through_threads(self):
+    def test_off_domain_cell_raises_through_threads(self, monkeypatch):
         q = 4.0 * elliptic.complete_K(0.8) / 3
         with pytest.raises(ValueError) as direct:
             bg.lyapunov_max("glsh", 0.8, q, -0.01)
+        self.cpus(monkeypatch, 2)
         with pytest.raises(ValueError) as threaded:
-            bg.phase_scan([0.8], [7, 3, 8], delta=0.01, workers=2)
+            bg.phase_scan([0.8], [7, 3, 8], delta=0.01)
         assert str(threaded.value) == str(direct.value)
-
-    def test_worker_count_below_one_is_rejected(self):
-        with pytest.raises(ValueError, match="workers must be at least 1"):
-            bg.phase_scan([0.8], [7], workers=0)

@@ -649,7 +649,7 @@ class TestPhaseScan:
 
     @pytest.mark.parametrize(
         "extra",
-        [["--lambda", "3"], ["--lambda", "7", "--S", "-1"], ["--lambda", "3", "--workers", "2"]],
+        [["--lambda", "3"], ["--lambda", "7", "--S", "-1"]],
     )
     def test_off_scar_domain_is_numeric_error(self, tmp_path, capsys, extra):
         """lambda <= 4 puts q at or past K(kappa); S <= 0 flips the onsite sign.
@@ -669,56 +669,29 @@ class TestPhaseScan:
         rows = read_rows(tmp_path / "phase_scan.csv")
         assert [int(r["lambda"]) for r in rows] == [7, 8, 9]
 
-    def test_worker_pool_matches_serial(self, tmp_path):
-        serial_dir = tmp_path / "serial"
-        pool_dir = tmp_path / "pool"
+    def test_worker_pool_matches_serial(self, tmp_path, monkeypatch):
+        """One CPU (as under `taskset -c 0`) and two give the same CSV."""
         base = ["phase-scan", "--family", "glsh", "--kappa", "0.7,0.8",
                 "--lambda", "7", "--dJ", "0.01", "--n-k", "100"]
-        run(base + ["--workers", "1"], serial_dir)
-        run(base + ["--workers", "2"], pool_dir)
-        serial = (serial_dir / "phase_scan.csv").read_bytes()
-        pooled = (pool_dir / "phase_scan.csv").read_bytes()
-        assert serial == pooled
+        outputs = []
+        for n in (1, 2):
+            monkeypatch.setattr("os.sched_getaffinity", lambda pid, n=n: set(range(n)))
+            run(base, tmp_path / str(n))
+            outputs.append((tmp_path / str(n) / "phase_scan.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
-    def test_env_var_sets_default_workers(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("XYZSCAR_WORKERS", "3")
-        run(
-            ["phase-scan", "--family", "glsh", "--kappa", "0.8",
-             "--lambda", "7", "--n-k", "100"],
-            tmp_path,
-        )
+    def test_sidecar_records_no_thread_count(self, tmp_path):
+        """The params record holds only what fixes the numbers, so reruns
+        stay byte-identical in CSV and sidecar."""
+        argv = ["phase-scan", "--family", "glsh", "--kappa", "0.8",
+                "--lambda", "7", "--n-k", "100"]
+        names = ("phase_scan.csv", "phase_scan.json")
+        assert run(argv, tmp_path) == 0
+        first = [(tmp_path / name).read_bytes() for name in names]
+        assert run(argv, tmp_path) == 0
+        assert [(tmp_path / name).read_bytes() for name in names] == first
         sidecar = json.loads((tmp_path / "phase_scan.json").read_text())
-        assert sidecar["params"]["workers"] == 3
-
-    def test_default_workers_are_recorded_as_null(self, tmp_path, monkeypatch):
-        """Without --workers or XYZSCAR_WORKERS the scan takes every CPU it
-        may use, and the sidecar holds null, not this machine's count."""
-        monkeypatch.delenv("XYZSCAR_WORKERS", raising=False)
-        run(
-            ["phase-scan", "--family", "glsh", "--kappa", "0.8",
-             "--lambda", "7", "--n-k", "100"],
-            tmp_path,
-        )
-        sidecar = json.loads((tmp_path / "phase_scan.json").read_text())
-        assert sidecar["params"]["workers"] is None
-
-    @pytest.mark.parametrize(
-        "env, flag, source",
-        [("abc", [], "XYZSCAR_WORKERS"), ("0", [], "XYZSCAR_WORKERS"),
-         (None, ["--workers", "0"], "--workers"), ("2", ["--workers", "-1"], "--workers")],
-    )
-    def test_bad_worker_count_is_usage_error(self, tmp_path, capsys, monkeypatch, env, flag, source):
-        if env is None:
-            monkeypatch.delenv("XYZSCAR_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("XYZSCAR_WORKERS", env)
-        code = run(["phase-scan", "--kappa", "0.8", "--lambda", "7", "--n-k", "100", *flag],
-                   tmp_path)
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"usage error: {source} must be")
-        assert err.count("\n") == 1
-        assert not (tmp_path / "phase_scan.csv").exists()
+        assert "workers" not in sidecar["params"]
 
 
 class TestArtifacts:

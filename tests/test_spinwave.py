@@ -396,7 +396,8 @@ class TestContrastSW:
         """The CF4 branch of contrast_sw, real quadratures and Frobenius
         norms, against complex CF4 steps on the left half-columns of U: the
         detuned transverse ring, and (dJz None) the time-dependent
-        manufactured coefficients, which also check each sample's start time."""
+        manufactured coefficients, which also check each sample's start time.
+        Static coefficients give one complex step, built once."""
         if dJz is None:
             coeffs = manufactured_coefficients
         else:
@@ -408,10 +409,15 @@ class TestContrastSW:
         times = np.linspace(0.0, T, n_samples)
         n = round((times[1] - times[0]) / dt)
         h = (times[1] - times[0]) / n
+        if dJz is None:
+            step = lambda t0: complex_cf4_step(coeffs, t0, h)
+        else:
+            static_step = complex_cf4_step(coeffs, 0.0, h)
+            step = lambda t0: static_step
 
         def advance(k, V):
             for m in range(n):
-                V = complex_cf4_step(coeffs, times[k - 1] + m * h, h) @ V
+                V = step(times[k - 1] + m * h) @ V
             return V
 
         D, _ = complex_pair_density(advance, L, n_samples, 1.0)
