@@ -32,10 +32,15 @@ def bloch_stack(eta, zeta, V, k_grid):
     the same layout with zeta (zero diagonal). For lam <= 2 the wrap bond
     coincides with an interior bond and the contributions accumulate. The
     generic complex assembler: the reference the real Bloch route is
-    checked against.
+    checked against. zeta must be real for A to be the symmetric pairing
+    block, and per-bond arrays must match V in length.
     """
     V = np.atleast_1d(np.asarray(V, dtype=float))
     lam = len(V)
+    if any(np.ndim(c) and np.size(c) != lam for c in (eta, zeta)):
+        raise ValueError("eta, zeta, V must have equal length")
+    if np.abs(np.imag(zeta)).max() > 1e-12:
+        raise ValueError("pairing amplitude zeta must be real")
     eta = np.broadcast_to(np.asarray(eta, dtype=complex), (lam,))
     zeta = np.broadcast_to(np.asarray(zeta, dtype=complex), (lam,))
     A0 = np.zeros((lam, lam), dtype=complex)
@@ -382,6 +387,14 @@ class TestBlochMatrices:
         pair = bloch_pair([0.3, 0.5, 0.7, 0.2], [0.1] * 4, [-1.0] * 4, 2.3)
         np.testing.assert_allclose(pair.B, np.conj(pair.B).T, atol=1e-16)
         np.testing.assert_allclose(pair.A, np.conj(pair.A).T, atol=1e-16)
+
+    def test_rejects_complex_pairing(self):
+        with pytest.raises(ValueError, match="zeta"):
+            bloch_pair([0.3, 0.3], [0.1j, 0.1], [-1.0, -1.0], 0.5)
+
+    def test_rejects_mismatched_lengths(self):
+        with pytest.raises(ValueError, match="equal length"):
+            bloch_pair([0.3], [0.1, 0.2], [-1.0], 0.5)
 
 
 class TestMultiflavour:
@@ -769,3 +782,23 @@ class TestPhaseScan:
         with pytest.raises(ValueError) as threaded:
             bg.phase_scan([0.8], [7, 3, 8], delta=0.01)
         assert str(threaded.value) == str(direct.value)
+
+    @pytest.mark.parametrize(
+        "cpus,lambdas,threads", [(1, [7, 8], 1), (8, [7], 2), (2, [5, 6, 7], 2)]
+    )
+    def test_thread_count_is_cpus_capped_at_tasks(self, monkeypatch, cpus, lambdas, threads):
+        """One thread per CPU this process may run on, never more than the
+        (cell, sign) tasks."""
+        import concurrent.futures
+
+        seen = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        self.cpus(monkeypatch, cpus)
+        bg.phase_scan([0.8], lambdas, n_k=40)
+        assert seen == [threads]

@@ -649,11 +649,12 @@ class TestPhaseScan:
 
     @pytest.mark.parametrize(
         "extra",
-        [["--lambda", "3"], ["--lambda", "7", "--S", "-1"]],
+        [["--lambda", "3"], ["--lambda", "7", "--S", "-1"], ["--lambda", "7,3,8"]],
     )
     def test_off_scar_domain_is_numeric_error(self, tmp_path, capsys, extra):
         """lambda <= 4 puts q at or past K(kappa); S <= 0 flips the onsite sign.
-        The error reaches the user the same way from a scan thread."""
+        The error reaches the user the same way from a scan thread, also when
+        the bad cell sits between good ones."""
         code = run(["phase-scan", "--kappa", "0.8", "--n-k", "100", *extra], tmp_path)
         assert code == 1
         err = capsys.readouterr().err
@@ -692,6 +693,27 @@ class TestPhaseScan:
         assert [(tmp_path / name).read_bytes() for name in names] == first
         sidecar = json.loads((tmp_path / "phase_scan.json").read_text())
         assert "workers" not in sidecar["params"]
+
+    def test_workers_flag_exits_2(self, tmp_path):
+        """The thread count follows the CPUs the process may run on
+        (`taskset` narrows it); there is no flag for it."""
+        with pytest.raises(SystemExit) as excinfo:
+            run(["phase-scan", "--kappa", "0.8", "--lambda", "7", "--n-k", "100",
+                 "--workers", "2"], tmp_path)
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "phase_scan.csv").exists()
+
+    def test_workers_env_var_is_ignored(self, tmp_path, monkeypatch):
+        """XYZSCAR_WORKERS, even unparsable, changes neither exit code nor bytes."""
+        argv = ["phase-scan", "--family", "glsh", "--kappa", "0.8",
+                "--lambda", "7", "--n-k", "100"]
+        names = ("phase_scan.csv", "phase_scan.json")
+        monkeypatch.delenv("XYZSCAR_WORKERS", raising=False)
+        assert run(argv, tmp_path) == 0
+        unset = [(tmp_path / name).read_bytes() for name in names]
+        monkeypatch.setenv("XYZSCAR_WORKERS", "abc")
+        assert run(argv, tmp_path) == 0
+        assert [(tmp_path / name).read_bytes() for name in names] == unset
 
 
 class TestArtifacts:
