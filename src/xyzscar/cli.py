@@ -249,7 +249,9 @@ def cmd_phase_scan(args) -> int:
     path = _out_path(args, "phase_scan.csv")
     header = ["kappa", "lambda", "q", "class", "lyap_minus", "lyap_plus"]
     write_csv(path, header, [[r[key] for r in records] for key in header])
-    write_sidecar(path, "phase_scan", _params_record(args))
+    write_sidecar(
+        path, "phase_scan", _params_record(args), diagnostics=_scan_margins(records, args.S)
+    )
     counts: dict[str, int] = {}
     for r in records:
         counts[r["class"]] = counts.get(r["class"], 0) + 1
@@ -257,6 +259,22 @@ def cmd_phase_scan(args) -> int:
     print(f"{len(records)} cells  {summary}")
     print(f"wrote {path}")
     return 0
+
+
+def _scan_margins(records, S: float) -> dict:
+    """How far the scan's rates landed from the class threshold: the smallest
+    U rate and the largest S rate over STABILITY_THRESHOLD * S (None when the
+    scan has no rate of that class)."""
+    rates = {"U": [], "S": []}
+    for r in records:
+        minus, plus = r["class"].split("-")
+        rates[minus].append(r["lyap_minus"])
+        rates[plus].append(r["lyap_plus"])
+    thr = bg.STABILITY_THRESHOLD * S
+    return {
+        "min_unstable_rate_over_threshold": min(rates["U"]) / thr if rates["U"] else None,
+        "max_stable_rate_over_threshold": max(rates["S"]) / thr if rates["S"] else None,
+    }
 
 
 def cmd_rates(args) -> int:

@@ -328,7 +328,22 @@ def eigenstate_residual(p: ScarParams, J=None, H=None) -> float:
     return defect / abs(energy) if abs(energy) > 1e-12 else defect
 
 
-def evolve_exact(psi0, H, times) -> np.ndarray:
+@dataclass(frozen=True)
+class ExactEvolution:
+    """States of an exact quench with the health of the propagation.
+
+    states has shape (len(times), dim); hermiticity_defect is max |H - H^H|
+    (at most 1e-10, or the run would have raised) and
+    max_norm_drift the largest relative departure of a state's norm from
+    ||psi0|| (at most NORM_DRIFT_TOL).
+    """
+
+    states: np.ndarray
+    hermiticity_defect: float
+    max_norm_drift: float
+
+
+def evolve_exact(psi0, H, times) -> ExactEvolution:
     """Propagate psi0 under H to each of a grid of times.
 
     H is split into the connected components of its sparsity graph: the
@@ -353,9 +368,10 @@ def evolve_exact(psi0, H, times) -> np.ndarray:
     L = 11, S = 1/2 and L = 7, S = 1) and 4-5x slower at 2,048 (L = 12,
     S = 1/2). Stepping's cost grows with T, eigh's does not.
 
-    The grid may be unsorted, repeat times or hold negative ones; results
-    come back in the order given, with shape (len(times), dim). H may be
-    dense or sparse; it must be Hermitian to 1e-10.
+    The grid may be unsorted, repeat times or hold negative ones; the states
+    come back in the order given, with shape (len(times), dim), together
+    with the Hermiticity defect of H and the norm drift (ExactEvolution).
+    H may be dense or sparse; it must be Hermitian to 1e-10.
 
     Raises
     ------
@@ -405,7 +421,7 @@ def evolve_exact(psi0, H, times) -> np.ndarray:
             f"exact propagation lost the norm: relative drift {drift:.2e} "
             f"exceeds {NORM_DRIFT_TOL:.0e}"
         )
-    return states
+    return ExactEvolution(states, herm_defect, drift)
 
 
 def _sectors(H: sparse.csr_matrix) -> list[np.ndarray]:
@@ -479,7 +495,8 @@ def contrast_exact(
     from one-site reduced density matrices of the evolved state. theta,
     when given, adds the normalized spin contrast column C exactly as the
     spin-wave series does. The series carries the largest relative norm
-    drift of the evolved states as max_norm_drift.
+    drift of the evolved states as max_norm_drift, and the Hermiticity
+    defect max |H - H^H| of the quenched Hamiltonian as hermiticity_defect.
     """
     if not 0.0 < T < math.inf:
         raise ValueError(f"T must be positive and finite, got {T}")
@@ -494,11 +511,18 @@ def contrast_exact(
     H = build_hamiltonian(J, p.S, p.L)
 
     times = np.linspace(0.0, T, n_samples)
-    states = evolve_exact(psi0, H, times)
+    evolution = evolve_exact(psi0, H, times)
     D = np.einsum(
-        "tja,tja->t", _trajectory(p, delta, times), _site_expectations(states, p.S, p.L)
+        "tja,tja->t",
+        _trajectory(p, delta, times),
+        _site_expectations(evolution.states, p.S, p.L),
     ) / (p.L * p.S)
     C = None if theta is None else spin_contrast(D, theta)
     return ContrastSeries(
-        times=times, D=D, f=p.S * (1.0 - D), C=C, max_norm_drift=_norm_drift(states, psi0)
+        times=times,
+        D=D,
+        f=p.S * (1.0 - D),
+        C=C,
+        max_norm_drift=evolution.max_norm_drift,
+        hermiticity_defect=evolution.hermiticity_defect,
     )

@@ -1,9 +1,16 @@
 """Discrete Landau-Lifshitz dynamics on the XYZ ring.
 
 The mean-field equations Odot_j = S J(O_{j-1} + O_{j+1}) x O_j, for diagonal
-couplings J, are integrated with a hand-rolled fixed-step RK4. Norm drift is
-monitored and reported, never projected away: silent renormalization would
-erase exactly the instability signatures this module exists to measure. Also
+couplings J, are integrated with a hand-rolled fixed-step RK4. The step acts
+on a flat ghost-padded state: per trajectory the rows x, y, z, x, y of
+L + 2 entries each, with sites L-1 and 0 as ghosts at the ends of every row,
+so the neighbour sum and the cross product are a handful of operations on
+contiguous 1-D slices and each stage fills ghosts and duplicate rows by one
+precomputed gather. The integrators pad once and unpad only at samples and
+renormalisations; every stored value comes from the same floating-point
+operations as on the (L, 3) texture. Norm drift is monitored and reported,
+never projected away: silent renormalization would erase exactly the
+instability signatures this module exists to measure. Also
 provides the traveling-wave residuals of the perturbed helix ansatz, a
 Benettin twin-trajectory Lyapunov estimator, and the real 2L x 2L generator of
 the linearized dynamics about a stationary frame.
@@ -68,28 +75,59 @@ class ClassicalTrajectory:
             write_csv(energy_path, ["t", "energy"], [self.times, self.energy])
 
 
-def _ll_rhs(omega: np.ndarray, J_diag: np.ndarray, S: float) -> np.ndarray:
-    # omega may carry leading batch axes (e.g. stacked twin trajectories);
-    # sites live on axis -2. Ghost sites turn the ring's neighbour sum
-    # O_{j-1} + O_{j+1} into one slice add; the field (S nb) J and the cross
-    # product (np.cross's formula) are written out for diagonal J.
-    ring = np.concatenate([omega[..., -1:, :], omega, omega[..., :1, :]], axis=-2)
-    field = (S * (ring[..., :-2, :] + ring[..., 2:, :])) * J_diag
-    hx, hy, hz = field[..., 0], field[..., 1], field[..., 2]
-    ox, oy, oz = omega[..., 0], omega[..., 1], omega[..., 2]
-    rhs = np.empty_like(omega)
-    rhs[..., 0] = hy * oz - hz * oy
-    rhs[..., 1] = hz * ox - hx * oz
-    rhs[..., 2] = hx * oy - hy * ox
-    return rhs
+class _PaddedRing:
+    """Flat ghost-padded layout of n trajectories on an L-site ring.
+
+    Each trajectory is five rows x, y, z, x, y of W = L + 2 entries, with
+    site L-1 and site 0 as ghosts at the two ends of every row, and the n
+    trajectories follow one another in one contiguous float array. The
+    neighbour sum O_{j-1} + O_{j+1} is then one add of two shifted 1-D
+    slices, and shifting by one and two rows pairs each component with the
+    cyclic (y, z, x) and (z, x, y) ones of the cross product.
+    """
+
+    def __init__(self, L: int, n: int, J_diag: np.ndarray):
+        W = L + 2
+        self.n, self.W = n, W
+        comp = np.repeat([0, 1, 2, 0, 1], W)
+        site = np.tile(np.r_[L - 1, np.arange(L), 0], 5)
+        #: padded entry -> its (site, component) in an (n, L, 3) texture
+        self._gather = (np.arange(n)[:, None] * (3 * L) + 3 * site + comp).ravel()
+        #: coupling at the centre k + 1 of the neighbour sum stored at k
+        self.J = np.tile(J_diag[comp], n)[1:-1]
+        #: padded entry -> the entry of rows x, y, z holding its value
+        self.refill = (np.arange(n)[:, None] * (5 * W) + comp * W + 1 + site).ravel()
+
+    def pad(self, omega: np.ndarray) -> np.ndarray:
+        """Flat padded state of an (L, 3) or (n, L, 3) texture."""
+        return omega.ravel().take(self._gather)
+
+    def unpad(self, state: np.ndarray) -> np.ndarray:
+        """(n, L, 3) texture of a padded state, as a new array."""
+        rows = state.reshape(self.n, 5, self.W)[:, :3, 1:-1]
+        return np.ascontiguousarray(rows.transpose(0, 2, 1))
 
 
-def _rk4_step(omega: np.ndarray, J_diag: np.ndarray, S: float, dt: float) -> np.ndarray:
-    k1 = _ll_rhs(omega, J_diag, S)
-    k2 = _ll_rhs(omega + 0.5 * dt * k1, J_diag, S)
-    k3 = _ll_rhs(omega + 0.5 * dt * k2, J_diag, S)
-    k4 = _ll_rhs(omega + dt * k3, J_diag, S)
-    return omega + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(state: np.ndarray, ring: _PaddedRing, S: float, dt: float) -> np.ndarray:
+    """One RK4 step of the padded state; every value, ghosts included, is
+    computed by the same floating-point operations as the site it copies."""
+    W, J, refill = ring.W, ring.J, ring.refill
+    # the cross product is formed at entries 0 .. M-1, which cover rows x, y, z
+    # of every trajectory; refill copies it to every entry, ghosts included
+    M = len(state) - 2 * W - 1
+
+    def rhs(o):
+        # the neighbour sum centred on entry p sits at p - 1
+        field = (S * (o[:-2] + o[2:])) * J
+        yz = field[W - 1 : W - 1 + M] * o[2 * W : 2 * W + M]
+        zy = field[2 * W - 1 : 2 * W - 1 + M] * o[W : W + M]
+        return (yz - zy).take(refill)
+
+    k1 = rhs(state)
+    k2 = rhs(state + 0.5 * dt * k1)
+    k3 = rhs(state + 0.5 * dt * k2)
+    k4 = rhs(state + dt * k3)
+    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _coupling_diagonal(J) -> np.ndarray:
@@ -213,7 +251,7 @@ def ll_evolve(
     if max_samples < 1:
         raise ValueError(f"max_samples must be at least 1, got {max_samples}")
     mat = coupling_matrix(J)
-    J_diag = _coupling_diagonal(mat)
+    ring = _PaddedRing(len(omega), 1, _coupling_diagonal(mat))
 
     n_steps = _step_count("T / dt", T, dt)
     if default_step:
@@ -227,12 +265,14 @@ def ll_evolve(
     textures = [omega.copy()]
     energies = [classical_energy(omega, mat, S)]
     max_drift = 0.0
+    state = ring.pad(omega)
     for step in range(1, n_steps + 1):
-        omega = _rk4_step(omega, J_diag, S, dt_eff)
+        state = _rk4_step(state, ring, S, dt_eff)
         if step % stride == 0 or step == n_steps:
+            omega = ring.unpad(state)[0]
             max_drift = max(max_drift, _check_norm_drift(omega, step * dt_eff, dt_eff))
             times.append(step * dt_eff)
-            textures.append(omega.copy())
+            textures.append(omega)
             energies.append(classical_energy(omega, mat, S))
     return ClassicalTrajectory(
         times=np.array(times),
@@ -365,11 +405,10 @@ def classical_lyapunov(
     base = _checked_texture(initial, dt=dt, T=T, renorm_interval=renorm_interval)
     if not 0.0 <= discard_fraction < 1.0:
         raise ValueError(f"discard_fraction must lie in [0, 1), got {discard_fraction}")
-    J_diag = _coupling_diagonal(J)
-    L = len(base)
+    ring = _PaddedRing(len(base), 2, _coupling_diagonal(J))
 
     rng = np.random.default_rng(seed)
-    tangent = rng.standard_normal((L, 3))
+    tangent = rng.standard_normal(base.shape)
     # remove the radial component so the kick lives on the sphere
     tangent -= (np.sum(tangent * base, axis=1, keepdims=True)) * base
     tangent *= eps0 / np.linalg.norm(tangent)
@@ -381,14 +420,15 @@ def classical_lyapunov(
     _check_step_budget(T, dt, float(n_blocks) * steps_per_block)
     dt_eff = renorm_interval / steps_per_block
 
-    pair = np.stack([base, twin])
+    state = ring.pad(np.stack([base, twin]))
     block_times = np.empty(n_blocks)
     log_growth = np.empty(n_blocks)
     total_log = 0.0
     max_drift = 0.0
     for b in range(n_blocks):
         for _ in range(steps_per_block):
-            pair = _rk4_step(pair, J_diag, S, dt_eff)
+            state = _rk4_step(state, ring, S, dt_eff)
+        pair = ring.unpad(state)
         block_times[b] = (b + 1) * renorm_interval
         max_drift = max(max_drift, _check_norm_drift(pair, block_times[b], dt_eff))
         sep = pair[1] - pair[0]
@@ -397,6 +437,7 @@ def classical_lyapunov(
         log_growth[b] = total_log
         pair[1] = pair[0] + sep * (eps0 / dist)
         pair[1] /= np.linalg.norm(pair[1], axis=1, keepdims=True)
+        state = ring.pad(pair)
 
     start = int(discard_fraction * n_blocks)
     t_fit = block_times[start:]

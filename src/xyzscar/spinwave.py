@@ -204,9 +204,10 @@ class ContrastSeries:
     D is the spin-wave contrast, f = S(1 - D) its scaling form sampled at
     tau = S t, and C the spin contrast (filled when the polar angle is
     known, else None). pseudo_unitarity_defect is the defect measured by a
-    spin-wave route's final propagator check, and max_norm_drift the largest
-    relative norm drift of the exact route's states (None where the route
-    does not measure it).
+    spin-wave route's final propagator check; max_norm_drift is the largest
+    relative norm drift of the exact route's states and hermiticity_defect
+    max |H - H^H| of its Hamiltonian (each None where the route does not
+    measure it).
     """
 
     times: np.ndarray
@@ -215,18 +216,20 @@ class ContrastSeries:
     C: np.ndarray | None = None
     pseudo_unitarity_defect: float | None = None
     max_norm_drift: float | None = None
+    hermiticity_defect: float | None = None
 
     def save_csv(self, path, params: dict | None = None) -> None:
         """Write (t, D, C, f) rows plus a JSON sidecar next to the CSV.
 
-        A measured pseudo-unitarity defect or norm drift goes to the sidecar
-        under "diagnostics".
+        A measured pseudo-unitarity defect, norm drift or Hermiticity defect
+        goes to the sidecar under "diagnostics".
         """
         Ccol = self.C if self.C is not None else np.full_like(self.D, np.nan)
         write_csv(path, ["t", "D", "C", "f"], [self.times, self.D, Ccol, self.f])
         measured = {
             "pseudo_unitarity_defect": self.pseudo_unitarity_defect,
             "max_norm_drift": self.max_norm_drift,
+            "hermiticity_defect": self.hermiticity_defect,
         }
         diagnostics = {k: v for k, v in measured.items() if v is not None}
         extra = {"diagnostics": diagnostics} if diagnostics else {}

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xyzscar import cli, lattice_classical, rotframe, scars, spinwave
+from xyzscar import bogoliubov as bg
+from xyzscar import cli, ed_oracle, lattice_classical, rotframe, scars, spinwave
 from xyzscar.elliptic import complete_K
 from xyzscar.scars import helix_texture, parent_couplings
 
@@ -452,8 +453,9 @@ class TestContrastEd:
         assert float(rows[0]["f"]) == pytest.approx(0.0, abs=1e-12)
 
     def test_sidecar_reports_norm_drift(self, tmp_path):
-        """The evolved states' norm drift goes under "diagnostics", outside
-        "params", and reruns stay byte-identical in CSV and sidecar."""
+        """The evolved states' norm drift and H's Hermiticity defect go under
+        "diagnostics", outside "params", and reruns stay byte-identical in
+        CSV and sidecar."""
         argv = ["contrast-ed", "--kappa", "0", "--M", "1", "--L", "8",
                 "--S", "0.5", "--theta", "pi/4", "--delta", "-0.03",
                 "--T", "4", "--n-samples", "9"]
@@ -464,8 +466,31 @@ class TestContrastEd:
         assert [(tmp_path / name).read_bytes() for name in names] == first
         sidecar = json.loads((tmp_path / "contrast_ed.json").read_text())
         assert "max_norm_drift" not in sidecar["params"]
-        assert list(sidecar["diagnostics"]) == ["max_norm_drift"]
+        assert list(sidecar["diagnostics"]) == ["hermiticity_defect", "max_norm_drift"]
         assert 0.0 <= sidecar["diagnostics"]["max_norm_drift"] <= 1e-10
+        assert 0.0 <= sidecar["diagnostics"]["hermiticity_defect"] <= 1e-15
+
+    def test_sidecar_reports_hermiticity_defect(self, tmp_path, monkeypatch):
+        """An H with a Hermiticity defect of 1e-12 reports exactly that in the
+        sidecar; the ring's own H reports 0."""
+        argv = ["contrast-ed", "--kappa", "0", "--M", "1", "--L", "6",
+                "--S", "0.5", "--theta", "pi/4", "--delta", "0.03",
+                "--T", "2", "--n-samples", "5"]
+        assert run(argv, tmp_path / "hermitian") == 0
+        build = ed_oracle.build_hamiltonian
+
+        def skewed(*args):
+            H = build(*args).astype(complex).tolil()
+            # H - H^H = 2i Im H_00 on the diagonal: a defect of exactly 1e-12
+            H[0, 0] += 0.5e-12j
+            return H.tocsr()
+
+        monkeypatch.setattr(ed_oracle, "build_hamiltonian", skewed)
+        assert run(argv, tmp_path / "skewed") == 0
+        sidecar = json.loads((tmp_path / "skewed" / "contrast_ed.json").read_text())
+        assert sidecar["diagnostics"]["hermiticity_defect"] == 1e-12
+        clean = json.loads((tmp_path / "hermitian" / "contrast_ed.json").read_text())
+        assert clean["diagnostics"]["hermiticity_defect"] == 0.0
 
     def test_gamma_and_theta_together_is_usage_error(self, tmp_path, capsys):
         code = run(
@@ -693,6 +718,40 @@ class TestPhaseScan:
         assert [(tmp_path / name).read_bytes() for name in names] == first
         sidecar = json.loads((tmp_path / "phase_scan.json").read_text())
         assert "workers" not in sidecar["params"]
+
+    @pytest.mark.parametrize("S", [1.0, 0.5])
+    def test_sidecar_reports_threshold_margins(self, tmp_path, monkeypatch, S):
+        """A rate just above STABILITY_THRESHOLD * S reads as U with a margin
+        just over 1; the S rates' largest margin is reported beside it, and
+        reruns stay byte-identical in CSV and sidecar."""
+        thr = bg.STABILITY_THRESHOLD * S
+        rates = {-0.01: 1.25 * thr, 0.01: 0.5 * thr}
+        monkeypatch.setattr(bg, "lyapunov_max", lambda fam, k, q, d, S, n_k: rates[d])
+        argv = ["phase-scan", "--family", "glsh", "--kappa", "0.7,0.8", "--lambda", "7",
+                "--dJ", "0.01", "--n-k", "100", "--S", str(S)]
+        names = ("phase_scan.csv", "phase_scan.json")
+        assert run(argv, tmp_path) == 0
+        first = [(tmp_path / name).read_bytes() for name in names]
+        assert run(argv, tmp_path) == 0
+        assert [(tmp_path / name).read_bytes() for name in names] == first
+        assert [r["class"] for r in read_rows(tmp_path / "phase_scan.csv")] == ["U-S"] * 2
+        sidecar = json.loads((tmp_path / "phase_scan.json").read_text())
+        assert sidecar["diagnostics"] == {
+            "min_unstable_rate_over_threshold": pytest.approx(1.25, rel=1e-15),
+            "max_stable_rate_over_threshold": pytest.approx(0.5, rel=1e-15),
+        }
+
+    def test_sidecar_margin_without_unstable_rates_is_null(self, tmp_path, monkeypatch):
+        """With no U rate, its margin is null; the S rates' margin is still given."""
+        monkeypatch.setattr(bg, "lyapunov_max", lambda *task: 0.0)
+        argv = ["phase-scan", "--family", "glsh", "--kappa", "0.8", "--lambda", "7",
+                "--n-k", "100"]
+        assert run(argv, tmp_path) == 0
+        sidecar = json.loads((tmp_path / "phase_scan.json").read_text())
+        assert sidecar["diagnostics"] == {
+            "min_unstable_rate_over_threshold": None,
+            "max_stable_rate_over_threshold": 0.0,
+        }
 
     def test_workers_flag_exits_2(self, tmp_path):
         """The thread count follows the CPUs the process may run on

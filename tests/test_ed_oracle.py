@@ -505,16 +505,24 @@ class TestEvolveExact:
         self.psi0 = psi / np.linalg.norm(psi)
 
     def test_zero_time_is_identity(self):
-        states = ed.evolve_exact(self.psi0, self.H, [0.0])
+        states = ed.evolve_exact(self.psi0, self.H, [0.0]).states
         np.testing.assert_allclose(states[0], self.psi0, atol=1e-12)
 
     def test_norm_preserved(self):
-        states = ed.evolve_exact(self.psi0, self.H, np.linspace(0, 20, 9))
+        states = ed.evolve_exact(self.psi0, self.H, np.linspace(0, 20, 9)).states
         norms = np.linalg.norm(states, axis=1)
         assert np.abs(norms - 1.0).max() <= 1e-10
 
+    def test_reports_its_health(self):
+        """The Hermiticity defect of H and the states' norm drift come back
+        with the states."""
+        evolution = ed.evolve_exact(self.psi0, self.H, np.linspace(0, 20, 9))
+        assert evolution.hermiticity_defect == float(abs(self.H - self.H.conj().T).max())
+        assert evolution.max_norm_drift == ed._norm_drift(evolution.states, self.psi0)
+        assert 0.0 <= evolution.max_norm_drift <= ed.NORM_DRIFT_TOL
+
     def test_energy_conserved(self):
-        states = ed.evolve_exact(self.psi0, self.H, np.linspace(0, 10, 7))
+        states = ed.evolve_exact(self.psi0, self.H, np.linspace(0, 10, 7)).states
         energies = np.einsum("td,td->t", states.conj(), (self.H @ states.T).T).real
         assert np.abs(energies - energies[0]).max() <= 1e-10
 
@@ -522,7 +530,7 @@ class TestEvolveExact:
         p = transverse_params()
         psi0 = ed.product_state(scars.scar_texture(p), p.S)
         H = ed.build_hamiltonian(scars.parent_couplings(p.kappa, p.q), p.S, p.L)
-        states = ed.evolve_exact(psi0, H, [0.0, 1.5, 7.0])
+        states = ed.evolve_exact(psi0, H, [0.0, 1.5, 7.0]).states
         overlaps = np.abs(states @ psi0.conj())
         assert np.abs(overlaps - 1.0).max() <= 1e-10
 
@@ -533,7 +541,7 @@ class TestEvolveExact:
         psi0 = np.zeros(4, dtype=complex)
         psi0[1] = 1.0
         times = np.linspace(0.0, 3.0, 31)
-        states = ed.evolve_exact(psi0, H, times)
+        states = ed.evolve_exact(psi0, H, times).states
         stay = np.abs(states[:, 1]) ** 2
         np.testing.assert_allclose(stay, np.cos(times) ** 2, atol=1e-12)
 
@@ -604,7 +612,7 @@ class TestEvolveExact:
         for H, psi0, cap, eig in sector_cases:
             monkeypatch.setattr(ed, "SPECTRAL_SECTOR_MAX", cap)
             monkeypatch.setattr(ed, "expm_multiply", stepper if cap == 0 else refuse)
-            states = ed.evolve_exact(psi0, H.toarray() if as_dense else H, times)
+            states = ed.evolve_exact(psi0, H.toarray() if as_dense else H, times).states
             assert states.shape == (times.size, 729)
             ref = reference_eigh_evolve(psi0, H, times, eig=eig)
             assert np.abs(states - ref).max() <= 1e-12
@@ -618,7 +626,7 @@ class TestEvolveExact:
         sector = max(sectors, key=len)
         psi0 = np.zeros(729, dtype=complex)
         psi0[sector] = np.random.default_rng(7).normal(size=sector.size)
-        states = ed.evolve_exact(psi0, H, np.linspace(0.0, 5.0, 11))
+        states = ed.evolve_exact(psi0, H, np.linspace(0.0, 5.0, 11)).states
         outside = np.setdiff1d(np.arange(729), sector)
         assert not states[:, outside].any()
         assert np.abs(states[:, sector]).max() > 0.0

@@ -51,20 +51,79 @@ def count_rk4_steps(monkeypatch) -> list:
     return calls
 
 
+def reference_ll_evolve(tex, mat, S, T, n_steps, stride):
+    """ll_evolve's sampling loop on reference_rk4_step: times, textures,
+    energies and the largest norm drift after t = 0."""
+    dt = T / n_steps
+    omega, drift = tex, 0.0
+    times, textures, energies = [0.0], [tex], [lc.classical_energy(tex, mat, S)]
+    for step in range(1, n_steps + 1):
+        omega = reference_rk4_step(omega, mat, S, dt)
+        if step % stride == 0 or step == n_steps:
+            drift = max(drift, np.abs(np.linalg.norm(omega, axis=-1) - 1.0).max())
+            times.append(step * dt)
+            textures.append(omega)
+            energies.append(lc.classical_energy(omega, mat, S))
+    return np.array(times), np.array(textures), np.array(energies), drift
+
+
+def reference_benettin(base, mat, S, eps0, dt, steps_per_block, n_blocks, seed):
+    """classical_lyapunov's twin loop on reference_rk4_step: the log-growth
+    curve and the largest norm drift of base or twin at a renormalisation."""
+    rng = np.random.default_rng(seed)
+    tangent = rng.standard_normal(base.shape)
+    tangent -= (np.sum(tangent * base, axis=1, keepdims=True)) * base
+    tangent *= eps0 / np.linalg.norm(tangent)
+    twin = base + tangent
+    twin /= np.linalg.norm(twin, axis=1, keepdims=True)
+    pair = np.stack([base, twin])
+    growth, total, drift = [], 0.0, 0.0
+    for _ in range(n_blocks):
+        for _ in range(steps_per_block):
+            pair = reference_rk4_step(pair, mat, S, dt)
+        drift = max(drift, np.abs(np.linalg.norm(pair, axis=-1) - 1.0).max())
+        sep = pair[1] - pair[0]
+        dist = np.linalg.norm(sep)
+        total += math.log(dist / eps0)
+        growth.append(total)
+        pair[1] = pair[0] + sep * (eps0 / dist)
+        pair[1] /= np.linalg.norm(pair[1], axis=1, keepdims=True)
+    return np.array(growth), drift
+
+
 class TestDiagonalKernel:
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["J", "minus_J"])
     @pytest.mark.parametrize("batch", [(), (2,)], ids=["single", "pair"])
     @pytest.mark.parametrize("L", [2, 3, 120])
     def test_bit_identical_to_general_step(self, L, batch, sign):
-        """The diagonal kernel reproduces the roll/matmul/cross step exactly."""
+        """The padded kernel reproduces the roll/matmul/cross step exactly.
+
+        S = 1 alone would hide a reordering around the exact S * nb multiply.
+        """
         J = scars.XYZCouplings(sign * 1.0, sign * 0.7, sign * 0.4)
         mat = scars.coupling_matrix(J)
-        J_diag = lc._coupling_diagonal(J)
-        fast = ref = random_texture(L, seed=L, batch=batch)
-        for _ in range(200):
-            fast = lc._rk4_step(fast, J_diag, 1.0, 5e-3)
-            ref = reference_rk4_step(ref, mat, 1.0, 5e-3)
-        assert np.array_equal(fast, ref)
+        ring = lc._PaddedRing(L, 2 if batch else 1, lc._coupling_diagonal(J))
+        for S in (0.5, 1.0, 3.0):
+            ref = random_texture(L, seed=L, batch=batch)
+            state = ring.pad(ref)
+            for _ in range(200):
+                state = lc._rk4_step(state, ring, S, 5e-3)
+                ref = reference_rk4_step(ref, mat, S, 5e-3)
+            assert np.array_equal(ring.unpad(state).reshape(ref.shape), ref), S
+
+    def test_ghosts_and_duplicate_rows_hold_copies(self):
+        """Every padded entry equals the (site, component) it copies, after steps too."""
+        tex = random_texture(5, seed=9, batch=(2,))
+        ring = lc._PaddedRing(5, 2, lc._coupling_diagonal(scars.XYZCouplings(1.0, 0.7, 0.4)))
+        state = ring.pad(tex)
+        rows = state.reshape(2, 5, 7)
+        np.testing.assert_array_equal(rows[:, 1, 1:-1], tex[:, :, 1])
+        np.testing.assert_array_equal(rows[:, 3], rows[:, 0])
+        np.testing.assert_array_equal(rows[:, :, 0], rows[:, :, 5])
+        np.testing.assert_array_equal(rows[:, :, 6], rows[:, :, 1])
+        for _ in range(3):
+            state = lc._rk4_step(state, ring, 0.5, 0.01)
+        np.testing.assert_array_equal(state, ring.pad(ring.unpad(state)))
 
     def test_off_diagonal_coupling_raises(self):
         tex = random_texture(6, seed=4)
@@ -235,6 +294,29 @@ class TestLLEvolve:
         assert len(calls) == 400
         assert len(traj.times) == 401
 
+    @pytest.mark.parametrize(
+        "L, S, kwargs, n_steps, stride",
+        [
+            pytest.param(6, 1.0, {"dt": 0.01, "T": 3.0, "max_samples": 7}, 300, 43, id="thinned"),
+            pytest.param(5, 0.5, {"T": 0.2, "max_samples": 41}, 40, 1, id="default_shrinks"),
+            pytest.param(2, 0.5, {"dt": 0.02, "T": 1.0, "max_samples": 10}, 50, 5, id="L2"),
+        ],
+    )
+    def test_bit_identical_to_reference_loop(self, L, S, kwargs, n_steps, stride):
+        """Pad once, step, unpad at samples: the trajectory, energies and drift
+        are bit-identical to the reference loop with the same step count and stride."""
+        tex = random_texture(L, seed=L)
+        J = scars.XYZCouplings(1.0, 0.7, -0.4)
+        traj = lc.ll_evolve(tex, J, S, **kwargs)
+        times, textures, energies, drift = reference_ll_evolve(
+            tex, scars.coupling_matrix(J), S, kwargs["T"], n_steps, stride
+        )
+        assert traj.dt == kwargs["T"] / n_steps
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.textures, textures)
+        assert np.array_equal(traj.energy, energies)
+        assert traj.max_norm_drift == drift
+
     def test_snapshot_thinning(self):
         tex = random_texture(6, seed=1)
         J = scars.XYZCouplings(1.0, 0.9, 0.3)
@@ -399,20 +481,46 @@ class TestClassicalLyapunov:
         with pytest.raises(lc.IntegrationError, match=r"reduce dt \(currently 5\.00e-01\)"):
             lc.classical_lyapunov(scars.scar_texture(p), J, 1.0, T=50.0, dt=0.8)
 
-    def test_twin_norm_drift_raises(self, monkeypatch):
-        """The twin's norm is checked too, before renormalisation hides its drift."""
+    @staticmethod
+    def drift_one_trajectory(monkeypatch, which: int) -> None:
+        """Scale trajectory `which` (0 base, 1 twin) of the padded pair by
+        1 + 1e-5 after every step; the other one is left alone."""
         step = lc._rk4_step
 
-        def twin_drifts(pair, *args):
-            out = step(pair, *args)
-            out[1] *= 1.0 + 1e-5
+        def drifts(state, *args):
+            out = step(state, *args)
+            out.reshape(2, -1)[which] *= 1.0 + 1e-5
             return out
 
-        monkeypatch.setattr(lc, "_rk4_step", twin_drifts)
+        monkeypatch.setattr(lc, "_rk4_step", drifts)
         helix = transverse_helix(np.pi / 4, np.pi / 3, 12)
         J = scars.XYZCouplings(1.0, 1.0, np.cos(np.pi / 3) - 0.03)
-        with pytest.raises(lc.IntegrationError, match="norm drift"):
+        # two steps of 0.5 scale every norm of that trajectory by 1 + 2.00e-5
+        with pytest.raises(lc.IntegrationError, match=r"norm drift 2\.00e-05 .* at t = 1\.000"):
             lc.classical_lyapunov(helix, J, 1.0, T=4.0, dt=0.5)
+
+    def test_twin_norm_drift_raises(self, monkeypatch):
+        """The twin's norm is checked too, before renormalisation hides its drift."""
+        self.drift_one_trajectory(monkeypatch, 1)
+
+    def test_base_norm_drift_raises(self, monkeypatch):
+        """A drifting base alone raises as well."""
+        self.drift_one_trajectory(monkeypatch, 0)
+
+    @pytest.mark.parametrize("L, S", [(2, 1.0), (7, 0.5)])
+    def test_bit_identical_to_reference_loop(self, L, S):
+        """Pad, steps, unpad and re-pad at every renormalisation leave the
+        growth curve and the drift bit-identical to the reference loop."""
+        tex = random_texture(L, seed=L + 10)
+        J = scars.XYZCouplings(1.0, 0.7, -0.4)
+        # renorm_interval 1/S over dt = 0.03/S: 34 steps per block, 6 blocks
+        est = lc.classical_lyapunov(tex, J, S, T=6.0 / S, dt=0.03 / S, seed=3)
+        growth, drift = reference_benettin(
+            tex, scars.coupling_matrix(J), S, 1e-7, (1.0 / S) / 34, 34, 6, seed=3
+        )
+        assert np.array_equal(est.log_growth, growth)
+        assert est.max_norm_drift == drift
+        np.testing.assert_array_equal(est.times, np.arange(1, 7) / S)
 
     def test_default_step_count(self, monkeypatch):
         """The default dt gives 20 steps per renormalisation interval."""
