@@ -1,0 +1,220 @@
+"""Compare two source checkouts of xyzscar: benchmark pairs, CLI start-up
+and one large spin-wave contrast, each measured in fresh processes.
+
+    python scripts/bench_compare.py pairs --parent P --change C \\
+        --workloads contrast,scan --seeds 2201:2211 --seconds 25
+    python scripts/bench_compare.py startup --parent P --change C --reps 9
+    python scripts/bench_compare.py scale --parent P --change C \\
+        --cells 0.96:60:800,0.96:61:1600 --reps 3
+    python scripts/bench_compare.py peaks --parent P --change C --reps 3
+
+P and C are checkout roots (each with src/ and perfbench/). Every mode
+alternates which side runs first, the parent first in even pairs, and
+prints one JSON document on standard output; progress goes to stderr.
+
+pairs    runs perfbench/run.py --trace 0 in each checkout, one seed per pair,
+         and reports each end-to-end metric's quartiles per side
+         (statistics.quantiles, n=4, inclusive), every run, and how many
+         pairs the change read lower in.
+startup  times whole `python -m xyzscar.cli` runs of subcommands that need
+         numpy alone, and one that loads scipy, and reports medians.
+scale    runs bogoliubov.contrast_multiflavour on glsh cells
+         (kappa:lambda:n_k, detuning +0.01, T = 200, 401 samples) and
+         reports the call's wall time and the growth of peak RSS over the
+         RSS before it.
+peaks    traces (tracemalloc) the peak memory of the contrast workload's two
+         spin-wave kernels: _power_contrast on the L = 240 transverse ring
+         (T = 30, 301 samples) and bogoliubov.scaling_function on its 301
+         times.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import resource
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+METRICS = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb", "answer_dev")
+STARTUP_RUNS = {
+    "rates": ["rates", "--q", "pi/3", "--theta", "pi/4", "--dJz", "0.03"],
+    "phase-scan": ["phase-scan", "--kappa", "0.8", "--lambda", "7:12"],
+    "dispersion": ["dispersion", "--q", "pi/3", "--theta", "pi/4", "--dJz", "0.03"],
+    "ll-evolve": ["ll-evolve", "--kappa", "0.5", "--M", "1", "--L", "8", "--gamma", "0",
+                  "--dJx", "-0.02", "--T", "1", "--max-samples", "5"],
+    "contrast-sw": ["contrast-sw", "--family", "transverse", "--theta", "pi/4", "--q", "pi/3",
+                    "--L", "12", "--dJz", "0.03", "--T", "5", "--n-samples", "11"],
+}
+
+
+def _ordered(i: int, parent: Path, change: Path):
+    return [("parent", parent), ("change", change)][:: 1 if i % 2 == 0 else -1]
+
+
+def _quartiles(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def _seeds(text: str) -> list[int]:
+    lo, hi = (int(x) for x in text.split(":"))
+    return list(range(lo, hi))
+
+
+def pairs(args) -> dict:
+    out = {}
+    for workload in args.workloads.split(","):
+        runs = {"parent": [], "change": []}
+        for i, seed in enumerate(_seeds(args.seeds)):
+            for side, root in _ordered(i, args.parent, args.change):
+                cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+                       "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"]
+                proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
+                result = json.loads(proc.stdout.strip().splitlines()[-1])
+                record = {m: result["metrics"][m]["value"] for m in METRICS}
+                record.update(seed=seed, first=_ordered(i, args.parent, args.change)[0][0],
+                              correct=result["correct"], attempted=result["attempted"],
+                              failed=result["failed"])
+                runs[side].append(record)
+                print(workload, seed, side, record, file=sys.stderr)
+        summary = {side: {m: _quartiles([r[m] for r in runs[side]]) for m in METRICS}
+                   for side in runs}
+        for m in METRICS:
+            parent, change = ([r[m] for r in runs[side]] for side in ("parent", "change"))
+            summary[f"{m}_change_lower"] = sum(c < p for p, c in zip(parent, change))
+            p_med, c_med = summary["parent"][m]["median"], summary["change"][m]["median"]
+            summary[f"{m}_median_change"] = (c_med - p_med) / p_med if p_med else None
+        summary["runs"] = runs
+        out[workload] = summary
+    return out
+
+
+def startup(args) -> dict:
+    times = {side: {name: [] for name in STARTUP_RUNS} for side in ("parent", "change")}
+    with tempfile.TemporaryDirectory() as tmp:
+        for i in range(args.reps):
+            for name, argv in STARTUP_RUNS.items():
+                for side, root in _ordered(i, args.parent, args.change):
+                    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+                    start = time.perf_counter()
+                    subprocess.run([sys.executable, "-m", "xyzscar.cli", *argv, "--out", tmp],
+                                   env=env, cwd=tmp, check=True, capture_output=True)
+                    times[side][name].append(time.perf_counter() - start)
+    return {side: {name: {"median_s": statistics.median(t), "runs_s": t}
+                   for name, t in per_side.items()}
+            for side, per_side in times.items()}
+
+
+def _rss_mb() -> float:
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * resource.getpagesize() / 2**20
+
+
+def scale_cell(args) -> dict:
+    """Run in a fresh process whose path starts at the checkout's src."""
+    from xyzscar import bogoliubov as bg
+    from xyzscar.elliptic import complete_K
+
+    kappa, lam, n_k = args.cell.split(":")
+    kappa, lam, n_k = float(kappa), int(lam), int(n_k)
+    q = 4.0 * complete_K(kappa) / lam
+    bg.contrast_multiflavour("glsh", kappa, q, 0.01, T=1.0, n_k=2, n_samples=3)
+    before = _rss_mb()
+    start = time.perf_counter()
+    series = bg.contrast_multiflavour("glsh", kappa, q, 0.01, T=200.0, n_k=n_k, n_samples=401)
+    wall = time.perf_counter() - start
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return {"wall_s": wall, "rss_growth_mb": peak - before, "D_last": float(series.D[-1])}
+
+
+def scale(args) -> dict:
+    out = {}
+    for cell in args.cells.split(","):
+        runs = {"parent": [], "change": []}
+        for i in range(args.reps):
+            for side, root in _ordered(i, args.parent, args.change):
+                env = dict(os.environ, PYTHONPATH=str(root / "src"))
+                proc = subprocess.run([sys.executable, __file__, "scale-cell", "--cell", cell],
+                                      env=env, capture_output=True, text=True, check=True)
+                runs[side].append(json.loads(proc.stdout))
+                print(cell, side, runs[side][-1], file=sys.stderr)
+        out[cell] = {side: {"wall_s_median": statistics.median(r["wall_s"] for r in rs),
+                            "rss_growth_mb_median": statistics.median(r["rss_growth_mb"] for r in rs),
+                            "runs": rs}
+                     for side, rs in runs.items()}
+    return out
+
+
+def peaks_run(args) -> dict:
+    """Run in a fresh process whose path starts at the checkout's src."""
+    import math
+    import tracemalloc
+
+    import numpy as np
+
+    from xyzscar import bogoliubov as bg
+    from xyzscar import rotframe
+    from xyzscar import spinwave as sw
+
+    theta, q, dJz = math.pi / 4, math.pi / 3, -0.03
+    frame = rotframe.frame_transverse(theta=theta, q=q, omega=-2.0 * math.cos(theta) * dJz,
+                                      L=240, dJz=dJz)
+    G = sw._quadrature_generator(sw.sw_coefficients(frame, 1.0))[None]
+    sw.expm(np.zeros((2, 2)))
+    calls = {"ring_kernel_mb": lambda: sw._power_contrast(G, 0.1, 301, 1.0),
+             "integral_mb": lambda: bg.scaling_function(np.linspace(0.0, 30.0, 301), q, theta, dJz)}
+    out = {}
+    for name, call in calls.items():
+        tracemalloc.start()
+        call()
+        out[name] = tracemalloc.get_traced_memory()[1] / 1e6
+        tracemalloc.stop()
+    return out
+
+
+def peaks(args) -> dict:
+    runs = {"parent": [], "change": []}
+    for i in range(args.reps):
+        for side, root in _ordered(i, args.parent, args.change):
+            env = dict(os.environ, PYTHONPATH=str(root / "src"))
+            proc = subprocess.run([sys.executable, __file__, "peaks-run"],
+                                  env=env, capture_output=True, text=True, check=True)
+            runs[side].append(json.loads(proc.stdout))
+    return {side: {"max": {k: max(r[k] for r in rs) for k in rs[0]}, "runs": rs}
+            for side, rs in runs.items()}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    modes = parser.add_subparsers(dest="mode", required=True)
+    for name in ("pairs", "startup", "scale", "peaks"):
+        sub = modes.add_parser(name)
+        sub.add_argument("--parent", type=Path, required=True)
+        sub.add_argument("--change", type=Path, required=True)
+        if name == "pairs":
+            sub.add_argument("--workloads", default="scan,benettin,exact,contrast")
+            sub.add_argument("--seeds", required=True, help="lo:hi, one seed per pair")
+            sub.add_argument("--seconds", type=float, default=25.0)
+        else:
+            sub.add_argument("--reps", type=int, default=9)
+        if name == "scale":
+            sub.add_argument("--cells", default="0.96:60:800,0.96:61:1600")
+    modes.add_parser("scale-cell").add_argument("--cell", required=True)
+    modes.add_parser("peaks-run")
+    args = parser.parse_args()
+    if args.mode not in ("scale-cell", "peaks-run"):
+        args.parent, args.change = args.parent.resolve(), args.change.resolve()
+    run = {"pairs": pairs, "startup": startup, "scale": scale, "peaks": peaks,
+           "scale-cell": scale_cell, "peaks-run": peaks_run}[args.mode]
+    json.dump(run(args), sys.stdout, indent=1)
+    print()
+
+
+if __name__ == "__main__":
+    main()

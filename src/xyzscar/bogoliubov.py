@@ -165,30 +165,19 @@ def instability_window(q: float, theta: float, dJz: float):
     )
 
 
-def _phi(z: np.ndarray) -> np.ndarray:
-    """Entire function sin^2(sqrt(z))/z, with sinh growth for z < 0."""
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    small = np.abs(z) < 1e-4
-    pos = ~small & (z > 0)
-    neg = ~small & (z < 0)
-    zs = z[small]
-    out[small] = 1.0 - zs / 3.0 + 2.0 * zs**2 / 45.0 - zs**3 / 315.0
-    out[pos] = np.sin(np.sqrt(z[pos])) ** 2 / z[pos]
-    y = np.sqrt(-z[neg])
-    out[neg] = np.sinh(y) ** 2 / (-z[neg])
-    return out
-
-
 def scaling_function(tau, q: float, theta: float, dJz: float, n_k: int | None = None) -> np.ndarray:
     """Thermodynamic-limit scaling function f(tau) of the contrast.
 
         f(tau) = (1/2pi) Int dk (A~_k^2 / w~_k^2) sin^2(w~_k tau)
 
-    with A~_k = sin^2(theta) cos(k) dJz. The integrand is written as
-    A~^2 tau^2 phi(w~^2 tau^2), which is analytic in k (only even powers of
-    w~ appear), so the uniform trapezoid rule converges spectrally; the grid
-    grows with tau to resolve the oscillations.
+    with A~_k = sin^2(theta) cos(k) dJz. The integrand is A~^2 tau^2 times
+    the entire function sin^2(sqrt z)/z of z = w~^2 tau^2, analytic in k
+    (only even powers of w~ appear), so the uniform trapezoid rule converges
+    spectrally; the grid grows with tau to resolve the oscillations. The
+    k-only factors a_k = A~^2/|w~^2| and omega_k = sqrt|w~^2| are formed
+    once: each point is a_k sin^2(omega_k tau), a_k sinh^2(omega_k tau)
+    where w~^2 < 0, and A~^2 tau^2 where w~^2 is exactly 0. Rows are summed
+    by np.sum, so a tau's value does not depend on the other taus.
     """
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     if not np.all((tau >= 0) & (tau < math.inf)):
@@ -197,16 +186,27 @@ def scaling_function(tau, q: float, theta: float, dJz: float, n_k: int | None = 
         n_k = max(8192, 256 * (int(np.max(tau)) + 1))
     k = _momentum_grid(n_k)
     X = math.sin(theta) ** 2 * dJz
-    A_red = X * np.cos(k)
     s2 = np.sin(k / 2.0) ** 2
     w2 = 8.0 * math.cos(q) * s2 * (2.0 * math.cos(q) * s2 - X * np.cos(k))
+    # momenta grouped as w~^2 > 0, w~^2 == 0, w~^2 < 0
+    order = np.argsort(-np.sign(w2), kind="stable")
+    w2, A2 = w2[order], (X * np.cos(k[order])) ** 2
+    n_osc, n_flat = np.count_nonzero(w2 > 0.0), np.count_nonzero(w2 == 0.0)
+    grow = slice(n_osc + n_flat, None)
+    omega = np.sqrt(np.abs(w2))
+    a = np.divide(A2, np.abs(w2), out=A2.copy(), where=w2 != 0.0)
     out = np.empty(len(tau))
     # 2.5e5 (tau, k) points per chunk bound the temporaries at a few MB
     chunk = max(1, 250_000 // n_k)
     for i in range(0, len(tau), chunk):
         t = tau[i : i + chunk, None]
-        vals = (A_red**2)[None, :] * t**2 * _phi(w2[None, :] * t**2)
-        out[i : i + chunk] = vals.mean(axis=1)
+        x = t * omega
+        np.sin(x[:, :n_osc], out=x[:, :n_osc])
+        x[:, n_osc : n_osc + n_flat] = t
+        np.sinh(x[:, grow], out=x[:, grow])
+        np.square(x, out=x)
+        x *= a
+        out[i : i + chunk] = np.sum(x, axis=1) / n_k
     return out
 
 
@@ -469,6 +469,23 @@ def lyapunov_max(
     return float(np.abs(np.sqrt(mu.astype(complex)).imag).max())
 
 
+class _GeneratorStack:
+    """The quadrature generators [[0, R-], [-R+, 0]] of _reflection_bloch_pair
+    over k_cell, built a slice of momenta at a time: _power_contrast takes
+    them in blocks, so no stack over every momentum is ever formed."""
+
+    def __init__(self, eta: float, zeta: float, operators, k_cell: np.ndarray):
+        self.pair = (eta, zeta, operators)
+        self.k_cell = k_cell
+        dim = 2 * len(operators[0])
+        self.shape = (len(k_cell), dim, dim)
+
+    def __getitem__(self, index) -> np.ndarray:
+        Rm, Rp = _reflection_bloch_pair(*self.pair, self.k_cell[index])
+        zero = np.zeros_like(Rm)
+        return np.block([[zero, Rm], [-Rp, zero]])
+
+
 def contrast_multiflavour(
     family: str,
     kappa: float,
@@ -490,9 +507,10 @@ def contrast_multiflavour(
     P R+/-(k) P with P the diagonal +/-1 cell reflection), so the rule runs
     over the k > 0 half zone, and for even lam the cell folds onto the half
     cell at momenta {k/2, pi - k/2}: the momenta of lyapunov_max
-    (_bloch_cell). The stack of generators goes through the power/Frobenius
-    kernel of the real-space ring (spinwave._power_contrast), with its
-    finiteness and symplectic checks. Without detuning nothing creates
+    (_bloch_cell). The generators go through the power/Frobenius kernel of
+    the real-space ring (spinwave._power_contrast), with its finiteness and
+    symplectic checks, built one momentum block at a time (_GeneratorStack),
+    so the memory does not grow with n_k. Without detuning nothing creates
     pairs, and D = 1 exactly.
     """
     if not 0.0 < T < math.inf or n_samples < 2:
@@ -501,9 +519,7 @@ def contrast_multiflavour(
     eta, zeta, k_cell, operators = _bloch_cell(family, kappa, q, delta, S, n_k)
     if zeta == 0.0:
         return ContrastSeries(times=times, D=np.ones(n_samples), f=np.zeros(n_samples))
-    Rm, Rp = _reflection_bloch_pair(eta, zeta, operators, k_cell)
-    zero = np.zeros_like(Rm)
-    generators = np.block([[zero, Rm], [-Rp, zero]])
+    generators = _GeneratorStack(eta, zeta, operators, k_cell)
     D, defect = _power_contrast(generators, times[1] - times[0], n_samples, S)
     return ContrastSeries(
         times=times, D=D, f=S * (1.0 - D), pseudo_unitarity_defect=defect

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bogoliubov as bg
-from . import ed_oracle, lattice_classical, rotframe, spinwave
+from . import lattice_classical, rotframe, spinwave
 from .scars import (
     DETUNED_COUPLING,
     EXACT_RESIDUAL_TOL,
@@ -138,6 +138,8 @@ def _scar_params(args) -> ScarParams:
 
 
 def cmd_scar_verify(args) -> int:
+    from . import ed_oracle  # loads scipy.sparse, which no other subcommand needs
+
     p = _scar_params(args)
     parent = parent_couplings(p.kappa, p.q)
     J = XYZCouplings(
@@ -203,6 +205,8 @@ def cmd_contrast_sw(args) -> int:
 
 
 def cmd_contrast_ed(args) -> int:
+    from . import ed_oracle
+
     p = _scar_params(args)
     series = ed_oracle.contrast_exact(
         p, args.delta, T=args.T, n_samples=args.n_samples, theta=args.theta

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import expm_multiply
 
 from .elliptic import complete_K
 from .scars import (
@@ -37,6 +36,15 @@ from .scars import (
     _twice_spin,
 )
 from .spinwave import ContrastSeries, spin_contrast
+
+
+def expm_multiply(A, v):
+    """scipy.sparse.linalg.expm_multiply, imported at the first call: the
+    stepping route alone pays for loading scipy.sparse.linalg."""
+    from scipy.sparse.linalg import expm_multiply as scipy_expm_multiply
+
+    return scipy_expm_multiply(A, v)
+
 
 #: largest many-body dimension the dense/sparse routines will accept
 DIMENSION_CAP = 4096

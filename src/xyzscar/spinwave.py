@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .lattice_classical import _step_count
 from .rotframe import FrameData
@@ -23,12 +22,30 @@ from .scars import check_spin_length, write_csv, write_sidecar
 
 PSEUDO_UNITARITY_TOL = 1e-9
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
+# _power_contrast takes a stack of generators in blocks of at most this many
+# matrix elements (8 MiB of doubles), which bounds its memory whatever the
+# stack's size. Each block calls scipy's expm, whose BLAS keeps its own thread
+# pool: at bogoliubov's 2^17, those calls contended with numpy's spinning BLAS
+# threads and took glsh (0.96, 61) at n_k = 1,600 from 10 s to 21 s (2 cores,
+# default BLAS threads)
+_POWER_BLOCK_ELEMENTS = 1 << 20
+# _block_norms takes offset -a only where the cancellation it brings is bound
+# to amplify rounding by at most this factor
+_CANCELLATION_LIMIT = 2.0**8
 
 # commutator-free 4th-order Magnus coefficients (two-exponential scheme)
 _CF4_C1 = 0.5 - math.sqrt(3.0) / 6.0
 _CF4_C2 = 0.5 + math.sqrt(3.0) / 6.0
 _CF4_A1 = 0.25 + math.sqrt(3.0) / 6.0
 _CF4_A2 = 0.25 - math.sqrt(3.0) / 6.0
+
+
+def expm(A: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm, imported at the first call: importing this module
+    (and bogoliubov, which imports it) does not load scipy."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(A)
 
 
 @dataclass
@@ -168,21 +185,36 @@ def _check_symplectic(E: np.ndarray, h: float) -> float:
     """Defect max |E^T Omega E - Omega| over a stack of real propagators.
 
     Omega = [[0, 1], [-1, 0]]; in quadratures this is the pseudo-unitarity
-    condition, with its tolerance and message. Raises RuntimeError past it.
-    The message names the largest ||E||_F and the defect relative to its
-    square: rounding alone leaves up to about 2m eps ||E||_F^2 in E^T Omega E,
-    so a relative defect at that level, or an E that overflowed, means the
+    condition, with its tolerance and message (_judge_symplectic). Raises
+    RuntimeError past it.
+    """
+    return _judge_symplectic(*_symplectic_defect(E), E.shape[-1] // 2, h)
+
+
+def _symplectic_defect(E: np.ndarray):
+    """(max |E^T Omega E - Omega|, max ||E||_F^2) over a stack of real
+    matrices of size 2m; Omega is subtracted in place, entry by entry."""
+    m = E.shape[-1] // 2
+    defect = np.swapaxes(E, -1, -2) @ np.concatenate([E[..., m:, :], -E[..., :m, :]], axis=-2)
+    i = np.arange(m)
+    defect[..., i, i + m] -= 1.0
+    defect[..., i + m, i] += 1.0
+    return np.abs(defect, out=defect).max(), np.einsum("...ij,...ij->...", E, E).max()
+
+
+def _judge_symplectic(err, norm_sq, m: int, h: float) -> float:
+    """Return the defect err of a propagator of 2m quadratures whose squared
+    Frobenius norm is norm_sq, or raise RuntimeError past the tolerance.
+
+    The message names ||E||_F and the defect relative to its square:
+    rounding alone leaves up to about 2m eps ||E||_F^2 in E^T Omega E, so a
+    relative defect at that level, or an E that overflowed, means the
     propagator has grown past what doubles resolve, which a shorter T avoids
     and a smaller step cannot.
     """
-    m = E.shape[-1] // 2
-    omega_E = np.concatenate([E[..., m:, :], -E[..., :m, :]], axis=-2)
-    omega = np.block([[np.zeros((m, m)), np.eye(m)], [-np.eye(m), np.zeros((m, m))]])
-    err = np.abs(np.swapaxes(E, -1, -2) @ omega_E - omega).max()
     # written so that a NaN defect fails too
     if not err <= PSEUDO_UNITARITY_TOL:
         with np.errstate(over="ignore", invalid="ignore"):
-            norm_sq = np.square(E).sum(axis=(-2, -1)).max()
             relative = err / norm_sq
         advice = (
             "the growth exceeds double precision, so shorten T"
@@ -298,7 +330,7 @@ def _quadrature_generator(coeffs) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow fails the checks instead
-def _power_contrast(G: np.ndarray, h: float, n_samples: int, S: float):
+def _power_contrast(G, h: float, n_samples: int, S: float):
     """Contrast at t_n = n h, n < n_samples, for a stack of real generators.
 
     G has shape (batch, 2m, 2m), each block a quadrature generator of m
@@ -307,50 +339,145 @@ def _power_contrast(G: np.ndarray, h: float, n_samples: int, S: float):
     the batch mean of ||E^n||_F^2 (_contrast_from_norms): a batch of Bloch
     momenta gives the midpoint-rule k integral, a batch of one the
     real-space ring. Nothing is diagonalised, so the defective k = 0
-    Goldstone pair is harmless.
+    Goldstone pair is harmless. G may also be any object with that .shape
+    whose slices G[i:j] are such arrays, built on demand.
 
-    Powers take baby and giant steps. With N = n_samples - 1, r = isqrt(N)
-    and n = a + r b,
-
-        ||E^n||_F^2 = < (E^{rb})^T E^{rb}, E^a (E^a)^T >_F,
-
-    so the r baby Gram matrices are kept and each giant Gram matrix meets
-    all of them in one matrix-vector product: about 4 sqrt(N) matmuls in
-    place of N propagation steps, and D(0) = 1 exactly. Each giant step
-    must stay finite, and E^N, one product of factors already formed,
-    passes the symplectic check. Returns D and the measured defect.
+    Powers take baby and giant steps (_block_norms) on blocks of at most
+    _POWER_BLOCK_ELEMENTS matrix elements, and the blocks' norms are summed, so
+    the memory does not grow with the batch. A non-finite norm raises,
+    naming the earliest such sample over the whole batch; E^N, N =
+    n_samples - 1, passes the symplectic check, with the largest defect
+    over the blocks. Returns D and that defect.
     """
     batch, dim = G.shape[0], G.shape[-1]
-    n_steps = n_samples - 1
-    r = math.isqrt(n_steps)
-    E = _flush_tiny(expm(h * G))
-    power = np.broadcast_to(np.eye(dim), G.shape)
-    grams = np.empty((r,) + G.shape)
-    for a in range(r):
-        if a:
-            power = _flush_tiny(power @ E)
-        grams[a] = _flush_tiny(power @ np.swapaxes(power, -1, -2))
-        if a == n_steps % r:
-            tail = power
-    stride = _flush_tiny(power @ E)
-    giant = np.broadcast_to(np.eye(dim), G.shape)
-    norms = np.empty(n_samples)
-    flat = grams.reshape(r, -1)
-    for b in range(n_steps // r + 1):
-        if b:
-            giant = _flush_tiny(giant @ stride)
-        lo = b * r
-        hi = min(lo + r, n_samples)
-        gram = _flush_tiny(np.swapaxes(giant, -1, -2) @ giant)
-        norms[lo:hi] = (flat @ gram.ravel())[: hi - lo]
-        if not np.isfinite(norms[lo:hi]).all():
-            bad = lo + int(np.argmin(np.isfinite(norms[lo:hi])))
-            raise RuntimeError(
-                f"spin-wave propagator overflowed at t = {bad * h:.6g}; "
-                "the growth exceeds double range, so shorten T"
-            )
-    defect = _check_symplectic(giant @ tail, h)
+    block = max(1, _POWER_BLOCK_ELEMENTS // dim**2)
+    norms = np.zeros(n_samples)
+    defects = []
+    for start in range(0, batch, block):
+        block_norms, defect = _block_norms(G[start : start + block], h, n_samples - 1)
+        norms += block_norms
+        defects.append(defect)
+    if not np.isfinite(norms).all():
+        bad = int(np.argmin(np.isfinite(norms)))
+        raise RuntimeError(
+            f"spin-wave propagator overflowed at t = {bad * h:.6g}; "
+            "the growth exceeds double range, so shorten T"
+        )
+    err, norm_sq = np.max(defects, axis=0)
+    defect = _judge_symplectic(err, norm_sq, dim // 2, h)
     return _contrast_from_norms(norms / batch, dim, S), defect
+
+
+def _block_norms(G: np.ndarray, h: float, n_steps: int):
+    """||E^n||_F^2 summed over a block of generators for n = 0 .. n_steps,
+    and (defect, ||E||_F^2) of E^{n_steps} (_symplectic_defect).
+
+    With half = isqrt(n_steps) // 2 - 1 (at least 1) and stride
+    r = back + half + 1, each n is r b + a with -back <= a <= half:
+
+        ||E^n||_F^2 = < (E^{rb})^T E^{rb}, E^a (E^a)^T >_F.
+
+    A real symplectic E has E^{-a} = Omega^T (E^a)^T Omega, so
+    E^{-a} (E^{-a})^T = Omega^T (E^a)^T E^a Omega: each baby power
+    E^1 .. E^half serves the offset +a by its left Gram matrix and, up to
+    back, -a by its right one, whose conjugation by Omega is a block swap
+    with signs (_gram_packing). An offset -a loses digits to cancellation:
+    the terms of its product exceed the result by up to s^4, s the largest
+    singular value of E^a. Since s^2 + s^-2 - 2 <= ||E||_F^2 - 2m for a
+    symplectic E of size 2m, that bounds s, and back is the largest
+    a <= half whose bound s^4a stays within _CANCELLATION_LIMIT; it is half
+    unless one sample step grows E steeply, and 0 (positive offsets only)
+    for a non-finite E.
+
+    The baby Gram matrices (the identity at a = 0) are kept packed, and each
+    giant Gram matrix meets them all in one matrix-vector product; D(0) = 1
+    exactly. Every power and Gram matrix is flushed of tiny entries. A giant
+    step with a non-finite norm ends the block, its norms from there on NaN.
+    E^{n_steps} is the giant power E^{r q}, q = n_steps // r, times a tail
+    E^s, s = n_steps mod r: a baby power, or else formed once as
+    E^half E^{s - half}.
+    """
+    nb, dim = G.shape[0], G.shape[-1]
+    half = max(1, math.isqrt(n_steps) // 2 - 1)
+    plus, minus, cross = _gram_packing(dim)
+    mag, mask = np.empty(nb * dim * dim), np.empty(nb * dim * dim, dtype=bool)
+
+    def flush(X):
+        return _flush_tiny(X, mag, mask)
+
+    def pack(gram, index, out, weights=()):
+        """Upper triangle of a symmetric gram (conjugated by Omega for the
+        minus index) into out; weights scale the two off-diagonal segments."""
+        np.take(gram.reshape(nb, dim * dim), index, axis=1, out=out, mode="clip")
+        flush(out)
+        for segment, weight in zip((out[:, dim:cross], out[:, cross:]), weights):
+            segment *= weight
+
+    E = flush(expm(h * G))
+    excess = max(float(np.einsum("...ij,...ij->...", E, E).max()) - dim, 0.0)
+    log_bound = math.log((math.sqrt(excess) + math.sqrt(excess + 4.0)) / 2.0)
+    back = 0
+    while back < half and 4 * (back + 1) * log_bound <= math.log(_CANCELLATION_LIMIT):
+        back += 1
+    r = back + half + 1
+    q, s = divmod(n_steps, r)
+    n_giants = max(0, -(-(n_steps - half) // r))
+    grams = np.zeros((r, nb, len(plus)))  # offsets -back .. half
+    grams[back, :, :dim] = 1.0
+    power, kept = E, {}
+    for a in range(1, half + 1):
+        if a > 1:
+            power = flush(power @ E)
+        pack(power @ np.swapaxes(power, -1, -2), plus, grams[back + a], (2.0, 2.0))
+        if a <= back:
+            pack(np.swapaxes(power, -1, -2) @ power, minus, grams[back - a], (2.0, -2.0))
+        if a in (back + 1, s, s - half):
+            kept[a] = power
+    if n_giants:
+        stride = flush(power @ (kept[back + 1] if back < half else flush(power @ E)))
+    tail = None if s == 0 else kept[s] if s <= half else flush(power @ kept[s - half])
+    del E, power, kept
+    flat = grams.reshape(r, -1)
+    norms = np.full(n_steps + 1, np.nan)
+    giant_gram = np.empty((nb, len(plus)))
+    for b in range(n_giants + 1):
+        if b == 0:
+            giant, packed = None, grams[back]
+        else:
+            giant = stride if b == 1 else flush(giant @ stride)
+            pack(np.swapaxes(giant, -1, -2) @ giant, plus, giant_gram)
+            packed = giant_gram
+        lo = r * b - back
+        first, last = max(lo, 0), min(lo + r, n_steps + 1)
+        norms[first:last] = (flat @ packed.ravel())[first - lo : last - lo]
+        if not np.isfinite(norms[first:last]).all():
+            return norms, (math.nan, math.nan)
+        if b == q:
+            end = tail if giant is None else giant if tail is None else giant @ tail
+    # checked once the Gram matrices are freed
+    del grams, flat, giant_gram, packed, giant, tail
+    return norms, _symplectic_defect(end)
+
+
+def _gram_packing(dim: int):
+    """(plus, minus, cross): flat indices of a dim x dim matrix X that pack
+    the upper triangle of a symmetric X (plus) and of Omega^T X Omega
+    (minus, up to signs), and where the cross block starts.
+
+    The packed order is the diagonal, then the strict upper triangles of the
+    two m x m diagonal blocks (m = dim/2), then the m x m cross block. With
+    sigma the swap of the two halves, (Omega^T X Omega)_ij = +/-X_sigma(i)sigma(j),
+    negative on the cross block only, so minus is plus with sigma applied to
+    both indices, and the sign is a weight on the cross segment.
+    """
+    m = dim // 2
+    rows, cols = np.triu_indices(dim)
+    segment = np.where(rows == cols, 0, np.where((rows < m) & (cols >= m), 2, 1))
+    order = np.argsort(segment, kind="stable")
+    rows, cols = rows[order], cols[order]
+    sigma = (np.arange(dim) + m) % dim
+    cross = len(rows) - m * m
+    return rows * dim + cols, sigma[rows] * dim + sigma[cols], cross
 
 
 def _contrast_from_norms(sq_norms: np.ndarray, dim: int, S: float) -> np.ndarray:
@@ -359,8 +486,9 @@ def _contrast_from_norms(sq_norms: np.ndarray, dim: int, S: float) -> np.ndarray
     return 1.0 - (sq_norms - dim) / (2.0 * dim * S)
 
 
-def _flush_tiny(X: np.ndarray) -> np.ndarray:
-    """Zero the entries of X below sqrt(smallest normal double), ~1.5e-154.
+def _flush_tiny(X: np.ndarray, mag: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Zero the entries of X below sqrt(smallest normal double), ~1.5e-154,
+    in place; mag and mask are scratch buffers of at least X.size entries.
 
     A local generator's exponential has entries that fall off with distance
     far below that. They sit ~138 orders under the unit scale of a
@@ -369,7 +497,9 @@ def _flush_tiny(X: np.ndarray) -> np.ndarray:
     unflushed, a matmul of the L = 240 ring took 3.7x longer (Intel Xeon,
     one BLAS thread). Flushed, no product of two entries underflows.
     """
-    X[np.abs(X) < _SQRT_TINY] = 0.0
+    mag = np.abs(X, out=mag[: X.size].reshape(X.shape))
+    mask = np.less(mag, _SQRT_TINY, out=mask[: X.size].reshape(X.shape))
+    np.copyto(X, 0.0, where=mask)
     return X
 
 

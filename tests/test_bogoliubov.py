@@ -296,6 +296,16 @@ class TestScalingFunction:
             with pytest.raises(ValueError, match="at least one momentum"):
                 bg.scaling_function([1.0], Q, THETA, -0.03, n_k=n_k)
 
+    @pytest.mark.parametrize("dJz", [-0.03, 0.02])
+    def test_zero_frequency_momentum(self, dJz):
+        """n_k = 1 puts the single momentum on k = 0 exactly, where w~^2 = 0:
+        the integrand is its limit A~^2 tau^2, finite and warning-free."""
+        assert bg._momentum_grid(1)[0] == 0.0
+        tau = np.array([0.0, 0.5, 3.0, 40.0])
+        X = math.sin(THETA) ** 2 * dJz
+        f = bg.scaling_function(tau, Q, THETA, dJz, n_k=1)
+        np.testing.assert_allclose(f, X**2 * tau**2, rtol=1e-15, atol=0)
+
     def test_chunked_call_matches_per_tau_calls(self):
         """A tau array spanning several chunks gives the per-tau values bit for bit."""
         n_k = 8192

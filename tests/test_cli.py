@@ -944,3 +944,55 @@ class TestNonFiniteFlags:
         assert code in (1, 2)
         assert err.count("\n") == 1, err
         assert err.startswith(("error:", "usage error:")), err
+
+
+def _imported_modules(argv, tmp_path):
+    """Run the CLI in a fresh interpreter under -X importtime; return the
+    names of every module it imported."""
+    import os
+    import subprocess
+    import sys
+
+    import xyzscar
+
+    env = dict(os.environ)
+    package_root = str(Path(xyzscar.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "xyzscar.cli", *argv, "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return [
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:") and "|" in line
+    ]
+
+
+class TestImports:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rates", "--q", "pi/3", "--theta", "pi/4", "--dJz", "0.03"],
+            ["phase-scan", "--kappa", "0.8", "--lambda", "7", "--n-k", "20"],
+            ["dispersion", "--q", "pi/3", "--theta", "pi/4", "--dJz", "0.03", "--n-k", "16"],
+            ["ll-evolve", "--kappa", "0.5", "--M", "1", "--L", "8", "--gamma", "0",
+             "--dJx", "-0.02", "--T", "0.1", "--max-samples", "3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_numpy_only_subcommands_load_no_scipy(self, tmp_path, argv):
+        modules = _imported_modules(argv, tmp_path)
+        assert "xyzscar.bogoliubov" in modules  # cli itself runs as __main__
+        assert not [m for m in modules if m.split(".")[0] == "scipy"]
+
+    def test_contrast_sw_loads_scipy(self, tmp_path):
+        """The control: the subcommand that takes an exponential does import
+        scipy.linalg, and the parse above sees it."""
+        modules = _imported_modules(
+            ["contrast-sw", "--family", "transverse", "--theta", "pi/4", "--q", "pi/3",
+             "--L", "6", "--dJz", "0.03", "--T", "1", "--n-samples", "3"],
+            tmp_path,
+        )
+        assert "scipy.linalg" in modules

@@ -2,12 +2,15 @@
 
 import json
 import math
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from xyzscar import elliptic, lattice_classical as lc, rotframe, scars, spinwave as sw
+from xyzscar import bogoliubov as bg, elliptic, lattice_classical as lc, rotframe, scars
+from xyzscar import spinwave as sw
 from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
@@ -467,6 +470,243 @@ class TestContrastSW:
         for S in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="spin length"):
                 sw.contrast_sw(co, S)
+
+
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
+
+
+def _reference_flush(X):
+    X[np.abs(X) < _SQRT_TINY] = 0.0
+    return X
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_power_contrast(G, h, n_samples, S):
+    """The previous power kernel, the oracle of _power_contrast: r = isqrt(N)
+    full baby Gram matrices E^a (E^a)^T, a = 0 .. r - 1, kept for the whole
+    stack at once, and giant steps E^{rb} with nonnegative offsets only.
+    The exponential is taken through sw.expm, so a monkeypatch reaches both."""
+    batch, dim = G.shape[0], G.shape[-1]
+    n_steps = n_samples - 1
+    r = math.isqrt(n_steps)
+    E = _reference_flush(sw.expm(h * G))
+    power = np.broadcast_to(np.eye(dim), G.shape)
+    grams = np.empty((r,) + G.shape)
+    for a in range(r):
+        if a:
+            power = _reference_flush(power @ E)
+        grams[a] = _reference_flush(power @ np.swapaxes(power, -1, -2))
+        if a == n_steps % r:
+            tail = power
+    stride = _reference_flush(power @ E)
+    giant = np.broadcast_to(np.eye(dim), G.shape)
+    norms = np.empty(n_samples)
+    flat = grams.reshape(r, -1)
+    for b in range(n_steps // r + 1):
+        if b:
+            giant = _reference_flush(giant @ stride)
+        lo = b * r
+        hi = min(lo + r, n_samples)
+        gram = _reference_flush(np.swapaxes(giant, -1, -2) @ giant)
+        norms[lo:hi] = (flat @ gram.ravel())[: hi - lo]
+        if not np.isfinite(norms[lo:hi]).all():
+            bad = lo + int(np.argmin(np.isfinite(norms[lo:hi])))
+            raise RuntimeError(
+                f"spin-wave propagator overflowed at t = {bad * h:.6g}; "
+                "the growth exceeds double range, so shorten T"
+            )
+    defect = sw._check_symplectic(giant @ tail, h)
+    return sw._contrast_from_norms(norms / batch, dim, S), defect
+
+
+def ring_generator(L, dJz, S=1.0):
+    """The (1, 2L, 2L) quadrature generator of the detuned transverse ring."""
+    frame = co_rotating_transverse(math.pi / 4, math.pi / 3, dJz, L, S)
+    return sw._quadrature_generator(sw.sw_coefficients(frame, S))[None]
+
+
+def bloch_generators(family, kappa, lam, delta, n_k):
+    """contrast_multiflavour's stack of Bloch generators, built on demand."""
+    q = 4.0 * elliptic.complete_K(kappa) / lam
+    eta, zeta, k_cell, operators = bg._bloch_cell(family, kappa, q, delta, 1.0, n_k)
+    return bg._GeneratorStack(eta, zeta, operators, k_cell)
+
+
+def kernel_error(G, h, n_samples, S=1.0):
+    """Largest |D - D_ref| over the samples, in units of max(1, |1 - D_ref|),
+    with D(0) required exactly 1."""
+    D, _ = sw._power_contrast(G, h, n_samples, S)
+    ref, _ = reference_power_contrast(G if isinstance(G, np.ndarray) else G[:], h, n_samples, S)
+    assert D[0] == 1.0
+    return float(np.max(np.abs(D - ref) / np.maximum(1.0, np.abs(1.0 - ref))))
+
+
+def raised(f, *args):
+    with pytest.raises(RuntimeError) as info:
+        f(*args)
+    return str(info.value)
+
+
+# (dJz, T, n_samples) on the L = 24 ring: one sample step at dJz = 0.5 and
+# h = 100 grows E by up to e^20, so only positive offsets are taken; the
+# milder steps at dJz = 0.3 and 0.1 keep negative ones up to the overflow
+OVERFLOW_CASES = [
+    (0.5, 3000.0, 31), (0.5, 3000.0, 301), (0.5, 5000.0, 13), (0.5, 2500.0, 2),
+    (0.5, 2500.0, 3), (0.3, 4000.0, 401), (0.3, 4000.0, 2001), (0.1, 20000.0, 1001),
+]
+
+
+class TestPowerContrast:
+    """_power_contrast against the previous kernel. D agrees to 1e-12, in
+    units of max(1, |1 - D|): both kernels round ||E^n||_F^2 at about 1e-15
+    relative, so a ring grown to ||E||_F ~ 1e3, whose 1 - D is ~1e4, agrees to
+    ~5e-11 absolute, as far as either lies from an extended-precision loop."""
+
+    @pytest.mark.parametrize(
+        "n_samples",
+        # 228: a prime N; 309: N mod r = half + 1; 314: N mod r > half + 1,
+        # where the tail E^half E^{s - half} is formed (r = 15, half = 7)
+        [2, 3, 4, 301, 228, 309, 314],
+    )
+    def test_sample_counts_on_a_stable_ring(self, n_samples):
+        assert kernel_error(ring_generator(24, -0.03), 30.0 / (n_samples - 1), n_samples) <= 1e-12
+
+    @pytest.mark.parametrize("L,dJz,T", [(48, -0.03, 30.0), (48, 0.03, 200.0), (24, 0.3, 50.0)])
+    def test_stable_and_unstable_rings(self, L, dJz, T):
+        """The last ring is grown to ||E||_F = 963 at T (1 - D = 9.65e3)."""
+        G = ring_generator(L, dJz)
+        if dJz == 0.3:
+            assert 900 < np.linalg.norm(sw.expm(T * G)) < 1100
+        assert kernel_error(G, T / 300, 301) <= 1e-12
+
+    @pytest.mark.parametrize("dJz,T,n_samples", [(0.3, 60.0, 3), (0.3, 60.0, 4), (0.5, 30.0, 3)])
+    def test_steep_sample_steps(self, dJz, T, n_samples):
+        """A sample step that grows E ~30-fold: the offset -1 would cancel
+        ~1e6-fold and miss by up to 2e-9, so the kernel keeps to positive
+        offsets there."""
+        assert kernel_error(ring_generator(24, dJz), T / (n_samples - 1), n_samples) <= 1e-12
+
+    def test_grown_ring_against_extended_precision(self):
+        """The grown ring's ||E^n||_F^2 from a long-double loop over the same
+        flushed E: the kernel stays within 1e-13 of it, in units of
+        max(1, |1 - D|) (1.3e-14 measured; the previous kernel 7e-15)."""
+        G = ring_generator(24, 0.3)
+        h, n_samples = 50.0 / 300, 301
+        E = sw.expm(h * G)[0]
+        E[np.abs(E) < _SQRT_TINY] = 0.0
+        power, exact = np.eye(48, dtype=np.longdouble), [48.0]
+        for _ in range(n_samples - 1):
+            power = power @ E.astype(np.longdouble)
+            exact.append(np.sum(power * power))
+        D_exact = 1.0 - (np.array(exact, dtype=np.longdouble) - 48) / 96
+        D, _ = sw._power_contrast(G, h, n_samples, 1.0)
+        assert np.max(np.abs(D - D_exact) / np.maximum(1.0, np.abs(1.0 - D_exact))) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "family,kappa,lam,delta,n_k,T,n_samples",
+        [
+            ("glsh", 0.8, 7, -0.02, 400, 20.0, 81),
+            ("gtsh", 0.9, 6, 0.02, 400, 20.0, 201),
+            ("glsh", 0.8, 8, 0.03, 400, 100.0, 401),
+            # 70 momenta of size 122 fill one block of 2^20 elements; 71 need two
+            ("glsh", 0.96, 61, 0.01, 140, 20.0, 41),
+            ("glsh", 0.96, 61, 0.01, 142, 20.0, 41),
+        ],
+    )
+    def test_bloch_stacks(self, family, kappa, lam, delta, n_k, T, n_samples):
+        stack = bloch_generators(family, kappa, lam, delta, n_k)
+        if lam == 61:
+            assert sw._POWER_BLOCK_ELEMENTS // 122**2 == 70
+            assert stack.shape == (n_k // 2, 122, 122)
+        assert kernel_error(stack, T / (n_samples - 1), n_samples) <= 1e-12
+
+    @pytest.mark.parametrize("dJz,T,n_samples", OVERFLOW_CASES)
+    def test_overflow_names_the_reference_time(self, dJz, T, n_samples):
+        G = ring_generator(24, dJz)
+        h = T / (n_samples - 1)
+        message = raised(sw._power_contrast, G, h, n_samples, 1.0)
+        assert message.startswith("spin-wave propagator overflowed at t = ")
+        assert message == raised(reference_power_contrast, G, h, n_samples, 1.0)
+
+    def test_overflow_names_the_earliest_time_over_all_blocks(self, monkeypatch):
+        """Blocks of one momentum each: the second overflows first, and the
+        error names its time, as the whole stack at once does."""
+        slow, fast = ring_generator(24, 0.3), ring_generator(24, 0.5)
+        stack = np.concatenate([slow, fast])
+        h, n_samples = 100.0, 31
+        expected = raised(reference_power_contrast, stack, h, n_samples, 1.0)
+        assert expected == raised(reference_power_contrast, fast, h, n_samples, 1.0)
+        monkeypatch.setattr(sw, "_POWER_BLOCK_ELEMENTS", 48**2)
+        assert raised(sw._power_contrast, stack, h, n_samples, 1.0) == expected
+
+    def test_lost_pseudo_unitarity_gives_the_reference_advice(self, monkeypatch):
+        """The same ||E||_F and advice; the defect itself is rounding of an
+        E^N formed from other factors, so only its scale is compared."""
+        def parts(message):
+            """(err, ||E||_F, advice) of a pseudo-unitarity message."""
+            found = re.fullmatch(r"propagator lost pseudo-unitarity \(err (\S+) > 1e-09, "
+                                 r"\|\|E\|\|_F (\S+), err/\|\|E\|\|_F\^2 \S+\); (.*)", message)
+            return float(found[1]), found[2], found[3]
+
+        G = ring_generator(24, 0.3)  # ||E^N||_F = 4e8 at T = 150
+        grown, expected = (parts(raised(f, G, 0.5, 301, 1.0))
+                           for f in (sw._power_contrast, reference_power_contrast))
+        assert grown[2] == expected[2] == "the growth exceeds double precision, so shorten T"
+        assert grown[1] == expected[1]
+        assert 0.1 < grown[0] / expected[0] < 10
+        expm = sw.expm
+        monkeypatch.setattr(sw, "expm", lambda a: 1.001 * expm(a))
+        G = ring_generator(24, -0.03)
+        corrupted = raised(sw._power_contrast, G, 0.1, 301, 1.0)
+        assert corrupted.endswith("; reduce the step (currently 1.00e-01)")
+        assert corrupted == raised(reference_power_contrast, G, 0.1, 301, 1.0)
+
+    @pytest.mark.parametrize("n_samples", [2, 4, 301, 309, 314])
+    def test_defect_is_measured_on_the_final_propagator(self, monkeypatch, n_samples):
+        measured = []
+        defect = sw._symplectic_defect
+
+        def record(E):
+            measured.append(E.copy())
+            return defect(E)
+
+        monkeypatch.setattr(sw, "_symplectic_defect", record)
+        G, h = ring_generator(24, -0.03), 30.0 / (n_samples - 1)
+        _, reported = sw._power_contrast(G, h, n_samples, 1.0)
+        assert len(measured) == 1
+        final = np.linalg.matrix_power(sw.expm(h * G)[0], n_samples - 1)
+        np.testing.assert_allclose(measured[0][0], final, rtol=0, atol=1e-12)
+        assert reported == float(defect(measured[0])[0])
+
+
+class TestPowerContrastMemory:
+    @staticmethod
+    def traced_peak(f, *args):
+        tracemalloc.start()
+        try:
+            f(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_ring_kernel_peak(self):
+        """Gate 07's L = 240 ring: the kernel stays within 35 MB (the previous
+        kernel took 52 MB here)."""
+        G = ring_generator(240, -0.03)
+        sw.expm(np.zeros((2, 2)))  # scipy's import is not the kernel's memory
+        assert self.traced_peak(sw._power_contrast, G, 0.1, 301, 1.0) <= 35e6
+
+    def test_bloch_peak_does_not_grow_with_the_momenta(self):
+        """glsh (0.96, 61) at 80 momenta takes two blocks, at 320 five: the
+        peak stays within 10%."""
+        q = 4.0 * elliptic.complete_K(0.96) / 61
+        sw.expm(np.zeros((2, 2)))
+        peaks = [
+            self.traced_peak(bg.contrast_multiflavour, "glsh", 0.96, q, 0.01, 1.0, 20.0, n_k, 41)
+            for n_k in (160, 640)
+        ]
+        assert 160 // 2 > sw._POWER_BLOCK_ELEMENTS // 122**2
+        assert peaks[1] <= 1.1 * peaks[0]
 
 
 class TestScalingCollapse:
