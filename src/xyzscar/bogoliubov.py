@@ -19,7 +19,7 @@ import numpy as np
 
 from .elliptic import complete_K, jacobi_sncndn
 from .scars import check_spin_length, parent_couplings
-from .spinwave import ContrastSeries, _power_contrast
+from .spinwave import ContrastSeries, _power_contrast, _sample_times
 
 STABILITY_THRESHOLD = 1e-6
 # lyapunov_max takes momenta in blocks of at most this many matrix elements
@@ -89,16 +89,6 @@ def transverse_dispersion(k, q: float, theta: float, dJz: float, S: float = 1.0)
     return DispersionCurve(k=k, omega_sw=omega_sw, w_tilde=w_tilde)
 
 
-def stable_window(q: float, theta: float) -> tuple[float, float]:
-    """Documented stable detuning window (-cos q / sin^2 theta, 0).
-
-    The dispersion is real throughout this window. (Reality in fact extends
-    down to -2 cos q / sin^2 theta before the zone-edge window opens; the
-    returned endpoints are the documented ones.)
-    """
-    return (-math.cos(q) / math.sin(theta) ** 2, 0.0)
-
-
 @dataclass(frozen=True)
 class InstabilityWindow:
     """Complex-dispersion window (k_lower, k_upper) and its fastest mode.
@@ -115,18 +105,6 @@ class InstabilityWindow:
     side: str
 
 
-def _b1(k, q: float, X: float) -> float:
-    s2 = np.sin(k / 2.0) ** 2
-    arg = 2.0 * (math.cos(q) + X) * s2 - X
-    return (
-        2.0
-        * math.sqrt(2.0)
-        * np.abs(np.sin(k / 2.0))
-        * math.sqrt(math.cos(q))
-        * np.sqrt(np.abs(arg))
-    )
-
-
 def instability_window(q: float, theta: float, dJz: float):
     """Locate the complex window of the transverse dispersion, if any.
 
@@ -137,8 +115,9 @@ def instability_window(q: float, theta: float, dJz: float):
     rate_max = X sqrt(cos q / (cos q + X)).
     dJz <= 0: the dispersion stays real until dJz < -2 cos q / sin^2 theta,
     where a window opens at the zone edge; there the growth increases
-    monotonically to k = pi, so the maximizer is the edge itself. Returns
-    None when the spectrum is real everywhere.
+    monotonically to k = pi, so the maximizer is the edge itself, with
+    rate_max = 2 sqrt(2 cos q |2 cos q + X|). Returns None when the
+    spectrum is real everywhere.
     """
     if not all(map(math.isfinite, (q, theta, dJz))):
         raise ValueError(f"q, theta and dJz must be finite, got {q}, {theta}, {dJz}")
@@ -160,7 +139,7 @@ def instability_window(q: float, theta: float, dJz: float):
         k_lower=k_edge,
         k_upper=math.pi,
         k_max=math.pi,
-        rate_max=float(_b1(math.pi, q, X)),
+        rate_max=2.0 * math.sqrt(2.0) * math.sqrt(cq) * math.sqrt(abs(2.0 * (cq + X) - X)),
         side="zone-edge",
     )
 
@@ -243,7 +222,9 @@ def rates(q: float, theta: float, dJz: float, S: float = 1.0) -> DecayRates:
             gamma2_exact=2.0 * S * win.rate_max,
             gamma2_perturbative=2.0 * S * math.sin(theta) ** 2 * dJz,
         )
-    lo, _ = stable_window(q, theta)
+    # the documented stable window; the dispersion in fact stays real down to
+    # -2 cos q / sin^2 theta, where the zone-edge window opens
+    lo = -math.cos(q) / math.sin(theta) ** 2
     if dJz < lo or dJz == 0.0:
         raise ValueError(
             f"dJz={dJz} is outside both asymptotic branches "
@@ -513,9 +494,7 @@ def contrast_multiflavour(
     so the memory does not grow with n_k. Without detuning nothing creates
     pairs, and D = 1 exactly.
     """
-    if not 0.0 < T < math.inf or n_samples < 2:
-        raise ValueError("need a finite T > 0 and at least two samples")
-    times = np.linspace(0.0, T, n_samples)
+    times = _sample_times(T, n_samples)
     eta, zeta, k_cell, operators = _bloch_cell(family, kappa, q, delta, S, n_k)
     if zeta == 0.0:
         return ContrastSeries(times=times, D=np.ones(n_samples), f=np.zeros(n_samples))
@@ -542,10 +521,14 @@ def phase_scan(
     pool of one thread per CPU this process may run on (os.sched_getaffinity,
     so `taskset` narrows it), never more than the tasks; its eigvals releases
     the GIL, and each rate is the serial call's bit for bit. Records come
-    back in grid order.
+    back in grid order. A lambda below 1 raises ValueError before any task
+    starts; a cell off the scar's domain raises from its task.
     """
     from concurrent.futures import ThreadPoolExecutor
 
+    bad = [lam for lam in lambdas if int(lam) < 1]
+    if bad:
+        raise ValueError(f"lambda must be a positive integer, got {bad[0]}")
     cells = [
         (float(kappa), int(lam), 4.0 * complete_K(float(kappa)) / int(lam))
         for kappa in np.atleast_1d(kappa_grid)

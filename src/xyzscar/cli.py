@@ -62,6 +62,8 @@ def parse_angle(text: str) -> float:
         else:
             coeff = float(coeff_text)
         denom = float(match.group(2)) if match.group(2) else 1.0
+        if denom == 0.0:
+            raise ValueError(f"angle {text!r} divides by zero")
         return coeff * math.pi / denom
     try:
         return float(s)

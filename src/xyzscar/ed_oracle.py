@@ -35,7 +35,7 @@ from .scars import (
     texture_energy,
     _twice_spin,
 )
-from .spinwave import ContrastSeries, spin_contrast
+from .spinwave import ContrastSeries, _sample_times, spin_contrast
 
 
 def expm_multiply(A, v):
@@ -506,19 +506,15 @@ def contrast_exact(
     drift of the evolved states as max_norm_drift, and the Hermiticity
     defect max |H - H^H| of the quenched Hamiltonian as hermiticity_defect.
     """
-    if not 0.0 < T < math.inf:
-        raise ValueError(f"T must be positive and finite, got {T}")
+    times = _sample_times(T, n_samples)
     if not math.isfinite(delta):
         raise ValueError(f"detuning delta must be finite, got {delta}")
-    if n_samples < 2:
-        raise ValueError(f"need at least two samples, got {n_samples}")
     J, _ = scar_quench(p, delta)
     _require_commensurate(p)
     texture = scar_texture(p)
     psi0 = product_state(texture, p.S)
     H = build_hamiltonian(J, p.S, p.L)
 
-    times = np.linspace(0.0, T, n_samples)
     evolution = evolve_exact(psi0, H, times)
     D = np.einsum(
         "tja,tja->t",

@@ -31,6 +31,9 @@ from .scars import check_spin_length, coupling_matrix, helix_amplitudes, write_c
 NORM_DRIFT_TOL = 1e-6
 #: most RK4 steps a run may take, 200 times BENCH_12.json's 5e5-step dt = 1e-4/S study
 MAX_STEPS = 10**8
+#: tangent distance of classical_lyapunov's twin at the start and after every
+#: renormalisation; ll_evolve's default-step error stays below it
+BENETTIN_KICK = 1e-7
 
 
 class IntegrationError(RuntimeError):
@@ -354,43 +357,38 @@ def classical_lyapunov(
     initial: np.ndarray,
     J,
     S: float,
-    eps0: float = 1e-7,
     T: float | None = None,
     dt: float | None = None,
-    renorm_interval: float | None = None,
     discard_fraction: float = 0.2,
     seed: int = 0,
 ) -> LyapunovEstimate:
     """Benettin estimate of the largest Lyapunov exponent.
 
-    A twin trajectory is launched a tangent distance eps0 from `initial`;
-    the separation is renormalized back to eps0 at fixed intervals and the
-    accumulated log growth is fitted linearly after dropping the first
-    `discard_fraction` of the run as transient. When the fitted slope is
-    not resolvably positive (fewer than two e-folds over the window, or
-    smaller than three standard errors), the motion is classified stable
-    and the returned rate is exactly 0 with converged=False. The fit's
-    standard error, e-fold count and the largest norm drift are returned
-    either way (see LyapunovEstimate).
+    A twin trajectory is launched a tangent distance BENETTIN_KICK from
+    `initial`; the separation is renormalized back to BENETTIN_KICK after
+    every interval of 1/S, and the accumulated log growth is fitted
+    linearly after dropping the first `discard_fraction` of the run as
+    transient. When the fitted slope is not resolvably positive (fewer than
+    two e-folds over the window, or smaller than three standard errors),
+    the motion is classified stable and the returned rate is exactly 0 with
+    converged=False. The fit's standard error, e-fold count and the largest
+    norm drift are returned either way (see LyapunovEstimate). The kick and
+    the interval are method constants (Benettin, Galgani, Giorgilli &
+    Strelcyn, Meccanica 15, 9 (1980)), not inputs.
 
     J must be diagonal (XYZCouplings, a 3-vector or a diagonal 3x3 array).
     dt (default 5e-2/S) is an upper bound: each renormalisation interval
-    (default 1/S, so 20 steps by default) takes the fewest equal steps no
-    longer than dt. The run covers round(T / renorm_interval) intervals, at
-    least 4.
+    takes the fewest equal steps no longer than dt (20 by default). The run
+    covers round(T / (1/S)) intervals, at least 4.
 
     Raises IntegrationError when a per-site norm of the base or the twin
     drifts by more than NORM_DRIFT_TOL at a renormalisation, before the
     renormalisation can project the twin's drift away.
     Raises ValueError on an S, texture, J, dt or T that ll_evolve would reject,
-    on eps0 outside (0, 1e-6], on a renorm_interval that is not positive
-    and finite, on T / renorm_interval or renorm_interval / dt overflowing,
-    on more than MAX_STEPS steps in all, and on discard_fraction outside
-    [0, 1).
+    on T / (1/S) or (1/S) / dt overflowing, on more than MAX_STEPS steps in
+    all, and on discard_fraction outside [0, 1).
     """
     check_spin_length(S)
-    if not 0.0 < eps0 <= 1e-6:
-        raise ValueError(f"eps0 must lie in (0, 1e-6] for a tangent-space estimate, got {eps0}")
     if T is None:
         T = 400.0 / S
     if dt is None:
@@ -400,9 +398,8 @@ def classical_lyapunov(
         # twin norm drift stay below 2e-13 on static and slowly rotating
         # bases (RK4 error ~ (w dt)^4, so a fast-moving base drifts more)
         dt = 5e-2 / S
-    if renorm_interval is None:
-        renorm_interval = 1.0 / S
-    base = _checked_texture(initial, dt=dt, T=T, renorm_interval=renorm_interval)
+    interval = 1.0 / S
+    base = _checked_texture(initial, dt=dt, T=T)
     if not 0.0 <= discard_fraction < 1.0:
         raise ValueError(f"discard_fraction must lie in [0, 1), got {discard_fraction}")
     ring = _PaddedRing(len(base), 2, _coupling_diagonal(J))
@@ -411,14 +408,14 @@ def classical_lyapunov(
     tangent = rng.standard_normal(base.shape)
     # remove the radial component so the kick lives on the sphere
     tangent -= (np.sum(tangent * base, axis=1, keepdims=True)) * base
-    tangent *= eps0 / np.linalg.norm(tangent)
+    tangent *= BENETTIN_KICK / np.linalg.norm(tangent)
     twin = base + tangent
     twin /= np.linalg.norm(twin, axis=1, keepdims=True)
 
-    steps_per_block = _step_count("renorm_interval / dt", renorm_interval, dt)
-    n_blocks = max(4, int(round(_span_ratio("T / renorm_interval", T, renorm_interval))))
+    steps_per_block = _step_count("(1/S) / dt", interval, dt)
+    n_blocks = max(4, int(round(_span_ratio("T / (1/S)", T, interval))))
     _check_step_budget(T, dt, float(n_blocks) * steps_per_block)
-    dt_eff = renorm_interval / steps_per_block
+    dt_eff = interval / steps_per_block
 
     state = ring.pad(np.stack([base, twin]))
     block_times = np.empty(n_blocks)
@@ -429,13 +426,13 @@ def classical_lyapunov(
         for _ in range(steps_per_block):
             state = _rk4_step(state, ring, S, dt_eff)
         pair = ring.unpad(state)
-        block_times[b] = (b + 1) * renorm_interval
+        block_times[b] = (b + 1) * interval
         max_drift = max(max_drift, _check_norm_drift(pair, block_times[b], dt_eff))
         sep = pair[1] - pair[0]
         dist = np.linalg.norm(sep)
-        total_log += math.log(dist / eps0)
+        total_log += math.log(dist / BENETTIN_KICK)
         log_growth[b] = total_log
-        pair[1] = pair[0] + sep * (eps0 / dist)
+        pair[1] = pair[0] + sep * (BENETTIN_KICK / dist)
         pair[1] /= np.linalg.norm(pair[1], axis=1, keepdims=True)
         state = ring.pad(pair)
 

@@ -75,6 +75,11 @@ def _twice_spin(S: float) -> int:
     return int(round(two_s))
 
 
+def _check_ring(L: int) -> None:
+    if L < 2:
+        raise ValueError(f"need at least two sites, got L = {L}")
+
+
 @dataclass(frozen=True)
 class ScarParams:
     """Parameters of a scar texture on a periodic ring of L sites."""
@@ -91,8 +96,7 @@ class ScarParams:
             raise ValueError(f"kappa must lie in [0, 1], got {self.kappa}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if self.L < 2:
-            raise ValueError(f"need at least two sites, got L = {self.L}")
+        _check_ring(self.L)
         _twice_spin(self.S)
         if self.kappa < 1.0:
             if not 0.0 < self.q < complete_K(self.kappa):
@@ -113,6 +117,7 @@ class ScarParams:
         phi: float = 0.0,
     ) -> "ScarParams":
         """Scar with q = 4MK/L, the winding compatible with the periodic ring."""
+        _check_ring(L)
         q = 4.0 * M * complete_K(kappa) / L
         return cls(kappa=kappa, q=q, gamma=gamma, L=L, S=S, phi=phi)
 

@@ -96,17 +96,15 @@ def sw_coefficients(frame: FrameData, S: float) -> SpinWaveCoefficients:
     return SpinWaveCoefficients(eta=eta, zeta=zeta, V=V)
 
 
-def build_linear_generator(coeffs, t: float = 0.0) -> np.ndarray:
-    """Assemble the 2L x 2L generator C(t) of d/dt (a, a+) = -iC (a, a+).
+def build_linear_generator(coeffs: SpinWaveCoefficients) -> np.ndarray:
+    """Assemble the 2L x 2L generator C of d/dt (a, a+) = -iC (a, a+).
 
     C = [[M, N], [-conj(N), -conj(M)]] with M_jj = V_j, hopping
     M_{j,j-1} = eta_{j-1}, M_{j,j+1} = conj(eta_j), and pairing
     N_{j,j-1} = zeta_{j-1}, N_{j,j+1} = zeta_j. Neighbor contributions are
     accumulated, so the L = 2 ring (where both neighbors coincide) comes out
-    right. `coeffs` may be a callable t -> SpinWaveCoefficients.
+    right.
     """
-    if callable(coeffs):
-        coeffs = coeffs(t)
     L = coeffs.L
     idx = np.arange(L)
     prev = (idx - 1) % L
@@ -293,11 +291,7 @@ def contrast_sw(
     C = (D - cos^2 theta)/sin^2 theta.
     """
     check_spin_length(S)
-    if not 0.0 < T < math.inf:
-        raise ValueError(f"T must be positive and finite, got {T}")
-    if n_samples < 2:
-        raise ValueError("need at least two samples")
-    times = np.linspace(0.0, T, n_samples)
+    times = _sample_times(T, n_samples)
     h = times[1] - times[0]
     if callable(coeffs):
         advance, step = _stepper(coeffs, h, 1e-3 / S if dt is None else dt)
@@ -315,6 +309,16 @@ def contrast_sw(
     return ContrastSeries(
         times=times, D=D, f=S * (1.0 - D), C=C, pseudo_unitarity_defect=defect
     )
+
+
+def _sample_times(T: float, n_samples: int) -> np.ndarray:
+    """The n_samples equispaced times of a contrast series on [0, T], after
+    the checks every contrast route shares."""
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"T must be positive and finite, got {T}")
+    if n_samples < 2:
+        raise ValueError(f"need at least two samples, got {n_samples}")
+    return np.linspace(0.0, T, n_samples)
 
 
 def _quadrature_generator(coeffs) -> np.ndarray:

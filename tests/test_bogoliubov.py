@@ -712,7 +712,7 @@ class TestContrastMultiflavour:
     def test_validation(self):
         q = 4 * elliptic.complete_K(0.9) / 6
         for T in (-1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="T > 0"):
+            with pytest.raises(ValueError, match="T must be positive and finite"):
                 bg.contrast_multiflavour("gtsh", 0.9, q, 0.0, T=T)
         for delta in (0.0, 0.02):
             for n_k in (0, 401):
@@ -724,6 +724,15 @@ class TestContrastMultiflavour:
 
 
 class TestPhaseScan:
+    @pytest.mark.parametrize("lambdas", [[0], [-3], [7, -1, 8]])
+    def test_rejects_lambda_below_one_before_any_task(self, monkeypatch, lambdas):
+        """4K/lambda is not formed for lambda < 1, and no rate is computed."""
+        calls = []
+        monkeypatch.setattr(bg, "lyapunov_max", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=f"lambda must be a positive integer, got {min(lambdas)}"):
+            bg.phase_scan([0.8], lambdas)
+        assert not calls
+
     def test_benchmark_cell_is_asymmetric(self):
         recs = bg.phase_scan([0.8], [7], delta=0.01)
         assert len(recs) == 1

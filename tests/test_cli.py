@@ -47,6 +47,11 @@ class TestArgumentParsing:
         with pytest.raises(ValueError, match="cannot parse angle"):
             cli.parse_angle("three")
 
+    @pytest.mark.parametrize("text", ["pi/0", "-2pi/0.0", "0pi/0"])
+    def test_parse_angle_rejects_zero_denominator(self, text):
+        with pytest.raises(ValueError, match="divides by zero"):
+            cli.parse_angle(text)
+
     def test_parse_int_range(self):
         assert cli.parse_int_range("7") == [7]
         assert cli.parse_int_range("7,10,20") == [7, 10, 20]
@@ -944,6 +949,49 @@ class TestNonFiniteFlags:
         assert code in (1, 2)
         assert err.count("\n") == 1, err
         assert err.startswith(("error:", "usage error:")), err
+
+
+# for each NON_FINITE_CASES base, in its order: a label, and the integer and
+# angle flags that it reads (--L once through --M, once through --q)
+BAD_VALUE_FLAGS = [
+    ("scar-verify-M", ["--L", "--M"], ["--phi"]),
+    ("scar-verify-q", ["--L"], ["--q"]),
+    ("dispersion", ["--n-k"], ["--q", "--theta"]),
+    ("contrast-sw-transverse", ["--L", "--n-samples"], ["--theta", "--q"]),
+    ("contrast-sw-glsh", ["--M", "--L", "--n-samples"], []),
+    ("contrast-ed", ["--M", "--L", "--n-samples"], ["--phi", "--theta"]),
+    ("contrast-ed-gamma", [], []),
+    ("ll-evolve", ["--M", "--L", "--max-samples"], ["--phi"]),
+    ("phase-scan", ["--lambda", "--n-k"], []),
+    ("rates", [], ["--q", "--theta"]),
+]
+BAD_VALUE_CASES = [
+    pytest.param(base, flag, value, id=f"{label}{flag}={value}")
+    for (base, _), (label, integers, angles) in zip(NON_FINITE_CASES, BAD_VALUE_FLAGS, strict=True)
+    for flag, values in [(f, ("0", "-1")) for f in integers] + [(f, ("pi/0",)) for f in angles]
+    for value in values
+]
+
+
+class TestBadIntegerAndAngleFlags:
+    @pytest.mark.parametrize("base, flag, value", BAD_VALUE_CASES)
+    def test_exits_without_traceback(self, tmp_path, capsys, base, flag, value):
+        """0 and -1 for every integer flag and a zero denominator for every
+        angle flag exit 1 or 2 with one error line and no traceback. argparse
+        rejects some itself (exit 2 after its usage lines); the rest reach
+        main's handlers, which print that one line alone."""
+        try:
+            code = _run_case(_with_flag(base, flag, value), tmp_path)
+            by_argparse = False
+        except SystemExit as exc:
+            code, by_argparse = exc.code, True
+        err = capsys.readouterr().err
+        assert code in (1, 2)
+        assert "Traceback" not in err
+        assert sum("error:" in line for line in err.splitlines()) == 1, err
+        if not by_argparse:
+            assert err.count("\n") == 1, err
+            assert err.startswith(("error:", "usage error:")), err
 
 
 def _imported_modules(argv, tmp_path):

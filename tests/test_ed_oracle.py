@@ -747,6 +747,32 @@ class TestContrastExact:
         with pytest.raises(ValueError, match="two samples"):
             ed.contrast_exact(transverse_params(), 0.01, n_samples=1)
 
+    @pytest.mark.parametrize(
+        "T, n_samples, message",
+        [
+            (0.0, 3, "T must be positive and finite, got 0.0"),
+            (math.nan, 3, "T must be positive and finite, got nan"),
+            (1.0, 1, "need at least two samples, got 1"),
+        ],
+    )
+    def test_every_contrast_route_checks_the_grid_alike(self, T, n_samples, message):
+        """The exact, ring and k-space routes share one grid check and message."""
+        from xyzscar import bogoliubov
+
+        frame = rotframe.scar_frame(transverse_params(), 0.02)
+        q = 4.0 * complete_K(0.9) / 6
+        routes = [
+            lambda: ed.contrast_exact(transverse_params(), 0.02, T=T, n_samples=n_samples),
+            lambda: spinwave.contrast_sw(
+                spinwave.sw_coefficients(frame, 1.0), 1.0, T=T, n_samples=n_samples
+            ),
+            lambda: bogoliubov.contrast_multiflavour("gtsh", 0.9, q, 0.02, T=T, n_samples=n_samples),
+        ]
+        for route in routes:
+            with pytest.raises(ValueError) as info:
+                route()
+            assert str(info.value) == message
+
     def test_rejects_non_finite_detuning(self):
         for delta in (math.nan, math.inf):
             with pytest.raises(ValueError, match="delta must be finite"):

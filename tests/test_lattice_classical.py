@@ -465,12 +465,6 @@ class TestClassicalLyapunov:
         assert est.rate == 0.0
         assert not est.converged
 
-    def test_eps0_validation(self):
-        helix = transverse_helix(np.pi / 4, np.pi / 3, 12)
-        J = scars.XYZCouplings(1.0, 1.0, 0.5)
-        with pytest.raises(ValueError, match="eps0"):
-            lc.classical_lyapunov(helix, J, 1.0, eps0=1e-5)
-
     def test_norm_drift_raises(self):
         """The base trajectory's norm is checked at every renormalisation.
 
@@ -513,7 +507,7 @@ class TestClassicalLyapunov:
         growth curve and the drift bit-identical to the reference loop."""
         tex = random_texture(L, seed=L + 10)
         J = scars.XYZCouplings(1.0, 0.7, -0.4)
-        # renorm_interval 1/S over dt = 0.03/S: 34 steps per block, 6 blocks
+        # the interval 1/S over dt = 0.03/S: 34 steps per block, 6 blocks
         est = lc.classical_lyapunov(tex, J, S, T=6.0 / S, dt=0.03 / S, seed=3)
         growth, drift = reference_benettin(
             tex, scars.coupling_matrix(J), S, 1e-7, (1.0 / S) / 34, 34, 6, seed=3
@@ -536,10 +530,8 @@ class TestClassicalLyapunov:
     @pytest.mark.parametrize(
         "texture, kwargs, match",
         [
-            pytest.param(HELIX, {"eps0": 0.0}, "eps0", id="eps0_zero"),
             pytest.param(HELIX, {"dt": -0.1}, "dt must be positive", id="dt"),
             pytest.param(HELIX, {"T": -5.0}, "T must be positive", id="T"),
-            pytest.param(HELIX, {"renorm_interval": 0.0}, "renorm_interval", id="renorm"),
             pytest.param(HELIX, {"discard_fraction": 1.0}, "discard_fraction", id="discard_one"),
             pytest.param(HELIX, {"discard_fraction": -0.1}, "discard_fraction", id="discard_neg"),
             pytest.param(1.1 * HELIX, {}, "unit-norm", id="non_unit"),
@@ -548,18 +540,14 @@ class TestClassicalLyapunov:
             pytest.param(HELIX, {"S": -1.0}, "spin length S", id="S_negative"),
             pytest.param(HELIX, {"T": math.inf}, "T must be positive and finite", id="T_inf"),
             pytest.param(HELIX, {"dt": math.inf}, "dt must be positive and finite", id="dt_inf"),
+            # the renormalisation interval is 1/S
             pytest.param(
-                HELIX, {"renorm_interval": math.inf}, "renorm_interval must be positive and finite",
-                id="renorm_inf",
-            ),
-            pytest.param(HELIX, {"renorm_interval": math.nan}, "renorm_interval", id="renorm_nan"),
-            pytest.param(
-                HELIX, {"T": 1e308, "renorm_interval": 1e-10},
-                r"T / renorm_interval = 1e\+308 / 1e-10 is not a finite", id="blocks_overflow",
+                HELIX, {"S": 1e10, "T": 1e308},
+                r"T / \(1/S\) = 1e\+308 / 1e-10 is not a finite", id="blocks_overflow",
             ),
             pytest.param(
-                HELIX, {"renorm_interval": 1e308, "dt": 1e-10},
-                r"renorm_interval / dt = 1e\+308 / 1e-10 is not a finite", id="steps_overflow",
+                HELIX, {"S": 1e-308, "dt": 1e-10},
+                r"\(1/S\) / dt = 1e\+308 / 1e-10 is not a finite", id="steps_overflow",
             ),
         ],
     )

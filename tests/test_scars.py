@@ -174,6 +174,12 @@ class TestScarTexture:
         tex = scar_texture(doubled)
         np.testing.assert_allclose(tex[11:], tex[:11], atol=1e-10)
 
+    @pytest.mark.parametrize("L", [1, 0, -1])
+    def test_commensurate_checks_the_ring_before_q(self, L):
+        """q = 4MK/L is formed only on a ring of at least two sites."""
+        with pytest.raises(ValueError, match=f"need at least two sites, got L = {L}"):
+            ScarParams.commensurate(0.5, M=1, L=L, gamma=0.0)
+
     def test_param_validation(self):
         with pytest.raises(ValueError):
             ScarParams(kappa=1.2, q=0.5, gamma=0.0, L=6)
