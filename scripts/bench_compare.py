@@ -1,5 +1,5 @@
-"""Compare two source checkouts of xyzscar: benchmark pairs, CLI start-up
-and one large spin-wave contrast, each measured in fresh processes.
+"""Compare two source checkouts of xyzscar: benchmark pairs, CLI start-up,
+spin-wave contrasts and exact quenches, each measured in fresh processes.
 
     python scripts/bench_compare.py pairs --parent P --change C \\
         --workloads contrast,scan --seeds 2201:2211 --seconds 25
@@ -7,6 +7,8 @@ and one large spin-wave contrast, each measured in fresh processes.
     python scripts/bench_compare.py scale --parent P --change C \\
         --cells 0.96:60:800,0.96:61:1600 --reps 3
     python scripts/bench_compare.py peaks --parent P --change C --reps 3
+    python scripts/bench_compare.py exact --parent P --change C \\
+        --rings 0.5:10:1,0.5:12:2,1:7:1,1.5:6:1,2:5:1 --reps 5
 
 P and C are checkout roots (each with src/ and perfbench/). Every mode
 alternates which side runs first, the parent first in even pairs, and
@@ -26,6 +28,13 @@ peaks    traces (tracemalloc) the peak memory of the contrast workload's two
          spin-wave kernels: _power_contrast on the L = 240 transverse ring
          (T = 30, 301 samples) and bogoliubov.scaling_function on its 301
          times.
+exact    runs ed_oracle.contrast_exact on transverse rings (S:L:M, theta =
+         pi/4, T = 10, 201 samples, detuning +0.03 and -0.03), one fresh
+         process per side and repetition after one untimed call per quench,
+         and reports each quench's median wall time per side and the largest
+         |D_change - D_parent|. Where the two checkouts take different
+         routes (whole space against the twisted zero-momentum space), that
+         is the time of each route and their agreement.
 """
 
 from __future__ import annotations
@@ -190,10 +199,59 @@ def peaks(args) -> dict:
             for side, rs in runs.items()}
 
 
+#: transverse rings S:L:M of the exact mode: the exact workload's ring and the
+#: largest ring at each spin length under ed_oracle.DIMENSION_CAP
+EXACT_RINGS = "0.5:10:1,0.5:12:2,1:7:1,1.5:6:1,2:5:1"
+EXACT_DETUNINGS = (+0.03, -0.03)
+
+
+def exact_run(args) -> dict:
+    """Run in a fresh process whose path starts at the checkout's src."""
+    import math
+
+    from xyzscar import ed_oracle as ed
+    from xyzscar import scars
+
+    out = {}
+    for ring in args.rings.split(","):
+        S, L, M = ring.split(":")
+        p = scars.ScarParams.commensurate(0.0, int(M), int(L), gamma=math.cos(math.pi / 4),
+                                          S=float(S))
+        for delta in EXACT_DETUNINGS:
+            ed.contrast_exact(p, delta)
+            start = time.perf_counter()
+            series = ed.contrast_exact(p, delta)
+            out[f"{ring}{delta:+.2f}"] = {"wall_s": time.perf_counter() - start,
+                                          "D": series.D.tolist()}
+    return out
+
+
+def exact(args) -> dict:
+    runs = {"parent": [], "change": []}
+    for i in range(args.reps):
+        for side, root in _ordered(i, args.parent, args.change):
+            env = dict(os.environ, PYTHONPATH=str(root / "src"))
+            proc = subprocess.run([sys.executable, __file__, "exact-run", "--rings", args.rings],
+                                  env=env, capture_output=True, text=True, check=True)
+            runs[side].append(json.loads(proc.stdout))
+            print("exact", i, side, file=sys.stderr)
+    out = {}
+    for quench in runs["parent"][0]:
+        parent, change = ([r[quench] for r in runs[side]] for side in ("parent", "change"))
+        out[quench] = {
+            "parent_wall_s_median": statistics.median(r["wall_s"] for r in parent),
+            "change_wall_s_median": statistics.median(r["wall_s"] for r in change),
+            "max_abs_dD": max(abs(a - b) for a, b in zip(parent[0]["D"], change[0]["D"])),
+            "parent_wall_s": [r["wall_s"] for r in parent],
+            "change_wall_s": [r["wall_s"] for r in change],
+        }
+    return out
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     modes = parser.add_subparsers(dest="mode", required=True)
-    for name in ("pairs", "startup", "scale", "peaks"):
+    for name in ("pairs", "startup", "scale", "peaks", "exact"):
         sub = modes.add_parser(name)
         sub.add_argument("--parent", type=Path, required=True)
         sub.add_argument("--change", type=Path, required=True)
@@ -205,13 +263,17 @@ def main() -> None:
             sub.add_argument("--reps", type=int, default=9)
         if name == "scale":
             sub.add_argument("--cells", default="0.96:60:800,0.96:61:1600")
+        if name == "exact":
+            sub.add_argument("--rings", default=EXACT_RINGS)
     modes.add_parser("scale-cell").add_argument("--cell", required=True)
     modes.add_parser("peaks-run")
+    modes.add_parser("exact-run").add_argument("--rings", default=EXACT_RINGS)
     args = parser.parse_args()
-    if args.mode not in ("scale-cell", "peaks-run"):
+    if args.mode not in ("scale-cell", "peaks-run", "exact-run"):
         args.parent, args.change = args.parent.resolve(), args.change.resolve()
     run = {"pairs": pairs, "startup": startup, "scale": scale, "peaks": peaks,
-           "scale-cell": scale_cell, "peaks-run": peaks_run}[args.mode]
+           "exact": exact, "scale-cell": scale_cell, "peaks-run": peaks_run,
+           "exact-run": exact_run}[args.mode]
     json.dump(run(args), sys.stdout, indent=1)
     print()
 

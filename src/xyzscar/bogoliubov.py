@@ -11,6 +11,7 @@ routes and demand agreement.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -49,6 +50,17 @@ def _sign_plus(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0, -1.0)
 
 
+def _check_helix_domain(q: float, theta: float, dJz: float) -> None:
+    """The domain of the transverse-helix closed forms: finite q, theta and
+    dJz with 0 < q < pi/2 (cos q > 0) and 0 < theta < pi (sin theta > 0)."""
+    if not all(map(math.isfinite, (q, theta, dJz))):
+        raise ValueError(f"q, theta and dJz must be finite, got {q}, {theta}, {dJz}")
+    if not 0.0 < q < math.pi / 2:
+        raise ValueError(f"need 0 < q < pi/2, got {q}")
+    if not 0.0 < theta < math.pi:
+        raise ValueError(f"need 0 < theta < pi, got {theta}")
+
+
 def transverse_dispersion(k, q: float, theta: float, dJz: float, S: float = 1.0) -> DispersionCurve:
     """Quasiparticle dispersion of the z-detuned transverse helix.
 
@@ -61,13 +73,10 @@ def transverse_dispersion(k, q: float, theta: float, dJz: float, S: float = 1.0)
 
     Square roots take the principal complex branch (upper half-plane), which
     makes w~ odd in k. Both dispersions go complex on the same k windows.
+    (q, theta, dJz) outside _check_helix_domain raise ValueError, as in
+    instability_window and rates.
     """
-    if not (0.0 < q < math.pi / 2):
-        raise ValueError(f"need 0 < q < pi/2, got {q}")
-    if not (0.0 < theta < math.pi):
-        raise ValueError(f"need 0 < theta < pi, got {theta}")
-    if not math.isfinite(dJz):
-        raise ValueError(f"dJz must be finite, got {dJz}")
+    _check_helix_domain(q, theta, dJz)
     check_spin_length(S)
     k = np.asarray(k, dtype=float)
     X = math.sin(theta) ** 2 * dJz
@@ -117,10 +126,10 @@ def instability_window(q: float, theta: float, dJz: float):
     where a window opens at the zone edge; there the growth increases
     monotonically to k = pi, so the maximizer is the edge itself, with
     rate_max = 2 sqrt(2 cos q |2 cos q + X|). Returns None when the
-    spectrum is real everywhere.
+    spectrum is real everywhere. Needs 0 < q < pi/2 and 0 < theta < pi
+    (_check_helix_domain).
     """
-    if not all(map(math.isfinite, (q, theta, dJz))):
-        raise ValueError(f"q, theta and dJz must be finite, got {q}, {theta}, {dJz}")
+    _check_helix_domain(q, theta, dJz)
     X = math.sin(theta) ** 2 * dJz
     cq = math.cos(q)
     if dJz > 0.0:
@@ -211,9 +220,9 @@ def rates(q: float, theta: float, dJz: float, S: float = 1.0) -> DecayRates:
         gamma1 = (1/2 sqrt(2)) (sin^3 theta / sqrt(cos q)) |dJz|^(3/2)
     Unstable branch (dJz > 0):
         gamma2 = 2 S b1(k*) exactly, ~ 2 S sin^2(theta) dJz perturbatively.
+    Needs 0 < q < pi/2 and 0 < theta < pi (_check_helix_domain).
     """
-    if not all(map(math.isfinite, (q, theta, dJz))):
-        raise ValueError(f"q, theta and dJz must be finite, got {q}, {theta}, {dJz}")
+    _check_helix_domain(q, theta, dJz)
     check_spin_length(S)
     if dJz > 0.0:
         win = instability_window(q, theta, dJz)
@@ -358,25 +367,37 @@ def _reflection_basis(lam: int) -> np.ndarray:
     return W
 
 
-def _reflection_operators(V) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """X = Sh + Sh^T, Y = i(Sh - Sh^T) and diag(V) in the basis W of
-    _reflection_basis, with Sh the cyclic shift of a len(V)-site cell.
-
-    All three are real there for a reflection-symmetric V (V_s = V_{-s}).
-    """
-    V = np.asarray(V, dtype=float)
-    lam = len(V)
-    W = _reflection_basis(lam)
+def _in_reflection_basis(M) -> np.ndarray:
+    """Re(W^dagger M W) for the W of _reflection_basis(len(M))."""
+    W = _reflection_basis(len(M))
     # W^dagger in C order: with more than one BLAS thread, the transposed
     # operand took OpenBLAS's zgemm up to 500x longer (32 ms at lam = 43) for
     # the same bits
     W_dag = np.ascontiguousarray(W.conj().T)
+    return (W_dag @ M @ W).real
+
+
+@functools.lru_cache(maxsize=128)
+def _shift_operators(lam: int) -> tuple[np.ndarray, np.ndarray]:
+    """X = Sh + Sh^T and Y = i(Sh - Sh^T) in the basis W, with Sh the cyclic
+    shift of a lam-site cell, built once per lam and read-only."""
     shift = np.roll(np.eye(lam), 1, axis=1)
-    X, Y, D = (
-        (W_dag @ M @ W).real
-        for M in (shift + shift.T, 1j * (shift - shift.T), np.diag(V))
+    X, Y = (
+        np.ascontiguousarray(_in_reflection_basis(M))
+        for M in (shift + shift.T, 1j * (shift - shift.T))
     )
-    return X, Y, D
+    X.flags.writeable = Y.flags.writeable = False
+    return X, Y
+
+
+def _reflection_operators(V) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """X, Y of _shift_operators(len(V)) and diag(V) in the basis W of
+    _reflection_basis.
+
+    All three are real there for a reflection-symmetric V (V_s = V_{-s}).
+    """
+    V = np.asarray(V, dtype=float)
+    return (*_shift_operators(len(V)), _in_reflection_basis(np.diag(V)))
 
 
 def _reflection_bloch_pair(eta: float, zeta: float, operators, k_grid) -> tuple[np.ndarray, np.ndarray]:

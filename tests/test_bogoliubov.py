@@ -226,6 +226,23 @@ class TestInstabilityWindow:
         with pytest.raises(ValueError, match="q, theta and dJz must be finite"):
             bg.rates(*args)
 
+    @pytest.mark.parametrize(
+        "q, theta, name",
+        [(Q, 0.0, "theta"), (Q, math.pi, "theta"), (2.0, THETA, "q"), (0.0, THETA, "q")],
+    )
+    @pytest.mark.parametrize("dJz", [-0.03, 0.03])
+    def test_shares_the_dispersion_domain(self, q, theta, name, dJz):
+        """instability_window and rates reject the (q, theta) that
+        transverse_dispersion rejects, with its message."""
+        routes = (
+            lambda: bg.transverse_dispersion(np.zeros(1), q, theta, dJz),
+            lambda: bg.instability_window(q, theta, dJz),
+            lambda: bg.rates(q, theta, dJz),
+        )
+        for route in routes:
+            with pytest.raises(ValueError, match=f"need 0 < {name} < "):
+                route()
+
     def test_zone_edge_window(self):
         theta = math.pi / 4
         dJz = -2.2 * math.cos(Q) / math.sin(theta) ** 2
@@ -597,6 +614,25 @@ class TestLyapunovMax:
                 rotated = Wk.conj().T @ M @ Wk
                 assert np.abs(rotated.imag).max() <= 1e-14
                 np.testing.assert_allclose(rotated.real, R, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("lam", [7, 43])
+    def test_shift_operators_built_once_per_cell(self, lam):
+        """X and Y come from one cache entry per lam, read-only, with the
+        bits of the per-call products they replaced; diag(V) is built per
+        call."""
+        X, Y = bg._shift_operators(lam)
+        assert bg._shift_operators(lam)[0] is X
+        assert not X.flags.writeable and not Y.flags.writeable
+        W = bg._reflection_basis(lam)
+        W_dag = np.ascontiguousarray(W.conj().T)
+        shift = np.roll(np.eye(lam), 1, axis=1)
+        assert np.array_equal(X, (W_dag @ (shift + shift.T) @ W).real)
+        assert np.array_equal(Y, (W_dag @ (1j * (shift - shift.T)) @ W).real)
+        V = np.linspace(-1.0, 0.5, lam)
+        V = V + V[(-np.arange(lam)) % lam]
+        operators = bg._reflection_operators(V)
+        assert operators[0] is X and operators[1] is Y
+        assert np.array_equal(operators[2], (W_dag @ np.diag(V) @ W).real)
 
     @pytest.mark.parametrize("family,kappa,lam", [("glsh", 0.96, 60), ("gtsh", 0.9, 6)])
     def test_half_cell_fold(self, family, kappa, lam):

@@ -192,6 +192,24 @@ class TestRates:
         assert err.count("\n") == 1
         assert not (tmp_path / "rates.csv").exists()
 
+    @pytest.mark.parametrize(
+        "q, theta, message",
+        [
+            ("pi/3", "0", "need 0 < theta < pi, got 0.0"),
+            ("pi/3", "pi", f"need 0 < theta < pi, got {math.pi}"),
+            ("2", "pi/4", "need 0 < q < pi/2, got 2.0"),
+            ("0", "pi/4", "need 0 < q < pi/2, got 0.0"),
+        ],
+    )
+    def test_angle_outside_the_helix_domain_is_numeric_error(self, tmp_path, capsys, q, theta, message):
+        """rates takes the (q, theta) domain of transverse_dispersion, on
+        the stable side as on the unstable one."""
+        for dJz in ("-0.03", "0.03"):
+            code = run(["rates", "--q", q, "--theta", theta, "--dJz", dJz], tmp_path)
+            assert code == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not (tmp_path / "rates.csv").exists()
+
 
 class TestDispersion:
     def test_csv_columns_and_window(self, tmp_path):

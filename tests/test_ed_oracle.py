@@ -777,3 +777,113 @@ class TestContrastExact:
         for delta in (math.nan, math.inf):
             with pytest.raises(ValueError, match="delta must be finite"):
                 ed.contrast_exact(transverse_params(), delta, T=1.0, n_samples=3)
+
+
+# every transverse ring under DIMENSION_CAP with q = 2 pi M / L < pi/2:
+# (S, L, M, gamma, phi), phi != 0 on the odd rings and on every M = 2 ring
+TWISTED_RINGS = [
+    (S, L, M, GAMMA if M == 1 else 0.3, 0.7 if L % 2 or M == 2 else 0.0)
+    for S, L_max in ((0.5, 12), (1.0, 7), (1.5, 6), (2.0, 5))
+    for L in range(5, L_max + 1)
+    for M in (1, 2)
+    if 4 * M < L
+]
+
+
+class TestTwistedRoute:
+    @pytest.mark.parametrize("delta", [+0.03, -0.03])
+    @pytest.mark.parametrize(
+        "S,L,M,gamma,phi", TWISTED_RINGS, ids=[f"S{r[0]}-L{r[1]}-M{r[2]}" for r in TWISTED_RINGS]
+    )
+    def test_matches_generic_route(self, monkeypatch, S, L, M, gamma, phi, delta):
+        """A transverse scar's contrast from its twisted zero-momentum space
+        matches the whole-space route (the oracle) in D, f and C to 1e-12, on
+        every ring the whole-space route reaches."""
+        p = scars.ScarParams.commensurate(0.0, M, L, gamma=gamma, S=S, phi=phi)
+        theta = math.acos(gamma)
+        twisted = ed.contrast_exact(p, delta, T=10.0, n_samples=41, theta=theta)
+        monkeypatch.setattr(ed, "_twisted_contrast", ed._generic_contrast)
+        generic = ed.contrast_exact(p, delta, T=10.0, n_samples=41, theta=theta)
+        for name in ("D", "f", "C"):
+            assert np.abs(getattr(twisted, name) - getattr(generic, name)).max() <= 1e-12
+        assert twisted.hermiticity_defect == generic.hermiticity_defect
+        assert 0.0 <= twisted.max_norm_drift <= ed.NORM_DRIFT_TOL
+
+    def test_orbits_are_the_translation_orbits(self):
+        """The 1,024 strings of L = 10, S = 1/2 fall into 108 cyclic orbits
+        (the binary necklaces), each closed under the one-site translation,
+        and the digits rebuild each basis index."""
+        digits, orbit = ed._zero_momentum_orbits(2, 10)
+        assert orbit.max() + 1 == 108
+        T = translation_operator(0.5, 10).tocoo()
+        assert np.array_equal(orbit[T.row], orbit[T.col])
+        assert np.array_equal(2 ** np.arange(10) @ digits, np.arange(1024))
+
+    def test_route_follows_the_family(self, monkeypatch):
+        """gtsh and glsh never enter the twisted route; a transverse scar
+        never reads one-site reduced density matrices."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("wrong route")
+
+        monkeypatch.setattr(ed, "_twisted_contrast", refuse)
+        for kappa, gamma in ((0.5, 0.0), (0.8, 1.0)):
+            p = scars.ScarParams.commensurate(kappa, 1, 6, gamma=gamma, S=0.5)
+            ed.contrast_exact(p, 0.02, T=2.0, n_samples=5)
+        monkeypatch.undo()
+        monkeypatch.setattr(ed, "_site_expectations", refuse)
+        ed.contrast_exact(transverse_params(), 0.02, T=2.0, n_samples=5)
+
+    def test_projection_that_drops_weight_raises(self, monkeypatch):
+        """A state that is not a twisted uniform product state has weight
+        outside the zero-momentum orbit states: the route refuses it."""
+        texture = scars.scar_texture
+
+        def tilted(p):
+            omega = texture(p).copy()
+            omega[0] = [0.0, 0.0, 1.0]
+            return omega
+
+        monkeypatch.setattr(ed, "scar_texture", tilted)
+        with pytest.raises(RuntimeError, match="projection lost weight"):
+            ed.contrast_exact(transverse_params(), 0.02, T=2.0, n_samples=5)
+
+    def test_non_hermitian_quench_raises(self, monkeypatch):
+        """The full quenched H is checked, with evolve_exact's bound."""
+        build = ed.build_hamiltonian
+
+        def skewed(*args):
+            H = build(*args).tolil()
+            H[0, 1] += 1e-9
+            return H.tocsr()
+
+        monkeypatch.setattr(ed, "build_hamiltonian", skewed)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            ed.contrast_exact(transverse_params(), 0.02, T=2.0, n_samples=5)
+
+
+# r - 1 at S t = 10 of the transverse helix (theta = pi/4), r = (1 - D_ED) /
+# (1 - D_SW) on the same ring, as (+0.03, -0.03), to three decimals; M = 2
+# on L = 10 and 12, M = 1 elsewhere
+SEMICLASSICAL_TABLE = {
+    (5, 0.5): (0.229, 0.196), (5, 1.0): (0.143, 0.140),
+    (5, 1.5): (0.114, 0.112), (5, 2.0): (0.100, 0.100),
+    (6, 0.5): (0.242, 0.213), (6, 1.0): (0.116, 0.108), (6, 1.5): (0.077, 0.072),
+    (7, 0.5): (0.139, 0.101), (7, 1.0): (0.089, 0.074),
+    (8, 0.5): (0.163, 0.124),
+    (10, 0.5): (-0.083, -0.041),
+    (12, 0.5): (0.296, 0.354),
+}
+
+
+@pytest.mark.parametrize("L,S", list(SEMICLASSICAL_TABLE), ids=lambda v: str(v))
+def test_exact_over_spin_wave_decay_table(L, S):
+    """The exact decay over the ring spin-wave decay, 11 samples each, pinned
+    within the table's rounding (5e-4)."""
+    p = transverse_params(L=L, M=2 if L in (10, 12) else 1, S=S)
+    for delta, expected in zip((+0.03, -0.03), SEMICLASSICAL_TABLE[L, S]):
+        exact = ed.contrast_exact(p, delta, T=10.0 / S, n_samples=11)
+        coeffs = spinwave.sw_coefficients(rotframe.scar_frame(p, delta), S)
+        sw = spinwave.contrast_sw(coeffs, S, T=10.0 / S, n_samples=11)
+        r = (1.0 - exact.D[-1]) / (1.0 - sw.D[-1])
+        assert abs((r - 1.0) - expected) <= 5e-4
