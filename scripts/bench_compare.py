@@ -7,8 +7,7 @@ spin-wave contrasts and exact quenches, each measured in fresh processes.
     python scripts/bench_compare.py scale --parent P --change C \\
         --cells 0.96:60:800,0.96:61:1600 --reps 3
     python scripts/bench_compare.py peaks --parent P --change C --reps 3
-    python scripts/bench_compare.py exact --parent P --change C \\
-        --rings 0.5:10:1,0.5:12:2,1:7:1,1.5:6:1,2:5:1 --reps 5
+    python scripts/bench_compare.py exact --parent P --change C --reps 5
 
 P and C are checkout roots (each with src/ and perfbench/). Every mode
 alternates which side runs first, the parent first in even pairs, and
@@ -28,8 +27,8 @@ peaks    traces (tracemalloc) the peak memory of the contrast workload's two
          spin-wave kernels: _power_contrast on the L = 240 transverse ring
          (T = 30, 301 samples) and bogoliubov.scaling_function on its 301
          times.
-exact    runs ed_oracle.contrast_exact on transverse rings (S:L:M, theta =
-         pi/4, T = 10, 201 samples, detuning +0.03 and -0.03), one fresh
+exact    runs ed_oracle.contrast_exact on the transverse rings EXACT_RINGS
+         (theta = pi/4, T = 10, 201 samples, detuning +0.03 and -0.03), one fresh
          process per side and repetition after one untimed call per quench,
          and reports each quench's median wall time per side and the largest
          |D_change - D_parent|. Where the two checkouts take different
@@ -199,9 +198,9 @@ def peaks(args) -> dict:
             for side, rs in runs.items()}
 
 
-#: transverse rings S:L:M of the exact mode: the exact workload's ring and the
-#: largest ring at each spin length under ed_oracle.DIMENSION_CAP
-EXACT_RINGS = "0.5:10:1,0.5:12:2,1:7:1,1.5:6:1,2:5:1"
+#: transverse rings (S, L, M) of the exact mode: the exact workload's ring and
+#: the largest ring at each spin length under ed_oracle.DIMENSION_CAP
+EXACT_RINGS = ((0.5, 10, 1), (0.5, 12, 2), (1.0, 7, 1), (1.5, 6, 1), (2.0, 5, 1))
 EXACT_DETUNINGS = (+0.03, -0.03)
 
 
@@ -213,16 +212,14 @@ def exact_run(args) -> dict:
     from xyzscar import scars
 
     out = {}
-    for ring in args.rings.split(","):
-        S, L, M = ring.split(":")
-        p = scars.ScarParams.commensurate(0.0, int(M), int(L), gamma=math.cos(math.pi / 4),
-                                          S=float(S))
+    for S, L, M in EXACT_RINGS:
+        p = scars.ScarParams.commensurate(0.0, M, L, gamma=math.cos(math.pi / 4), S=S)
         for delta in EXACT_DETUNINGS:
             ed.contrast_exact(p, delta)
             start = time.perf_counter()
             series = ed.contrast_exact(p, delta)
-            out[f"{ring}{delta:+.2f}"] = {"wall_s": time.perf_counter() - start,
-                                          "D": series.D.tolist()}
+            out[f"{S:g}:{L}:{M}{delta:+.2f}"] = {"wall_s": time.perf_counter() - start,
+                                                 "D": series.D.tolist()}
     return out
 
 
@@ -231,7 +228,7 @@ def exact(args) -> dict:
     for i in range(args.reps):
         for side, root in _ordered(i, args.parent, args.change):
             env = dict(os.environ, PYTHONPATH=str(root / "src"))
-            proc = subprocess.run([sys.executable, __file__, "exact-run", "--rings", args.rings],
+            proc = subprocess.run([sys.executable, __file__, "exact-run"],
                                   env=env, capture_output=True, text=True, check=True)
             runs[side].append(json.loads(proc.stdout))
             print("exact", i, side, file=sys.stderr)
@@ -263,11 +260,9 @@ def main() -> None:
             sub.add_argument("--reps", type=int, default=9)
         if name == "scale":
             sub.add_argument("--cells", default="0.96:60:800,0.96:61:1600")
-        if name == "exact":
-            sub.add_argument("--rings", default=EXACT_RINGS)
     modes.add_parser("scale-cell").add_argument("--cell", required=True)
     modes.add_parser("peaks-run")
-    modes.add_parser("exact-run").add_argument("--rings", default=EXACT_RINGS)
+    modes.add_parser("exact-run")
     args = parser.parse_args()
     if args.mode not in ("scale-cell", "peaks-run", "exact-run"):
         args.parent, args.change = args.parent.resolve(), args.change.resolve()

@@ -11,7 +11,6 @@ routes and demand agreement.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass
@@ -367,37 +366,25 @@ def _reflection_basis(lam: int) -> np.ndarray:
     return W
 
 
-def _in_reflection_basis(M) -> np.ndarray:
-    """Re(W^dagger M W) for the W of _reflection_basis(len(M))."""
-    W = _reflection_basis(len(M))
-    # W^dagger in C order: with more than one BLAS thread, the transposed
-    # operand took OpenBLAS's zgemm up to 500x longer (32 ms at lam = 43) for
-    # the same bits
-    W_dag = np.ascontiguousarray(W.conj().T)
-    return (W_dag @ M @ W).real
-
-
-@functools.lru_cache(maxsize=128)
-def _shift_operators(lam: int) -> tuple[np.ndarray, np.ndarray]:
-    """X = Sh + Sh^T and Y = i(Sh - Sh^T) in the basis W, with Sh the cyclic
-    shift of a lam-site cell, built once per lam and read-only."""
-    shift = np.roll(np.eye(lam), 1, axis=1)
-    X, Y = (
-        np.ascontiguousarray(_in_reflection_basis(M))
-        for M in (shift + shift.T, 1j * (shift - shift.T))
-    )
-    X.flags.writeable = Y.flags.writeable = False
-    return X, Y
-
-
 def _reflection_operators(V) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """X, Y of _shift_operators(len(V)) and diag(V) in the basis W of
-    _reflection_basis.
+    """X = Sh + Sh^T, Y = i(Sh - Sh^T) and diag(V) in the basis W of
+    _reflection_basis, with Sh the cyclic shift of a len(V)-site cell.
 
     All three are real there for a reflection-symmetric V (V_s = V_{-s}).
     """
     V = np.asarray(V, dtype=float)
-    return (*_shift_operators(len(V)), _in_reflection_basis(np.diag(V)))
+    lam = len(V)
+    W = _reflection_basis(lam)
+    # W^dagger in C order: with more than one BLAS thread, the transposed
+    # operand took OpenBLAS's zgemm up to 500x longer (32 ms at lam = 43) for
+    # the same bits
+    W_dag = np.ascontiguousarray(W.conj().T)
+    shift = np.roll(np.eye(lam), 1, axis=1)
+    X, Y, D = (
+        (W_dag @ M @ W).real
+        for M in (shift + shift.T, 1j * (shift - shift.T), np.diag(V))
+    )
+    return X, Y, D
 
 
 def _reflection_bloch_pair(eta: float, zeta: float, operators, k_grid) -> tuple[np.ndarray, np.ndarray]:

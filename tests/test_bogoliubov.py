@@ -615,25 +615,6 @@ class TestLyapunovMax:
                 assert np.abs(rotated.imag).max() <= 1e-14
                 np.testing.assert_allclose(rotated.real, R, rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("lam", [7, 43])
-    def test_shift_operators_built_once_per_cell(self, lam):
-        """X and Y come from one cache entry per lam, read-only, with the
-        bits of the per-call products they replaced; diag(V) is built per
-        call."""
-        X, Y = bg._shift_operators(lam)
-        assert bg._shift_operators(lam)[0] is X
-        assert not X.flags.writeable and not Y.flags.writeable
-        W = bg._reflection_basis(lam)
-        W_dag = np.ascontiguousarray(W.conj().T)
-        shift = np.roll(np.eye(lam), 1, axis=1)
-        assert np.array_equal(X, (W_dag @ (shift + shift.T) @ W).real)
-        assert np.array_equal(Y, (W_dag @ (1j * (shift - shift.T)) @ W).real)
-        V = np.linspace(-1.0, 0.5, lam)
-        V = V + V[(-np.arange(lam)) % lam]
-        operators = bg._reflection_operators(V)
-        assert operators[0] is X and operators[1] is Y
-        assert np.array_equal(operators[2], (W_dag @ np.diag(V) @ W).real)
-
     @pytest.mark.parametrize("family,kappa,lam", [("glsh", 0.96, 60), ("gtsh", 0.9, 6)])
     def test_half_cell_fold(self, family, kappa, lam):
         """Even lam: V has period lam/2, and the lam-cell spectrum at k is the
