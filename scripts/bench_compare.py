@@ -8,6 +8,7 @@ spin-wave contrasts and exact quenches, each measured in fresh processes.
         --cells 0.96:60:800,0.96:61:1600 --reps 3
     python scripts/bench_compare.py peaks --parent P --change C --reps 3
     python scripts/bench_compare.py exact --parent P --change C --reps 5
+    python scripts/bench_compare.py rings --parent P --change C --reps 9
 
 P and C are checkout roots (each with src/ and perfbench/). Every mode
 alternates which side runs first, the parent first in even pairs, and
@@ -34,6 +35,13 @@ exact    runs ed_oracle.contrast_exact on the transverse rings EXACT_RINGS
          |D_change - D_parent|. Where the two checkouts take different
          routes (whole space against the twisted zero-momentum space), that
          is the time of each route and their agreement.
+rings    runs spinwave.contrast_sw on the rings RINGS of the contrast workload
+         and of gates 06 and 07, one fresh process per side and repetition at
+         one BLAS thread, each ring after one untimed call, and reports each
+         ring's median wall time per side and the largest |D_change - D_parent|,
+         also in units of max(1, |1 - D|). The first repetition also runs
+         bogoliubov.contrast_multiflavour on BLOCH_STACKS (test_bloch_stacks)
+         and reports whether D and the defect are float.hex-equal across sides.
 """
 
 from __future__ import annotations
@@ -245,10 +253,82 @@ def exact(args) -> dict:
     return out
 
 
+#: (family, L, detuning, S, T, n_samples): the contrast workload's transverse
+#: ring (gate 07's) and glsh ring, and gate 06's pair (the workload's collapse)
+RINGS = {
+    "transverse-240": ("transverse", 240, -0.03, 1.0, 30.0, 301),
+    "glsh-140": ("glsh", 140, -0.02, 1.0, 20.0, 81),
+    "transverse-120-S1": ("transverse", 120, -0.03, 1.0, 20.0, 201),
+    "transverse-120-S2": ("transverse", 120, -0.03, 2.0, 10.0, 201),
+}
+#: (family, kappa, lambda, detuning, n_k, T, n_samples) of test_bloch_stacks
+BLOCH_STACKS = (("glsh", 0.8, 7, -0.02, 400, 20.0, 81), ("gtsh", 0.9, 6, 0.02, 400, 20.0, 201),
+                ("glsh", 0.8, 8, 0.03, 400, 100.0, 401), ("glsh", 0.96, 61, 0.01, 140, 20.0, 41),
+                ("glsh", 0.96, 61, 0.01, 142, 20.0, 41))
+
+
+def rings_run(args) -> dict:
+    """Run in a fresh process whose path starts at the checkout's src."""
+    import math
+
+    from xyzscar import bogoliubov as bg
+    from xyzscar import rotframe, scars
+    from xyzscar import spinwave as sw
+    from xyzscar.elliptic import complete_K
+
+    out = {}
+    for name, (family, L, delta, S, T, n_samples) in RINGS.items():
+        if family == "transverse":
+            theta, q = math.pi / 4, math.pi / 3
+            omega = -2.0 * S * math.cos(theta) * delta
+            frame = rotframe.frame_transverse(theta, q, omega, L, dJz=delta)
+        else:
+            frame = rotframe.scar_frame(scars.ScarParams.commensurate(0.8, L // 7, L, gamma=1.0), delta)
+        coeffs = sw.sw_coefficients(frame, S)
+        sw.contrast_sw(coeffs, S, T=T, n_samples=n_samples)
+        start = time.perf_counter()
+        series = sw.contrast_sw(coeffs, S, T=T, n_samples=n_samples)
+        out[name] = {"wall_s": time.perf_counter() - start, "D": series.D.tolist()}
+    if args.bloch:
+        for family, kappa, lam, delta, n_k, T, n_samples in BLOCH_STACKS:
+            q = 4.0 * complete_K(kappa) / lam
+            series = bg.contrast_multiflavour(family, kappa, q, delta, 1.0, T, n_k, n_samples)
+            out[f"bloch-{family}-{kappa}-{lam}-{n_k}"] = {
+                "hex": [x.hex() for x in series.D] + [series.pseudo_unitarity_defect.hex()]}
+    return out
+
+
+def rings(args) -> dict:
+    runs = {"parent": [], "change": []}
+    for i in range(args.reps):
+        for side, root in _ordered(i, args.parent, args.change):
+            env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1",
+                       OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+            cmd = [sys.executable, __file__, "rings-run", *(["--bloch"] if i == 0 else [])]
+            proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
+            runs[side].append(json.loads(proc.stdout))
+            print("rings", i, side, file=sys.stderr)
+    out = {}
+    for ring in RINGS:
+        parent, change = ([r[ring] for r in runs[side]] for side in ("parent", "change"))
+        pairs_of_D = list(zip(parent[0]["D"], change[0]["D"]))
+        out[ring] = {
+            "parent_wall_s_median": statistics.median(r["wall_s"] for r in parent),
+            "change_wall_s_median": statistics.median(r["wall_s"] for r in change),
+            "max_abs_dD": max(abs(a - b) for a, b in pairs_of_D),
+            "max_dD_over_max_1_1mD": max(abs(a - b) / max(1.0, abs(1.0 - a)) for a, b in pairs_of_D),
+            "parent_wall_s": [r["wall_s"] for r in parent],
+            "change_wall_s": [r["wall_s"] for r in change],
+        }
+    out["bloch_hex_equal"] = {case: runs["parent"][0][case]["hex"] == runs["change"][0][case]["hex"]
+                              for case in runs["parent"][0] if case.startswith("bloch-")}
+    return out
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     modes = parser.add_subparsers(dest="mode", required=True)
-    for name in ("pairs", "startup", "scale", "peaks", "exact"):
+    for name in ("pairs", "startup", "scale", "peaks", "exact", "rings"):
         sub = modes.add_parser(name)
         sub.add_argument("--parent", type=Path, required=True)
         sub.add_argument("--change", type=Path, required=True)
@@ -263,12 +343,13 @@ def main() -> None:
     modes.add_parser("scale-cell").add_argument("--cell", required=True)
     modes.add_parser("peaks-run")
     modes.add_parser("exact-run")
+    modes.add_parser("rings-run").add_argument("--bloch", action="store_true")
     args = parser.parse_args()
-    if args.mode not in ("scale-cell", "peaks-run", "exact-run"):
+    if args.mode not in ("scale-cell", "peaks-run", "exact-run", "rings-run"):
         args.parent, args.change = args.parent.resolve(), args.change.resolve()
     run = {"pairs": pairs, "startup": startup, "scale": scale, "peaks": peaks,
-           "exact": exact, "scale-cell": scale_cell, "peaks-run": peaks_run,
-           "exact-run": exact_run}[args.mode]
+           "exact": exact, "rings": rings, "scale-cell": scale_cell, "peaks-run": peaks_run,
+           "exact-run": exact_run, "rings-run": rings_run}[args.mode]
     json.dump(run(args), sys.stdout, indent=1)
     print()
 

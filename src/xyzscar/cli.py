@@ -40,6 +40,7 @@ from .scars import (
     scar_texture,
     write_csv,
     write_sidecar,
+    _require_commensurate,
 )
 
 _ANGLE_RE = re.compile(r"^([+-]?\d*\.?\d*)\s*\*?\s*pi\s*(?:/\s*(\d*\.?\d+))?$")
@@ -195,7 +196,9 @@ def cmd_contrast_sw(args) -> int:
     for flag, value in given.items():
         if flag not in geometry and value is not None:
             raise UsageError(f"{args.family} family takes no {flag}")
-    frame = rotframe.scar_frame(_scar_params(args), getattr(args, detuning[2:]))
+    p = _scar_params(args)
+    _require_commensurate(p)
+    frame = rotframe.scar_frame(p, getattr(args, detuning[2:]))
     coeffs = spinwave.sw_coefficients(frame, args.S)
     series = spinwave.contrast_sw(
         coeffs, args.S, T=args.T, n_samples=args.n_samples, theta=args.theta

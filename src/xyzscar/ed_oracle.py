@@ -27,7 +27,6 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from .elliptic import complete_K
 from .scars import (
     ScarParams,
     coupling_matrix,
@@ -38,6 +37,7 @@ from .scars import (
     scar_quench,
     scar_texture,
     texture_energy,
+    _require_commensurate,
     _twice_spin,
 )
 from .spinwave import ContrastSeries, _sample_times, spin_contrast
@@ -53,8 +53,6 @@ def expm_multiply(A, v):
 
 #: largest many-body dimension the dense/sparse routines will accept
 DIMENSION_CAP = 4096
-#: q must equal 4MK/L to this accuracy to count as a ring-commensurate scar
-COMMENSURATE_TOL = 1e-9
 #: largest sector evolve_exact diagonalizes densely: the largest at which
 #: eigh per sector was not slower than stepping (BENCH_16.json, "crossover")
 SPECTRAL_SECTOR_MAX = 924
@@ -304,15 +302,6 @@ def _check_dimension(dim: int) -> None:
     if dim > DIMENSION_CAP:
         raise ValueError(
             f"many-body dimension {dim} exceeds the cap {DIMENSION_CAP}"
-        )
-
-
-def _require_commensurate(p: ScarParams) -> None:
-    winding = p.q * p.L / (4.0 * complete_K(p.kappa))
-    if abs(winding - round(winding)) > COMMENSURATE_TOL or round(winding) < 1:
-        raise ValueError(
-            f"q = {p.q} is not commensurate with L = {p.L}: "
-            f"q L / 4K = {winding} must be a positive integer"
         )
 
 

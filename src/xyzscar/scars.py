@@ -26,6 +26,8 @@ BROKEN_RESIDUAL_TOL = 1e-3
 _CSV_CHUNK_ROWS = 8192
 #: the parent coupling a quench of each scar_family cut detunes
 DETUNED_COUPLING = {"transverse": "Jz", "gtsh": "Jz", "glsh": "Jx"}
+#: q must equal 4MK/L to this accuracy to count as a ring-commensurate scar
+COMMENSURATE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -68,9 +70,10 @@ def check_spin_length(S: float) -> None:
 
 
 def _twice_spin(S: float) -> int:
-    """2S as an int; S must be a positive, finite half-integer."""
+    """2S as an int; S must be a positive, finite half-integer, so a 2S
+    that rounds to 0 fails too."""
     two_s = 2.0 * S
-    if not 0.0 < two_s < math.inf or abs(two_s - round(two_s)) > 1e-12:
+    if not 0.0 < two_s < math.inf or round(two_s) < 1 or abs(two_s - round(two_s)) > 1e-12:
         raise ValueError(f"2S must be a positive integer, got S = {S}")
     return int(round(two_s))
 
@@ -120,6 +123,18 @@ class ScarParams:
         _check_ring(L)
         q = 4.0 * M * complete_K(kappa) / L
         return cls(kappa=kappa, q=q, gamma=gamma, L=L, S=S, phi=phi)
+
+
+def _require_commensurate(p: ScarParams) -> None:
+    """Reject a scar whose q does not wind its ring a whole number of times:
+    such a texture is not an eigenstate of the ring, and no route's answer
+    about it means anything."""
+    winding = p.q * p.L / (4.0 * complete_K(p.kappa))
+    if abs(winding - round(winding)) > COMMENSURATE_TOL or round(winding) < 1:
+        raise ValueError(
+            f"q = {p.q} is not commensurate with L = {p.L}: "
+            f"q L / 4K = {winding} must be a positive integer"
+        )
 
 
 def parent_couplings(kappa: float, q: float) -> XYZCouplings:

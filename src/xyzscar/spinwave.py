@@ -32,6 +32,12 @@ _POWER_BLOCK_ELEMENTS = 1 << 20
 # _block_norms takes offset -a only where the cancellation it brings is bound
 # to amplify rounding by at most this factor
 _CANCELLATION_LIMIT = 2.0**8
+# _block_norms carries a ring by its cell where the shift by that cell moves
+# every generator entry by less than this times the largest entry. Rounding of
+# the frames' angles leaves 2.5e-14 of it on the L = 240 transverse ring,
+# 3.9e-13 at L = 2,400, 8.3e-15 on the glsh L = 140 ring and 2.1e-13 on the
+# gtsh L = 1,200 ring; one site's V moved by 1e-9 leaves about 1e-9
+_PERIOD_TOL = 1e-12
 
 # commutator-free 4th-order Magnus coefficients (two-exponential scheme)
 _CF4_C1 = 0.5 - math.sqrt(3.0) / 6.0
@@ -348,7 +354,11 @@ def _power_contrast(G, h: float, n_samples: int, S: float):
 
     Powers take baby and giant steps (_block_norms) on blocks of at most
     _POWER_BLOCK_ELEMENTS matrix elements, and the blocks' norms are summed, so
-    the memory does not grow with the batch. A non-finite norm raises,
+    the memory does not grow with the batch. Each block reads its cell from
+    the generators (_cell_layout): a ring that repeats every p < m sites
+    carries only the 2p rows of one cell of every power, so a product costs
+    (2p)(2m)^2 flops instead of (2m)^3, still in real space; Bloch stacks
+    and aperiodic rings carry whole matrices. A non-finite norm raises,
     naming the earliest such sample over the whole batch; E^N, N =
     n_samples - 1, passes the symplectic check, with the largest defect
     over the blocks. Returns D and that defect.
@@ -393,28 +403,43 @@ def _block_norms(G: np.ndarray, h: float, n_steps: int):
     unless one sample step grows E steeply, and 0 (positive offsets only)
     for a non-finite E.
 
+    Powers, Gram matrices and giant steps are carried in the block's cell
+    layout (_cell_layout): on a ring whose generators repeat every p sites
+    they all commute with that shift, so only the 2p rows of cell 0 are
+    formed. A product X Y is rows(X) full(Y), full(Y) gathered from Y's
+    rows, a Frobenius inner product m/p times that of the rows, and the
+    Omega conjugation maps cell 0's rows onto themselves. Where p = m the
+    rows are the whole matrix and nothing is gathered.
+
     The baby Gram matrices (the identity at a = 0) are kept packed, and each
     giant Gram matrix meets them all in one matrix-vector product; D(0) = 1
     exactly. Every power and Gram matrix is flushed of tiny entries. A giant
     step with a non-finite norm ends the block, its norms from there on NaN.
     E^{n_steps} is the giant power E^{r q}, q = n_steps // r, times a tail
     E^s, s = n_steps mod r: a baby power, or else formed once as
-    E^half E^{s - half}.
+    E^half E^{s - half}; the symplectic check gets the whole matrix.
     """
     nb, dim = G.shape[0], G.shape[-1]
     half = max(1, math.isqrt(n_steps) // 2 - 1)
-    plus, minus, cross = _gram_packing(dim)
+    rows, gather, cells = _cell_layout(G)
+    n_rows = dim // cells
+    plus, minus, cross, weight = _gram_packing(dim, n_rows // 2)
     mag, mask = np.empty(nb * dim * dim), np.empty(nb * dim * dim, dtype=bool)
 
     def flush(X):
         return _flush_tiny(X, mag, mask)
 
+    def full(X):
+        """The whole matrices of a stack carried as cell-0 rows."""
+        return X if gather is None else np.take(X.reshape(nb, -1), gather, axis=1)
+
     def pack(gram, index, out, weights=()):
-        """Upper triangle of a symmetric gram (conjugated by Omega for the
-        minus index) into out; weights scale the two off-diagonal segments."""
-        np.take(gram.reshape(nb, dim * dim), index, axis=1, out=out, mode="clip")
+        """Packed entries of the rows of a symmetric gram (conjugated by Omega
+        for the minus index) into out; weights scale the two off-diagonal
+        segments."""
+        np.take(gram.reshape(nb, -1), index, axis=1, out=out, mode="clip")
         flush(out)
-        for segment, weight in zip((out[:, dim:cross], out[:, cross:]), weights):
+        for segment, weight in zip((out[:, n_rows:cross], out[:, cross:]), weights):
             segment *= weight
 
     E = flush(expm(h * G))
@@ -427,20 +452,23 @@ def _block_norms(G: np.ndarray, h: float, n_steps: int):
     q, s = divmod(n_steps, r)
     n_giants = max(0, -(-(n_steps - half) // r))
     grams = np.zeros((r, nb, len(plus)))  # offsets -back .. half
-    grams[back, :, :dim] = 1.0
-    power, kept = E, {}
+    grams[back, :, :n_rows] = 1.0
+    power, kept, stride = E[:, rows], {}, None
     for a in range(1, half + 1):
         if a > 1:
             power = flush(power @ E)
-        pack(power @ np.swapaxes(power, -1, -2), plus, grams[back + a], (2.0, 2.0))
+        whole = full(power)
+        pack(power @ np.swapaxes(whole, -1, -2), plus, grams[back + a], (weight, weight))
         if a <= back:
-            pack(np.swapaxes(power, -1, -2) @ power, minus, grams[back - a], (2.0, -2.0))
+            pack(np.swapaxes(whole[..., rows], -1, -2) @ whole, minus, grams[back - a],
+                 (weight, -weight))
         if a in (back + 1, s, s - half):
             kept[a] = power
     if n_giants:
-        stride = flush(power @ (kept[back + 1] if back < half else flush(power @ E)))
-    tail = None if s == 0 else kept[s] if s <= half else flush(power @ kept[s - half])
-    del E, power, kept
+        stride = flush(power @ full(kept[back + 1] if back < half else flush(power @ E)))
+    tail = None if s == 0 else kept[s] if s <= half else flush(power @ full(kept[s - half]))
+    del E, power, kept, whole
+    whole_stride = None if n_giants < 2 else full(stride)
     flat = grams.reshape(r, -1)
     norms = np.full(n_steps + 1, np.nan)
     giant_gram = np.empty((nb, len(plus)))
@@ -448,40 +476,79 @@ def _block_norms(G: np.ndarray, h: float, n_steps: int):
         if b == 0:
             giant, packed = None, grams[back]
         else:
-            giant = stride if b == 1 else flush(giant @ stride)
-            pack(np.swapaxes(giant, -1, -2) @ giant, plus, giant_gram)
+            giant = stride if b == 1 else flush(giant @ whole_stride)
+            whole = full(giant)
+            pack(np.swapaxes(whole[..., rows], -1, -2) @ whole, plus, giant_gram)
             packed = giant_gram
         lo = r * b - back
         first, last = max(lo, 0), min(lo + r, n_steps + 1)
-        norms[first:last] = (flat @ packed.ravel())[first - lo : last - lo]
+        norms[first:last] = cells * (flat @ packed.ravel())[first - lo : last - lo]
         if not np.isfinite(norms[first:last]).all():
             return norms, (math.nan, math.nan)
         if b == q:
-            end = tail if giant is None else giant if tail is None else giant @ tail
+            end = tail if giant is None else giant if tail is None else giant @ full(tail)
     # checked once the Gram matrices are freed
-    del grams, flat, giant_gram, packed, giant, tail
-    return norms, _symplectic_defect(end)
+    del grams, flat, giant_gram, packed, giant, tail, stride, whole_stride
+    return norms, _symplectic_defect(full(end))
 
 
-def _gram_packing(dim: int):
-    """(plus, minus, cross): flat indices of a dim x dim matrix X that pack
-    the upper triangle of a symmetric X (plus) and of Omega^T X Omega
-    (minus, up to signs), and where the cross block starts.
+def _cell_layout(G: np.ndarray):
+    """(rows, gather, cells): the layout _block_norms carries a block in.
 
-    The packed order is the diagonal, then the strict upper triangles of the
-    two m x m diagonal blocks (m = dim/2), then the m x m cross block. With
-    sigma the swap of the two halves, (Omega^T X Omega)_ij = +/-X_sigma(i)sigma(j),
-    negative on the cross block only, so minus is plus with sigma applied to
-    both indices, and the sign is a weight on the cross segment.
+    The cell p is the smallest divisor of m = dim/2 such that every
+    generator of the block is unchanged by the cyclic shift of p sites on
+    both quadrature halves, rows and columns (so the wrap bond counts), to
+    less than _PERIOD_TOL of the block's largest entry. Every power, Gram
+    matrix and giant step then commutes with the shift and is fixed by the
+    2p rows of cell 0, rows (x_0 .. x_{p-1}, p_0 .. p_{p-1}): the whole
+    matrices are X_rows.reshape(batch, -1)[:, gather], and a Frobenius
+    inner product is cells = m/p times that of the rows. Where only the
+    shift by m fits, the layout is the whole matrix: rows slice(None),
+    gather None, cells 1.
+    """
+    dim = G.shape[-1]
+    m = dim // 2
+    sites = np.arange(m)
+    tol = _PERIOD_TOL * np.abs(G).max()
+    for p in (p for p in range(1, m) if m % p == 0):
+        shift = np.concatenate([(sites + p) % m, (sites + p) % m + m])
+        if np.abs(G[:, shift[:, None], shift] - G).max() < tol:
+            break
+    else:
+        return slice(None), None, 1
+    i = np.arange(dim)
+    site, upper = i % m, i // m
+    local = site % p + p * upper  # the cell-0 row that row i repeats
+    cols = (site - p * (site // p)[:, None]) % m + m * upper
+    return np.concatenate([sites[:p], m + sites[:p]]), local[:, None] * dim + cols, m // p
+
+
+def _gram_packing(dim: int, p: int):
+    """(plus, minus, cross, weight): flat indices into the cell-0 rows of a
+    dim x dim matrix X in the layout of cell p (_cell_layout) that pack a
+    symmetric X (plus) and Omega^T X Omega (minus, up to signs), where the
+    cross segment starts, and the weight of the off-diagonal entries.
+
+    The packed order is the diagonal, then the rest of the two m x m
+    diagonal blocks (m = dim/2), then the m x m cross blocks. The whole
+    matrix (p = m) packs its upper triangle, each off-diagonal entry
+    standing for two (weight 2); cell-0 rows (p < m) pack every entry
+    (weight 1). With sigma the swap of the two halves,
+    (Omega^T X Omega)_ij = +/-X_sigma(i)sigma(j), negative on the cross
+    blocks only, and sigma maps cell 0's rows onto themselves, so minus is
+    plus with sigma applied to both indices, and the sign is a weight on
+    the cross segment.
     """
     m = dim // 2
-    rows, cols = np.triu_indices(dim)
-    segment = np.where(rows == cols, 0, np.where((rows < m) & (cols >= m), 2, 1))
+    local, cols = np.triu_indices(dim) if p == m else np.indices((2 * p, dim)).reshape(2, -1)
+    rows = local % p + m * (local // p)
+    segment = np.where(rows == cols, 0, np.where((rows < m) != (cols < m), 2, 1))
     order = np.argsort(segment, kind="stable")
-    rows, cols = rows[order], cols[order]
-    sigma = (np.arange(dim) + m) % dim
-    cross = len(rows) - m * m
-    return rows * dim + cols, sigma[rows] * dim + sigma[cols], cross
+    local, cols = local[order], cols[order]
+    cross = int(np.count_nonzero(segment < 2))
+    plus = local * dim + cols
+    minus = (local + p) % (2 * p) * dim + (cols + m) % dim
+    return plus, minus, cross, 2.0 if p == m else 1.0
 
 
 def _contrast_from_norms(sq_norms: np.ndarray, dim: int, S: float) -> np.ndarray:

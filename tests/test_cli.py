@@ -405,6 +405,21 @@ class TestContrastSw:
         assert message in err
         assert not (tmp_path / "contrast_sw.csv").exists()
 
+    def test_incommensurate_q_is_numeric_error(self, tmp_path, capsys):
+        """q = pi/3 winds the L = 5 ring 5/6 times, so the helix is no
+        eigenstate of the ring (D(10) read 0.457 at zero detuning). The one
+        line is contrast_exact's message for the same scar."""
+        argv = ["contrast-sw", "--family", "transverse", "--theta", "pi/4", "--q", "pi/3",
+                "--L", "5", "--dJz", "0", "--T", "10"]
+        assert run(argv, tmp_path) == 1
+        with pytest.raises(ValueError) as exact:
+            ed_oracle.contrast_exact(
+                scars.ScarParams(kappa=0.0, q=math.pi / 3, gamma=math.cos(math.pi / 4), L=5), 0.0
+            )
+        assert capsys.readouterr().err == f"error: {exact.value}\n"
+        assert str(exact.value).startswith(f"q = {math.pi / 3} is not commensurate with L = 5: ")
+        assert not (tmp_path / "contrast_sw.csv").exists()
+
     @pytest.mark.parametrize("family", ["transverse", "gtsh", "glsh"])
     def test_csv_is_the_reference_frame_series(self, tmp_path, family):
         """One path for every family: the CSV equals, byte for byte, what
@@ -990,6 +1005,13 @@ BAD_VALUE_CASES = [
     for value in values
 ]
 
+# the NON_FINITE_CASES bases of the subcommands that build a ScarParams
+SCAR_BASES = [
+    pytest.param(base, id=label)
+    for (base, _), (label, _, _) in zip(NON_FINITE_CASES, BAD_VALUE_FLAGS, strict=True)
+    if base[0] in ("scar-verify", "contrast-sw", "contrast-ed", "ll-evolve")
+]
+
 
 class TestBadIntegerAndAngleFlags:
     @pytest.mark.parametrize("base, flag, value", BAD_VALUE_CASES)
@@ -1010,6 +1032,14 @@ class TestBadIntegerAndAngleFlags:
         if not by_argparse:
             assert err.count("\n") == 1, err
             assert err.startswith(("error:", "usage error:")), err
+
+
+    @pytest.mark.parametrize("base", SCAR_BASES)
+    def test_spin_that_rounds_to_zero_exits_with_one_line(self, tmp_path, capsys, base):
+        """2S = 2e-300 passes the half-integer test at round(2S) = 0; every
+        scar subcommand exits 1 naming the S given."""
+        assert _run_case(_with_flag(base, "--S", "1e-300"), tmp_path) == 1
+        assert capsys.readouterr().err == "error: 2S must be a positive integer, got S = 1e-300\n"
 
 
 def _imported_modules(argv, tmp_path):
@@ -1055,10 +1085,12 @@ class TestImports:
 
     def test_contrast_sw_loads_scipy(self, tmp_path):
         """The control: the subcommand that takes an exponential does import
-        scipy.linalg, and the parse above sees it."""
+        scipy.linalg, and the parse above sees it. It shares contrast-ed's
+        commensurability check through scars, not by loading ed_oracle."""
         modules = _imported_modules(
             ["contrast-sw", "--family", "transverse", "--theta", "pi/4", "--q", "pi/3",
              "--L", "6", "--dJz", "0.03", "--T", "1", "--n-samples", "3"],
             tmp_path,
         )
         assert "scipy.linalg" in modules
+        assert "xyzscar.spinwave" in modules and "xyzscar.ed_oracle" not in modules

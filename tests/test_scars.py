@@ -8,6 +8,8 @@ import pytest
 from xyzscar.elliptic import complete_K, jacobi_sncndn
 from xyzscar.scars import (
     _CSV_CHUNK_ROWS,
+    _require_commensurate,
+    _twice_spin,
     BROKEN_RESIDUAL_TOL,
     EXACT_RESIDUAL_TOL,
     ScarParams,
@@ -330,6 +332,27 @@ class TestCouplings:
     def test_check_spin_length(self, S):
         with pytest.raises(ValueError, match="spin length S must be positive and finite"):
             check_spin_length(S)
+
+    @pytest.mark.parametrize("S,two_s", [(0.5, 1), (1.0, 2), (2.5, 5), (0.5 + 4e-13, 1)])
+    def test_twice_spin(self, S, two_s):
+        assert _twice_spin(S) == two_s
+
+    @pytest.mark.parametrize("S", [1e-300, 5e-13, 2.4e-13, 0.3, 0.0, -0.5, math.nan, math.inf])
+    def test_twice_spin_rejects_what_rounds_below_one(self, S):
+        """2S = 1e-12 rounds to 0 within the half-integer test's 1e-12, so
+        the rounded 2S itself must reach 1."""
+        with pytest.raises(ValueError, match=f"2S must be a positive integer, got S = {S}$"):
+            _twice_spin(S)
+
+    @pytest.mark.parametrize("kappa,M,L", [(0.0, 1, 6), (0.0, 2, 12), (0.9, 1, 5), (0.8, 20, 140)])
+    def test_commensurate_scars_pass(self, kappa, M, L):
+        _require_commensurate(ScarParams.commensurate(kappa, M, L, gamma=0.0))
+
+    @pytest.mark.parametrize("q,L", [(math.pi / 3, 5), (math.pi / 3, 3), (0.4, 6)])
+    def test_incommensurate_scars_fail(self, q, L):
+        p = ScarParams(kappa=0.0, q=q, gamma=0.7, L=L)
+        with pytest.raises(ValueError, match=f"q = {q} is not commensurate with L = {L}: "):
+            _require_commensurate(p)
 
 
 class TestScarFamily:

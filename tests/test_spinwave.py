@@ -672,6 +672,101 @@ class TestPowerContrast:
         assert reported == float(defect(measured[0])[0])
 
 
+def transverse_ring(L, dJz, S=1.0, q=math.pi / 3):
+    """Static coefficients of the detuned transverse ring at theta = pi/4."""
+    return sw.sw_coefficients(co_rotating_transverse(math.pi / 4, q, dJz, L, S), S)
+
+
+def elliptic_ring(family, kappa, lam, L, delta):
+    """Static coefficients of the gtsh or glsh ring of L // lam windings, S = 1."""
+    q = 4.0 * (L // lam) * elliptic.complete_K(kappa) / L
+    gamma = 0.0 if family == "gtsh" else 1.0
+    return sw.sw_coefficients(elliptic_frame(kappa, q, gamma, L, delta), 1.0)
+
+
+def moved_site(coeffs):
+    """coeffs with one site's V moved by 1e-9 relative."""
+    coeffs.V[17] *= 1.0 + 1e-9
+    return coeffs
+
+
+def whole_layout_run(monkeypatch, coeffs, S, T, n_samples):
+    """contrast_sw with every ring forced onto the whole-matrix layout."""
+    with monkeypatch.context() as patch:
+        patch.setattr(sw, "_PERIOD_TOL", 0.0)
+        return sw.contrast_sw(coeffs, S, T=T, n_samples=n_samples)
+
+
+# periodic rings: (coefficients, S, T, n_samples, cells of the layout)
+CELL_RINGS = {
+    "gate07+": (lambda: transverse_ring(240, 0.03), 1.0, 30.0, 301, 240),
+    "gate07-": (lambda: transverse_ring(240, -0.03), 1.0, 30.0, 301, 240),
+    "gate06-S1": (lambda: transverse_ring(120, -0.03), 1.0, 20.0, 201, 120),
+    "gate06-S2": (lambda: transverse_ring(120, -0.03, S=2.0), 2.0, 10.0, 201, 120),
+    # the contrast workload's glsh ring, a cell of lambda = 7 sites
+    "glsh140": (lambda: elliptic_ring("glsh", 0.8, 7, 140, -0.02), 1.0, 20.0, 81, 20),
+    # gtsh at lambda = 6 repeats every half winding, 3 sites
+    "gtsh240": (lambda: elliptic_ring("gtsh", 0.9, 6, 240, 0.02), 1.0, 20.0, 201, 80),
+    # one cell per site on rings so short that the gather wraps
+    "L2": (lambda: transverse_ring(2, 0.03, q=math.pi), 1.0, 30.0, 301, 2),
+    "L3": (lambda: transverse_ring(3, 0.03, q=2 * math.pi / 3), 1.0, 30.0, 301, 3),
+}
+
+
+class TestCellLayout:
+    """_block_norms carries a periodic ring as its cell's rows and anything
+    else as whole matrices; the forced whole layout is the oracle."""
+
+    @pytest.mark.parametrize("ring", list(CELL_RINGS))
+    def test_cell_rows_match_the_whole_layout(self, monkeypatch, ring):
+        """D within 1e-12 in units of max(1, |1 - D|), as in TestPowerContrast."""
+        build, S, T, n_samples, cells = CELL_RINGS[ring]
+        coeffs = build()
+        assert sw._cell_layout(sw._quadrature_generator(coeffs)[None])[2] == cells
+        whole = whole_layout_run(monkeypatch, coeffs, S, T, n_samples)
+        series = sw.contrast_sw(coeffs, S, T=T, n_samples=n_samples)
+        assert series.D[0] == 1.0
+        error = np.abs(series.D - whole.D) / np.maximum(1.0, np.abs(1.0 - whole.D))
+        assert error.max() <= 1e-12
+        assert series.pseudo_unitarity_defect <= sw.PSEUDO_UNITARITY_TOL
+
+    @pytest.mark.parametrize(
+        "build",
+        # q = pi/3 does not wind the L = 5 ring, so its wrap bond differs
+        [lambda: moved_site(transverse_ring(240, -0.03)), lambda: transverse_ring(5, 0.03)],
+        ids=["moved-site", "L5"],
+    )
+    def test_aperiodic_rings_take_the_whole_layout(self, monkeypatch, build):
+        coeffs = build()
+        assert sw._cell_layout(sw._quadrature_generator(coeffs)[None])[1] is None
+        whole = whole_layout_run(monkeypatch, coeffs, 1.0, 30.0, 301)
+        series = sw.contrast_sw(coeffs, 1.0, T=30.0, n_samples=301)
+        assert [x.hex() for x in series.D] == [x.hex() for x in whole.D]
+        assert series.pseudo_unitarity_defect.hex() == whole.pseudo_unitarity_defect.hex()
+
+    @pytest.mark.parametrize("L,dJz", [(24, -0.03), (24, 0.1), (24, 0.3), (24, 0.5), (48, 0.03)])
+    def test_power_contrast_rings_take_the_cell_layout(self, L, dJz):
+        """TestPowerContrast's transverse rings repeat every site."""
+        rows, gather, cells = sw._cell_layout(ring_generator(L, dJz))
+        assert cells == L and list(rows) == [0, L] and gather.shape == (2 * L, 2 * L)
+
+    @pytest.mark.parametrize("family,kappa,lam", [("glsh", 0.8, 7), ("gtsh", 0.9, 6),
+                                                  ("glsh", 0.8, 8), ("glsh", 0.96, 61)])
+    def test_bloch_stacks_take_the_whole_layout(self, family, kappa, lam):
+        stack = bloch_generators(family, kappa, lam, 0.01, 140)
+        assert sw._cell_layout(stack[:])[1] is None
+
+    def test_gather_rebuilds_a_periodic_propagator(self):
+        """The whole E^5 of the glsh ring, a cell of 7 sites, from its 14
+        cell rows."""
+        G = sw._quadrature_generator(elliptic_ring("glsh", 0.8, 7, 140, -0.02))[None]
+        rows, gather, cells = sw._cell_layout(G)
+        assert cells == 20 and list(rows) == [*range(7), *range(140, 147)]
+        E = np.linalg.matrix_power(sw.expm(0.5 * G)[0], 5)[None]
+        rebuilt = np.take(E[:, rows].reshape(1, -1), gather, axis=1)
+        np.testing.assert_allclose(rebuilt, E, rtol=0, atol=1e-12)
+
+
 class TestPowerContrastMemory:
     @staticmethod
     def traced_peak(f, *args):
