@@ -254,7 +254,8 @@ def exact(args) -> dict:
 
 
 #: (family, L, detuning, S, T, n_samples): the contrast workload's transverse
-#: ring (gate 07's) and glsh ring, and gate 06's pair (the workload's collapse)
+#: ring (gate 07's) and glsh ring (kappa 0.8, lambda 7), and gate 06's pair (the
+#: workload's collapse)
 RINGS = {
     "transverse-240": ("transverse", 240, -0.03, 1.0, 30.0, 301),
     "glsh-140": ("glsh", 140, -0.02, 1.0, 20.0, 81),

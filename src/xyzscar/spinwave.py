@@ -510,7 +510,7 @@ def _cell_layout(G: np.ndarray):
     m = dim // 2
     sites = np.arange(m)
     tol = _PERIOD_TOL * np.abs(G).max()
-    for p in (p for p in range(1, m) if m % p == 0):
+    for p in [p for p in range(1, m) if m % p == 0]:
         shift = np.concatenate([(sites + p) % m, (sites + p) % m + m])
         if np.abs(G[:, shift[:, None], shift] - G).max() < tol:
             break

@@ -512,10 +512,14 @@ def reference_power_contrast(G, h, n_samples, S):
     return sw._contrast_from_norms(norms / batch, dim, S), defect
 
 
+def transverse_ring(L, dJz, S=1.0, q=math.pi / 3):
+    """Static coefficients of the detuned transverse ring at theta = pi/4."""
+    return sw.sw_coefficients(co_rotating_transverse(math.pi / 4, q, dJz, L, S), S)
+
+
 def ring_generator(L, dJz, S=1.0):
     """The (1, 2L, 2L) quadrature generator of the detuned transverse ring."""
-    frame = co_rotating_transverse(math.pi / 4, math.pi / 3, dJz, L, S)
-    return sw._quadrature_generator(sw.sw_coefficients(frame, S))[None]
+    return sw._quadrature_generator(transverse_ring(L, dJz, S))[None]
 
 
 def bloch_generators(family, kappa, lam, delta, n_k):
@@ -670,11 +674,6 @@ class TestPowerContrast:
         final = np.linalg.matrix_power(sw.expm(h * G)[0], n_samples - 1)
         np.testing.assert_allclose(measured[0][0], final, rtol=0, atol=1e-12)
         assert reported == float(defect(measured[0])[0])
-
-
-def transverse_ring(L, dJz, S=1.0, q=math.pi / 3):
-    """Static coefficients of the detuned transverse ring at theta = pi/4."""
-    return sw.sw_coefficients(co_rotating_transverse(math.pi / 4, q, dJz, L, S), S)
 
 
 def elliptic_ring(family, kappa, lam, L, delta):
