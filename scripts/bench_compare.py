@@ -13,6 +13,8 @@ spin-wave contrasts and exact quenches, each measured in fresh processes.
 P and C are checkout roots (each with src/ and perfbench/). Every mode
 alternates which side runs first, the parent first in even pairs, and
 prints one JSON document on standard output; progress goes to stderr.
+scale, peaks, exact and rings run this script once per side and repetition
+in a fresh process whose path starts at that side's src (_fresh_runs).
 
 pairs    runs perfbench/run.py --trace 0 in each checkout, one seed per pair,
          and reports each end-to-end metric's quartiles per side
@@ -32,9 +34,10 @@ exact    runs ed_oracle.contrast_exact on the transverse rings EXACT_RINGS
          (theta = pi/4, T = 10, 201 samples, detuning +0.03 and -0.03), one fresh
          process per side and repetition after one untimed call per quench,
          and reports each quench's median wall time per side and the largest
-         |D_change - D_parent|. Where the two checkouts take different
-         routes (whole space against the twisted zero-momentum space), that
-         is the time of each route and their agreement.
+         |D_change - D_parent|, also in units of max(1, |1 - D|). Where the
+         two checkouts take different routes (whole space against the
+         twisted zero-momentum space), that is the time of each route and
+         their agreement.
 rings    runs spinwave.contrast_sw on the rings RINGS of the contrast workload
          and of gates 06 and 07, one fresh process per side and repetition at
          one BLAS thread, each ring after one untimed call, and reports each
@@ -127,6 +130,41 @@ def startup(args) -> dict:
             for side, per_side in times.items()}
 
 
+def _fresh_runs(args, *argv: str, first=(), one_blas=False) -> dict:
+    """{side: [JSON document of each run]}: args.reps alternating pairs of fresh
+    processes running this script with argv (and first, in the first pair
+    only) on each side's src, at one BLAS thread where one_blas says so."""
+    env = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"} if one_blas else {}
+    runs = {"parent": [], "change": []}
+    for i in range(args.reps):
+        for side, root in _ordered(i, args.parent, args.change):
+            cmd = [sys.executable, __file__, *argv, *(first if i == 0 else ())]
+            proc = subprocess.run(cmd, env=dict(os.environ, PYTHONPATH=str(root / "src"), **env),
+                                  capture_output=True, text=True, check=True)
+            runs[side].append(json.loads(proc.stdout))
+            print(*argv, i, side, file=sys.stderr)
+    return runs
+
+
+def _compare_series(runs, names) -> dict:
+    """Per name: each side's wall times and their medians, and the largest
+    |D_change - D_parent| of the first pair, also in units of max(1, |1 - D|)."""
+    out = {}
+    for name in names:
+        parent, change = ([r[name] for r in runs[side]] for side in ("parent", "change"))
+        pairs_of_D = list(zip(parent[0]["D"], change[0]["D"]))
+        out[name] = {
+            "parent_wall_s_median": statistics.median(r["wall_s"] for r in parent),
+            "change_wall_s_median": statistics.median(r["wall_s"] for r in change),
+            "max_abs_dD": max(abs(a - b) for a, b in pairs_of_D),
+            "max_dD_over_max_1_1mD": max(abs(a - b) / max(1.0, abs(1.0 - a)) for a, b in pairs_of_D),
+            "parent_wall_s": [r["wall_s"] for r in parent],
+            "change_wall_s": [r["wall_s"] for r in change],
+        }
+    return out
+
+
 def _rss_mb() -> float:
     with open("/proc/self/statm") as fh:
         return int(fh.read().split()[1]) * resource.getpagesize() / 2**20
@@ -152,14 +190,7 @@ def scale_cell(args) -> dict:
 def scale(args) -> dict:
     out = {}
     for cell in args.cells.split(","):
-        runs = {"parent": [], "change": []}
-        for i in range(args.reps):
-            for side, root in _ordered(i, args.parent, args.change):
-                env = dict(os.environ, PYTHONPATH=str(root / "src"))
-                proc = subprocess.run([sys.executable, __file__, "scale-cell", "--cell", cell],
-                                      env=env, capture_output=True, text=True, check=True)
-                runs[side].append(json.loads(proc.stdout))
-                print(cell, side, runs[side][-1], file=sys.stderr)
+        runs = _fresh_runs(args, "scale-cell", "--cell", cell)
         out[cell] = {side: {"wall_s_median": statistics.median(r["wall_s"] for r in rs),
                             "rss_growth_mb_median": statistics.median(r["rss_growth_mb"] for r in rs),
                             "runs": rs}
@@ -195,13 +226,7 @@ def peaks_run(args) -> dict:
 
 
 def peaks(args) -> dict:
-    runs = {"parent": [], "change": []}
-    for i in range(args.reps):
-        for side, root in _ordered(i, args.parent, args.change):
-            env = dict(os.environ, PYTHONPATH=str(root / "src"))
-            proc = subprocess.run([sys.executable, __file__, "peaks-run"],
-                                  env=env, capture_output=True, text=True, check=True)
-            runs[side].append(json.loads(proc.stdout))
+    runs = _fresh_runs(args, "peaks-run")
     return {side: {"max": {k: max(r[k] for r in rs) for k in rs[0]}, "runs": rs}
             for side, rs in runs.items()}
 
@@ -232,25 +257,8 @@ def exact_run(args) -> dict:
 
 
 def exact(args) -> dict:
-    runs = {"parent": [], "change": []}
-    for i in range(args.reps):
-        for side, root in _ordered(i, args.parent, args.change):
-            env = dict(os.environ, PYTHONPATH=str(root / "src"))
-            proc = subprocess.run([sys.executable, __file__, "exact-run"],
-                                  env=env, capture_output=True, text=True, check=True)
-            runs[side].append(json.loads(proc.stdout))
-            print("exact", i, side, file=sys.stderr)
-    out = {}
-    for quench in runs["parent"][0]:
-        parent, change = ([r[quench] for r in runs[side]] for side in ("parent", "change"))
-        out[quench] = {
-            "parent_wall_s_median": statistics.median(r["wall_s"] for r in parent),
-            "change_wall_s_median": statistics.median(r["wall_s"] for r in change),
-            "max_abs_dD": max(abs(a - b) for a, b in zip(parent[0]["D"], change[0]["D"])),
-            "parent_wall_s": [r["wall_s"] for r in parent],
-            "change_wall_s": [r["wall_s"] for r in change],
-        }
-    return out
+    runs = _fresh_runs(args, "exact-run")
+    return _compare_series(runs, runs["parent"][0])
 
 
 #: (family, L, detuning, S, T, n_samples): the contrast workload's transverse
@@ -300,27 +308,8 @@ def rings_run(args) -> dict:
 
 
 def rings(args) -> dict:
-    runs = {"parent": [], "change": []}
-    for i in range(args.reps):
-        for side, root in _ordered(i, args.parent, args.change):
-            env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1",
-                       OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-            cmd = [sys.executable, __file__, "rings-run", *(["--bloch"] if i == 0 else [])]
-            proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
-            runs[side].append(json.loads(proc.stdout))
-            print("rings", i, side, file=sys.stderr)
-    out = {}
-    for ring in RINGS:
-        parent, change = ([r[ring] for r in runs[side]] for side in ("parent", "change"))
-        pairs_of_D = list(zip(parent[0]["D"], change[0]["D"]))
-        out[ring] = {
-            "parent_wall_s_median": statistics.median(r["wall_s"] for r in parent),
-            "change_wall_s_median": statistics.median(r["wall_s"] for r in change),
-            "max_abs_dD": max(abs(a - b) for a, b in pairs_of_D),
-            "max_dD_over_max_1_1mD": max(abs(a - b) / max(1.0, abs(1.0 - a)) for a, b in pairs_of_D),
-            "parent_wall_s": [r["wall_s"] for r in parent],
-            "change_wall_s": [r["wall_s"] for r in change],
-        }
+    runs = _fresh_runs(args, "rings-run", first=["--bloch"], one_blas=True)
+    out = _compare_series(runs, RINGS)
     out["bloch_hex_equal"] = {case: runs["parent"][0][case]["hex"] == runs["change"][0][case]["hex"]
                               for case in runs["parent"][0] if case.startswith("bloch-")}
     return out

@@ -530,7 +530,8 @@ def phase_scan(
     so `taskset` narrows it), never more than the tasks; its eigvals releases
     the GIL, and each rate is the serial call's bit for bit. Records come
     back in grid order. A lambda below 1 raises ValueError before any task
-    starts; a cell off the scar's domain raises from its task.
+    starts; a cell off the scar's domain raises from its task. The tasks run
+    in the caller's numpy error state, which threads do not inherit.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -544,8 +545,14 @@ def phase_scan(
     ]
     tasks = [(family, kappa, q, d, S, n_k) for kappa, _, q in cells for d in (-delta, delta)]
     threads = max(1, min(len(os.sched_getaffinity(0)), len(tasks)))
+    errors = np.geterr()
+
+    def rate(task):
+        with np.errstate(**errors):
+            return lyapunov_max(*task)
+
     with ThreadPoolExecutor(threads) as pool:
-        rates = list(pool.map(lambda task: lyapunov_max(*task), tasks))
+        rates = list(pool.map(rate, tasks))
     thr = STABILITY_THRESHOLD * S
     return [
         {

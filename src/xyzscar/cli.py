@@ -14,7 +14,8 @@ File-writing subcommands emit CSV plus a JSON sidecar echoing the full
 parameter record, so any run can be reproduced from its artifacts alone and
 identical configs produce byte-identical outputs. Angles accept pi-rational
 strings ("pi/3", "2pi/5") as well as decimals. Exit codes: 0 success,
-1 numeric failure, 2 usage error. phase-scan runs one thread per CPU this
+1 numeric failure (a floating-point overflow, invalid operation or division
+by zero included), 2 usage error. phase-scan runs one thread per CPU this
 process may run on; `taskset -c 0 xyzscar phase-scan ...` runs it on one.
 """
 
@@ -41,6 +42,7 @@ from .scars import (
     write_csv,
     write_sidecar,
     _require_commensurate,
+    _twice_spin,
 )
 
 _ANGLE_RE = re.compile(r"^([+-]?\d*\.?\d*)\s*\*?\s*pi\s*(?:/\s*(\d*\.?\d+))?$")
@@ -162,7 +164,7 @@ def cmd_scar_verify(args) -> int:
     except ValueError as exc:
         print(f"exact residual skipped: {exc}")
     else:
-        dim = (int(round(2 * p.S)) + 1) ** p.L
+        dim = (_twice_spin(p.S) + 1) ** p.L
         print(f"exact eigenstate residual: {exact:.6e} (dimension {dim})")
         ok = ok and exact <= EXACT_RESIDUAL_TOL
     print("PASS" if ok else "FAIL")
@@ -200,23 +202,24 @@ def cmd_contrast_sw(args) -> int:
     _require_commensurate(p)
     frame = rotframe.scar_frame(p, getattr(args, detuning[2:]))
     coeffs = spinwave.sw_coefficients(frame, args.S)
-    series = spinwave.contrast_sw(
-        coeffs, args.S, T=args.T, n_samples=args.n_samples, theta=args.theta
-    )
-    path = _out_path(args, "contrast_sw.csv")
-    series.save_csv(path, params=_params_record(args))
-    print(f"wrote {path}")
-    return 0
+    series = spinwave.contrast_sw(coeffs, args.S, T=args.T, n_samples=args.n_samples)
+    return _save_series(args, series, "contrast_sw.csv")
 
 
 def cmd_contrast_ed(args) -> int:
     from . import ed_oracle
 
     p = _scar_params(args)
-    series = ed_oracle.contrast_exact(
-        p, args.delta, T=args.T, n_samples=args.n_samples, theta=args.theta
-    )
-    path = _out_path(args, "contrast_ed.csv")
+    series = ed_oracle.contrast_exact(p, args.delta, T=args.T, n_samples=args.n_samples)
+    return _save_series(args, series, "contrast_ed.csv")
+
+
+def _save_series(args, series, name: str) -> int:
+    """Write a contrast series, with its spin contrast C where --theta gives
+    the polar angle."""
+    if args.theta is not None:
+        series.C = spinwave.spin_contrast(series.D, args.theta)
+    path = _out_path(args, name)
     series.save_csv(path, params=_params_record(args))
     print(f"wrote {path}")
     return 0
@@ -414,11 +417,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow, invalid operation or division by zero anywhere in the
+        # run is a numeric failure, reported like the others
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -29,6 +29,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .scars import (
     ScarParams,
+    bond_sum,
     coupling_matrix,
     helix_amplitudes,
     helix_texture,
@@ -36,11 +37,11 @@ from .scars import (
     scar_family,
     scar_quench,
     scar_texture,
-    texture_energy,
+    _check_ring,
     _require_commensurate,
     _twice_spin,
 )
-from .spinwave import ContrastSeries, _sample_times, spin_contrast
+from .spinwave import ContrastSeries, _sample_times
 
 
 def expm_multiply(A, v):
@@ -220,8 +221,9 @@ def _ring_pattern(d: int, L: int, mask_bytes: bytes) -> _RingPattern:
             ids.append(np.full(source.size, e, dtype=np.int32))
     rows, cols, ids = (np.concatenate(a) for a in (rows, cols, ids))
 
-    # stored entries in CSR order, and the stored entry of each term
-    stored, slot = np.unique(rows * dim + cols, return_inverse=True)
+    # stored entries in CSR order, and the stored entry of each term; the
+    # keys are int64, as dim^2 passes 2^31 from dim = 46,341 on
+    stored, slot = np.unique(rows.astype(np.int64) * dim + cols, return_inverse=True)
     stored_rows, indices = np.divmod(stored, dim)
     indptr = np.searchsorted(stored_rows, np.arange(dim + 1))
     diag_slots = np.flatnonzero(stored_rows == indices)
@@ -271,8 +273,7 @@ def build_hamiltonian(J, S: float, L: int) -> sparse.csr_matrix:
     ValueError
         if the many-body dimension (2S+1)^L exceeds :data:`DIMENSION_CAP`.
     """
-    if L < 2:
-        raise ValueError(f"need at least two sites, got L = {L}")
+    _check_ring(L)
     mat = coupling_matrix(J)
     two_s = _twice_spin(S)
     d = two_s + 1
@@ -325,7 +326,7 @@ def eigenstate_residual(p: ScarParams, J=None, H=None) -> float:
     psi = product_state(texture, p.S)
     if H is None:
         H = build_hamiltonian(J, p.S, p.L)
-    energy = texture_energy(texture, J, p.S)
+    energy = p.S * p.S * bond_sum(texture, J)
     defect = float(np.linalg.norm(H @ psi - energy * psi))
     return defect / abs(energy) if abs(energy) > 1e-12 else defect
 
@@ -580,7 +581,6 @@ def contrast_exact(
     delta: float,
     T: float = 10.0,
     n_samples: int = 201,
-    theta: float | None = None,
 ) -> ContrastSeries:
     """Exact contrast D(t) of a detuned quench from the scar.
 
@@ -598,25 +598,20 @@ def contrast_exact(
     (_twisted_contrast): 108 orbit states instead of 1,024 at L = 10,
     S = 1/2. gtsh and glsh evolve the whole space and read <S^a_j>(t) from
     one-site reduced density matrices of the evolved state
-    (_generic_contrast), the route that is the other's oracle. theta, when
-    given, adds the normalized spin contrast column C exactly as the
-    spin-wave series does. The series carries the largest relative norm
-    drift of the evolved states as max_norm_drift, and the Hermiticity
-    defect max |H - H^H| of the quenched Hamiltonian as hermiticity_defect.
+    (_generic_contrast), the route that is the other's oracle. The series
+    carries the largest relative norm drift of the evolved states as
+    max_norm_drift, and the Hermiticity defect max |H - H^H| of the
+    quenched Hamiltonian as hermiticity_defect.
     """
     times = _sample_times(T, n_samples)
-    if not math.isfinite(delta):
-        raise ValueError(f"detuning delta must be finite, got {delta}")
     family = scar_family(p.kappa, p.gamma)
     _require_commensurate(p)
     route = _twisted_contrast if family == "transverse" else _generic_contrast
     D, herm_defect, drift = route(p, delta, times)
-    C = None if theta is None else spin_contrast(D, theta)
     return ContrastSeries(
         times=times,
         D=D,
         f=p.S * (1.0 - D),
-        C=C,
         max_norm_drift=drift,
         hermiticity_defect=herm_defect,
     )

@@ -25,7 +25,7 @@ import numpy as np
 
 from .elliptic import jacobi_sncndn
 from .rotframe import FrameData, stationarity_residual
-from .scars import check_spin_length, coupling_matrix, helix_amplitudes, write_csv
+from .scars import bond_sum, check_spin_length, coupling_matrix, helix_amplitudes, write_csv
 
 #: per-site norm drift beyond this aborts the integration
 NORM_DRIFT_TOL = 1e-6
@@ -65,8 +65,8 @@ class ClassicalTrajectory:
         scale = abs(self.energy[0]) or 1.0
         return float(np.max(np.abs(self.energy - self.energy[0])) / scale)
 
-    def save_csv(self, texture_path, energy_path=None) -> None:
-        """Write (t, j, Ox, Oy, Oz) rows; optionally an energy series CSV."""
+    def save_csv(self, texture_path, energy_path) -> None:
+        """Write (t, j, Ox, Oy, Oz) rows, and the (t, energy) series to energy_path."""
         n_t, L, _ = self.textures.shape
         omega = self.textures.reshape(n_t * L, 3)
         write_csv(
@@ -74,8 +74,7 @@ class ClassicalTrajectory:
             ["t", "j", "Ox", "Oy", "Oz"],
             [np.repeat(self.times, L), np.tile(np.arange(L), n_t), *omega.T],
         )
-        if energy_path is not None:
-            write_csv(energy_path, ["t", "energy"], [self.times, self.energy])
+        write_csv(energy_path, ["t", "energy"], [self.times, self.energy])
 
 
 class _PaddedRing:
@@ -193,11 +192,6 @@ def _check_norm_drift(omega: np.ndarray, t: float, dt: float) -> float:
     return drift
 
 
-def classical_energy(omega: np.ndarray, J: np.ndarray, S: float) -> float:
-    """Classical Hamiltonian S sum_j O_j . J O_{j+1} generating the flow."""
-    return float(S * np.einsum("ja,ab,jb->", omega, J, np.roll(omega, -1, axis=0)))
-
-
 def ll_evolve(
     initial: np.ndarray,
     J,
@@ -266,7 +260,8 @@ def ll_evolve(
 
     times = [0.0]
     textures = [omega.copy()]
-    energies = [classical_energy(omega, mat, S)]
+    # the classical Hamiltonian S sum_j O_j . J O_{j+1} generating the flow
+    energies = [S * bond_sum(omega, mat)]
     max_drift = 0.0
     state = ring.pad(omega)
     for step in range(1, n_steps + 1):
@@ -276,7 +271,7 @@ def ll_evolve(
             max_drift = max(max_drift, _check_norm_drift(omega, step * dt_eff, dt_eff))
             times.append(step * dt_eff)
             textures.append(omega)
-            energies.append(classical_energy(omega, mat, S))
+            energies.append(S * bond_sum(omega, mat))
     return ClassicalTrajectory(
         times=np.array(times),
         textures=np.array(textures),
@@ -348,9 +343,6 @@ class LyapunovEstimate:
     slope_se: float
     efolds: float
     max_norm_drift: float
-
-    def __float__(self) -> float:
-        return self.rate
 
 
 def classical_lyapunov(

@@ -7,9 +7,10 @@ field hR_j = omega R_j^T zhat. :func:`scar_frame` is the frame of a quenched
 scar, from its texture, couplings and precession rate in :mod:`xyzscar.scars`,
 in one axis gauge: the frame's y axis is the unit vector along Omega_j x
 axis, for a fixed lab axis the texture never touches (+xhat for glsh, -zhat
-otherwise). :func:`frame_transverse` rotates the transverse helix at a free
-rate. A geodesic frame covers arbitrary textures. The stationarity residual
-measures whether a texture is a mean-field solution in the given frame.
+otherwise). :func:`frame_transverse` is the transverse helix's frame at a
+free rate. A geodesic frame covers arbitrary textures. The stationarity
+residual measures whether a texture is a mean-field solution in the given
+frame.
 """
 
 from __future__ import annotations
@@ -71,31 +72,33 @@ def frame_transverse(
     q: float,
     omega: float,
     L: int,
-    t: float = 0.0,
     dJz: float = 0.0,
 ) -> FrameData:
-    """Rotating frame for the transverse helix with cone angle theta.
+    """Frame of the transverse helix with cone angle theta, rotating at omega.
 
-    Omega_j(t) = helix_texture(0, cos theta, q j - omega t) sits at polar
-    angle theta and azimuth q j - omega t, in the axis gauge about -zhat, so
-    R_j(t) = Rz(q j - omega t) Ry(theta). The underlying couplings are the
-    kappa = 0 parent diag(1, 1, cos q) plus the detuning dJz; the frame
-    rotation about z contributes the homogeneous effective field
-    hR = omega * (-sin theta, 0, cos theta).
+    Omega_j = helix_texture(0, cos theta, q j) sits at polar angle theta and
+    azimuth q j, in the axis gauge about -zhat, so R_j = Rz(q j) Ry(theta).
+    The underlying couplings are the kappa = 0 parent diag(1, 1, cos q) plus
+    the detuning dJz; the frame rotation about z contributes the homogeneous
+    effective field hR = omega * (-sin theta, 0, cos theta). This is the
+    frame at t = 0; later R_j turn about z by -omega t, and JR and hR stay.
     """
     if not 0.0 < theta < math.pi:
         raise ValueError(f"spherical chart is singular at theta = {theta}")
     J = np.diag([1.0, 1.0, math.cos(q) + dJz])
-    texture = helix_texture(0.0, math.cos(theta), q * np.arange(L) - omega * t)
+    texture = helix_texture(0.0, math.cos(theta), q * np.arange(L))
     return _axis_frame(texture, J, (0.0, 0.0, -1.0), omega)
 
 
 def scar_frame(p: ScarParams, delta: float = 0.0) -> FrameData:
     """Axis-gauge frame of the scar p quenched by delta (scars.scar_quench);
-    a non-finite precession rate raises before it forms hR."""
+    a precession rate that overflows raises before it forms hR."""
     J, omega = scar_quench(p, delta)
     if not math.isfinite(omega):
-        raise ValueError(f"detuning delta must be finite, got {delta}")
+        raise ValueError(
+            f"precession rate -2 S gamma delta overflows at S = {p.S}, "
+            f"gamma = {p.gamma}, delta = {delta}"
+        )
     axis = (1.0, 0.0, 0.0) if scar_family(p.kappa, p.gamma) == "glsh" else (0.0, 0.0, -1.0)
     return _axis_frame(scar_texture(p), J.as_matrix(), axis, omega)
 

@@ -101,6 +101,8 @@ class ScarParams:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         _check_ring(self.L)
         _twice_spin(self.S)
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi}")
         if self.kappa < 1.0:
             if not 0.0 < self.q < complete_K(self.kappa):
                 raise ValueError(
@@ -172,7 +174,10 @@ def scar_family(kappa: float, gamma: float) -> str:
 def scar_quench(p: ScarParams, delta: float) -> tuple[XYZCouplings, float]:
     """Parent couplings of p with delta on its DETUNED_COUPLING, and the rate
     the quenched scar precesses about z at: -2 S gamma delta for the
-    transverse helix, 0 for gtsh and glsh, which stay static solutions."""
+    transverse helix, 0 for gtsh and glsh, which stay static solutions.
+    A non-finite delta raises, for every family."""
+    if not math.isfinite(delta):
+        raise ValueError(f"detuning delta must be finite, got {delta}")
     family = scar_family(p.kappa, p.gamma)
     J = parent_couplings(p.kappa, p.q).detuned(**{"d" + DETUNED_COUPLING[family]: delta})
     return J, (-2.0 * p.S * p.gamma * delta if family == "transverse" else 0.0)
@@ -243,12 +248,14 @@ def scar_texture(p: ScarParams) -> np.ndarray:
     return helix_texture(p.kappa, p.gamma, p.q * np.arange(p.L) + p.phi)
 
 
-def texture_energy(texture: np.ndarray, J, S: float) -> float:
-    """Classical bond energy S^2 sum_j Omega_j . J Omega_{j+1} of a ring."""
-    mat = coupling_matrix(J)
+def bond_sum(texture: np.ndarray, J) -> float:
+    """Unscaled bond sum sum_j Omega_j . J Omega_{j+1} of a ring texture.
+
+    S times it is the classical energy the Landau-Lifshitz flow conserves,
+    and S^2 times it the energy <psi|H|psi> of the coherent product state.
+    """
     omega = np.asarray(texture, dtype=float)
-    nxt = np.roll(omega, -1, axis=0)
-    return float(S * S * np.einsum("ja,ab,jb->", omega, mat, nxt))
+    return float(np.einsum("ja,ab,jb->", omega, coupling_matrix(J), np.roll(omega, -1, axis=0)))
 
 
 def energy_density(kappa: float, q: float, S: float) -> float:
@@ -295,8 +302,7 @@ def gz_condition_residuals(texture: np.ndarray, J) -> tuple[np.ndarray, np.ndarr
 
 def commensurate_q(kappa: float, L: int) -> list[tuple[int, float]]:
     """All windings (M, q = 4MK/L) with 0 < q < K on an L-site ring."""
-    if L < 2:
-        raise ValueError(f"need at least two sites, got L = {L}")
+    _check_ring(L)
     K = complete_K(kappa)
     return [(M, 4.0 * M * K / L) for M in range(1, (L - 1) // 4 + 1)]
 

@@ -136,24 +136,21 @@ def propagator(coeffs, t: float, dt: float | None = None) -> np.ndarray:
     real quadrature propagator is checked for pseudo-unitarity (RuntimeError
     if lost) and mapped to U.
     """
-    advance, h = _stepper(coeffs, t, 1e-3 if dt is None else dt)
-    L = coeffs(0.0).L if callable(coeffs) else coeffs.L
     with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the check
-        E = advance(0.0, np.eye(2 * L))
+        if callable(coeffs):
+            advance, h = _stepper(coeffs, t, 1e-3 if dt is None else dt)
+            E = advance(0.0, np.eye(2 * coeffs(0.0).L))
+        else:
+            E, h = expm(t * _quadrature_generator(coeffs)), t
         _check_symplectic(E, h)
     return _complex_from_quadratures(E)
 
 
 def _stepper(coeffs, span: float, dt: float):
-    """Propagation across one span: returns (advance(t0, E), step length).
-
-    advance(t0, E) carries a real quadrature matrix E from t0 to t0 + span.
-    Static coefficients take one exponential of the whole span; callable
-    coefficients the fewest equal CF4 steps no longer than dt (at least one).
-    """
-    if not callable(coeffs):
-        step = expm(span * _quadrature_generator(coeffs))
-        return (lambda t0, E: step @ E), span
+    """CF4 propagation of callable coefficients across one span: returns
+    (advance(t0, E), step length), advance(t0, E) carrying a real quadrature
+    matrix E from t0 to t0 + span in the fewest equal CF4 steps no longer
+    than dt (at least one)."""
     n = max(1, _step_count("span / dt", span, dt))
     h = span / n
 
@@ -237,10 +234,10 @@ def _judge_symplectic(err, norm_sq, m: int, h: float) -> float:
 class ContrastSeries:
     """Contrast curves on a common time grid.
 
-    D is the spin-wave contrast, f = S(1 - D) its scaling form sampled at
-    tau = S t, and C the spin contrast (filled when the polar angle is
-    known, else None). pseudo_unitarity_defect is the defect measured by a
-    spin-wave route's final propagator check; max_norm_drift is the largest
+    D is the contrast, f = S(1 - D) its scaling form sampled at tau = S t,
+    and C the spin contrast spin_contrast(D, theta), which a caller that
+    knows the polar angle fills (else None). pseudo_unitarity_defect is the
+    defect measured by a spin-wave route's final propagator check; max_norm_drift is the largest
     relative norm drift of the exact route's states and hermiticity_defect
     max |H - H^H| of its Hamiltonian (each None where the route does not
     measure it).
@@ -278,7 +275,6 @@ def contrast_sw(
     dt: float | None = None,
     T: float = 30.0,
     n_samples: int = 301,
-    theta: float | None = None,
 ) -> ContrastSeries:
     """Spin-wave contrast D_SW on [0, T].
 
@@ -292,9 +288,6 @@ def contrast_sw(
     dt is an upper bound. The final propagator's pseudo-unitarity defect is
     checked and returned with the series; a lost check or an overflow
     raises RuntimeError.
-
-    theta, when given, also fills the spin-contrast column
-    C = (D - cos^2 theta)/sin^2 theta.
     """
     check_spin_length(S)
     times = _sample_times(T, n_samples)
@@ -311,10 +304,7 @@ def contrast_sw(
         D = _contrast_from_norms(norms, len(E), S)
     else:
         D, defect = _power_contrast(_quadrature_generator(coeffs)[None], h, n_samples, S)
-    C = None if theta is None else spin_contrast(D, theta)
-    return ContrastSeries(
-        times=times, D=D, f=S * (1.0 - D), C=C, pseudo_unitarity_defect=defect
-    )
+    return ContrastSeries(times=times, D=D, f=S * (1.0 - D), pseudo_unitarity_defect=defect)
 
 
 def _sample_times(T: float, n_samples: int) -> np.ndarray:
@@ -574,9 +564,9 @@ def _flush_tiny(X: np.ndarray, mag: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return X
 
 
-def spin_contrast(series, theta: float) -> np.ndarray:
+def spin_contrast(D, theta: float) -> np.ndarray:
     """Map contrast D to the spin contrast C = (D - cos^2)/sin^2 at angle theta."""
-    D = series.D if isinstance(series, ContrastSeries) else np.asarray(series, dtype=float)
+    D = np.asarray(D, dtype=float)
     s2 = math.sin(theta) ** 2
     if s2 < 1e-24:
         raise ValueError("spin contrast undefined at theta in {0, pi}")

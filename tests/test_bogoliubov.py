@@ -819,6 +819,15 @@ class TestPhaseScan:
             bg.phase_scan([0.8], [7, 3, 8], delta=0.01)
         assert str(threaded.value) == str(direct.value)
 
+    def test_tasks_keep_the_callers_error_state(self, monkeypatch):
+        """An overflow in a task raises where the caller's numpy error state
+        says so, though the task runs on a pool thread: S = 1e308 overflows
+        the Bloch matrix."""
+        self.cpus(monkeypatch, 2)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            with pytest.raises(FloatingPointError):
+                bg.phase_scan([0.8], [7], n_k=16, S=1e308)
+
     @pytest.mark.parametrize(
         "cpus,lambdas,threads", [(1, [7, 8], 1), (8, [7], 2), (2, [5, 6, 7], 2)]
     )

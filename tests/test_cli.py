@@ -327,18 +327,21 @@ class TestContrastSw:
         assert err.count("\n") == 1
         assert not (tmp_path / "contrast_sw.csv").exists()
 
-    def test_non_finite_detuning_names_the_coefficients(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "family_args",
+        [["gtsh", "--kappa", "0.9", "--M", "2", "--L", "12", "--dJz"],
+         ["glsh", "--kappa", "0.8", "--M", "1", "--L", "7", "--dJx"],
+         ["transverse", "--theta", "pi/4", "--q", "pi/3", "--L", "12", "--dJz"]],
+        ids=["gtsh", "glsh", "transverse"],
+    )
+    def test_non_finite_detuning_names_the_detuning(self, tmp_path, capsys, family_args):
+        """Every family's non-finite detuning is rejected by scars.scar_quench,
+        with contrast-ed's message."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = run(
-                ["contrast-sw", "--family", "gtsh", "--kappa", "0.9", "--M", "2",
-                 "--L", "12", "--dJz", "nan", "--T", "2"],
-                tmp_path,
-            )
+            code = run(["contrast-sw", "--family", *family_args, "nan", "--T", "2"], tmp_path)
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: spin-wave coefficients eta, zeta and V must be finite")
-        assert err.count("\n") == 1
+        assert capsys.readouterr().err == "error: detuning delta must be finite, got nan\n"
         assert not (tmp_path / "contrast_sw.csv").exists()
 
     def test_transverse_without_q_is_usage_error(self, tmp_path, capsys):
@@ -444,9 +447,9 @@ class TestContrastSw:
         argv = ["contrast-sw", "--family", family, *argv, "--T", str(T), "--n-samples",
                 str(n_samples)]
         assert run(argv, tmp_path / "cli") == 0
-        series = spinwave.contrast_sw(
-            spinwave.sw_coefficients(frame, S), S, T=T, n_samples=n_samples, theta=theta
-        )
+        series = spinwave.contrast_sw(spinwave.sw_coefficients(frame, S), S, T=T, n_samples=n_samples)
+        if theta is not None:
+            series.C = spinwave.spin_contrast(series.D, theta)
         series.save_csv(tmp_path / "reference.csv")
         got = (tmp_path / "cli" / "contrast_sw.csv").read_bytes()
         assert got == (tmp_path / "reference.csv").read_bytes()
@@ -982,6 +985,25 @@ class TestNonFiniteFlags:
         assert code in (1, 2)
         assert err.count("\n") == 1, err
         assert err.startswith(("error:", "usage error:")), err
+
+
+class TestHugeFiniteFlags:
+    @pytest.mark.parametrize(
+        "base, flag",
+        [(base, flag) for base, flags in NON_FINITE_CASES for flag in flags],
+        ids=[f"{base[0]}{flag}" for base, flags in NON_FINITE_CASES for flag in flags],
+    )
+    def test_huge_value_exits_cleanly(self, tmp_path, capsys, base, flag):
+        """1e308 given to any float flag runs or exits 1 or 2 with at most
+        one error line: an overflow, invalid operation or division by zero
+        it causes is a numeric failure, not a numpy warning (which the suite
+        turns into an error) ahead of a NaN result or another error."""
+        code = _run_case(_with_flag(base, flag, "1e308"), tmp_path)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        assert "Warning" not in err
+        assert err.count("\n") <= 1, err
+        assert err == "" or err.startswith(("error:", "usage error:")), err
 
 
 # for each NON_FINITE_CASES base, in its order: a label, and the integer and

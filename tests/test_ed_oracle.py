@@ -357,6 +357,7 @@ class TestBuildHamiltonian:
         nnz, indices and data bits as the kron assembly. Diagonal sums such
         as (+-Jz/4) over twelve bonds cancel to exactly zero only in some
         orders, so this pins bond order."""
+        assert len(SWEEP_HAMILTONIANS) == 45
         for kappa, q, S, L in SWEEP_HAMILTONIANS:
             parent = scars.parent_couplings(kappa, q)
             for J in (parent, parent.detuned(dJz=0.03), parent.detuned(dJx=-0.02)):
@@ -414,13 +415,18 @@ class TestBuildHamiltonian:
         assert not any(a.flags.writeable for a in arrays)
         assert sum(a.nbytes for a in arrays) <= 2e6
 
-    def test_sweep_matches_kron_reference(self):
-        """Every distinct Hamiltonian of gate 01's sweep, entry by entry."""
-        assert len(SWEEP_HAMILTONIANS) == 45
-        for kappa, q, S, L in SWEEP_HAMILTONIANS:
-            J = scars.parent_couplings(kappa, q)
-            diff = ed.build_hamiltonian(J, S, L) - reference_kron_hamiltonian(J, S, L)
-            assert abs(diff).max() <= 1e-14, (kappa, q, S, L)
+    def test_pattern_keys_do_not_wrap(self, monkeypatch):
+        """L = 10 at S = 1 has 59,049 states, past the 46,340 from which a
+        key rows * dim + cols passes 2^31. The Ising ring's H there is its
+        exact diagonal sum_j m_j m_(j+1), and nothing else."""
+        monkeypatch.setattr(ed, "DIMENSION_CAP", 3**10)
+        H = ed.build_hamiltonian((0.0, 0.0, 1.0), 1.0, 10)
+        m = 1 - np.arange(3**10) // 3 ** np.arange(10)[:, None] % 3
+        diagonal = (m * np.roll(m, -1, axis=0)).sum(axis=0).astype(float)
+        assert np.array_equal(H.diagonal(), diagonal)
+        assert H.nnz == np.count_nonzero(diagonal)
+        rows = np.repeat(np.arange(3**10), np.diff(H.indptr))
+        assert np.array_equal(H.indices, rows)
 
     def test_hermiticity(self):
         H = ed.build_hamiltonian((0.9, 1.0, 0.35), 1.0, 5)
@@ -706,7 +712,7 @@ class TestContrastExact:
         omega = -2.0 * S * GAMMA * dJz
         frame = rotframe.frame_transverse(THETA, p.q, omega, p.L, dJz=dJz)
         coeffs = spinwave.sw_coefficients(frame, S)
-        sw = spinwave.contrast_sw(coeffs, S, T=2.0 / S, n_samples=21, theta=THETA)
+        sw = spinwave.contrast_sw(coeffs, S, T=2.0 / S, n_samples=21)
         exact = ed.contrast_exact(p, dJz, T=2.0 / S, n_samples=21)
         envelope = 0.5 * (S * sw.times) ** 2 / S**2 + 1e-12
         assert np.all(np.abs(exact.D - sw.D) <= envelope)
@@ -716,12 +722,12 @@ class TestContrastExact:
         with pytest.raises(ValueError, match="gamma"):
             ed.contrast_exact(p, 0.01, T=1.0, n_samples=3)
 
-    def test_theta_fills_spin_contrast_column(self):
-        series = ed.contrast_exact(
-            transverse_params(), 0.02, T=2.0, n_samples=5, theta=THETA
-        )
-        assert series.C is not None
-        assert abs(series.C[0] - 1.0) <= 1e-10
+    def test_spin_contrast_starts_at_one(self):
+        """The route returns D alone; its spin contrast at the helix's polar
+        angle starts at 1."""
+        series = ed.contrast_exact(transverse_params(), 0.02, T=2.0, n_samples=5)
+        assert series.C is None
+        assert abs(spinwave.spin_contrast(series.D, THETA)[0] - 1.0) <= 1e-10
 
     def test_exact_ring_never_steps(self, monkeypatch):
         """The 1,024-state transverse ring (L = 10, S = 1/2, theta = pi/4)
@@ -801,11 +807,13 @@ class TestTwistedRoute:
         every ring the whole-space route reaches."""
         p = scars.ScarParams.commensurate(0.0, M, L, gamma=gamma, S=S, phi=phi)
         theta = math.acos(gamma)
-        twisted = ed.contrast_exact(p, delta, T=10.0, n_samples=41, theta=theta)
+        twisted = ed.contrast_exact(p, delta, T=10.0, n_samples=41)
         monkeypatch.setattr(ed, "_twisted_contrast", ed._generic_contrast)
-        generic = ed.contrast_exact(p, delta, T=10.0, n_samples=41, theta=theta)
-        for name in ("D", "f", "C"):
+        generic = ed.contrast_exact(p, delta, T=10.0, n_samples=41)
+        for name in ("D", "f"):
             assert np.abs(getattr(twisted, name) - getattr(generic, name)).max() <= 1e-12
+        C_twisted, C_generic = (spinwave.spin_contrast(s.D, theta) for s in (twisted, generic))
+        assert np.abs(C_twisted - C_generic).max() <= 1e-12
         assert twisted.hermiticity_defect == generic.hermiticity_defect
         assert 0.0 <= twisted.max_norm_drift <= ed.NORM_DRIFT_TOL
 

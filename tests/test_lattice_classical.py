@@ -56,14 +56,14 @@ def reference_ll_evolve(tex, mat, S, T, n_steps, stride):
     energies and the largest norm drift after t = 0."""
     dt = T / n_steps
     omega, drift = tex, 0.0
-    times, textures, energies = [0.0], [tex], [lc.classical_energy(tex, mat, S)]
+    times, textures, energies = [0.0], [tex], [S * scars.bond_sum(tex, mat)]
     for step in range(1, n_steps + 1):
         omega = reference_rk4_step(omega, mat, S, dt)
         if step % stride == 0 or step == n_steps:
             drift = max(drift, np.abs(np.linalg.norm(omega, axis=-1) - 1.0).max())
             times.append(step * dt)
             textures.append(omega)
-            energies.append(lc.classical_energy(omega, mat, S))
+            energies.append(S * scars.bond_sum(omega, mat))
     return np.array(times), np.array(textures), np.array(energies), drift
 
 
@@ -440,7 +440,6 @@ class TestClassicalLyapunov:
         est = lc.classical_lyapunov(tex, J, S, T=200.0)
         assert abs(est.rate) <= 1e-3 * S
         assert not est.converged
-        assert float(est) == est.rate
 
     def test_unstable_transverse_helix_rate(self):
         """Positive z-detuning: growth rate sin^2(theta) dJz S within 10%.

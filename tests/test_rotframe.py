@@ -1,6 +1,7 @@
 """Rotating-frame constructions: gauges, closed-form couplings, stationarity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,12 +58,12 @@ def _rotation_z(phis):
     )
 
 
-def reference_frame_transverse(theta, q, omega, L, t=0.0, dJz=0.0):
-    """The hand-written transverse frame R_j = Rz(qj - omega t) Ry(theta)."""
+def reference_frame_transverse(theta, q, omega, L, dJz=0.0):
+    """The hand-written transverse frame R_j = Rz(qj) Ry(theta)."""
     c, s = math.cos(theta), math.sin(theta)
     Ry = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
     J = np.diag([1.0, 1.0, math.cos(q) + dJz])
-    R = _rotation_z(q * np.arange(L) - omega * t) @ Ry
+    R = _rotation_z(q * np.arange(L)) @ Ry
     hR = np.tile(omega * np.array([-s, 0.0, c]), (L, 1))
     return FrameData(R=R, JR=_bond_couplings(R, J), hR=hR)
 
@@ -127,19 +128,19 @@ class TestAxisGauge:
 
     @pytest.mark.parametrize("dJz", [-0.04, 0.0, 0.04])
     @pytest.mark.parametrize(
-        "theta,q,omega,t",
+        "theta,q,omega",
         [
-            (np.pi / 4, np.pi / 3, 0.0, 0.0),
-            (0.3, 0.0, 0.25, 2.0),
-            (np.pi / 2, 2.5, -0.7, 2.0),
-            (2.8, np.pi / 5, 0.1, 0.0),
+            (np.pi / 4, np.pi / 3, 0.0),
+            (0.3, 0.0, 0.25),
+            (np.pi / 2, 2.5, -0.7),
+            (2.8, np.pi / 5, 0.1),
         ],
     )
-    def test_transverse(self, theta, q, omega, t, dJz):
+    def test_transverse(self, theta, q, omega, dJz):
         L = 24
         assert_frames_match(
-            frame_transverse(theta, q, omega, L, t=t, dJz=dJz),
-            reference_frame_transverse(theta, q, omega, L, t=t, dJz=dJz),
+            frame_transverse(theta, q, omega, L, dJz=dJz),
+            reference_frame_transverse(theta, q, omega, L, dJz=dJz),
         )
 
     @pytest.mark.parametrize("delta", [-0.05, 0.0, 0.05])
@@ -181,18 +182,22 @@ class TestScarFrame:
     @pytest.mark.parametrize("kappa, gamma", [(0.0, 0.7), (0.0, 0.0), (0.9, 0.0), (0.8, 1.0)])
     @pytest.mark.parametrize("delta", [math.inf, -math.inf, math.nan])
     def test_non_finite_precession_rejected_before_hR(self, kappa, gamma, delta):
-        """A non-finite delta at kappa = 0 raises before omega * R forms hR
-        (inf times the texture's zeros would warn); at kappa > 0 the rate is
-        0 and the non-finite coupling reaches JR, where sw_coefficients
-        names it."""
+        """scar_quench rejects a non-finite delta in every family: at
+        kappa = 0 before omega * R forms hR (inf times the texture's zeros
+        would warn), at kappa > 0 before the coupling reaches JR."""
         p = ScarParams(kappa=kappa, q=0.5, gamma=gamma, L=8)
-        if kappa == 0.0:
-            with pytest.raises(ValueError, match="detuning delta must be finite"):
+        with pytest.raises(ValueError, match=f"^detuning delta must be finite, got {delta}$"):
+            scar_frame(p, delta)
+
+    @pytest.mark.parametrize("delta", [1e308, -1e308])
+    def test_overflowing_precession_rate_rejected(self, delta):
+        """A finite delta whose rate -2 S gamma delta overflows raises naming
+        the rate, before it forms hR."""
+        p = ScarParams(kappa=0.0, q=0.5, gamma=0.7, L=8, S=10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^precession rate -2 S gamma delta overflows"):
                 scar_frame(p, delta)
-        else:
-            frame = scar_frame(p, delta)
-            assert not np.isfinite(frame.JR).all()
-            assert np.array_equal(frame.hR, np.zeros((8, 3)))
 
     def test_texture_on_the_gauge_axis_rejected(self):
         """kappa = 0, gamma = 1 is the uniform z state: it lies on the -zhat
@@ -267,15 +272,6 @@ class TestTransverseFrame:
         frame = frame_transverse(np.pi / 2, 0.0, 0.0, 4, dJz=-0.7)
         # lab x becomes the frame z-axis, so JR^zz picks up Jx = 1
         assert frame.JR[0, 2, 2] == pytest.approx(1.0, abs=1e-14)
-
-    def test_time_argument_spins_frame(self):
-        theta, q, omega = 0.6, 0.8, 0.3
-        f0 = frame_transverse(theta, q, omega, 5, t=0.0)
-        f1 = frame_transverse(theta, q, omega, 5, t=2.0)
-        # couplings and fields are time-independent even though R moves
-        np.testing.assert_allclose(f0.JR, f1.JR, atol=1e-12)
-        np.testing.assert_allclose(f0.hR, f1.hR, atol=0)
-        assert not np.allclose(f0.R, f1.R)
 
     @pytest.mark.parametrize("theta", [0.0, np.pi])
     def test_polar_singularity_rejected(self, theta):

@@ -14,6 +14,7 @@ from xyzscar.scars import (
     EXACT_RESIDUAL_TOL,
     ScarParams,
     XYZCouplings,
+    bond_sum,
     check_spin_length,
     commensurate_q,
     coupling_matrix,
@@ -25,7 +26,6 @@ from xyzscar.scars import (
     scar_quench,
     scar_texture,
     solve_kq,
-    texture_energy,
     write_csv,
 )
 
@@ -125,6 +125,11 @@ class TestScarTexture:
         )
         np.testing.assert_allclose(tex, expected, atol=1e-14)
 
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_offset_rejected(self, phi):
+        with pytest.raises(ValueError, match=f"^phi must be finite, got {phi}$"):
+            ScarParams(kappa=0.0, q=0.6, gamma=0.5, L=9, phi=phi)
+
     def test_longitudinal_family(self):
         kappa, L = 0.8, 7
         q = commensurate_q(kappa, L)[0][1]
@@ -222,7 +227,7 @@ class TestEnergyDensity:
         kappa, L = 0.9, 12
         M, q = commensurate_q(kappa, L)[0]
         p = ScarParams(kappa=kappa, q=q, gamma=gamma, L=L)
-        e = texture_energy(scar_texture(p), parent_couplings(kappa, q), 1.0) / L
+        e = bond_sum(scar_texture(p), parent_couplings(kappa, q)) / L
         assert e == pytest.approx(energy_density(kappa, q, 1.0), rel=1e-12)
 
     def test_domain(self):
@@ -383,6 +388,14 @@ class TestScarFamily:
         moved = {"Jx": parent.detuned(dJx=0.03), "Jz": parent.detuned(dJz=0.03)}[coupling]
         assert J == moved
         assert omega == (-2.0 * S * gamma * 0.03 if kappa == 0.0 else 0.0)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kappa,gamma", [(0.0, 0.6), (0.7, 0.0), (0.7, 1.0)])
+    def test_quench_rejects_non_finite_detuning(self, kappa, gamma, delta):
+        """One check for every family, before the rate or the couplings form."""
+        p = ScarParams(kappa=kappa, q=0.4, gamma=gamma, L=8)
+        with pytest.raises(ValueError, match=f"^detuning delta must be finite, got {delta}$"):
+            scar_quench(p, delta)
 
 
 EDGE_FLOATS = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e-300,

@@ -442,11 +442,12 @@ class TestContrastSW:
         theta = math.pi / 4
         frame = co_rotating_transverse(theta, math.pi / 3, -0.03, 12, 1.0)
         co = sw.sw_coefficients(frame, 1.0)
-        series = sw.contrast_sw(co, 1.0, T=5.0, n_samples=21, theta=theta)
+        series = sw.contrast_sw(co, 1.0, T=5.0, n_samples=21)
+        assert series.C is None
         expected = (series.D - math.cos(theta) ** 2) / math.sin(theta) ** 2
-        np.testing.assert_allclose(series.C, expected, rtol=1e-15)
-        np.testing.assert_allclose(sw.spin_contrast(series, theta), series.C, rtol=0)
-        np.testing.assert_allclose(sw.spin_contrast(series.D, theta), series.C, rtol=0)
+        np.testing.assert_allclose(sw.spin_contrast(series.D, theta), expected, rtol=1e-15)
+        np.testing.assert_array_equal(sw.spin_contrast(list(series.D), theta),
+                                      sw.spin_contrast(series.D, theta))
 
     def test_spin_contrast_rejects_poles(self):
         with pytest.raises(ValueError, match="theta"):
@@ -828,7 +829,8 @@ class TestSaveCsv:
         theta = math.pi / 4
         frame = co_rotating_transverse(theta, math.pi / 3, -0.03, 8, 1.0)
         co = sw.sw_coefficients(frame, 1.0)
-        series = sw.contrast_sw(co, 1.0, T=2.0, n_samples=11, theta=theta)
+        series = sw.contrast_sw(co, 1.0, T=2.0, n_samples=11)
+        series.C = sw.spin_contrast(series.D, theta)
         out = tmp_path / "contrast.csv"
         series.save_csv(out, params={"theta": theta, "L": 8})
         data = np.loadtxt(out, delimiter=",", skiprows=1)
