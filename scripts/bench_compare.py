@@ -1,5 +1,6 @@
 """Compare two source checkouts of xyzscar: benchmark pairs, CLI start-up,
-spin-wave contrasts and exact quenches, each measured in fresh processes.
+spin-wave contrasts, exact quenches and CLI outputs, each measured in fresh
+processes.
 
     python scripts/bench_compare.py pairs --parent P --change C \\
         --workloads contrast,scan --seeds 2201:2211 --seconds 25
@@ -9,12 +10,13 @@ spin-wave contrasts and exact quenches, each measured in fresh processes.
     python scripts/bench_compare.py peaks --parent P --change C --reps 3
     python scripts/bench_compare.py exact --parent P --change C --reps 5
     python scripts/bench_compare.py rings --parent P --change C --reps 9
+    python scripts/bench_compare.py outputs --parent P --change C --reps 2
 
 P and C are checkout roots (each with src/ and perfbench/). Every mode
 alternates which side runs first, the parent first in even pairs, and
 prints one JSON document on standard output; progress goes to stderr.
-scale, peaks, exact and rings run this script once per side and repetition
-in a fresh process whose path starts at that side's src (_fresh_runs).
+scale, peaks, exact, rings and outputs run this script once per side and
+repetition in a fresh process whose path starts at that side's src (_fresh_runs).
 
 pairs    runs perfbench/run.py --trace 0 in each checkout, one seed per pair,
          and reports each end-to-end metric's quartiles per side
@@ -45,6 +47,12 @@ rings    runs spinwave.contrast_sw on the rings RINGS of the contrast workload
          also in units of max(1, |1 - D|). The first repetition also runs
          bogoliubov.contrast_multiflavour on BLOCH_STACKS (test_bloch_stacks)
          and reports whether D and the defect are float.hex-equal across sides.
+outputs  runs each CLI config of OUTPUT_RUNS as `python -m xyzscar.cli`, one
+         process per config, at one BLAS thread. Both sides write to the same
+         --out directories in turn, because sidecars echo --out. It reports the
+         bytes and a SHA-256 prefix of every file written, and of each run's
+         stdout, stderr and exit code, per side, whether every repetition of
+         both sides agrees, and the list of those that do not.
 """
 
 from __future__ import annotations
@@ -315,10 +323,83 @@ def rings(args) -> dict:
     return out
 
 
+#: CLI configs of the outputs mode: the contrast workload's two rings and a
+#: gtsh ring, contrast-ed at +-0.03 (the exact workload's ring) and on a gtsh
+#: ring, ll-evolve on the benettin workload's ring and at S = 1.5, one scan
+#: row, dispersion, rates at +-0.03 and scar-verify; the last three take
+#: phi = 1e12, where the sites' phase steps were lost before phi was reduced
+#: modulo the texture's period
+OUTPUT_RUNS = {
+    "sw-ring": ["contrast-sw", "--family", "transverse", "--theta", "pi/4", "--q", "pi/3",
+                "--L", "240", "--dJz", "-0.03", "--T", "30", "--n-samples", "301"],
+    "sw-glsh": ["contrast-sw", "--family", "glsh", "--kappa", "0.8", "--M", "20", "--L", "140",
+                "--dJx", "-0.02", "--T", "20", "--n-samples", "81"],
+    "sw-gtsh": ["contrast-sw", "--family", "gtsh", "--kappa", "0.9", "--M", "1", "--L", "12",
+                "--dJz", "0.02", "--T", "4", "--n-samples", "21"],
+    "ed+0.03": ["contrast-ed", "--kappa", "0", "--M", "1", "--L", "10", "--theta", "pi/4",
+                "--S", "0.5", "--delta", "0.03"],
+    "ed-0.03": ["contrast-ed", "--kappa", "0", "--M", "1", "--L", "10", "--theta", "pi/4",
+                "--S", "0.5", "--delta", "-0.03"],
+    "ed-gtsh": ["contrast-ed", "--kappa", "0.9", "--M", "1", "--L", "8", "--gamma", "0",
+                "--S", "0.5", "--delta", "0.03"],
+    "ll-benettin": ["ll-evolve", "--kappa", "0.9", "--M", "20", "--L", "120", "--gamma", "0",
+                    "--dJz", "0.1", "--T", "20"],
+    "ll-S1.5": ["ll-evolve", "--kappa", "0.9", "--M", "1", "--L", "12", "--gamma", "0",
+                "--S", "1.5", "--dJz", "0.05", "--T", "5"],
+    "scan": ["phase-scan", "--family", "glsh", "--dJ", "0.01", "--n-k", "400", "--kappa", "0.48",
+             "--lambda", "7:21"],
+    "dispersion": ["dispersion", "--q", "pi/3", "--theta", "pi/4", "--dJz", "0.03"],
+    "rates+0.03": ["rates", "--q", "pi/3", "--theta", "pi/4", "--dJz", "0.03"],
+    "rates-0.03": ["rates", "--q", "pi/3", "--theta", "pi/4", "--dJz", "-0.03"],
+    "verify": ["scar-verify", "--kappa", "0", "--M", "1", "--L", "6", "--gamma", "0.7",
+               "--S", "0.5"],
+    "verify-phi": ["scar-verify", "--kappa", "0", "--M", "1", "--L", "6", "--gamma", "0.7",
+                   "--S", "0.5", "--phi", "1e12"],
+    "verify-glsh-phi": ["scar-verify", "--kappa", "0.5", "--M", "1", "--L", "6", "--gamma", "1",
+                        "--S", "0.5", "--phi", "1e12"],
+    "ed-phi": ["contrast-ed", "--kappa", "0", "--M", "1", "--L", "6", "--theta", "pi/4",
+               "--S", "0.5", "--delta", "0.03", "--phi", "1e12"],
+}
+
+
+def outputs_run(args) -> dict:
+    """Run in a fresh process whose path starts at the checkout's src."""
+    import hashlib
+    import shutil
+
+    def digest(data: bytes) -> str:
+        return f"{len(data)} bytes, sha256 {hashlib.sha256(data).hexdigest()[:16]}"
+
+    out = {}
+    for name, argv in OUTPUT_RUNS.items():
+        run_dir = args.dir / name
+        shutil.rmtree(run_dir, ignore_errors=True)
+        out_flag = [] if argv[0] == "scar-verify" else ["--out", str(run_dir)]
+        proc = subprocess.run([sys.executable, "-m", "xyzscar.cli", *argv, *out_flag],
+                              cwd=args.dir, capture_output=True)
+        out[f"{name} exit"] = proc.returncode
+        out[f"{name} stdout"] = digest(proc.stdout)
+        out[f"{name} stderr"] = digest(proc.stderr)
+        for path in sorted(run_dir.glob("*")):
+            out[f"{name}/{path.name}"] = digest(path.read_bytes())
+    return out
+
+
+def outputs(args) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = _fresh_runs(args, "outputs-run", "--dir", tmp, one_blas=True)
+    every = [r for side in runs.values() for r in side]
+    files = {key: {"parent": runs["parent"][0].get(key), "change": runs["change"][0].get(key),
+                   "identical": len({r.get(key) for r in every}) == 1}
+             for key in sorted(set().union(*every))}
+    return {"runs": {name: " ".join(argv) for name, argv in OUTPUT_RUNS.items()},
+            "files": files, "differ": [key for key, f in files.items() if not f["identical"]]}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     modes = parser.add_subparsers(dest="mode", required=True)
-    for name in ("pairs", "startup", "scale", "peaks", "exact", "rings"):
+    for name in ("pairs", "startup", "scale", "peaks", "exact", "rings", "outputs"):
         sub = modes.add_parser(name)
         sub.add_argument("--parent", type=Path, required=True)
         sub.add_argument("--change", type=Path, required=True)
@@ -327,19 +408,21 @@ def main() -> None:
             sub.add_argument("--seeds", required=True, help="lo:hi, one seed per pair")
             sub.add_argument("--seconds", type=float, default=25.0)
         else:
-            sub.add_argument("--reps", type=int, default=9)
+            sub.add_argument("--reps", type=int, default=2 if name == "outputs" else 9)
         if name == "scale":
             sub.add_argument("--cells", default="0.96:60:800,0.96:61:1600")
     modes.add_parser("scale-cell").add_argument("--cell", required=True)
     modes.add_parser("peaks-run")
     modes.add_parser("exact-run")
     modes.add_parser("rings-run").add_argument("--bloch", action="store_true")
+    modes.add_parser("outputs-run").add_argument("--dir", type=Path, required=True)
     args = parser.parse_args()
-    if args.mode not in ("scale-cell", "peaks-run", "exact-run", "rings-run"):
+    if not args.mode.endswith(("-run", "-cell")):
         args.parent, args.change = args.parent.resolve(), args.change.resolve()
     run = {"pairs": pairs, "startup": startup, "scale": scale, "peaks": peaks,
            "exact": exact, "rings": rings, "scale-cell": scale_cell, "peaks-run": peaks_run,
-           "exact-run": exact_run, "rings-run": rings_run}[args.mode]
+           "exact-run": exact_run, "rings-run": rings_run, "outputs": outputs,
+           "outputs-run": outputs_run}[args.mode]
     json.dump(run(args), sys.stdout, indent=1)
     print()
 

@@ -11,12 +11,14 @@ Subcommands map one-to-one onto the library surface:
   rates         asymptotic decay rates of the detuned transverse helix
 
 File-writing subcommands emit CSV plus a JSON sidecar echoing the full
-parameter record, so any run can be reproduced from its artifacts alone and
-identical configs produce byte-identical outputs. Angles accept pi-rational
-strings ("pi/3", "2pi/5") as well as decimals. Exit codes: 0 success,
-1 numeric failure (a floating-point overflow, invalid operation or division
-by zero included), 2 usage error. phase-scan runs one thread per CPU this
-process may run on; `taskset -c 0 xyzscar phase-scan ...` runs it on one.
+parameter record (ll-evolve's energy series is the one CSV without one), all
+through one writer, _write. So any run can be reproduced from its artifacts
+alone, and identical configs produce byte-identical outputs. Angles accept
+pi-rational strings ("pi/3", "2pi/5") as well as decimals. Exit codes:
+0 success, 1 numeric failure (a floating-point overflow, invalid operation
+or division by zero included) or a run out of memory, 2 usage error.
+phase-scan runs one thread per CPU this process may run on;
+`taskset -c 0 xyzscar phase-scan ...` runs it on one.
 """
 
 from __future__ import annotations
@@ -100,10 +102,17 @@ def parse_float_grid(text: str) -> list[float]:
     return [float(part) for part in s.split(",")]
 
 
-def _out_path(args, name: str) -> Path:
+def _write(args, name: str, header, columns, kind: str | None = None, **fields) -> None:
+    """Write one table as CSV to --out/name and print its path. Given a kind,
+    also write the JSON sidecar {kind, params, **fields}, params being the
+    run's parameter record; every file a subcommand writes goes through here."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out / name
+    path = out / name
+    write_csv(path, header, columns)
+    if kind is not None:
+        write_sidecar(path, kind, _params_record(args), **fields)
+    print(f"wrote {path}")
 
 
 def _params_record(args) -> dict:
@@ -174,14 +183,9 @@ def cmd_scar_verify(args) -> int:
 def cmd_dispersion(args) -> int:
     k = bg._momentum_grid(args.n_k)
     disp = bg.transverse_dispersion(k, args.q, args.theta, args.dJz, S=args.S)
-    path = _out_path(args, "dispersion.csv")
-    write_csv(
-        path,
-        ["k", "omega_re", "omega_im", "wtilde_re", "wtilde_im"],
-        [k, disp.omega_sw.real, disp.omega_sw.imag, disp.w_tilde.real, disp.w_tilde.imag],
-    )
-    write_sidecar(path, "dispersion", _params_record(args))
-    print(f"wrote {path}")
+    columns = [k, disp.omega_sw.real, disp.omega_sw.imag, disp.w_tilde.real, disp.w_tilde.imag]
+    _write(args, "dispersion.csv", ["k", "omega_re", "omega_im", "wtilde_re", "wtilde_im"],
+           columns, "dispersion")
     return 0
 
 
@@ -215,13 +219,19 @@ def cmd_contrast_ed(args) -> int:
 
 
 def _save_series(args, series, name: str) -> int:
-    """Write a contrast series, with its spin contrast C where --theta gives
-    the polar angle."""
+    """Write a contrast series as (t, D, C, f) rows, C the spin contrast where
+    --theta gives the polar angle (NaN otherwise). The route's measured
+    pseudo-unitarity defect, norm drift or Hermiticity defect goes to the
+    sidecar under "diagnostics"."""
     if args.theta is not None:
-        series.C = spinwave.spin_contrast(series.D, args.theta)
-    path = _out_path(args, name)
-    series.save_csv(path, params=_params_record(args))
-    print(f"wrote {path}")
+        C = spinwave.spin_contrast(series.D, args.theta)
+    else:
+        C = np.full_like(series.D, np.nan)
+    health = ("pseudo_unitarity_defect", "max_norm_drift", "hermiticity_defect")
+    diagnostics = {k: getattr(series, k) for k in health if getattr(series, k) is not None}
+    extra = {"diagnostics": diagnostics} if diagnostics else {}
+    _write(args, name, ["t", "D", "C", "f"], [series.times, series.D, C, series.f],
+           "contrast_series", n_samples=len(series.times), **extra)
     return 0
 
 
@@ -231,21 +241,17 @@ def cmd_ll_evolve(args) -> int:
     trajectory = lattice_classical.ll_evolve(
         scar_texture(p), J, S=args.S, dt=args.dt, T=args.T, max_samples=args.max_samples
     )
-    texture_path = _out_path(args, "ll_trajectory.csv")
-    energy_path = _out_path(args, "ll_energy.csv")
-    trajectory.save_csv(texture_path, energy_path)
-    write_sidecar(
-        texture_path,
-        "classical_trajectory",
-        _params_record(args),
-        diagnostics={
-            "dt": trajectory.dt,
-            "max_energy_drift": trajectory.max_energy_drift,
-            "max_norm_drift": trajectory.max_norm_drift,
-        },
-    )
-    print(f"wrote {texture_path}")
-    print(f"wrote {energy_path}")
+    n_t, L, _ = trajectory.textures.shape
+    omega = trajectory.textures.reshape(n_t * L, 3)
+    diagnostics = {
+        "dt": trajectory.dt,
+        "max_energy_drift": trajectory.max_energy_drift,
+        "max_norm_drift": trajectory.max_norm_drift,
+    }
+    _write(args, "ll_trajectory.csv", ["t", "j", "Ox", "Oy", "Oz"],
+           [np.repeat(trajectory.times, L), np.tile(np.arange(L), n_t), *omega.T],
+           "classical_trajectory", diagnostics=diagnostics)
+    _write(args, "ll_energy.csv", ["t", "energy"], [trajectory.times, trajectory.energy])
     return 0
 
 
@@ -258,18 +264,14 @@ def cmd_phase_scan(args) -> int:
         S=args.S,
         n_k=args.n_k,
     )
-    path = _out_path(args, "phase_scan.csv")
-    header = ["kappa", "lambda", "q", "class", "lyap_minus", "lyap_plus"]
-    write_csv(path, header, [[r[key] for r in records] for key in header])
-    write_sidecar(
-        path, "phase_scan", _params_record(args), diagnostics=_scan_margins(records, args.S)
-    )
     counts: dict[str, int] = {}
     for r in records:
         counts[r["class"]] = counts.get(r["class"], 0) + 1
     summary = "  ".join(f"{cls}: {n}" for cls, n in sorted(counts.items()))
     print(f"{len(records)} cells  {summary}")
-    print(f"wrote {path}")
+    header = ["kappa", "lambda", "q", "class", "lyap_minus", "lyap_plus"]
+    _write(args, "phase_scan.csv", header, [[r[key] for r in records] for key in header],
+           "phase_scan", diagnostics=_scan_margins(records, args.S))
     return 0
 
 
@@ -292,25 +294,14 @@ def _scan_margins(records, S: float) -> dict:
 def cmd_rates(args) -> int:
     result = bg.rates(args.q, args.theta, args.dJz, S=args.S)
     print(f"branch = {result.branch}")
-    for name in ("gamma1", "gamma2_exact", "gamma2_perturbative"):
-        value = getattr(result, name)
+    names = ("gamma1", "gamma2_exact", "gamma2_perturbative")
+    values = [getattr(result, name) for name in names]
+    for name, value in zip(names, values):
         if value is not None:
             print(f"{name} = {value:.3e}")
-    path = _out_path(args, "rates.csv")
-    columns = [
-        [result.branch],
-        [_nan_if_none(result.gamma1)],
-        [_nan_if_none(result.gamma2_exact)],
-        [_nan_if_none(result.gamma2_perturbative)],
-    ]
-    write_csv(path, ["branch", "gamma1", "gamma2_exact", "gamma2_perturbative"], columns)
-    write_sidecar(path, "rates", _params_record(args))
-    print(f"wrote {path}")
+    columns = [[result.branch]] + [[math.nan if v is None else v] for v in values]
+    _write(args, "rates.csv", ["branch", *names], columns, "rates")
     return 0
-
-
-def _nan_if_none(value):
-    return float("nan") if value is None else value
 
 
 def _add_out(sub) -> None:
@@ -426,6 +417,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, RuntimeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except OSError as exc:
         context = getattr(exc, "filename", None)

@@ -35,6 +35,7 @@ from .scars import (
     helix_texture,
     parent_couplings,
     scar_family,
+    scar_phases,
     scar_quench,
     scar_texture,
     _check_ring,
@@ -454,12 +455,13 @@ def _trajectory(p: ScarParams, delta: float, times: np.ndarray) -> np.ndarray:
     """Closed-form classical textures Omega_j(t), shape (nt, L, 3).
 
     Each scar with a closed form moves rigidly about z:
-    Omega_j(t) = helix_texture(kappa, gamma, q j + phi - omega t), at the
-    rate omega that scar_quench gives (for the transverse helix it was
-    checked against the Landau-Lifshitz integrator to 1e-14).
+    Omega_j(t) = helix_texture(kappa, gamma, u_j - omega t), with the
+    scar's phases u_j = q j + phi (scars.scar_phases), at the rate omega
+    that scar_quench gives (for the transverse helix it was checked against
+    the Landau-Lifshitz integrator to 1e-14).
     """
     _, omega = scar_quench(p, delta)
-    phases = p.q * np.arange(p.L)[None, :] + p.phi - omega * times[:, None]
+    phases = scar_phases(p)[None, :] - omega * times[:, None]
     return helix_texture(p.kappa, p.gamma, phases)
 
 
@@ -513,9 +515,10 @@ def _twisted_contrast(p: ScarParams, delta: float, times: np.ndarray):
     """(D, hermiticity defect, norm drift) of a transverse scar from its
     twisted zero-momentum space alone.
 
-    With u_j = q j + phi, U = prod_j exp(i u_j (S - S^z_j)) maps the uniform
-    tilted product state onto the scar state psi0, and the detuned XXZ ring
-    onto a translation-invariant one (e^(iqL) = 1). So psi(t) stays in the
+    With the scar's phases u_j = q j + phi (scars.scar_phases),
+    U = prod_j exp(i u_j (S - S^z_j)) maps the uniform tilted product state
+    onto the scar state psi0, and the detuned XXZ ring onto a
+    translation-invariant one (e^(iqL) = 1). So psi(t) stays in the
     span of the orthonormal columns P_(n,r) = e^(i sum_j u_j k_j(n)) /
     sqrt|O_r|, n in the cyclic orbit O_r of digit strings, k_j = S - m_j.
     c0 = P^H psi0 evolves under H_red = P^H H P by evolve_exact, whose
@@ -536,7 +539,7 @@ def _twisted_contrast(p: ScarParams, delta: float, times: np.ndarray):
     d = _twice_spin(p.S) + 1
     digits, orbit = _zero_momentum_orbits(d, p.L)
     size = np.bincount(orbit)
-    twist = np.exp(1j * ((p.q * np.arange(p.L) + p.phi) @ digits))
+    twist = np.exp(1j * (scar_phases(p) @ digits))
     P = sparse.csr_matrix(
         (twist / np.sqrt(size[orbit]), (np.arange(orbit.size), orbit)),
         shape=(orbit.size, size.size),

@@ -25,7 +25,7 @@ import numpy as np
 
 from .elliptic import jacobi_sncndn
 from .rotframe import FrameData, stationarity_residual
-from .scars import bond_sum, check_spin_length, coupling_matrix, helix_amplitudes, write_csv
+from .scars import bond_sum, check_spin_length, coupling_matrix, helix_amplitudes
 
 #: per-site norm drift beyond this aborts the integration
 NORM_DRIFT_TOL = 1e-6
@@ -64,17 +64,6 @@ class ClassicalTrajectory:
         """Largest |E(t) - E(0)| over the samples, relative to |E(0)| (absolute if E(0) = 0)."""
         scale = abs(self.energy[0]) or 1.0
         return float(np.max(np.abs(self.energy - self.energy[0])) / scale)
-
-    def save_csv(self, texture_path, energy_path) -> None:
-        """Write (t, j, Ox, Oy, Oz) rows, and the (t, energy) series to energy_path."""
-        n_t, L, _ = self.textures.shape
-        omega = self.textures.reshape(n_t * L, 3)
-        write_csv(
-            texture_path,
-            ["t", "j", "Ox", "Oy", "Oz"],
-            [np.repeat(self.times, L), np.tile(np.arange(L), n_t), *omega.T],
-        )
-        write_csv(energy_path, ["t", "energy"], [self.times, self.energy])
 
 
 class _PaddedRing:

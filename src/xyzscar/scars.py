@@ -243,9 +243,20 @@ def helix_texture(kappa: float, gamma: float, u) -> np.ndarray:
     return np.stack([alpha * cn, beta * sn, gamma * dn], axis=-1)
 
 
+def scar_phases(p: ScarParams) -> np.ndarray:
+    """Phases u_j = q j + phi of the scar's L sites.
+
+    phi is taken by math.remainder modulo the texture's period 4K (2 pi at
+    kappa = 0, infinite at kappa = 1), so a large offset keeps the step q
+    from site to site; an offset with |phi| <= 2K is used exactly as given.
+    """
+    period = 4.0 * complete_K(p.kappa) if p.kappa < 1.0 else math.inf
+    return p.q * np.arange(p.L) + math.remainder(p.phi, period)
+
+
 def scar_texture(p: ScarParams) -> np.ndarray:
     """Bloch vectors of the scar, shape (L, 3), each row unit-norm."""
-    return helix_texture(p.kappa, p.gamma, p.q * np.arange(p.L) + p.phi)
+    return helix_texture(p.kappa, p.gamma, scar_phases(p))
 
 
 def bond_sum(texture: np.ndarray, J) -> float:
@@ -343,13 +354,10 @@ def _column_text(col: np.ndarray) -> list[str]:
     return texts[inverse].tolist()
 
 
-def write_sidecar(csv_path, kind: str, params: dict | None = None, **fields) -> None:
+def write_sidecar(csv_path, kind: str, params: dict, **fields) -> None:
     """Write the JSON record {kind, params, **fields} next to a CSV file.
 
-    params is omitted when None; keys are sorted so identical records give
-    identical bytes.
+    Keys are sorted so identical records give identical bytes.
     """
-    record = {"kind": kind, **fields}
-    if params is not None:
-        record["params"] = params
+    record = {"kind": kind, "params": params, **fields}
     Path(csv_path).with_suffix(".json").write_text(json.dumps(record, indent=2, sort_keys=True))

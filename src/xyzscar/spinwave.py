@@ -18,7 +18,7 @@ import numpy as np
 
 from .lattice_classical import _step_count
 from .rotframe import FrameData
-from .scars import check_spin_length, write_csv, write_sidecar
+from .scars import check_spin_length
 
 PSEUDO_UNITARITY_TOL = 1e-9
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
@@ -234,39 +234,19 @@ def _judge_symplectic(err, norm_sq, m: int, h: float) -> float:
 class ContrastSeries:
     """Contrast curves on a common time grid.
 
-    D is the contrast, f = S(1 - D) its scaling form sampled at tau = S t,
-    and C the spin contrast spin_contrast(D, theta), which a caller that
-    knows the polar angle fills (else None). pseudo_unitarity_defect is the
-    defect measured by a spin-wave route's final propagator check; max_norm_drift is the largest
-    relative norm drift of the exact route's states and hermiticity_defect
-    max |H - H^H| of its Hamiltonian (each None where the route does not
-    measure it).
+    D is the contrast and f = S(1 - D) its scaling form sampled at tau = S t.
+    pseudo_unitarity_defect is the defect measured by a spin-wave route's
+    final propagator check; max_norm_drift is the largest relative norm
+    drift of the exact route's states and hermiticity_defect max |H - H^H|
+    of its Hamiltonian (each None where the route does not measure it).
     """
 
     times: np.ndarray
     D: np.ndarray
     f: np.ndarray
-    C: np.ndarray | None = None
     pseudo_unitarity_defect: float | None = None
     max_norm_drift: float | None = None
     hermiticity_defect: float | None = None
-
-    def save_csv(self, path, params: dict | None = None) -> None:
-        """Write (t, D, C, f) rows plus a JSON sidecar next to the CSV.
-
-        A measured pseudo-unitarity defect, norm drift or Hermiticity defect
-        goes to the sidecar under "diagnostics".
-        """
-        Ccol = self.C if self.C is not None else np.full_like(self.D, np.nan)
-        write_csv(path, ["t", "D", "C", "f"], [self.times, self.D, Ccol, self.f])
-        measured = {
-            "pseudo_unitarity_defect": self.pseudo_unitarity_defect,
-            "max_norm_drift": self.max_norm_drift,
-            "hermiticity_defect": self.hermiticity_defect,
-        }
-        diagnostics = {k: v for k, v in measured.items() if v is not None}
-        extra = {"diagnostics": diagnostics} if diagnostics else {}
-        write_sidecar(path, "contrast_series", params, n_samples=len(self.times), **extra)
 
 
 def contrast_sw(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from xyzscar import bogoliubov as bg
-from xyzscar import cli, ed_oracle, lattice_classical, rotframe, scars, spinwave
+from xyzscar import cli, ed_oracle, rotframe, scars, spinwave
 from xyzscar.elliptic import complete_K
 from xyzscar.scars import helix_texture, parent_couplings
 
@@ -120,6 +120,15 @@ class TestScarVerify:
         )
         assert code == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kappa, gamma", [("0", "0.7"), ("0.5", "1")])
+    def test_huge_phase_offset_passes(self, capsys, kappa, gamma):
+        code = run(
+            ["scar-verify", "--kappa", kappa, "--M", "1", "--L", "6", "--gamma", gamma,
+             "--S", "0.5", "--phi", "1e12"]
+        )
+        assert capsys.readouterr().out.endswith("PASS\n")
+        assert code == 0
 
     def test_both_M_and_q_is_usage_error(self, capsys):
         code = run(
@@ -426,8 +435,9 @@ class TestContrastSw:
     @pytest.mark.parametrize("family", ["transverse", "gtsh", "glsh"])
     def test_csv_is_the_reference_frame_series(self, tmp_path, family):
         """One path for every family: the CSV equals, byte for byte, what
-        ContrastSeries.save_csv writes from the family's own frame, built as
-        frame_transverse and the deleted gtsh/glsh frames built it."""
+        scars.write_csv writes of the series from the family's own frame,
+        built as frame_transverse and the deleted gtsh/glsh frames built it,
+        with C the spin contrast where theta is known and NaN elsewhere."""
         S, T, n_samples, theta = 1.0, 4.0, 21, None
         if family == "transverse":
             theta, q, L, dJz = math.pi / 4, math.pi / 3, 24, -0.03
@@ -449,13 +459,15 @@ class TestContrastSw:
         assert run(argv, tmp_path / "cli") == 0
         series = spinwave.contrast_sw(spinwave.sw_coefficients(frame, S), S, T=T, n_samples=n_samples)
         if theta is not None:
-            series.C = spinwave.spin_contrast(series.D, theta)
-        series.save_csv(tmp_path / "reference.csv")
+            C = spinwave.spin_contrast(series.D, theta)
+        else:
+            C = np.full_like(series.D, np.nan)
+        scars.write_csv(tmp_path / "reference.csv", ["t", "D", "C", "f"],
+                        [series.times, series.D, C, series.f])
         got = (tmp_path / "cli" / "contrast_sw.csv").read_bytes()
         assert got == (tmp_path / "reference.csv").read_bytes()
-        sidecars = [json.loads(path.read_text()) for path in
-                    (tmp_path / "cli" / "contrast_sw.json", tmp_path / "reference.json")]
-        assert sidecars[0]["diagnostics"] == sidecars[1]["diagnostics"]
+        sidecar = json.loads((tmp_path / "cli" / "contrast_sw.json").read_text())
+        assert sidecar["diagnostics"] == {"pseudo_unitarity_defect": series.pseudo_unitarity_defect}
 
     @pytest.mark.parametrize("dJz", ["0.03", "-0.03"])
     def test_pseudo_unitarity_message_names_the_growth(self, tmp_path, capsys, dJz):
@@ -816,6 +828,39 @@ class TestPhaseScan:
         assert [(tmp_path / name).read_bytes() for name in names] == unset
 
 
+class TestOutOfMemory:
+    @pytest.mark.parametrize(
+        "module, route, argv",
+        [
+            (bg, "transverse_dispersion",
+             ["dispersion", "--q", "pi/3", "--theta", "pi/4", "--dJz", "0.03"]),
+            (spinwave, "contrast_sw",
+             ["contrast-sw", "--family", "transverse", "--theta", "pi/4", "--q", "pi/3",
+              "--L", "6", "--dJz", "0.03", "--T", "1", "--n-samples", "3"]),
+        ],
+        ids=["dispersion", "contrast-sw"],
+    )
+    @pytest.mark.parametrize(
+        "message, line",
+        [("", "error: out of memory\n"),
+         ("Unable to allocate 4.8 GiB", "error: Unable to allocate 4.8 GiB\n")],
+        ids=["bare", "numpy"],
+    )
+    def test_memory_error_exits_with_one_line(
+        self, tmp_path, capsys, monkeypatch, module, route, argv, message, line
+    ):
+        """A route that runs out of memory exits 1 with one error line, never
+        empty, and writes no file."""
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(module, route, exhausted)
+        assert run(argv, tmp_path) == 1
+        assert capsys.readouterr().err == line
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestArtifacts:
     def test_identical_configs_are_byte_identical(self, tmp_path):
         first = tmp_path / "a"
@@ -894,7 +939,8 @@ class TestArtifacts:
         ids=lambda argv: argv[0],
     )
     def test_csvs_match_row_wise_writer(self, tmp_path, monkeypatch, csv_oracle, argv):
-        """Each subcommand's CSVs equal, byte for byte, what the row-wise
+        """Every CSV a subcommand leaves in --out is written through cli's
+        one write_csv call, and equals, byte for byte, what the row-wise
         writer makes of the same columns."""
         tables = []
 
@@ -902,10 +948,9 @@ class TestArtifacts:
             tables.append((path, header, columns))
             scars.write_csv(path, header, columns)
 
-        for module in (cli, spinwave, lattice_classical):
-            monkeypatch.setattr(module, "write_csv", recording_write_csv)
+        monkeypatch.setattr(cli, "write_csv", recording_write_csv)
         assert run(argv, tmp_path) == 0
-        assert tables
+        assert sorted(Path(path) for path, _, _ in tables) == sorted(tmp_path.glob("*.csv"))
         for n, (path, header, columns) in enumerate(tables):
             csv_oracle(tmp_path / f"oracle_{n}.csv", header, columns)
             assert (tmp_path / f"oracle_{n}.csv").read_bytes() == Path(path).read_bytes()

@@ -726,8 +726,28 @@ class TestContrastExact:
         """The route returns D alone; its spin contrast at the helix's polar
         angle starts at 1."""
         series = ed.contrast_exact(transverse_params(), 0.02, T=2.0, n_samples=5)
-        assert series.C is None
         assert abs(spinwave.spin_contrast(series.D, THETA)[0] - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("phi", [1e12, 1e16])
+    def test_huge_phase_offset_matches_zero_offset(self, phi):
+        """The offset turns the transverse scar about z, which the XXZ quench
+        keeps: at any phi, taken modulo 2 pi, D matches phi = 0."""
+        shape = dict(gamma=math.cos(THETA), S=0.5)
+        zero, huge = (
+            ed.contrast_exact(scars.ScarParams.commensurate(0.0, 1, 6, phi=offset, **shape),
+                              0.03, T=2.0, n_samples=11)
+            for offset in (0.0, phi)
+        )
+        np.testing.assert_allclose(huge.D, zero.D, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("kappa, gamma", [(0.0, 0.7), (0.5, 0.0), (0.5, 1.0)])
+    def test_huge_phase_offset_stays_an_eigenstate(self, kappa, gamma):
+        """At phi = 1e12 the scar is still an eigenstate of its parent ring,
+        and at zero detuning the state and the trajectory keep D = 1."""
+        p = scars.ScarParams.commensurate(kappa, 1, 6, gamma=gamma, S=0.5, phi=1e12)
+        assert ed.eigenstate_residual(p) <= scars.EXACT_RESIDUAL_TOL
+        series = ed.contrast_exact(p, 0.0, T=2.0, n_samples=5)
+        np.testing.assert_allclose(series.D, 1.0, rtol=0.0, atol=1e-12)
 
     def test_exact_ring_never_steps(self, monkeypatch):
         """The 1,024-state transverse ring (L = 10, S = 1/2, theta = pi/4)

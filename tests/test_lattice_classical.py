@@ -1,11 +1,12 @@
 """Landau-Lifshitz integration, traveling-wave residuals, Lyapunov estimates."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from xyzscar import elliptic, rotframe, scars
+from xyzscar import cli, elliptic, rotframe, scars
 from xyzscar import lattice_classical as lc
 
 
@@ -327,20 +328,29 @@ class TestLLEvolve:
         assert traj.textures.shape == (len(traj.times), 6, 3)
         assert traj.energy.shape == (len(traj.times),)
 
-    def test_csv_round_trip(self, tmp_path):
-        tex = random_texture(5, seed=2)
-        J = scars.XYZCouplings(1.0, 0.8, 0.2)
-        traj = lc.ll_evolve(tex, J, 1.0, T=0.5, max_samples=20)
-        tex_path = tmp_path / "traj.csv"
-        en_path = tmp_path / "energy.csv"
-        traj.save_csv(tex_path, en_path)
-        rows = np.loadtxt(tex_path, delimiter=",", skiprows=1)
+    def test_cli_round_trip(self, tmp_path):
+        """ll-evolve writes the library trajectory as (t, j, Ox, Oy, Oz) rows
+        with one sidecar, and its energy series beside it with none."""
+        argv = ["ll-evolve", "--kappa", "0.8", "--M", "1", "--L", "5", "--gamma", "1",
+                "--dJx", "0.05", "--T", "0.5", "--max-samples", "20", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        p = scars.ScarParams.commensurate(0.8, 1, 5, gamma=1.0)
+        J = scars.parent_couplings(p.kappa, p.q).detuned(dJx=0.05)
+        traj = lc.ll_evolve(scars.scar_texture(p), J, 1.0, T=0.5, max_samples=20)
+        rows = np.loadtxt(tmp_path / "ll_trajectory.csv", delimiter=",", skiprows=1)
         nt, L = len(traj.times), 5
         assert rows.shape == (nt * L, 5)
-        got = rows[:, 2:].reshape(nt, L, 3)
-        np.testing.assert_allclose(got, traj.textures, atol=1e-12)
-        en = np.loadtxt(en_path, delimiter=",", skiprows=1)
-        np.testing.assert_allclose(en[:, 1], traj.energy, atol=1e-12)
+        np.testing.assert_array_equal(rows[:, 0], np.repeat(traj.times, L))
+        np.testing.assert_array_equal(rows[:, 1], np.tile(np.arange(L), nt))
+        np.testing.assert_array_equal(rows[:, 2:].reshape(nt, L, 3), traj.textures)
+        energy = np.loadtxt(tmp_path / "ll_energy.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(energy, np.column_stack([traj.times, traj.energy]))
+        sidecar = json.loads((tmp_path / "ll_trajectory.json").read_text())
+        assert sidecar["kind"] == "classical_trajectory"
+        assert sidecar["params"]["L"] == L
+        assert sidecar["diagnostics"]["dt"] == traj.dt
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "ll_energy.csv", "ll_trajectory.csv", "ll_trajectory.json"]
 
 
 class TestTravelingWaveResiduals:

@@ -23,6 +23,7 @@ from xyzscar.scars import (
     helix_texture,
     parent_couplings,
     scar_family,
+    scar_phases,
     scar_quench,
     scar_texture,
     solve_kq,
@@ -129,6 +130,28 @@ class TestScarTexture:
     def test_non_finite_phase_offset_rejected(self, phi):
         with pytest.raises(ValueError, match=f"^phi must be finite, got {phi}$"):
             ScarParams(kappa=0.0, q=0.6, gamma=0.5, L=9, phi=phi)
+
+    @pytest.mark.parametrize("phi", [1e12, -1e16])
+    @pytest.mark.parametrize("kappa, gamma", [(0.0, 0.7), (0.5, 0.0), (0.5, 1.0)])
+    def test_huge_phase_offset_keeps_the_scar(self, kappa, gamma, phi):
+        """phi is taken modulo the texture's period 4K, so a huge offset keeps
+        the step q from site to site and the texture a scar of its ring."""
+        p = ScarParams.commensurate(kappa, 1, 6, gamma=gamma, S=0.5, phi=phi)
+        u = scar_phases(p)
+        assert abs(u[0]) <= 2.0 * complete_K(kappa)
+        np.testing.assert_allclose(np.diff(u), p.q, rtol=0.0, atol=1e-14)
+        r1, r2 = gz_condition_residuals(scar_texture(p), parent_couplings(kappa, p.q))
+        assert max(r1.max(), r2.max()) <= EXACT_RESIDUAL_TOL
+
+    @pytest.mark.parametrize(
+        "kappa, phi",
+        [(0.0, 0.4), (0.0, -math.pi), (0.5, -1.1), (0.5, 2.0 * complete_K(0.5)), (1.0, 1e3)],
+    )
+    def test_offset_within_half_a_period_is_kept_exactly(self, kappa, phi):
+        """An offset with |phi| <= 2K, and any offset at kappa = 1, whose
+        period is infinite, enters the phases bit for bit."""
+        p = ScarParams(kappa=kappa, q=0.3, gamma=1.0, L=5, phi=phi)
+        assert scar_phases(p).tolist() == (0.3 * np.arange(5) + phi).tolist()
 
     def test_longitudinal_family(self):
         kappa, L = 0.8, 7

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from xyzscar import bogoliubov as bg, elliptic, lattice_classical as lc, rotframe, scars
+from xyzscar import bogoliubov as bg, cli, elliptic, lattice_classical as lc, rotframe, scars
 from xyzscar import spinwave as sw
 from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
@@ -443,7 +443,6 @@ class TestContrastSW:
         frame = co_rotating_transverse(theta, math.pi / 3, -0.03, 12, 1.0)
         co = sw.sw_coefficients(frame, 1.0)
         series = sw.contrast_sw(co, 1.0, T=5.0, n_samples=21)
-        assert series.C is None
         expected = (series.D - math.cos(theta) ** 2) / math.sin(theta) ** 2
         np.testing.assert_allclose(sw.spin_contrast(series.D, theta), expected, rtol=1e-15)
         np.testing.assert_array_equal(sw.spin_contrast(list(series.D), theta),
@@ -824,29 +823,35 @@ class TestScalingCollapse:
             sw.scaling_collapse_check([(manufactured_coefficients, 1.0)])
 
 
-class TestSaveCsv:
-    def test_round_trip_with_sidecar(self, tmp_path):
+class TestCliRoundTrip:
+    @pytest.mark.parametrize("family", ["transverse", "glsh"])
+    def test_csv_and_sidecar_carry_the_series(self, tmp_path, family):
+        """contrast-sw writes the library series as (t, D, C, f) rows, C the
+        spin contrast where --theta gives the polar angle and NaN for glsh,
+        and a sidecar with the kind, the sample count and the run's flags."""
         theta = math.pi / 4
-        frame = co_rotating_transverse(theta, math.pi / 3, -0.03, 8, 1.0)
-        co = sw.sw_coefficients(frame, 1.0)
-        series = sw.contrast_sw(co, 1.0, T=2.0, n_samples=11)
-        series.C = sw.spin_contrast(series.D, theta)
-        out = tmp_path / "contrast.csv"
-        series.save_csv(out, params={"theta": theta, "L": 8})
-        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        if family == "transverse":
+            p = scars.ScarParams(kappa=0.0, q=math.pi / 3, gamma=math.cos(theta), L=12)
+            flags, delta = ["--theta", "pi/4", "--q", "pi/3", "--L", "12", "--dJz", "-0.03"], -0.03
+        else:
+            p = scars.ScarParams.commensurate(0.8, 1, 14, gamma=1.0)
+            flags, delta = ["--kappa", "0.8", "--M", "1", "--L", "14", "--dJx", "-0.02"], -0.02
+        argv = ["contrast-sw", "--family", family, *flags, "--T", "2", "--n-samples", "11",
+                "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        coeffs = sw.sw_coefficients(rotframe.scar_frame(p, delta), 1.0)
+        series = sw.contrast_sw(coeffs, 1.0, T=2.0, n_samples=11)
+        data = np.loadtxt(tmp_path / "contrast_sw.csv", delimiter=",", skiprows=1)
         np.testing.assert_array_equal(data[:, 0], series.times)
         np.testing.assert_array_equal(data[:, 1], series.D)
-        np.testing.assert_array_equal(data[:, 2], series.C)
+        if family == "transverse":
+            np.testing.assert_array_equal(data[:, 2], sw.spin_contrast(series.D, theta))
+        else:
+            assert np.isnan(data[:, 2]).all()
         np.testing.assert_array_equal(data[:, 3], series.f)
-        sidecar = json.loads((tmp_path / "contrast.json").read_text())
+        sidecar = json.loads((tmp_path / "contrast_sw.json").read_text())
         assert sidecar["kind"] == "contrast_series"
         assert sidecar["n_samples"] == 11
-        assert sidecar["params"] == {"theta": theta, "L": 8}
-
-    def test_missing_spin_contrast_written_as_nan(self, tmp_path):
-        frame = co_rotating_transverse(math.pi / 4, math.pi / 3, 0.0, 6, 1.0)
-        series = sw.contrast_sw(sw.sw_coefficients(frame, 1.0), 1.0, T=1.0, n_samples=5)
-        out = tmp_path / "c.csv"
-        series.save_csv(out)
-        data = np.loadtxt(out, delimiter=",", skiprows=1)
-        assert np.isnan(data[:, 2]).all()
+        params = sidecar["params"]
+        assert (params["family"], params["L"], params["T"]) == (family, p.L, 2.0)
+        assert params["theta"] == (theta if family == "transverse" else None)
