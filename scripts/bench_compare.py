@@ -324,11 +324,12 @@ def rings(args) -> dict:
 
 
 #: CLI configs of the outputs mode: the contrast workload's two rings and a
-#: gtsh ring, contrast-ed at +-0.03 (the exact workload's ring) and on a gtsh
-#: ring, ll-evolve on the benettin workload's ring and at S = 1.5, one scan
-#: row, dispersion, rates at +-0.03 and scar-verify; the last three take
-#: phi = 1e12, where the sites' phase steps were lost before phi was reduced
-#: modulo the texture's period
+#: gtsh ring, contrast-ed at +-0.03 (the exact workload's ring), on a gtsh
+#: ring and on two glsh rings (L = 8: real H, eigh per sector; L = 11: the
+#: 1,024-state parity sectors, stepped), ll-evolve on the benettin workload's
+#: ring and at S = 1.5, one scan row, dispersion, rates at +-0.03 and
+#: scar-verify; the last three take phi = 1e12, where the sites' phase steps
+#: were lost before phi was reduced modulo the texture's period
 OUTPUT_RUNS = {
     "sw-ring": ["contrast-sw", "--family", "transverse", "--theta", "pi/4", "--q", "pi/3",
                 "--L", "240", "--dJz", "-0.03", "--T", "30", "--n-samples", "301"],
@@ -342,6 +343,10 @@ OUTPUT_RUNS = {
                 "--S", "0.5", "--delta", "-0.03"],
     "ed-gtsh": ["contrast-ed", "--kappa", "0.9", "--M", "1", "--L", "8", "--gamma", "0",
                 "--S", "0.5", "--delta", "0.03"],
+    "ed-glsh": ["contrast-ed", "--kappa", "0.8", "--M", "1", "--L", "8", "--gamma", "1",
+                "--S", "0.5", "--delta", "-0.02"],
+    "ed-glsh-L11": ["contrast-ed", "--kappa", "0.8", "--M", "1", "--L", "11", "--gamma", "1",
+                    "--S", "0.5", "--delta", "-0.02"],
     "ll-benettin": ["ll-evolve", "--kappa", "0.9", "--M", "20", "--L", "120", "--gamma", "0",
                     "--dJz", "0.1", "--T", "20"],
     "ll-S1.5": ["ll-evolve", "--kappa", "0.9", "--M", "1", "--L", "12", "--gamma", "0",

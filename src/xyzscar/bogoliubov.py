@@ -49,15 +49,16 @@ def _sign_plus(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0, -1.0)
 
 
-def _check_helix_domain(q: float, theta: float, dJz: float) -> None:
-    """The domain of the transverse-helix closed forms: finite q, theta and
-    dJz with 0 < q < pi/2 (cos q > 0) and 0 < theta < pi (sin theta > 0)."""
+def _transverse_detuning(q: float, theta: float, dJz: float) -> float:
+    """X = sin^2(theta) dJz; ValueError unless q, theta and dJz are finite,
+    0 < q < pi/2 and 0 < theta < pi (so cos q > 0 and sin theta > 0)."""
     if not all(map(math.isfinite, (q, theta, dJz))):
         raise ValueError(f"q, theta and dJz must be finite, got {q}, {theta}, {dJz}")
     if not 0.0 < q < math.pi / 2:
         raise ValueError(f"need 0 < q < pi/2, got {q}")
     if not 0.0 < theta < math.pi:
         raise ValueError(f"need 0 < theta < pi, got {theta}")
+    return math.sin(theta) ** 2 * dJz
 
 
 def transverse_dispersion(k, q: float, theta: float, dJz: float, S: float = 1.0) -> DispersionCurve:
@@ -72,13 +73,12 @@ def transverse_dispersion(k, q: float, theta: float, dJz: float, S: float = 1.0)
 
     Square roots take the principal complex branch (upper half-plane), which
     makes w~ odd in k. Both dispersions go complex on the same k windows.
-    (q, theta, dJz) outside _check_helix_domain raise ValueError, as in
-    instability_window and rates.
+    (q, theta, dJz) outside _transverse_detuning raise ValueError, as in
+    instability_window, scaling_function and rates.
     """
-    _check_helix_domain(q, theta, dJz)
+    X = _transverse_detuning(q, theta, dJz)
     check_spin_length(S)
     k = np.asarray(k, dtype=float)
-    X = math.sin(theta) ** 2 * dJz
     s2 = np.sin(k / 2.0) ** 2
     A = S * X * np.cos(k)
     B = S * (X * np.cos(k) - 4.0 * math.cos(q) * s2 - 2.0 * math.cos(theta) * math.sin(q) * np.sin(k))
@@ -126,10 +126,9 @@ def instability_window(q: float, theta: float, dJz: float):
     monotonically to k = pi, so the maximizer is the edge itself, with
     rate_max = 2 sqrt(2 cos q |2 cos q + X|). Returns None when the
     spectrum is real everywhere. Needs 0 < q < pi/2 and 0 < theta < pi
-    (_check_helix_domain).
+    (_transverse_detuning).
     """
-    _check_helix_domain(q, theta, dJz)
-    X = math.sin(theta) ** 2 * dJz
+    X = _transverse_detuning(q, theta, dJz)
     cq = math.cos(q)
     if dJz > 0.0:
         return InstabilityWindow(
@@ -164,15 +163,16 @@ def scaling_function(tau, q: float, theta: float, dJz: float, n_k: int | None = 
     k-only factors a_k = A~^2/|w~^2| and omega_k = sqrt|w~^2| are formed
     once: each point is a_k sin^2(omega_k tau), a_k sinh^2(omega_k tau)
     where w~^2 < 0, and A~^2 tau^2 where w~^2 is exactly 0. Rows are summed
-    by np.sum, so a tau's value does not depend on the other taus.
+    by np.sum, so a tau's value does not depend on the other taus. Needs
+    0 < q < pi/2 and 0 < theta < pi (_transverse_detuning).
     """
+    X = _transverse_detuning(q, theta, dJz)
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     if not np.all((tau >= 0) & (tau < math.inf)):
         raise ValueError("tau must be finite and >= 0")
     if n_k is None:
         n_k = max(8192, 256 * (int(np.max(tau)) + 1))
     k = _momentum_grid(n_k)
-    X = math.sin(theta) ** 2 * dJz
     s2 = np.sin(k / 2.0) ** 2
     w2 = 8.0 * math.cos(q) * s2 * (2.0 * math.cos(q) * s2 - X * np.cos(k))
     # momenta grouped as w~^2 > 0, w~^2 == 0, w~^2 < 0
@@ -219,9 +219,9 @@ def rates(q: float, theta: float, dJz: float, S: float = 1.0) -> DecayRates:
         gamma1 = (1/2 sqrt(2)) (sin^3 theta / sqrt(cos q)) |dJz|^(3/2)
     Unstable branch (dJz > 0):
         gamma2 = 2 S b1(k*) exactly, ~ 2 S sin^2(theta) dJz perturbatively.
-    Needs 0 < q < pi/2 and 0 < theta < pi (_check_helix_domain).
+    Needs 0 < q < pi/2 and 0 < theta < pi (_transverse_detuning).
     """
-    _check_helix_domain(q, theta, dJz)
+    _transverse_detuning(q, theta, dJz)
     check_spin_length(S)
     if dJz > 0.0:
         win = instability_window(q, theta, dJz)

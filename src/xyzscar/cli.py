@@ -152,7 +152,7 @@ def _scar_params(args) -> ScarParams:
 
 
 def cmd_scar_verify(args) -> int:
-    from . import ed_oracle  # loads scipy.sparse, which no other subcommand needs
+    from . import ed_oracle  # loads scipy.sparse, as only contrast-ed does too
 
     p = _scar_params(args)
     parent = parent_couplings(p.kappa, p.q)

@@ -451,7 +451,7 @@ def _norm_drift(states: np.ndarray, psi0: np.ndarray) -> float:
     return deviation / norm0 if norm0 > 0.0 else deviation
 
 
-def _trajectory(p: ScarParams, delta: float, times: np.ndarray) -> np.ndarray:
+def _trajectory(p: ScarParams, omega: float, times: np.ndarray) -> np.ndarray:
     """Closed-form classical textures Omega_j(t), shape (nt, L, 3).
 
     Each scar with a closed form moves rigidly about z:
@@ -460,7 +460,6 @@ def _trajectory(p: ScarParams, delta: float, times: np.ndarray) -> np.ndarray:
     that scar_quench gives (for the transverse helix it was checked against
     the Landau-Lifshitz integrator to 1e-14).
     """
-    _, omega = scar_quench(p, delta)
     phases = scar_phases(p)[None, :] - omega * times[:, None]
     return helix_texture(p.kappa, p.gamma, phases)
 
@@ -497,23 +496,21 @@ def _zero_momentum_orbits(d: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     return digits, np.unique(smallest, return_inverse=True)[1]
 
 
-def _generic_contrast(p: ScarParams, delta: float, times: np.ndarray):
-    """(D, hermiticity defect, norm drift) from the whole d^L space: every
-    state evolved, <S^a_j> read from one-site reduced density matrices."""
-    J, _ = scar_quench(p, delta)
-    psi0 = product_state(scar_texture(p), p.S)
-    evolution = evolve_exact(psi0, build_hamiltonian(J, p.S, p.L), times)
+def _generic_contrast(p: ScarParams, H, psi0: np.ndarray, omega: float, times: np.ndarray):
+    """(D, hermiticity defect, norm drift) of psi0 quenched by H in the whole
+    d^L space, <S^a_j> read from one-site reduced density matrices."""
+    evolution = evolve_exact(psi0, H, times)
     D = np.einsum(
         "tja,tja->t",
-        _trajectory(p, delta, times),
+        _trajectory(p, omega, times),
         _site_expectations(evolution.states, p.S, p.L),
     ) / (p.L * p.S)
     return D, evolution.hermiticity_defect, evolution.max_norm_drift
 
 
-def _twisted_contrast(p: ScarParams, delta: float, times: np.ndarray):
-    """(D, hermiticity defect, norm drift) of a transverse scar from its
-    twisted zero-momentum space alone.
+def _twisted_contrast(p: ScarParams, H, psi0: np.ndarray, omega: float, times: np.ndarray):
+    """(D, hermiticity defect, norm drift) of a transverse scar's psi0
+    quenched by H, from its twisted zero-momentum space alone.
 
     With the scar's phases u_j = q j + phi (scars.scar_phases),
     U = prod_j exp(i u_j (S - S^z_j)) maps the uniform tilted product state
@@ -531,9 +528,6 @@ def _twisted_contrast(p: ScarParams, delta: float, times: np.ndarray):
     with both expectations read from c(t) in the orbit states. The
     hermiticity defect is that of the full quenched H.
     """
-    J, omega = scar_quench(p, delta)
-    psi0 = product_state(scar_texture(p), p.S)
-    H = build_hamiltonian(J, p.S, p.L)
     herm_defect = _hermiticity_defect(H)
 
     d = _twice_spin(p.S) + 1
@@ -594,14 +588,16 @@ def contrast_exact(
 
         D(t) = (1 / L S) sum_j <psi(t)| Omega_j(t) . S_j |psi(t)>.
 
-    The family follows from the parameters (scars.scar_family): transverse
-    for kappa = 0, gtsh/glsh for gamma = 0/1; any other (kappa, gamma) has
-    no closed-form trajectory and raises ValueError. The family picks the
-    route. A transverse scar evolves in its twisted zero-momentum space
-    (_twisted_contrast): 108 orbit states instead of 1,024 at L = 10,
+    J, the trajectory's rate omega (scars.scar_quench), the scar state psi0
+    and the quenched H are formed once. The family follows from the
+    parameters (scars.scar_family): transverse for kappa = 0, gtsh/glsh for
+    gamma = 0/1; any other (kappa, gamma) has no closed-form trajectory and
+    raises ValueError. The family picks the readout; both take (p, H, psi0,
+    omega, times). A transverse scar evolves in its twisted zero-momentum
+    space (_twisted_contrast): 108 orbit states instead of 1,024 at L = 10,
     S = 1/2. gtsh and glsh evolve the whole space and read <S^a_j>(t) from
     one-site reduced density matrices of the evolved state
-    (_generic_contrast), the route that is the other's oracle. The series
+    (_generic_contrast), the readout that is the other's oracle. The series
     carries the largest relative norm drift of the evolved states as
     max_norm_drift, and the Hermiticity defect max |H - H^H| of the
     quenched Hamiltonian as hermiticity_defect.
@@ -609,8 +605,11 @@ def contrast_exact(
     times = _sample_times(T, n_samples)
     family = scar_family(p.kappa, p.gamma)
     _require_commensurate(p)
+    J, omega = scar_quench(p, delta)
+    psi0 = product_state(scar_texture(p), p.S)
+    H = build_hamiltonian(J, p.S, p.L)
     route = _twisted_contrast if family == "transverse" else _generic_contrast
-    D, herm_defect, drift = route(p, delta, times)
+    D, herm_defect, drift = route(p, H, psi0, omega, times)
     return ContrastSeries(
         times=times,
         D=D,

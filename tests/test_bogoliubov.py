@@ -225,6 +225,8 @@ class TestInstabilityWindow:
             bg.instability_window(*args)
         with pytest.raises(ValueError, match="q, theta and dJz must be finite"):
             bg.rates(*args)
+        with pytest.raises(ValueError, match="q, theta and dJz must be finite"):
+            bg.scaling_function([1.0], *args)
 
     @pytest.mark.parametrize(
         "q, theta, name",
@@ -232,11 +234,12 @@ class TestInstabilityWindow:
     )
     @pytest.mark.parametrize("dJz", [-0.03, 0.03])
     def test_shares_the_dispersion_domain(self, q, theta, name, dJz):
-        """instability_window and rates reject the (q, theta) that
-        transverse_dispersion rejects, with its message."""
+        """instability_window, scaling_function and rates reject the
+        (q, theta) that transverse_dispersion rejects, with its message."""
         routes = (
             lambda: bg.transverse_dispersion(np.zeros(1), q, theta, dJz),
             lambda: bg.instability_window(q, theta, dJz),
+            lambda: bg.scaling_function([1.0], q, theta, dJz),
             lambda: bg.rates(q, theta, dJz),
         )
         for route in routes:

@@ -681,10 +681,32 @@ class TestContrastExact:
         phi != 0) and the static gtsh and glsh textures."""
         p = scars.ScarParams.commensurate(kappa, 1, 7, gamma=gamma, S=S, phi=phi)
         times = np.linspace(0.0, 10.0, 201)
-        got = ed._trajectory(p, delta, times)
+        _, omega = scars.scar_quench(p, delta)
+        got = ed._trajectory(p, omega, times)
         ref = reference_trajectory(p, family, delta, times)
         assert got.shape == (201, 7, 3)
         assert np.abs(got - ref).max() <= 1e-15
+
+    @pytest.mark.parametrize("kappa,gamma", [(0.0, GAMMA), (0.5, 0.0), (0.8, 1.0)])
+    def test_quench_is_formed_once(self, monkeypatch, kappa, gamma):
+        """One contrast_exact call forms J and omega, psi0 and H once each,
+        on every family: the readouts take them and form none again."""
+        p = scars.ScarParams.commensurate(kappa, 1, 6, gamma=gamma, S=0.5)
+        calls = {}
+
+        def counted(name):
+            inner = getattr(ed, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("scar_quench", "build_hamiltonian", "product_state"):
+            monkeypatch.setattr(ed, name, counted(name))
+        ed.contrast_exact(p, 0.02, T=2.0, n_samples=5)
+        assert calls == {"scar_quench": 1, "build_hamiltonian": 1, "product_state": 1}
 
     def test_detuning_decays_contrast(self):
         p = scars.ScarParams.commensurate(0.8, 1, 6, gamma=1.0, S=0.5)
