@@ -23,7 +23,8 @@ pairs    runs perfbench/run.py --trace 0 in each checkout, one seed per pair,
          (statistics.quantiles, n=4, inclusive), every run, and how many
          pairs the change read lower in.
 startup  times whole `python -m xyzscar.cli` runs of subcommands that need
-         numpy alone, and one that loads scipy, and reports medians.
+         numpy alone, and of contrast-sw, scar-verify and contrast-ed, which
+         load scipy, and reports medians.
 scale    runs bogoliubov.contrast_multiflavour on glsh cells
          (kappa:lambda:n_k, detuning +0.01, T = 200, 401 samples) and
          reports the call's wall time and the growth of peak RSS over the
@@ -77,7 +78,18 @@ STARTUP_RUNS = {
                   "--dJx", "-0.02", "--T", "1", "--max-samples", "5"],
     "contrast-sw": ["contrast-sw", "--family", "transverse", "--theta", "pi/4", "--q", "pi/3",
                     "--L", "12", "--dJz", "0.03", "--T", "5", "--n-samples", "11"],
+    "scar-verify": ["scar-verify", "--kappa", "0", "--M", "1", "--L", "6", "--gamma", "0.7",
+                    "--S", "0.5"],
+    "contrast-ed": ["contrast-ed", "--kappa", "0", "--M", "1", "--L", "10", "--theta", "pi/4",
+                    "--S", "0.5", "--delta", "0.03", "--T", "5", "--n-samples", "11"],
 }
+
+
+def _cli(argv, out_dir) -> list[str]:
+    """The command running the CLI on argv, writing to out_dir; scar-verify
+    writes no file and takes no --out."""
+    out_flag = [] if argv[0] == "scar-verify" else ["--out", str(out_dir)]
+    return [sys.executable, "-m", "xyzscar.cli", *argv, *out_flag]
 
 
 def _ordered(i: int, parent: Path, change: Path):
@@ -130,8 +142,8 @@ def startup(args) -> dict:
                 for side, root in _ordered(i, args.parent, args.change):
                     env = dict(os.environ, PYTHONPATH=str(root / "src"))
                     start = time.perf_counter()
-                    subprocess.run([sys.executable, "-m", "xyzscar.cli", *argv, "--out", tmp],
-                                   env=env, cwd=tmp, check=True, capture_output=True)
+                    subprocess.run(_cli(argv, tmp), env=env, cwd=tmp, check=True,
+                                   capture_output=True)
                     times[side][name].append(time.perf_counter() - start)
     return {side: {name: {"median_s": statistics.median(t), "runs_s": t}
                    for name, t in per_side.items()}
@@ -379,9 +391,7 @@ def outputs_run(args) -> dict:
     for name, argv in OUTPUT_RUNS.items():
         run_dir = args.dir / name
         shutil.rmtree(run_dir, ignore_errors=True)
-        out_flag = [] if argv[0] == "scar-verify" else ["--out", str(run_dir)]
-        proc = subprocess.run([sys.executable, "-m", "xyzscar.cli", *argv, *out_flag],
-                              cwd=args.dir, capture_output=True)
+        proc = subprocess.run(_cli(argv, run_dir), cwd=args.dir, capture_output=True)
         out[f"{name} exit"] = proc.returncode
         out[f"{name} stdout"] = digest(proc.stdout)
         out[f"{name} stderr"] = digest(proc.stderr)

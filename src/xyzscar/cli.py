@@ -40,6 +40,7 @@ from .scars import (
     XYZCouplings,
     gz_condition_residuals,
     parent_couplings,
+    scar_family,
     scar_texture,
     write_csv,
     write_sidecar,
@@ -203,6 +204,9 @@ def cmd_contrast_sw(args) -> int:
         if flag not in geometry and value is not None:
             raise UsageError(f"{args.family} family takes no {flag}")
     p = _scar_params(args)
+    family = scar_family(p.kappa, p.gamma)
+    if family != args.family:
+        raise UsageError(f"--kappa {p.kappa} makes a {family} scar, not {args.family}")
     _require_commensurate(p)
     frame = rotframe.scar_frame(p, getattr(args, detuning[2:]))
     coeffs = spinwave.sw_coefficients(frame, args.S)

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from .scars import (
     ScarParams,
@@ -436,6 +435,8 @@ def _hermiticity_defect(H: sparse.csr_matrix) -> float:
 
 def _sectors(H: sparse.csr_matrix) -> list[np.ndarray]:
     """Basis indices of each connected component of H's sparsity graph."""
+    from scipy.sparse.csgraph import connected_components
+
     pattern = sparse.csr_matrix(
         (np.ones(H.indices.size), H.indices, H.indptr), shape=H.shape
     )

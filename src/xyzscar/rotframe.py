@@ -8,9 +8,10 @@ scar, from its texture, couplings and precession rate in :mod:`xyzscar.scars`,
 in one axis gauge: the frame's y axis is the unit vector along Omega_j x
 axis, for a fixed lab axis the texture never touches (+xhat for glsh, -zhat
 otherwise). :func:`frame_transverse` is the transverse helix's frame at a
-free rate. A geodesic frame covers arbitrary textures. The stationarity
-residual measures whether a texture is a mean-field solution in the given
-frame.
+free rate. This axis gauge is the package's one frame builder; the
+eigenstate conditions of :func:`xyzscar.scars.gz_condition_residuals` need
+no frame. The stationarity residual measures whether a texture is a
+mean-field solution in the given frame.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 
 from .scars import (
     ScarParams,
-    coupling_matrix,
     helix_texture,
     scar_family,
     scar_quench,
@@ -47,11 +47,6 @@ class FrameData:
         return self.R.shape[0]
 
 
-def _bond_couplings(R: np.ndarray, J: np.ndarray) -> np.ndarray:
-    R_next = np.roll(R, -1, axis=0)
-    return np.einsum("jab,bc,jcd->jad", R.transpose(0, 2, 1), J, R_next)
-
-
 def _axis_frame(texture: np.ndarray, J: np.ndarray, axis, omega: float = 0.0) -> FrameData:
     """Axis-gauge frame R_j = [e2 x Omega_j, e2, Omega_j], e2 = unit(Omega_j x axis).
 
@@ -64,7 +59,8 @@ def _axis_frame(texture: np.ndarray, J: np.ndarray, axis, omega: float = 0.0) ->
         raise ValueError(f"axis gauge undefined: a spin lies along the axis {axis}")
     e2 /= norms
     R = np.stack([np.cross(e2, texture), e2, texture], axis=-1)
-    return FrameData(R=R, JR=_bond_couplings(R, J), hR=omega * R[:, 2, :])
+    JR = np.einsum("jab,bc,jcd->jad", R.transpose(0, 2, 1), J, np.roll(R, -1, axis=0))
+    return FrameData(R=R, JR=JR, hR=omega * R[:, 2, :])
 
 
 def frame_transverse(
@@ -101,40 +97,6 @@ def scar_frame(p: ScarParams, delta: float = 0.0) -> FrameData:
         )
     axis = (1.0, 0.0, 0.0) if scar_family(p.kappa, p.gamma) == "glsh" else (0.0, 0.0, -1.0)
     return _axis_frame(scar_texture(p), J.as_matrix(), axis, omega)
-
-
-def frames_from_texture(texture: np.ndarray, J) -> FrameData:
-    """Geodesic frame for an arbitrary unit texture.
-
-    Rotates zhat to Omega_j about the axis zhat x Omega_j (the shortest arc).
-    Well defined whenever Omega_j != -zhat; textures containing the south
-    pole are rejected rather than silently gauge-fixed.
-    """
-    omega = np.asarray(texture, dtype=float)
-    if omega.ndim != 2 or omega.shape[1] != 3:
-        raise ValueError(f"texture must have shape (L, 3), got {omega.shape}")
-    norms = np.linalg.norm(omega, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
-        raise ValueError("texture rows must be unit vectors")
-    c = omega[:, 2]
-    if np.any(c <= -1.0 + 1e-12):
-        raise ValueError("geodesic frame undefined at Omega = -zhat")
-    # Rodrigues form R = I + [v]x + [v]x^2 / (1 + c) with v = zhat x Omega.
-    vx, vy = -omega[:, 1], omega[:, 0]
-    L = len(omega)
-    R = np.zeros((L, 3, 3))
-    inv = 1.0 / (1.0 + c)
-    R[:, 0, 0] = 1.0 - vy * vy * inv
-    R[:, 0, 1] = vx * vy * inv
-    R[:, 0, 2] = omega[:, 0]
-    R[:, 1, 0] = vx * vy * inv
-    R[:, 1, 1] = 1.0 - vx * vx * inv
-    R[:, 1, 2] = omega[:, 1]
-    R[:, 2, 0] = -vy
-    R[:, 2, 1] = vx
-    R[:, 2, 2] = c
-    mat = coupling_matrix(J)
-    return FrameData(R=R, JR=_bond_couplings(R, mat), hR=np.zeros((L, 3)))
 
 
 def stationarity_residual(frame: FrameData, S: float) -> tuple[np.ndarray, np.ndarray]:

@@ -287,27 +287,31 @@ def energy_density(kappa: float, q: float, S: float) -> float:
 def gz_condition_residuals(texture: np.ndarray, J) -> tuple[np.ndarray, np.ndarray]:
     """Per-site residuals of the two product-eigenstate conditions.
 
-    r1_j collects the in-plane anisotropy of the rotated bond coupling,
-    r2_j the transverse-longitudinal mixing of the two bonds meeting at j:
+    With e_j = u_j + i v_j a right-handed orthonormal pair in the tangent
+    plane of Omega_j (u_j x v_j = Omega_j), r1_j is the two-magnon amplitude
+    of the bond (j, j+1) and r2_j the zero-field torque at j:
 
-        r1_j = |JR_j^xx - JR_j^yy + i (JR_j^xy + JR_j^yx)|
-        r2_j = |(JR_j^xz + JR_{j-1}^zx) + i (JR_j^yz + JR_{j-1}^zy)|
+        r1_j = |e_j . J e_{j+1}|
+        r2_j = |Omega_j x (J Omega_{j+1} + J^T Omega_{j-1})|
 
     Both vanish (<= 1e-10) exactly when the texture is a product eigenstate
-    of the XYZ ring with couplings J. The magnitudes are gauge invariant:
-    a local z-rotation of the frame multiplies the two complex combinations
-    by pure phases, so the geodesic frame used here is as good as any.
+    of the XYZ ring with couplings J. r1 ignores the per-site phase of e_j,
+    so any tangent pair serves; here v_j = unit(Omega_j x a_j), a_j the lab
+    axis on which Omega_j has its smallest |component| (at most 1/sqrt(3),
+    so Omega_j is never along a_j). r2 needs no frame at all.
     """
-    from .rotframe import frames_from_texture
-
-    JR = frames_from_texture(texture, J).JR
-    r1 = np.abs(
-        JR[:, 0, 0] - JR[:, 1, 1] + 1j * (JR[:, 0, 1] + JR[:, 1, 0])
-    )
-    prev = np.roll(JR, 1, axis=0)
-    r2 = np.abs(
-        (JR[:, 0, 2] + prev[:, 2, 0]) + 1j * (JR[:, 1, 2] + prev[:, 2, 1])
-    )
+    omega = np.asarray(texture, dtype=float)
+    if omega.ndim != 2 or omega.shape[1] != 3:
+        raise ValueError(f"texture must have shape (L, 3), got {omega.shape}")
+    if np.any(np.abs(np.linalg.norm(omega, axis=1) - 1.0) > 1e-9):
+        raise ValueError("texture rows must be unit vectors")
+    mat = coupling_matrix(J)
+    v = np.cross(omega, np.eye(3)[np.argmin(np.abs(omega), axis=1)])
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    e = np.cross(v, omega) + 1j * v
+    r1 = np.abs(np.einsum("ja,ab,jb->j", e, mat, np.roll(e, -1, axis=0)))
+    field = np.roll(omega, -1, axis=0) @ mat.T + np.roll(omega, 1, axis=0) @ mat
+    r2 = np.linalg.norm(np.cross(omega, field), axis=1)
     return r1, r2
 
 

@@ -396,6 +396,23 @@ class TestContrastSw:
         assert not (tmp_path / "contrast_sw.csv").exists()
 
     @pytest.mark.parametrize(
+        "family, detuning", [("gtsh", "--dJz"), ("glsh", "--dJx")], ids=["gtsh", "glsh"]
+    )
+    def test_kappa_zero_is_not_the_named_family(self, tmp_path, capsys, family, detuning):
+        """At kappa = 0 scars.scar_family names the transverse helix, whose
+        quench detunes Jz: an elliptic --family there exits 2, not 1 on its
+        frame (glsh) nor 0 under the wrong family's sidecar (gtsh)."""
+        code = run(
+            ["contrast-sw", "--family", family, "--kappa", "0", "--M", "1", "--L", "12",
+             detuning, "0.05", "--T", "1", "--n-samples", "3"],
+            tmp_path,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"usage error: --kappa 0.0 makes a transverse scar, not {family}\n"
+        assert not (tmp_path / "contrast_sw.csv").exists()
+
+    @pytest.mark.parametrize(
         "extra, message",
         [
             (["--q", "2pi/3"], "outside the principal branch"),
@@ -1110,8 +1127,9 @@ class TestBadIntegerAndAngleFlags:
 
 
 def _imported_modules(argv, tmp_path):
-    """Run the CLI in a fresh interpreter under -X importtime; return the
-    names of every module it imported."""
+    """Run the CLI in a fresh interpreter under -X importtime, writing to
+    tmp_path (scar-verify writes nothing); return the names of every module
+    it imported."""
     import os
     import subprocess
     import sys
@@ -1121,8 +1139,9 @@ def _imported_modules(argv, tmp_path):
     env = dict(os.environ)
     package_root = str(Path(xyzscar.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    out_flag = [] if argv[0] == "scar-verify" else ["--out", str(tmp_path)]
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "xyzscar.cli", *argv, "--out", str(tmp_path)],
+        [sys.executable, "-X", "importtime", "-m", "xyzscar.cli", *argv, *out_flag],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -1149,6 +1168,17 @@ class TestImports:
         modules = _imported_modules(argv, tmp_path)
         assert "xyzscar.bogoliubov" in modules  # cli itself runs as __main__
         assert not [m for m in modules if m.split(".")[0] == "scipy"]
+
+    def test_scar_verify_loads_no_csgraph(self, tmp_path):
+        """scar-verify builds H with scipy.sparse but never splits it into
+        sectors, so scipy.sparse.csgraph stays unloaded."""
+        modules = _imported_modules(
+            ["scar-verify", "--kappa", "0", "--M", "1", "--L", "6", "--gamma", "0.7", "--S", "0.5"],
+            tmp_path,
+        )
+        assert "xyzscar.ed_oracle" in modules
+        assert [m for m in modules if m.startswith("scipy.sparse.")]
+        assert not [m for m in modules if m.startswith("scipy.sparse.csgraph")]
 
     def test_contrast_sw_loads_scipy(self, tmp_path):
         """The control: the subcommand that takes an exponential does import

@@ -10,9 +10,7 @@ from xyzscar.elliptic import complete_K, jacobi_sncndn
 from xyzscar.rotframe import (
     FrameData,
     _axis_frame,
-    _bond_couplings,
     frame_transverse,
-    frames_from_texture,
     scar_frame,
     stationarity_residual,
 )
@@ -45,6 +43,11 @@ def all_frames_for(kappa, q, L, theta=np.pi / 4):
         yield elliptic_frame(kappa, q, 1.0, L)
 
 
+def bond_couplings(R, J):
+    """JR_j = R_j^T J R_{j+1} on the periodic ring."""
+    return np.einsum("jab,bc,jcd->jad", R.transpose(0, 2, 1), J, np.roll(R, -1, axis=0))
+
+
 def _rotation_z(phis):
     c, s = np.cos(phis), np.sin(phis)
     zero, one = np.zeros_like(c), np.ones_like(c)
@@ -65,7 +68,7 @@ def reference_frame_transverse(theta, q, omega, L, dJz=0.0):
     J = np.diag([1.0, 1.0, math.cos(q) + dJz])
     R = _rotation_z(q * np.arange(L)) @ Ry
     hR = np.tile(omega * np.array([-s, 0.0, c]), (L, 1))
-    return FrameData(R=R, JR=_bond_couplings(R, J), hR=hR)
+    return FrameData(R=R, JR=bond_couplings(R, J), hR=hR)
 
 
 def reference_frame_gtsh(kappa, q, L, dJz=0.0):
@@ -81,7 +84,7 @@ def reference_frame_gtsh(kappa, q, L, dJz=0.0):
         ],
         axis=-2,
     )
-    return FrameData(R=R, JR=_bond_couplings(R, J), hR=np.zeros((L, 3)))
+    return FrameData(R=R, JR=bond_couplings(R, J), hR=np.zeros((L, 3)))
 
 
 def reference_frame_glsh(kappa, q, L, dJx=0.0):
@@ -97,7 +100,7 @@ def reference_frame_glsh(kappa, q, L, dJx=0.0):
         ],
         axis=-2,
     )
-    return FrameData(R=R, JR=_bond_couplings(R, J), hR=np.zeros((L, 3)))
+    return FrameData(R=R, JR=bond_couplings(R, J), hR=np.zeros((L, 3)))
 
 
 def axis_frame_gtsh(kappa, q, L, dJz=0.0):
@@ -356,32 +359,6 @@ class TestEllipticFrames:
         b = frame_transverse(np.pi / 2, q, 0.0, L)
         np.testing.assert_allclose(a.JR, b.JR, atol=1e-8)
         np.testing.assert_allclose(a.R, b.R, atol=1e-8)
-
-
-class TestGeodesicFrame:
-    def test_scar_textures_full_conditions(self):
-        # frames built from the raw texture satisfy stationarity and keep the
-        # eigenstate conditions; exercised over all three families at once
-        kappa, L, S = 0.9, 12, 1.0
-        q = commensurate_q(kappa, L)[0][1]
-        J = parent_couplings(kappa, q)
-        for gamma in (0.0, 0.5, 1.0):
-            tex = scar_texture(ScarParams(kappa=kappa, q=q, gamma=gamma, L=L))
-            frame = frames_from_texture(tex, J)
-            assert_frame_wellformed(frame)
-            np.testing.assert_allclose(frame.R[:, :, 2], tex, atol=1e-12)
-            residual, _ = stationarity_residual(frame, S)
-            assert residual.max() <= 1e-10
-
-    def test_south_pole_rejected(self):
-        tex = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
-        with pytest.raises(ValueError):
-            frames_from_texture(tex, np.eye(3))
-
-    def test_non_unit_rejected(self):
-        tex = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 1.0]])
-        with pytest.raises(ValueError):
-            frames_from_texture(tex, np.eye(3))
 
 
 class TestStationarity:

@@ -1,10 +1,15 @@
 """Texture construction, coupling maps, and the product-eigenstate conditions."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import xyzscar
 from xyzscar.elliptic import complete_K, jacobi_sncndn
 from xyzscar.scars import (
     _CSV_CHUNK_ROWS,
@@ -297,6 +302,91 @@ class TestEigenstateConditions:
         tex = np.tile([0.0, 0.0, 1.0], (8, 1))
         with pytest.raises(ValueError):
             gz_condition_residuals(tex, np.zeros((5, 3, 3)))
+
+    @pytest.mark.parametrize(
+        "tex", [np.zeros((4, 2)), np.array([0.0, 0.0, 1.0]), np.zeros((2, 4, 3))],
+        ids=["two_columns", "one_row", "three_dims"],
+    )
+    def test_texture_shape_mismatch(self, tex):
+        with pytest.raises(ValueError, match="shape"):
+            gz_condition_residuals(tex, np.eye(3))
+
+    def test_non_unit_rejected(self):
+        tex = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="unit"):
+            gz_condition_residuals(tex, np.eye(3))
+
+    @pytest.mark.parametrize("theta", [0.3, math.pi / 4, 1.2])
+    @pytest.mark.parametrize("dJz", [0.03, -0.05])
+    def test_detuned_transverse_helix_closed_forms(self, theta, dJz):
+        """At parent couplings both residuals vanish and each is linear in J,
+        so dJz alone is left: |e^z| = sin(theta) gives r1 = sin^2(theta)|dJz|,
+        and the field dJz (Omega^z_{j-1} + Omega^z_{j+1}) zhat = 2 cos(theta)
+        dJz zhat has torque |sin 2theta dJz| on a spin at polar angle theta."""
+        L = 12
+        q = 2.0 * math.pi / L
+        tex = helix_texture(0.0, math.cos(theta), q * np.arange(L))
+        r1, r2 = gz_condition_residuals(tex, parent_couplings(0.0, q).detuned(dJz=dJz))
+        np.testing.assert_allclose(r1, math.sin(theta) ** 2 * abs(dJz), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(r2, abs(math.sin(2.0 * theta) * dJz), rtol=0, atol=1e-14)
+
+    def test_invariant_under_global_rotations(self):
+        """Omega -> R Omega with J -> R J R^T leaves every bond's energy and
+        every torque's length as they were, for spins along each lab axis
+        (-zhat included) and for the rotated scar alike."""
+        rng = np.random.default_rng(29)
+        axes = np.concatenate([np.eye(3), -np.eye(3)])
+        random = rng.normal(size=(6, 3))
+        tex = np.concatenate([axes, random / np.linalg.norm(random, axis=1, keepdims=True)])
+        p = ScarParams.commensurate(0.9, 1, 12, gamma=0.4)
+        scar = scar_texture(p)
+        cases = [
+            (tex, rng.normal(size=(3, 3))),
+            (scar, parent_couplings(p.kappa, p.q).detuned(dJx=0.03).as_matrix()),
+        ]
+        # the half turn about x sends zhat to -zhat, and the quarter turns
+        # send the lab axes onto one another
+        rotations = [
+            np.diag([1.0, -1.0, -1.0]),
+            np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+            np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]),
+        ]
+        for _ in range(4):
+            Q, R = np.linalg.qr(rng.normal(size=(3, 3)))
+            Q = Q * np.sign(np.diag(R))
+            rotations.append(Q * np.linalg.det(Q))
+        # a rotation taking the scar's first spin to -zhat
+        a = np.cross(scar[0], [0.0, 0.0, -1.0])
+        angle = math.atan2(np.linalg.norm(a), -scar[0, 2])
+        a /= np.linalg.norm(a)
+        K = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
+        rotations.append(np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * K @ K)
+        np.testing.assert_allclose(rotations[-1] @ scar[0], [0.0, 0.0, -1.0], atol=1e-15)
+        for texture, J in cases:
+            r1, r2 = gz_condition_residuals(texture, J)
+            for R in rotations:
+                np.testing.assert_allclose(R @ R.T, np.eye(3), atol=1e-15)
+                assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-14)
+                s1, s2 = gz_condition_residuals(texture @ R.T, R @ J @ R.T)
+                np.testing.assert_allclose(s1, r1, rtol=0, atol=1e-13)
+                np.testing.assert_allclose(s2, r2, rtol=0, atol=1e-13)
+
+    def test_needs_no_other_package_module(self):
+        """scars sits under every frame builder: computing the residuals
+        loads no xyzscar module but elliptic."""
+        code = (
+            "import sys, numpy as np, xyzscar.scars; "
+            "xyzscar.scars.gz_condition_residuals(np.eye(3), np.eye(3)); "
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('xyzscar.'))))"
+        )
+        env = dict(os.environ)
+        package_root = str(Path(xyzscar.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
+            check=True,
+        ).stdout.split()
+        assert out == ["xyzscar.elliptic", "xyzscar.scars"]
 
 
 class TestCommensurate:
