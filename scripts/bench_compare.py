@@ -10,13 +10,15 @@ processes.
     python scripts/bench_compare.py peaks --parent P --change C --reps 3
     python scripts/bench_compare.py exact --parent P --change C --reps 5
     python scripts/bench_compare.py rings --parent P --change C --reps 9
+    python scripts/bench_compare.py exponential --parent P --change C --reps 3
     python scripts/bench_compare.py outputs --parent P --change C --reps 2
 
 P and C are checkout roots (each with src/ and perfbench/). Every mode
 alternates which side runs first, the parent first in even pairs, and
 prints one JSON document on standard output; progress goes to stderr.
-scale, peaks, exact, rings and outputs run this script once per side and
-repetition in a fresh process whose path starts at that side's src (_fresh_runs).
+scale, peaks, exact, rings, exponential and outputs run this script once per
+side and repetition in a fresh process whose path starts at that side's src
+(_fresh_runs).
 
 pairs    runs perfbench/run.py --trace 0 in each checkout, one seed per pair,
          and reports each end-to-end metric's quartiles per side
@@ -47,13 +49,24 @@ rings    runs spinwave.contrast_sw on the rings RINGS of the contrast workload
          ring's median wall time per side and the largest |D_change - D_parent|,
          also in units of max(1, |1 - D|). The first repetition also runs
          bogoliubov.contrast_multiflavour on BLOCH_STACKS (test_bloch_stacks)
-         and reports whether D and the defect are float.hex-equal across sides.
+         and reports whether D and the defect are float.hex-equal across sides,
+         and the largest |D_change - D_parent| of each stack.
+exponential
+         times spinwave.expm on whole generators (EXPONENTIAL_RINGS: transverse
+         rings at h = 0.1 with one site's V moved by 1e-9, so that no cell
+         layout applies; the best of 5 calls at 2L = 480, one call at 2,400)
+         and the CF4 route, contrast_sw(lambda t: coeffs, 1.0, T=10,
+         n_samples=51, dt=0.02), on the transverse rings CF4_RINGS, one fresh
+         process per side and repetition, at default BLAS threads and at one.
+         It reports each case's median wall time per side and threads, and the
+         largest |D_change - D_parent| of the CF4 runs.
 outputs  runs each CLI config of OUTPUT_RUNS as `python -m xyzscar.cli`, one
          process per config, at one BLAS thread. Both sides write to the same
          --out directories in turn, because sidecars echo --out. It reports the
          bytes and a SHA-256 prefix of every file written, and of each run's
          stdout, stderr and exit code, per side, whether every repetition of
-         both sides agrees, and the list of those that do not.
+         both sides agrees, the list of those that do not, and the list of
+         those whose repetitions differ within one side.
 """
 
 from __future__ import annotations
@@ -233,7 +246,7 @@ def peaks_run(args) -> dict:
     frame = rotframe.frame_transverse(theta=theta, q=q, omega=-2.0 * math.cos(theta) * dJz,
                                       L=240, dJz=dJz)
     G = sw._quadrature_generator(sw.sw_coefficients(frame, 1.0))[None]
-    sw.expm(np.zeros((2, 2)))
+    sw.expm(np.zeros((2, 2)))  # where expm imports scipy, outside the traced peaks
     calls = {"ring_kernel_mb": lambda: sw._power_contrast(G, 0.1, 301, 1.0),
              "integral_mb": lambda: bg.scaling_function(np.linspace(0.0, 30.0, 301), q, theta, dJz)}
     out = {}
@@ -323,15 +336,76 @@ def rings_run(args) -> dict:
             q = 4.0 * complete_K(kappa) / lam
             series = bg.contrast_multiflavour(family, kappa, q, delta, 1.0, T, n_k, n_samples)
             out[f"bloch-{family}-{kappa}-{lam}-{n_k}"] = {
-                "hex": [x.hex() for x in series.D] + [series.pseudo_unitarity_defect.hex()]}
+                "hex": [x.hex() for x in series.D] + [series.pseudo_unitarity_defect.hex()],
+                "D": series.D.tolist()}
     return out
 
 
 def rings(args) -> dict:
     runs = _fresh_runs(args, "rings-run", first=["--bloch"], one_blas=True)
     out = _compare_series(runs, RINGS)
-    out["bloch_hex_equal"] = {case: runs["parent"][0][case]["hex"] == runs["change"][0][case]["hex"]
-                              for case in runs["parent"][0] if case.startswith("bloch-")}
+    stacks = [case for case in runs["parent"][0] if case.startswith("bloch-")]
+    parent, change = runs["parent"][0], runs["change"][0]
+    out["bloch_hex_equal"] = {case: parent[case]["hex"] == change[case]["hex"] for case in stacks}
+    out["bloch_max_abs_dD"] = {case: max(abs(a - b) for a, b in zip(parent[case]["D"], change[case]["D"]))
+                               for case in stacks}
+    return out
+
+
+#: ring sizes L of the exponential mode's whole generators (2L = 480 and 2,400)
+#: and of its CF4 runs
+EXPONENTIAL_RINGS = (240, 1200)
+CF4_RINGS = (48, 96)
+
+
+def exponential_run(args) -> dict:
+    """Run in a fresh process whose path starts at the checkout's src."""
+    import math
+
+    import numpy as np
+
+    from xyzscar import rotframe
+    from xyzscar import spinwave as sw
+
+    def coefficients(L):
+        theta, q, dJz = math.pi / 4, math.pi / 3, 0.03
+        frame = rotframe.frame_transverse(theta, q, -2.0 * math.cos(theta) * dJz, L, dJz=dJz)
+        return sw.sw_coefficients(frame, 1.0)
+
+    def timed(call):
+        start = time.perf_counter()
+        result = call()
+        return time.perf_counter() - start, result
+
+    sw.expm(np.zeros((2, 2)))  # where expm imports scipy, before the timed calls
+    out = {}
+    for L in EXPONENTIAL_RINGS:
+        coeffs = coefficients(L)
+        coeffs.V[17] *= 1.0 + 1e-9
+        A = 0.1 * sw._quadrature_generator(coeffs)
+        out[f"expm-{2 * L}"] = {"wall_s": min(timed(lambda: sw.expm(A))[0]
+                                              for _ in range(5 if L < 1000 else 1))}
+    for L in CF4_RINGS:
+        coeffs = coefficients(L)
+        wall, series = timed(lambda: sw.contrast_sw(lambda t: coeffs, 1.0, T=10.0,
+                                                    n_samples=51, dt=0.02))
+        out[f"cf4-{L}"] = {"wall_s": wall, "D": series.D.tolist()}
+    return out
+
+
+def exponential(args) -> dict:
+    out = {}
+    for threads, one_blas in (("default", False), ("one", True)):
+        runs = _fresh_runs(args, "exponential-run", one_blas=one_blas)
+        out[threads] = {
+            case: {**{f"{side}_wall_s_median": statistics.median(r[case]["wall_s"] for r in rs)
+                      for side, rs in runs.items()},
+                   **{f"{side}_wall_s": [r[case]["wall_s"] for r in rs] for side, rs in runs.items()}}
+            for case in runs["parent"][0]}
+        for case in out[threads]:
+            if case.startswith("cf4-"):
+                pairs_of_D = zip(runs["parent"][0][case]["D"], runs["change"][0][case]["D"])
+                out[threads][case]["max_abs_dD"] = max(abs(a - b) for a, b in pairs_of_D)
     return out
 
 
@@ -407,14 +481,18 @@ def outputs(args) -> dict:
     files = {key: {"parent": runs["parent"][0].get(key), "change": runs["change"][0].get(key),
                    "identical": len({r.get(key) for r in every}) == 1}
              for key in sorted(set().union(*every))}
+    rerun_differ = sorted(key for side in runs.values() for key in files
+                          if len({r.get(key) for r in side}) > 1)
     return {"runs": {name: " ".join(argv) for name, argv in OUTPUT_RUNS.items()},
-            "files": files, "differ": [key for key, f in files.items() if not f["identical"]]}
+            "files": files, "differ": [key for key, f in files.items() if not f["identical"]],
+            "rerun_differ": rerun_differ}
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     modes = parser.add_subparsers(dest="mode", required=True)
-    for name in ("pairs", "startup", "scale", "peaks", "exact", "rings", "outputs"):
+    for name in ("pairs", "startup", "scale", "peaks", "exact", "rings", "exponential",
+                 "outputs"):
         sub = modes.add_parser(name)
         sub.add_argument("--parent", type=Path, required=True)
         sub.add_argument("--change", type=Path, required=True)
@@ -430,13 +508,15 @@ def main() -> None:
     modes.add_parser("peaks-run")
     modes.add_parser("exact-run")
     modes.add_parser("rings-run").add_argument("--bloch", action="store_true")
+    modes.add_parser("exponential-run")
     modes.add_parser("outputs-run").add_argument("--dir", type=Path, required=True)
     args = parser.parse_args()
     if not args.mode.endswith(("-run", "-cell")):
         args.parent, args.change = args.parent.resolve(), args.change.resolve()
     run = {"pairs": pairs, "startup": startup, "scale": scale, "peaks": peaks,
            "exact": exact, "rings": rings, "scale-cell": scale_cell, "peaks-run": peaks_run,
-           "exact-run": exact_run, "rings-run": rings_run, "outputs": outputs,
+           "exact-run": exact_run, "rings-run": rings_run, "exponential": exponential,
+           "exponential-run": exponential_run, "outputs": outputs,
            "outputs-run": outputs_run}[args.mode]
     json.dump(run(args), sys.stdout, indent=1)
     print()

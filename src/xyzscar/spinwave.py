@@ -23,12 +23,11 @@ from .scars import check_spin_length
 PSEUDO_UNITARITY_TOL = 1e-9
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 # _power_contrast takes a stack of generators in blocks of at most this many
-# matrix elements (8 MiB of doubles), which bounds its memory whatever the
-# stack's size. Each block calls scipy's expm, whose BLAS keeps its own thread
-# pool: at bogoliubov's 2^17, those calls contended with numpy's spinning BLAS
-# threads and took glsh (0.96, 61) at n_k = 1,600 from 10 s to 21 s (2 cores,
-# default BLAS threads)
-_POWER_BLOCK_ELEMENTS = 1 << 20
+# matrix elements (1 MiB of doubles), which bounds its memory whatever the
+# stack's size. glsh (0.96, 61) at n_k = 1,600, T = 200 and 401 samples took
+# 8.5 s at this size against 9.8 s at 2^20, and 53 MB of peak RSS against 205
+# MB (medians of 7 alternating runs, 2 cores, default BLAS threads)
+_POWER_BLOCK_ELEMENTS = 1 << 17
 # _block_norms takes offset -a only where the cancellation it brings is bound
 # to amplify rounding by at most this factor
 _CANCELLATION_LIMIT = 2.0**8
@@ -38,6 +37,12 @@ _CANCELLATION_LIMIT = 2.0**8
 # 3.9e-13 at L = 2,400, 8.3e-15 on the glsh L = 140 ring and 2.1e-13 on the
 # gtsh L = 1,200 ring; one site's V moved by 1e-9 leaves about 1e-9
 _PERIOD_TOL = 1e-12
+# Taylor degree d of expm: the largest 1-norm theta_d of A at which
+# T_d(A) = exp(A + dA) with ||dA|| <= 2^-53 ||A|| (Higham & Al-Mohy, Acta
+# Numerica 19, 159 (2010), table A.3; the bound of Al-Mohy & Higham, SIAM J.
+# Matrix Anal. Appl. 31, 970 (2009))
+_TAYLOR_THETA = {2: 2.58e-8, 4: 3.40e-4, 6: 9.07e-3, 9: 8.96e-2, 12: 3.00e-1, 16: 7.81e-1,
+                 20: 1.44, 25: 2.43}
 
 # commutator-free 4th-order Magnus coefficients (two-exponential scheme)
 _CF4_C1 = 0.5 - math.sqrt(3.0) / 6.0
@@ -46,12 +51,89 @@ _CF4_A1 = 0.25 + math.sqrt(3.0) / 6.0
 _CF4_A2 = 0.25 - math.sqrt(3.0) / 6.0
 
 
-def expm(A: np.ndarray) -> np.ndarray:
-    """scipy.linalg.expm, imported at the first call: importing this module
-    (and bogoliubov, which imports it) does not load scipy."""
-    from scipy.linalg import expm as scipy_expm
+def expm(A: np.ndarray, layout=(slice(None), None, 1)) -> np.ndarray:
+    """exp(A) for a real matrix or stack of them, or, in a cell layout
+    (rows, gather, cells) of _cell_layout, the rows of exp(A') for a stack
+    A, A' the mean of A over the translations by a cell.
 
-    return scipy_expm(A)
+    The mean's rows are a bincount over the gather. The mean commutes with
+    the shift by a cell, so every power and product of it does too, and
+    each product here is rows(X) full(Y), full(Y) gathered from Y's rows.
+    A ring's generator differs from its mean by rounding only. Cell 0's
+    rows as they stand would copy their rounding to every cell, so that
+    the E carried is neither exp(A) nor symplectic; the mean of Hamiltonian
+    generators is Hamiltonian (the shift commutes with Omega), and its
+    exponential symplectic.
+
+    Scaling and squaring of a Taylor polynomial T_d: with nu the 1-norm,
+    each degree d of _TAYLOR_THETA needs the fewest squarings s with
+    nu 2^-s <= theta_d, and the degree taken needs the fewest products, s
+    plus T_d's Paterson-Stockmeyer products, the fewer squarings breaking a
+    tie. The polynomial and the squarings carry F = E - I (F <- 2F + F^2),
+    and I is added last. s is read off frexp, so a huge, infinite or NaN
+    nu raises nothing here: E comes out non-finite, and the caller's
+    checks fail on it. A zero A gives I exactly.
+    """
+    rows, gather, _ = layout
+    dim = A.shape[-1]
+    B = np.asarray(A, dtype=float) if gather is None else _cell_mean(A, layout)
+
+    whole = _full(B, gather)
+    mantissa, exponent = math.frexp(float(np.abs(whole).sum(axis=-2).max()))
+
+    def squarings(d):
+        """The fewest s >= 0 with nu 2^-s <= theta_d (none for nu = 0, whose
+        mantissa is 0)."""
+        theta_mantissa, theta_exponent = math.frexp(_TAYLOR_THETA[d])
+        return max(0, exponent - theta_exponent + (mantissa > theta_mantissa)) if mantissa else 0
+
+    def block(d):
+        """T_d's Paterson-Stockmeyer block t: the powers B^2 .. B^t take
+        t - 1 products, and the (d - 1) // t Horner steps in B^t one each."""
+        return math.isqrt(d - 1) + 1
+
+    def products(d):
+        return block(d) - 1 + (d - 1) // block(d) + squarings(d)
+
+    degree = min(_TAYLOR_THETA, key=lambda d: (products(d), squarings(d)))
+    s, t = squarings(degree), block(degree)
+    k = (degree - 1) // t
+    if s:
+        B, whole = np.ldexp(B, -s), np.ldexp(whole, -s)
+    eye = (np.arange(dim)[rows, None] == np.arange(dim)).astype(float)
+    powers = [eye, B]
+    for _ in range(t - 1):
+        powers.append(powers[-1] @ whole)
+
+    def chunk(j):
+        """The terms B^i / i! of F for j t <= i < (j + 1) t (j t <= i <=
+        degree for j = k), each from B^(i - jt)."""
+        top = degree if j == k else (j + 1) * t - 1
+        return sum(powers[i - j * t] / math.factorial(i) for i in range(max(j * t, 1), top + 1))
+
+    F, step = chunk(k), _full(powers[t], gather)
+    for j in reversed(range(k)):
+        F = F @ step + chunk(j)
+    for _ in range(s):
+        F = 2.0 * F + F @ _full(F, gather)
+    return F + eye
+
+
+def _full(X: np.ndarray, gather) -> np.ndarray:
+    """The whole matrices of a stack carried as cell-0 rows, by the gather
+    of a cell layout (_cell_layout); X itself where gather is None."""
+    return X if gather is None else np.take(X.reshape(len(X), -1), gather, axis=1)
+
+
+def _cell_mean(A: np.ndarray, layout) -> np.ndarray:
+    """The cell-0 rows of the mean of a stack A over the translations by a
+    cell of the layout (rows, gather, cells) of _cell_layout: each row sums,
+    by a bincount over the gather, the cells' copies of its entries."""
+    _, gather, cells = layout
+    dim = A.shape[-1]
+    mean = np.stack([np.bincount(gather.ravel(), a, dim * dim // cells)
+                     for a in A.reshape(len(A), -1)])
+    return mean.reshape(len(A), dim // cells, dim) / cells
 
 
 @dataclass
@@ -128,11 +210,12 @@ def build_linear_generator(coeffs: SpinWaveCoefficients) -> np.ndarray:
 def propagator(coeffs, t: float, dt: float | None = None) -> np.ndarray:
     """Time-ordered propagator U(t) for the one-particle problem.
 
-    Static coefficients: a single matrix exponential (exact up to expm's
-    rounding; no diagonalization, so the defective k = 0 Goldstone pair of a
-    translation-invariant ring is handled correctly). Callable coefficients:
-    the commutator-free 4th-order Magnus scheme in the fewest equal steps no
-    longer than dt (default 1e-3), so dt is an upper bound. Either way the
+    Static coefficients: a single matrix exponential, expm's whole layout
+    (exact up to its rounding; no diagonalization, so the defective k = 0
+    Goldstone pair of a translation-invariant ring is handled correctly).
+    Callable coefficients: the commutator-free 4th-order Magnus scheme in
+    the fewest equal steps no longer than dt (default 1e-3), so dt is an
+    upper bound, each step two whole-layout expm. Either way the
     real quadrature propagator is checked for pseudo-unitarity (RuntimeError
     if lost) and mapped to U.
     """
@@ -314,7 +397,7 @@ def _power_contrast(G, h: float, n_samples: int, S: float):
     """Contrast at t_n = n h, n < n_samples, for a stack of real generators.
 
     G has shape (batch, 2m, 2m), each block a quadrature generator of m
-    modes, so E = expm(h G) is real symplectic and the propagator at t_n is
+    modes, so E = exp(h G) is real symplectic and the propagator at t_n is
     E^n = Q U(t_n) Q^dagger for the complex propagator U. D follows from
     the batch mean of ||E^n||_F^2 (_contrast_from_norms): a batch of Bloch
     momenta gives the midpoint-rule k integral, a batch of one the
@@ -373,13 +456,14 @@ def _block_norms(G: np.ndarray, h: float, n_steps: int):
     unless one sample step grows E steeply, and 0 (positive offsets only)
     for a non-finite E.
 
-    Powers, Gram matrices and giant steps are carried in the block's cell
-    layout (_cell_layout): on a ring whose generators repeat every p sites
-    they all commute with that shift, so only the 2p rows of cell 0 are
-    formed. A product X Y is rows(X) full(Y), full(Y) gathered from Y's
-    rows, a Frobenius inner product m/p times that of the rows, and the
-    Omega conjugation maps cell 0's rows onto themselves. Where p = m the
-    rows are the whole matrix and nothing is gathered.
+    E, its powers, Gram matrices and giant steps are carried in the block's
+    cell layout (_cell_layout): on a ring whose generators repeat every p
+    sites they all commute with that shift, so only the 2p rows of cell 0
+    are formed, E's by expm in that layout. A product X Y is
+    rows(X) full(Y), full(Y) gathered from Y's rows, a Frobenius inner
+    product m/p times that of the rows, and the Omega conjugation maps
+    cell 0's rows onto themselves. Where p = m the rows are the whole
+    matrix and nothing is gathered.
 
     The baby Gram matrices (the identity at a = 0) are kept packed, and each
     giant Gram matrix meets them all in one matrix-vector product; D(0) = 1
@@ -391,7 +475,8 @@ def _block_norms(G: np.ndarray, h: float, n_steps: int):
     """
     nb, dim = G.shape[0], G.shape[-1]
     half = max(1, math.isqrt(n_steps) // 2 - 1)
-    rows, gather, cells = _cell_layout(G)
+    layout = _cell_layout(G)
+    rows, gather, cells = layout
     n_rows = dim // cells
     plus, minus, cross, weight = _gram_packing(dim, n_rows // 2)
     mag, mask = np.empty(nb * dim * dim), np.empty(nb * dim * dim, dtype=bool)
@@ -400,8 +485,7 @@ def _block_norms(G: np.ndarray, h: float, n_steps: int):
         return _flush_tiny(X, mag, mask)
 
     def full(X):
-        """The whole matrices of a stack carried as cell-0 rows."""
-        return X if gather is None else np.take(X.reshape(nb, -1), gather, axis=1)
+        return _full(X, gather)
 
     def pack(gram, index, out, weights=()):
         """Packed entries of the rows of a symmetric gram (conjugated by Omega
@@ -412,8 +496,8 @@ def _block_norms(G: np.ndarray, h: float, n_steps: int):
         for segment, weight in zip((out[:, n_rows:cross], out[:, cross:]), weights):
             segment *= weight
 
-    E = flush(expm(h * G))
-    excess = max(float(np.einsum("...ij,...ij->...", E, E).max()) - dim, 0.0)
+    E = flush(expm(h * G, layout))
+    excess = max(cells * float(np.einsum("...ij,...ij->...", E, E).max()) - dim, 0.0)
     log_bound = math.log((math.sqrt(excess) + math.sqrt(excess + 4.0)) / 2.0)
     back = 0
     while back < half and 4 * (back + 1) * log_bound <= math.log(_CANCELLATION_LIMIT):
@@ -423,7 +507,7 @@ def _block_norms(G: np.ndarray, h: float, n_steps: int):
     n_giants = max(0, -(-(n_steps - half) // r))
     grams = np.zeros((r, nb, len(plus)))  # offsets -back .. half
     grams[back, :, :n_rows] = 1.0
-    power, kept, stride = E[:, rows], {}, None
+    power, kept, stride, E = E, {}, None, full(E)
     for a in range(1, half + 1):
         if a > 1:
             power = flush(power @ E)

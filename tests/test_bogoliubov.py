@@ -716,10 +716,10 @@ class TestContrastMultiflavour:
     def test_checks_symplectic_and_finite(self, monkeypatch):
         q = 4 * elliptic.complete_K(0.9) / 6
         expm_real = sw.expm
-        monkeypatch.setattr(sw, "expm", lambda a: 1.001 * expm_real(a))
+        monkeypatch.setattr(sw, "expm", lambda *args: 1.001 * expm_real(*args))
         with pytest.raises(RuntimeError, match="pseudo-unitarity"):
             bg.contrast_multiflavour("gtsh", 0.9, q, 0.02, T=2.0, n_samples=11)
-        monkeypatch.setattr(sw, "expm", lambda a: np.full_like(a, np.inf))
+        monkeypatch.setattr(sw, "expm", lambda a, *layout: np.full_like(a, np.inf))
         with pytest.raises(RuntimeError, match="overflowed"):
             bg.contrast_multiflavour("gtsh", 0.9, q, 0.02, T=2.0, n_samples=11)
 

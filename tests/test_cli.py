@@ -1180,14 +1180,25 @@ class TestImports:
         assert [m for m in modules if m.startswith("scipy.sparse.")]
         assert not [m for m in modules if m.startswith("scipy.sparse.csgraph")]
 
-    def test_contrast_sw_loads_scipy(self, tmp_path):
-        """The control: the subcommand that takes an exponential does import
-        scipy.linalg, and the parse above sees it. It shares contrast-ed's
-        commensurability check through scars, not by loading ed_oracle."""
+    def test_contrast_sw_loads_no_scipy(self, tmp_path):
+        """The spin-wave exponential is numpy's, and contrast-sw shares
+        contrast-ed's commensurability check through scars, not by loading
+        ed_oracle."""
         modules = _imported_modules(
             ["contrast-sw", "--family", "transverse", "--theta", "pi/4", "--q", "pi/3",
              "--L", "6", "--dJz", "0.03", "--T", "1", "--n-samples", "3"],
             tmp_path,
         )
-        assert "scipy.linalg" in modules
         assert "xyzscar.spinwave" in modules and "xyzscar.ed_oracle" not in modules
+        assert not [m for m in modules if m.split(".")[0] == "scipy"]
+
+    def test_contrast_ed_loads_scipy(self, tmp_path):
+        """The control: the exact route does import scipy.sparse, and the
+        parse above sees it."""
+        modules = _imported_modules(
+            ["contrast-ed", "--kappa", "0", "--M", "1", "--L", "6", "--theta", "pi/4",
+             "--S", "0.5", "--delta", "0.03", "--T", "1", "--n-samples", "3"],
+            tmp_path,
+        )
+        assert "xyzscar.ed_oracle" in modules
+        assert [m for m in modules if m.startswith("scipy.sparse.")]

@@ -251,7 +251,7 @@ class TestPropagator:
 
     def test_static_propagator_checks_pseudo_unitarity(self, monkeypatch):
         expm = sw.expm
-        monkeypatch.setattr(sw, "expm", lambda a: 1.001 * expm(a))
+        monkeypatch.setattr(sw, "expm", lambda *args: 1.001 * expm(*args))
         co = manufactured_coefficients(0.0)
         with pytest.raises(RuntimeError, match="pseudo-unitarity"):
             sw.propagator(co, 1.0)
@@ -319,7 +319,7 @@ class TestPropagator:
     def test_static_contrast_checks_pseudo_unitarity(self, monkeypatch):
         """A corrupted sample-step exponential must not pass silently."""
         expm = sw.expm
-        monkeypatch.setattr(sw, "expm", lambda a: 1.001 * expm(a))
+        monkeypatch.setattr(sw, "expm", lambda *args: 1.001 * expm(*args))
         frame = co_rotating_transverse(math.pi / 4, math.pi / 3, -0.03, 8, 1.0)
         with pytest.raises(RuntimeError, match="pseudo-unitarity"):
             sw.contrast_sw(sw.sw_coefficients(frame, 1.0), 1.0, T=2.0, n_samples=11)
@@ -605,7 +605,10 @@ class TestPowerContrast:
             ("glsh", 0.8, 7, -0.02, 400, 20.0, 81),
             ("gtsh", 0.9, 6, 0.02, 400, 20.0, 201),
             ("glsh", 0.8, 8, 0.03, 400, 100.0, 401),
-            # 70 momenta of size 122 fill one block of 2^20 elements; 71 need two
+            # 8 momenta of size 122 fill one block of 2^17 elements, 9 need
+            # two, and 70 and 71 fill nine
+            ("glsh", 0.96, 61, 0.01, 16, 20.0, 41),
+            ("glsh", 0.96, 61, 0.01, 18, 20.0, 41),
             ("glsh", 0.96, 61, 0.01, 140, 20.0, 41),
             ("glsh", 0.96, 61, 0.01, 142, 20.0, 41),
         ],
@@ -613,7 +616,7 @@ class TestPowerContrast:
     def test_bloch_stacks(self, family, kappa, lam, delta, n_k, T, n_samples):
         stack = bloch_generators(family, kappa, lam, delta, n_k)
         if lam == 61:
-            assert sw._POWER_BLOCK_ELEMENTS // 122**2 == 70
+            assert sw._POWER_BLOCK_ELEMENTS // 122**2 == 8
             assert stack.shape == (n_k // 2, 122, 122)
         assert kernel_error(stack, T / (n_samples - 1), n_samples) <= 1e-12
 
@@ -652,7 +655,7 @@ class TestPowerContrast:
         assert grown[1] == expected[1]
         assert 0.1 < grown[0] / expected[0] < 10
         expm = sw.expm
-        monkeypatch.setattr(sw, "expm", lambda a: 1.001 * expm(a))
+        monkeypatch.setattr(sw, "expm", lambda *args: 1.001 * expm(*args))
         G = ring_generator(24, -0.03)
         corrupted = raised(sw._power_contrast, G, 0.1, 301, 1.0)
         assert corrupted.endswith("; reduce the step (currently 1.00e-01)")
@@ -766,6 +769,128 @@ class TestCellLayout:
         np.testing.assert_allclose(rebuilt, E, rtol=0, atol=1e-12)
 
 
+def relative_error(E, reference):
+    """max |E - reference| over max |reference|."""
+    return float(np.abs(E - reference).max() / np.abs(reference).max())
+
+
+def whole_from_rows(X, layout):
+    """The whole matrices of a stack carried as the rows of a cell layout."""
+    return np.take(X.reshape(len(X), -1), layout[1], axis=1)
+
+
+def scipy_expm(A):
+    """scipy's expm of each matrix of a stack: the oracle of sw.expm."""
+    return np.stack([expm(a) for a in A])
+
+
+# (L, dJz, h): sample steps of TestPowerContrast's transverse rings
+POWER_CONTRAST_STEPS = [
+    (24, -0.03, 30.0), (24, -0.03, 15.0), (24, -0.03, 0.1), (24, -0.03, 30.0 / 227),
+    (48, -0.03, 0.1), (48, 0.03, 200.0 / 300), (24, 0.3, 50.0 / 300),
+]
+
+
+class TestExpm:
+    """The numpy exponential against scipy's expm: 1e-13 relative in both
+    layouts, the cell layout's rows taken whole through its gather."""
+
+    @pytest.mark.parametrize("L,dJz,h", POWER_CONTRAST_STEPS)
+    def test_power_contrast_rings(self, L, dJz, h):
+        A = h * ring_generator(L, dJz)
+        layout = sw._cell_layout(A)
+        assert layout[2] == L
+        reference = scipy_expm(A)
+        assert relative_error(sw.expm(A), reference) <= 1e-13
+        assert relative_error(whole_from_rows(sw.expm(A, layout), layout), reference) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "family,kappa,lam,delta,n_k,T,n_samples",
+        [("glsh", 0.8, 7, -0.02, 400, 20.0, 81), ("gtsh", 0.9, 6, 0.02, 400, 20.0, 201),
+         ("glsh", 0.8, 8, 0.03, 400, 100.0, 401), ("glsh", 0.96, 61, 0.01, 140, 20.0, 41)],
+    )
+    def test_bloch_stacks(self, family, kappa, lam, delta, n_k, T, n_samples):
+        """test_bloch_stacks' sample steps, every momentum of the stack."""
+        A = T / (n_samples - 1) * bloch_generators(family, kappa, lam, delta, n_k)[:]
+        assert relative_error(sw.expm(A), scipy_expm(A)) <= 1e-13
+
+    @pytest.mark.parametrize("dJz,h", [(0.3, 30.0), (0.3, 20.0), (0.5, 15.0)])
+    def test_steep_steps_take_squarings(self, dJz, h):
+        """TestPowerContrast's steep steps, whose 1-norms (55-106) exceed
+        every degree's theta, so that E is squared, and which take ||E||_F
+        from sqrt(48) to 25-79."""
+        A = h * ring_generator(24, dJz)
+        assert np.abs(A).sum(axis=-2).max() > 20 * max(sw._TAYLOR_THETA.values())
+        layout = sw._cell_layout(A)
+        reference = scipy_expm(A)
+        assert np.linalg.norm(reference) > 25
+        assert relative_error(sw.expm(A), reference) <= 1e-13
+        assert relative_error(whole_from_rows(sw.expm(A, layout), layout), reference) <= 1e-13
+
+    @pytest.mark.parametrize("degree", sorted(sw._TAYLOR_THETA))
+    @pytest.mark.parametrize("side", [1.0 - 1e-9, 1.0 + 1e-9], ids=["below", "above"])
+    def test_one_norms_at_each_theta(self, degree, side):
+        G = ring_generator(24, 0.03)
+        A = G * (side * sw._TAYLOR_THETA[degree] / np.abs(G).sum(axis=-2).max())
+        assert relative_error(sw.expm(A), scipy_expm(A)) <= 1e-13
+
+    def test_zero_gives_the_identity_exactly(self):
+        np.testing.assert_array_equal(sw.expm(np.zeros((3, 8, 8))), np.broadcast_to(np.eye(8), (3, 8, 8)))
+        np.testing.assert_array_equal(sw.expm(np.zeros((6, 6))), np.eye(6))
+        layout = sw._cell_layout(ring_generator(24, 0.03))
+        np.testing.assert_array_equal(sw.expm(np.zeros((1, 48, 48)), layout), np.eye(48)[None, layout[0]])
+
+    @pytest.mark.parametrize("ring", ["gate07-", "glsh140", "gtsh240"])
+    def test_cell_mean_is_shift_invariant_and_hamiltonian(self, ring):
+        """The mean over the cell translations repeats every cell exactly,
+        lies within _PERIOD_TOL of the generator, and Omega times it is
+        symmetric to rounding (the generator's own Omega G is symmetric)."""
+        G = sw._quadrature_generator(CELL_RINGS[ring][0]())[None]
+        layout = sw._cell_layout(G)
+        mean = whole_from_rows(sw._cell_mean(G, layout), layout)[0]
+        m = len(mean) // 2
+        sites = np.arange(m)
+        shift = np.concatenate([sites, sites + m]).reshape(2, m)
+        shift = np.roll(shift, m // layout[2], axis=1).ravel()
+        np.testing.assert_array_equal(mean[np.ix_(shift, shift)], mean)
+        assert np.abs(mean - G[0]).max() <= sw._PERIOD_TOL * np.abs(G).max()
+        omega_mean = np.concatenate([mean[m:], -mean[:m]])
+        assert np.abs(omega_mean - omega_mean.T).max() <= 4 * np.finfo(float).eps * np.abs(G).max()
+
+    def test_site_noise_inside_the_period_tolerance(self, monkeypatch):
+        """1e-13 relative noise on every site's V keeps the cell layout, and
+        D stays within 1e-12 of the whole layout's, in units of
+        max(1, |1 - D|)."""
+        coeffs = transverse_ring(240, 0.03)
+        coeffs.V *= 1.0 + 1e-13 * np.random.default_rng(3001).standard_normal(240)
+        G = sw._quadrature_generator(coeffs)[None]
+        layout = sw._cell_layout(G)
+        assert layout[2] == 240
+        assert np.abs(sw._cell_mean(G, layout) - G[:, layout[0]]).max() > 1e-15
+        whole = whole_layout_run(monkeypatch, coeffs, 1.0, 30.0, 301)
+        series = sw.contrast_sw(coeffs, 1.0, T=30.0, n_samples=301)
+        error = np.abs(series.D - whole.D) / np.maximum(1.0, np.abs(1.0 - whole.D))
+        assert error.max() <= 1e-12
+
+    @pytest.mark.parametrize("norm", [1e300, 1.5e308, math.inf, math.nan])
+    def test_huge_and_non_finite_norms_fail_the_checks(self, norm):
+        """The squarings come from frexp, so no OverflowError or ValueError
+        escapes: a finite norm past double range (here 1.5e308 overflows
+        2.0**s) and an infinite or NaN one each end in the kernel's own
+        RuntimeError, without a numpy warning."""
+        G = ring_generator(24, 0.03)
+        one_norm = np.abs(G).sum(axis=-2).max()
+        # an h of 1e308 overflows the largest entries of h G to inf
+        h = {math.inf: 1e308, math.nan: math.nan}.get(norm, norm / one_norm)
+        with np.errstate(over="ignore", invalid="ignore"):
+            measured = np.abs(h * G).sum(axis=-2).max()
+        assert measured == pytest.approx(norm, rel=1e-12, nan_ok=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="overflowed|pseudo-unitarity"):
+                sw._power_contrast(G, h, 3, 1.0)
+
+
 class TestPowerContrastMemory:
     @staticmethod
     def traced_peak(f, *args):
@@ -780,14 +905,12 @@ class TestPowerContrastMemory:
         """Gate 07's L = 240 ring: the kernel stays within 35 MB (the previous
         kernel took 52 MB here)."""
         G = ring_generator(240, -0.03)
-        sw.expm(np.zeros((2, 2)))  # scipy's import is not the kernel's memory
         assert self.traced_peak(sw._power_contrast, G, 0.1, 301, 1.0) <= 35e6
 
     def test_bloch_peak_does_not_grow_with_the_momenta(self):
-        """glsh (0.96, 61) at 80 momenta takes two blocks, at 320 five: the
+        """glsh (0.96, 61) at 80 momenta takes ten blocks, at 320 forty: the
         peak stays within 10%."""
         q = 4.0 * elliptic.complete_K(0.96) / 61
-        sw.expm(np.zeros((2, 2)))
         peaks = [
             self.traced_peak(bg.contrast_multiflavour, "glsh", 0.96, q, 0.01, 1.0, 20.0, n_k, 41)
             for n_k in (160, 640)
