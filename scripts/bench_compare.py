@@ -12,13 +12,14 @@ processes.
     python scripts/bench_compare.py rings --parent P --change C --reps 9
     python scripts/bench_compare.py exponential --parent P --change C --reps 3
     python scripts/bench_compare.py outputs --parent P --change C --reps 2
+    python scripts/bench_compare.py elliptic --parent P --change C --reps 9
 
 P and C are checkout roots (each with src/ and perfbench/). Every mode
 alternates which side runs first, the parent first in even pairs, and
 prints one JSON document on standard output; progress goes to stderr.
-scale, peaks, exact, rings, exponential and outputs run this script once per
-side and repetition in a fresh process whose path starts at that side's src
-(_fresh_runs).
+scale, peaks, exact, rings, exponential, outputs and elliptic run this
+script once per side and repetition in a fresh process whose path starts at
+that side's src (_fresh_runs).
 
 pairs    runs perfbench/run.py --trace 0 in each checkout, one seed per pair,
          and reports each end-to-end metric's quartiles per side
@@ -67,6 +68,14 @@ outputs  runs each CLI config of OUTPUT_RUNS as `python -m xyzscar.cli`, one
          stdout, stderr and exit code, per side, whether every repetition of
          both sides agrees, the list of those that do not, and the list of
          those whose repetitions differ within one side.
+elliptic compares the elliptic functions on ELLIPTIC_KAPPAS and seven seeded
+         moduli, 1,000 seeded arguments |u| <= 50 each, at one BLAS thread:
+         how many sn, cn, dn and am values differ by float.hex across sides,
+         the largest change of jacobi_epsilon in units of max(1, |eps|), and
+         the largest relative change of scars.energy_density over the 45
+         distinct (kappa, q, S) of gate 01's 135 scars. It times
+         jacobi_sncndn and jacobi_epsilon on 30 arguments (best of 7 rounds
+         of 2,000 calls per process) and reports each side's median.
 """
 
 from __future__ import annotations
@@ -414,8 +423,9 @@ def exponential(args) -> dict:
 #: ring and on two glsh rings (L = 8: real H, eigh per sector; L = 11: the
 #: 1,024-state parity sectors, stepped), ll-evolve on the benettin workload's
 #: ring and at S = 1.5, one scan row, dispersion, rates at +-0.03 and
-#: scar-verify; the last three take phi = 1e12, where the sites' phase steps
-#: were lost before phi was reduced modulo the texture's period
+#: scar-verify; three take phi = 1e12, where the sites' phase steps were lost
+#: before phi was reduced modulo the texture's period; the last exits 1 on a
+#: precession rate -2 S gamma delta that overflows
 OUTPUT_RUNS = {
     "sw-ring": ["contrast-sw", "--family", "transverse", "--theta", "pi/4", "--q", "pi/3",
                 "--L", "240", "--dJz", "-0.03", "--T", "30", "--n-samples", "301"],
@@ -450,6 +460,8 @@ OUTPUT_RUNS = {
                         "--S", "0.5", "--phi", "1e12"],
     "ed-phi": ["contrast-ed", "--kappa", "0", "--M", "1", "--L", "6", "--theta", "pi/4",
                "--S", "0.5", "--delta", "0.03", "--phi", "1e12"],
+    "ed-rate-overflow": ["contrast-ed", "--kappa", "0", "--M", "1", "--L", "5", "--theta", "pi/4",
+                         "--S", "1.5", "--delta", "1e308"],
 }
 
 
@@ -488,11 +500,68 @@ def outputs(args) -> dict:
             "rerun_differ": rerun_differ}
 
 
+#: fixed moduli of the elliptic mode; it adds seven seeded in (0.1, 0.999999)
+ELLIPTIC_KAPPAS = (0.1, 0.5, 0.9, 0.999999)
+
+
+def elliptic_run(args) -> dict:
+    """Run in a fresh process whose path starts at the checkout's src."""
+    import numpy as np
+
+    from xyzscar import elliptic, scars
+    from xyzscar.ed_oracle import DIMENSION_CAP
+
+    rng = np.random.default_rng(31)
+    kappas = [*ELLIPTIC_KAPPAS, *rng.uniform(0.1, 0.999999, 7)]
+    out = {"hex": [], "eps": [], "energy": []}
+    for kappa in kappas:
+        u = rng.uniform(-50.0, 50.0, 1000)
+        for values in (*elliptic.jacobi_sncndn(u, kappa), elliptic.jacobi_am(u, kappa)):
+            out["hex"] += [x.hex() for x in values.tolist()]
+        out["eps"] += elliptic.jacobi_epsilon(u, kappa).tolist()
+    # gate 01's scars: its three gammas share each (kappa, q, S) energy
+    for kappa in (0.0, 0.5, 0.9):
+        for S in (0.5, 1.0):
+            for L in range(2, 13):
+                if (round(2 * S) + 1) ** L <= DIMENSION_CAP:
+                    out["energy"] += [scars.energy_density(kappa, q, S)
+                                      for _, q in scars.commensurate_q(kappa, L)]
+    u30 = rng.uniform(-10.0, 10.0, 30)
+    for name in ("jacobi_sncndn", "jacobi_epsilon"):
+        rounds = []
+        for _ in range(7):
+            start = time.perf_counter()
+            for _ in range(2000):
+                getattr(elliptic, name)(u30, 0.9)
+            rounds.append((time.perf_counter() - start) / 2000 * 1e6)
+        out[f"{name}_us"] = min(rounds)
+    return out
+
+
+def elliptic(args) -> dict:
+    runs = _fresh_runs(args, "elliptic-run", one_blas=True)
+    parent, change = runs["parent"][0], runs["change"][0]
+    pairs_of_e = list(zip(parent["energy"], change["energy"]))
+    out = {
+        "values": len(parent["hex"]),
+        "hex_differences": sum(a != b for a, b in zip(parent["hex"], change["hex"])),
+        "max_eps_change": max(abs(a - b) / max(1.0, abs(a))
+                              for a, b in zip(parent["eps"], change["eps"])),
+        "scars": len(pairs_of_e),
+        "max_energy_rel_change": max(abs(a - b) / abs(a) for a, b in pairs_of_e),
+    }
+    for name in ("jacobi_sncndn_us", "jacobi_epsilon_us"):
+        for side in ("parent", "change"):
+            out[f"{side}_{name}"] = {"median": statistics.median(r[name] for r in runs[side]),
+                                     "runs": [r[name] for r in runs[side]]}
+    return out
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     modes = parser.add_subparsers(dest="mode", required=True)
     for name in ("pairs", "startup", "scale", "peaks", "exact", "rings", "exponential",
-                 "outputs"):
+                 "outputs", "elliptic"):
         sub = modes.add_parser(name)
         sub.add_argument("--parent", type=Path, required=True)
         sub.add_argument("--change", type=Path, required=True)
@@ -510,6 +579,7 @@ def main() -> None:
     modes.add_parser("rings-run").add_argument("--bloch", action="store_true")
     modes.add_parser("exponential-run")
     modes.add_parser("outputs-run").add_argument("--dir", type=Path, required=True)
+    modes.add_parser("elliptic-run")
     args = parser.parse_args()
     if not args.mode.endswith(("-run", "-cell")):
         args.parent, args.change = args.parent.resolve(), args.change.resolve()
@@ -517,7 +587,7 @@ def main() -> None:
            "exact": exact, "rings": rings, "scale-cell": scale_cell, "peaks-run": peaks_run,
            "exact-run": exact_run, "rings-run": rings_run, "exponential": exponential,
            "exponential-run": exponential_run, "outputs": outputs,
-           "outputs-run": outputs_run}[args.mode]
+           "outputs-run": outputs_run, "elliptic": elliptic, "elliptic-run": elliptic_run}[args.mode]
     json.dump(run(args), sys.stdout, indent=1)
     print()
 

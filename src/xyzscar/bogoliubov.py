@@ -19,12 +19,10 @@ import numpy as np
 
 from .elliptic import complete_K, jacobi_sncndn
 from .scars import check_spin_length, parent_couplings
+from .spinwave import _POWER_BLOCK_ELEMENTS as _BLOCK_ELEMENTS
 from .spinwave import ContrastSeries, _power_contrast, _sample_times
 
 STABILITY_THRESHOLD = 1e-6
-# lyapunov_max takes momenta in blocks of at most this many matrix elements
-# per stack (1 MiB of doubles): it bounds the temporaries of each scan thread
-_BLOCK_ELEMENTS = 1 << 17
 
 
 # ---------------------------------------------------------------------------

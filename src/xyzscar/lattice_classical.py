@@ -25,7 +25,7 @@ import numpy as np
 
 from .elliptic import jacobi_sncndn
 from .rotframe import FrameData, stationarity_residual
-from .scars import bond_sum, check_spin_length, coupling_matrix, helix_amplitudes
+from .scars import bond_sum, check_spin_length, checked_texture, coupling_matrix, helix_amplitudes
 
 #: per-site norm drift beyond this aborts the integration
 NORM_DRIFT_TOL = 1e-6
@@ -132,15 +132,9 @@ def _coupling_diagonal(J) -> np.ndarray:
 
 
 def _checked_texture(initial, **spans: float) -> np.ndarray:
-    """Copy of a unit-norm (L, 3) texture with L >= 2; every named span must
-    be positive and finite."""
-    omega = np.array(initial, dtype=float)
-    if omega.ndim != 2 or omega.shape[1] != 3:
-        raise ValueError(f"initial texture must be (L, 3), got {omega.shape}")
-    if len(omega) < 2:
-        raise ValueError(f"the ring needs L >= 2 sites, got {len(omega)}")
-    if not np.all(np.abs(np.linalg.norm(omega, axis=1) - 1.0) <= 1e-9):
-        raise ValueError("initial texture must be unit-norm per site")
+    """scars.checked_texture of initial; every named span must be positive
+    and finite."""
+    omega = checked_texture(initial)
     for name, value in spans.items():
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")

@@ -87,14 +87,9 @@ def frame_transverse(
 
 
 def scar_frame(p: ScarParams, delta: float = 0.0) -> FrameData:
-    """Axis-gauge frame of the scar p quenched by delta (scars.scar_quench);
-    a precession rate that overflows raises before it forms hR."""
+    """Axis-gauge frame of the scar p quenched by delta (scars.scar_quench,
+    which rejects a precession rate that overflows)."""
     J, omega = scar_quench(p, delta)
-    if not math.isfinite(omega):
-        raise ValueError(
-            f"precession rate -2 S gamma delta overflows at S = {p.S}, "
-            f"gamma = {p.gamma}, delta = {delta}"
-        )
     axis = (1.0, 0.0, 0.0) if scar_family(p.kappa, p.gamma) == "glsh" else (0.0, 0.0, -1.0)
     return _axis_frame(scar_texture(p), J.as_matrix(), axis, omega)
 

@@ -83,6 +83,19 @@ def _check_ring(L: int) -> None:
         raise ValueError(f"need at least two sites, got L = {L}")
 
 
+def checked_texture(texture) -> np.ndarray:
+    """Float copy of a ring texture: shape (L, 3), L >= 2, every row a unit
+    vector to 1e-9 (a NaN row is not)."""
+    omega = np.array(texture, dtype=float)
+    if omega.ndim != 2 or omega.shape[1] != 3:
+        raise ValueError(f"texture must have shape (L, 3), got {omega.shape}")
+    if len(omega) < 2:
+        raise ValueError(f"the ring needs L >= 2 sites, got {len(omega)}")
+    if not np.all(np.abs(np.linalg.norm(omega, axis=1) - 1.0) <= 1e-9):
+        raise ValueError("texture must be unit-norm per site")
+    return omega
+
+
 @dataclass(frozen=True)
 class ScarParams:
     """Parameters of a scar texture on a periodic ring of L sites."""
@@ -175,12 +188,19 @@ def scar_quench(p: ScarParams, delta: float) -> tuple[XYZCouplings, float]:
     """Parent couplings of p with delta on its DETUNED_COUPLING, and the rate
     the quenched scar precesses about z at: -2 S gamma delta for the
     transverse helix, 0 for gtsh and glsh, which stay static solutions.
-    A non-finite delta raises, for every family."""
+    A non-finite delta raises, for every family, and so does a finite one
+    whose rate overflows."""
     if not math.isfinite(delta):
         raise ValueError(f"detuning delta must be finite, got {delta}")
     family = scar_family(p.kappa, p.gamma)
     J = parent_couplings(p.kappa, p.q).detuned(**{"d" + DETUNED_COUPLING[family]: delta})
-    return J, (-2.0 * p.S * p.gamma * delta if family == "transverse" else 0.0)
+    omega = -2.0 * p.S * p.gamma * delta if family == "transverse" else 0.0
+    if not math.isfinite(omega):
+        raise ValueError(
+            f"precession rate -2 S gamma delta overflows at S = {p.S}, "
+            f"gamma = {p.gamma}, delta = {delta}"
+        )
+    return J, omega
 
 
 def solve_kq(Jx: float, Jz: float) -> tuple[float, float]:
@@ -300,11 +320,7 @@ def gz_condition_residuals(texture: np.ndarray, J) -> tuple[np.ndarray, np.ndarr
     axis on which Omega_j has its smallest |component| (at most 1/sqrt(3),
     so Omega_j is never along a_j). r2 needs no frame at all.
     """
-    omega = np.asarray(texture, dtype=float)
-    if omega.ndim != 2 or omega.shape[1] != 3:
-        raise ValueError(f"texture must have shape (L, 3), got {omega.shape}")
-    if np.any(np.abs(np.linalg.norm(omega, axis=1) - 1.0) > 1e-9):
-        raise ValueError("texture rows must be unit vectors")
+    omega = checked_texture(texture)
     mat = coupling_matrix(J)
     v = np.cross(omega, np.eye(3)[np.argmin(np.abs(omega), axis=1)])
     v /= np.linalg.norm(v, axis=1, keepdims=True)

@@ -22,11 +22,13 @@ from .scars import check_spin_length
 
 PSEUDO_UNITARITY_TOL = 1e-9
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
-# _power_contrast takes a stack of generators in blocks of at most this many
-# matrix elements (1 MiB of doubles), which bounds its memory whatever the
-# stack's size. glsh (0.96, 61) at n_k = 1,600, T = 200 and 401 samples took
-# 8.5 s at this size against 9.8 s at 2^20, and 53 MB of peak RSS against 205
-# MB (medians of 7 alternating runs, 2 cores, default BLAS threads)
+# A momentum stack is taken in blocks of at most this many matrix elements
+# (1 MiB of doubles), which bounds its temporaries whatever the stack's size:
+# the generators of _power_contrast, and the Bloch matrices of each scan
+# thread in bogoliubov.lyapunov_max. glsh (0.96, 61) at n_k = 1,600, T = 200
+# and 401 samples took 8.5 s at this size against 9.8 s at 2^20, and 53 MB of
+# peak RSS against 205 MB (medians of 7 alternating runs, 2 cores, default
+# BLAS threads)
 _POWER_BLOCK_ELEMENTS = 1 << 17
 # _block_norms takes offset -a only where the cancellation it brings is bound
 # to amplify rounding by at most this factor

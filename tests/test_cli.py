@@ -585,6 +585,22 @@ class TestContrastEd:
         assert err.startswith("error: detuning delta must be finite")
         assert err.count("\n") == 1
 
+    def test_overflowing_precession_rate_is_numeric_error(self, tmp_path, capsys):
+        """A finite delta whose rate -2 S gamma delta overflows exits 1 naming
+        the rate, not the overflow it would cause in H."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(
+                ["contrast-ed", "--kappa", "0", "--M", "1", "--L", "5",
+                 "--theta", "pi/4", "--S", "1.5", "--delta", "1e308"],
+                tmp_path,
+            )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: precession rate -2 S gamma delta overflows at S = 1.5, ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "contrast_ed.csv").exists()
+
     def test_family_flag_exits_2(self, tmp_path):
         """The family follows from --kappa and --gamma/--theta; there is no
         --family flag to disagree with them."""
@@ -1126,10 +1142,9 @@ class TestBadIntegerAndAngleFlags:
         assert capsys.readouterr().err == "error: 2S must be a positive integer, got S = 1e-300\n"
 
 
-def _imported_modules(argv, tmp_path):
-    """Run the CLI in a fresh interpreter under -X importtime, writing to
-    tmp_path (scar-verify writes nothing); return the names of every module
-    it imported."""
+def _fresh_imports(args):
+    """Run `python -X importtime *args` in a fresh interpreter that finds
+    this package; return the names of every module it imported."""
     import os
     import subprocess
     import sys
@@ -1139,9 +1154,8 @@ def _imported_modules(argv, tmp_path):
     env = dict(os.environ)
     package_root = str(Path(xyzscar.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    out_flag = [] if argv[0] == "scar-verify" else ["--out", str(tmp_path)]
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "xyzscar.cli", *argv, *out_flag],
+        [sys.executable, "-X", "importtime", *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -1150,6 +1164,13 @@ def _imported_modules(argv, tmp_path):
         for line in proc.stderr.splitlines()
         if line.startswith("import time:") and "|" in line
     ]
+
+
+def _imported_modules(argv, tmp_path):
+    """Run the CLI in a fresh interpreter, writing to tmp_path (scar-verify
+    writes nothing); return the names of every module it imported."""
+    out_flag = [] if argv[0] == "scar-verify" else ["--out", str(tmp_path)]
+    return _fresh_imports(["-m", "xyzscar.cli", *argv, *out_flag])
 
 
 class TestImports:
@@ -1191,6 +1212,13 @@ class TestImports:
         )
         assert "xyzscar.spinwave" in modules and "xyzscar.ed_oracle" not in modules
         assert not [m for m in modules if m.split(".")[0] == "scipy"]
+
+    def test_package_import_loads_no_numpy_polynomial(self):
+        """The elliptic functions take no quadrature rule, so a fresh
+        `import xyzscar` loads elliptic but not numpy.polynomial."""
+        modules = _fresh_imports(["-c", "import xyzscar"])
+        assert "xyzscar.elliptic" in modules
+        assert not [m for m in modules if m.startswith("numpy.polynomial")]
 
     def test_contrast_ed_loads_scipy(self, tmp_path):
         """The control: the exact route does import scipy.sparse, and the

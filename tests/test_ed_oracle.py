@@ -826,6 +826,14 @@ class TestContrastExact:
             with pytest.raises(ValueError, match="delta must be finite"):
                 ed.contrast_exact(transverse_params(), delta, T=1.0, n_samples=3)
 
+    def test_rejects_an_overflowing_precession_rate(self):
+        """The rate check of scars.scar_quench runs before H is built, so a
+        finite delta whose rate overflows warns nowhere (the suite makes a
+        RuntimeWarning an error) and never reaches the eigensolver."""
+        p = scars.ScarParams.commensurate(0.0, 1, 5, gamma=math.cos(math.pi / 4), S=1.5)
+        with pytest.raises(ValueError, match="^precession rate -2 S gamma delta overflows"):
+            ed.contrast_exact(p, 1e308, T=1.0, n_samples=3)
+
 
 # every transverse ring under DIMENSION_CAP with q = 2 pi M / L < pi/2:
 # (S, L, M, gamma, phi), phi != 0 on the odd rings and on every M = 2 ring

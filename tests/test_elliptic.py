@@ -244,6 +244,17 @@ class TestEpsilon:
             )
             assert abs(jacobi_epsilon(u, kappa) - ref) <= 1e-10 * max(1.0, abs(ref))
 
+    @pytest.mark.parametrize("kappa", [0.3, 0.9, 0.999999, 1.0 - 1e-9])
+    def test_against_incomplete_integral_of_the_amplitude(self, kappa):
+        """eps(u) = E(am(u) | kappa^2), the incomplete integral of the second
+        kind: scipy's ellipeinc shares nothing with the zeta sum of the
+        Landen descent, here over ten quarter periods either side of 0."""
+        K = complete_K(kappa)
+        u = np.random.default_rng(31).uniform(-10.0 * K, 10.0 * K, 2000)
+        ref = special.ellipeinc(jacobi_am(u, kappa), kappa**2)
+        err = np.abs(jacobi_epsilon(u, kappa) - ref)
+        assert np.all(err <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+
     def test_derivative_is_dn_squared(self):
         u, kappa, h = 0.7, 0.6, 1e-5
         fd = (jacobi_epsilon(u + h, kappa) - jacobi_epsilon(u - h, kappa)) / (2 * h)

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -316,6 +317,15 @@ class TestEigenstateConditions:
         with pytest.raises(ValueError, match="unit"):
             gz_condition_residuals(tex, np.eye(3))
 
+    def test_nan_row_rejected(self):
+        """A NaN row is not a unit vector: the check is that every row is
+        within 1e-9 of unit norm, not that none is further off."""
+        p = ScarParams.commensurate(0.6, M=1, L=8, gamma=0.0)
+        tex = scar_texture(p)
+        tex[3] = np.nan
+        with pytest.raises(ValueError, match="unit-norm"):
+            gz_condition_residuals(tex, parent_couplings(0.6, p.q))
+
     @pytest.mark.parametrize("theta", [0.3, math.pi / 4, 1.2])
     @pytest.mark.parametrize("dJz", [0.03, -0.05])
     def test_detuned_transverse_helix_closed_forms(self, theta, dJz):
@@ -508,6 +518,20 @@ class TestScarFamily:
         """One check for every family, before the rate or the couplings form."""
         p = ScarParams(kappa=kappa, q=0.4, gamma=gamma, L=8)
         with pytest.raises(ValueError, match=f"^detuning delta must be finite, got {delta}$"):
+            scar_quench(p, delta)
+
+    @pytest.mark.parametrize("delta", [1e308, -1e308])
+    def test_quench_rejects_an_overflowing_rate(self, delta):
+        """A finite delta whose rate -2 S gamma delta overflows raises naming
+        the rate, so no route that reads it sees inf."""
+        p = ScarParams(kappa=0.0, q=0.4, gamma=0.6, L=8, S=1.5)
+        with pytest.raises(
+            ValueError,
+            match=re.escape(
+                f"precession rate -2 S gamma delta overflows at S = 1.5, gamma = 0.6, "
+                f"delta = {delta}"
+            ),
+        ):
             scar_quench(p, delta)
 
 
