@@ -26,14 +26,14 @@ pairs    runs perfbench/run.py --trace 0 in each checkout, one seed per pair,
          (statistics.quantiles, n=4, inclusive), every run, and how many
          pairs the change read lower in.
 startup  times whole `python -m xyzscar.cli` runs of subcommands that need
-         numpy alone, and of contrast-sw, scar-verify and contrast-ed, which
-         load scipy, and reports medians.
+         numpy alone (contrast-sw among them), and of scar-verify and
+         contrast-ed, which load scipy, and reports medians.
 scale    runs bogoliubov.contrast_multiflavour on glsh cells
          (kappa:lambda:n_k, detuning +0.01, T = 200, 401 samples) and
          reports the call's wall time and the growth of peak RSS over the
          RSS before it.
 peaks    traces (tracemalloc) the peak memory of the contrast workload's two
-         spin-wave kernels: _power_contrast on the L = 240 transverse ring
+         spin-wave routes: spinwave.contrast_sw on the L = 240 transverse ring
          (T = 30, 301 samples) and bogoliubov.scaling_function on its 301
          times.
 exact    runs ed_oracle.contrast_exact on the transverse rings EXACT_RINGS
@@ -254,9 +254,8 @@ def peaks_run(args) -> dict:
     theta, q, dJz = math.pi / 4, math.pi / 3, -0.03
     frame = rotframe.frame_transverse(theta=theta, q=q, omega=-2.0 * math.cos(theta) * dJz,
                                       L=240, dJz=dJz)
-    G = sw._quadrature_generator(sw.sw_coefficients(frame, 1.0))[None]
-    sw.expm(np.zeros((2, 2)))  # where expm imports scipy, outside the traced peaks
-    calls = {"ring_kernel_mb": lambda: sw._power_contrast(G, 0.1, 301, 1.0),
+    coeffs = sw.sw_coefficients(frame, 1.0)
+    calls = {"ring_contrast_sw_mb": lambda: sw.contrast_sw(coeffs, 1.0, T=30.0, n_samples=301),
              "integral_mb": lambda: bg.scaling_function(np.linspace(0.0, 30.0, 301), q, theta, dJz)}
     out = {}
     for name, call in calls.items():
@@ -371,8 +370,6 @@ def exponential_run(args) -> dict:
     """Run in a fresh process whose path starts at the checkout's src."""
     import math
 
-    import numpy as np
-
     from xyzscar import rotframe
     from xyzscar import spinwave as sw
 
@@ -386,7 +383,6 @@ def exponential_run(args) -> dict:
         result = call()
         return time.perf_counter() - start, result
 
-    sw.expm(np.zeros((2, 2)))  # where expm imports scipy, before the timed calls
     out = {}
     for L in EXPONENTIAL_RINGS:
         coeffs = coefficients(L)

@@ -22,14 +22,6 @@ from .scars import check_spin_length
 
 PSEUDO_UNITARITY_TOL = 1e-9
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
-# A momentum stack is taken in blocks of at most this many matrix elements
-# (1 MiB of doubles), which bounds its temporaries whatever the stack's size:
-# the generators of _power_contrast, and the Bloch matrices of each scan
-# thread in bogoliubov.lyapunov_max. glsh (0.96, 61) at n_k = 1,600, T = 200
-# and 401 samples took 8.5 s at this size against 9.8 s at 2^20, and 53 MB of
-# peak RSS against 205 MB (medians of 7 alternating runs, 2 cores, default
-# BLAS threads)
-_POWER_BLOCK_ELEMENTS = 1 << 17
 # _block_norms takes offset -a only where the cancellation it brings is bound
 # to amplify rounding by at most this factor
 _CANCELLATION_LIMIT = 2.0**8
@@ -368,7 +360,7 @@ def contrast_sw(
             defect = _check_symplectic(E, step)
         D = _contrast_from_norms(norms, len(E), S)
     else:
-        D, defect = _power_contrast(_quadrature_generator(coeffs)[None], h, n_samples, S)
+        D, defect = _power_contrast([_quadrature_generator(coeffs)[None]], h, n_samples, S)
     return ContrastSeries(times=times, D=D, f=S * (1.0 - D), pseudo_unitarity_defect=defect)
 
 
@@ -395,36 +387,35 @@ def _quadrature_generator(coeffs) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow fails the checks instead
-def _power_contrast(G, h: float, n_samples: int, S: float):
-    """Contrast at t_n = n h, n < n_samples, for a stack of real generators.
+def _power_contrast(blocks, h: float, n_samples: int, S: float):
+    """Contrast at t_n = n h, n < n_samples, for blocks of real generators.
 
-    G has shape (batch, 2m, 2m), each block a quadrature generator of m
-    modes, so E = exp(h G) is real symplectic and the propagator at t_n is
-    E^n = Q U(t_n) Q^dagger for the complex propagator U. D follows from
-    the batch mean of ||E^n||_F^2 (_contrast_from_norms): a batch of Bloch
-    momenta gives the midpoint-rule k integral, a batch of one the
-    real-space ring. Nothing is diagonalised, so the defective k = 0
-    Goldstone pair is harmless. G may also be any object with that .shape
-    whose slices G[i:j] are such arrays, built on demand.
+    blocks is an iterable of stacks of shape (nb, 2m, 2m), each matrix a
+    quadrature generator of m modes, so E = exp(h G) is real symplectic and
+    the propagator at t_n is E^n = Q U(t_n) Q^dagger for the complex
+    propagator U. D follows from the mean of ||E^n||_F^2 over every
+    generator of every block (_contrast_from_norms): Bloch momenta give the
+    midpoint-rule k integral, one block of one generator the real-space
+    ring. Nothing is diagonalised, so the defective k = 0 Goldstone pair is
+    harmless. The blocks are taken one at a time and their norms summed, so
+    a caller that builds them lazily bounds the memory
+    (bogoliubov.contrast_multiflavour).
 
-    Powers take baby and giant steps (_block_norms) on blocks of at most
-    _POWER_BLOCK_ELEMENTS matrix elements, and the blocks' norms are summed, so
-    the memory does not grow with the batch. Each block reads its cell from
-    the generators (_cell_layout): a ring that repeats every p < m sites
-    carries only the 2p rows of one cell of every power, so a product costs
-    (2p)(2m)^2 flops instead of (2m)^3, still in real space; Bloch stacks
-    and aperiodic rings carry whole matrices. A non-finite norm raises,
-    naming the earliest such sample over the whole batch; E^N, N =
+    Powers take baby and giant steps (_block_norms). Each block reads its
+    cell from the generators (_cell_layout): a ring that repeats every
+    p < m sites carries only the 2p rows of one cell of every power, so a
+    product costs (2p)(2m)^2 flops instead of (2m)^3, still in real space;
+    Bloch stacks and aperiodic rings carry whole matrices. A non-finite norm
+    raises, naming the earliest such sample over all blocks; E^N, N =
     n_samples - 1, passes the symplectic check, with the largest defect
     over the blocks. Returns D and that defect.
     """
-    batch, dim = G.shape[0], G.shape[-1]
-    block = max(1, _POWER_BLOCK_ELEMENTS // dim**2)
     norms = np.zeros(n_samples)
-    defects = []
-    for start in range(0, batch, block):
-        block_norms, defect = _block_norms(G[start : start + block], h, n_samples - 1)
+    batch, defects = 0, []
+    for G in blocks:
+        block_norms, defect = _block_norms(G, h, n_samples - 1)
         norms += block_norms
+        batch += len(G)
         defects.append(defect)
     if not np.isfinite(norms).all():
         bad = int(np.argmin(np.isfinite(norms)))
@@ -433,6 +424,7 @@ def _power_contrast(G, h: float, n_samples: int, S: float):
             "the growth exceeds double range, so shorten T"
         )
     err, norm_sq = np.max(defects, axis=0)
+    dim = G.shape[-1]
     defect = _judge_symplectic(err, norm_sq, dim // 2, h)
     return _contrast_from_norms(norms / batch, dim, S), defect
 

@@ -1,6 +1,7 @@
 """Dispersion windows, decay rates, flavour matrices, k-space stability."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -471,6 +472,14 @@ class TestMultiflavour:
         q = 4.0 * elliptic.complete_K(0.9) / 6
         with pytest.raises(ValueError, match="family"):
             bg.multiflavour_matrices(0.3, "helix", 0.9, q, 0.0)
+
+    @pytest.mark.parametrize("family", ["transverse", "helix", "GTSH"])
+    def test_family_coefficients_name_the_families(self, family):
+        """transverse has a detuned coupling too, but no Bloch cell."""
+        q = 4.0 * elliptic.complete_K(0.9) / 6
+        expected = f"unknown family {family!r} (expected 'gtsh' or 'glsh')"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            bg.family_coefficients(family, 0.9, q, 0.01)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_detuning(self, bad):

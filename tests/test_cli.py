@@ -255,6 +255,18 @@ class TestDispersion:
         assert "at least one momentum" in capsys.readouterr().err
         assert not (tmp_path / "dispersion.csv").exists()
 
+    def test_overflowing_curve_is_numeric_error(self, tmp_path, capsys):
+        """A finite dJz whose curve leaves double range exits 1 naming dJz
+        and S, not the numpy overflow inside it."""
+        code = run(
+            ["dispersion", "--q", "pi/3", "--theta", "pi/4", "--dJz", "1e155"],
+            tmp_path,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: the dispersion overflows at dJz = 1e+155, S = 1.0\n"
+        assert not (tmp_path / "dispersion.csv").exists()
+
 
 class TestContrastSw:
     def test_transverse_family(self, tmp_path):
@@ -705,6 +717,20 @@ class TestLlEvolve:
         err = capsys.readouterr().err
         assert err.startswith("error: norm drift")
         assert err.count("\n") == 1
+
+    def test_overflowing_step_is_norm_drift(self, tmp_path, capsys):
+        """A coupling whose first step overflows reaches the integrator's own
+        drift check, as a merely too large one (--dJz 1e6) does."""
+        code = run(
+            ["ll-evolve", "--kappa", "0.5", "--M", "1", "--L", "8",
+             "--gamma", "0", "--dJz", "1e150", "--T", "1"],
+            tmp_path,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: norm drift nan exceeds 1e-06 at t = ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "ll_trajectory.csv").exists()
 
     def test_step_count_overflow_is_numeric_error(self, tmp_path, capsys):
         code = run(
