@@ -51,7 +51,11 @@ rings    runs spinwave.contrast_sw on the rings RINGS of the contrast workload
          also in units of max(1, |1 - D|). The first repetition also runs
          bogoliubov.contrast_multiflavour on BLOCH_STACKS (test_bloch_stacks)
          and reports whether D and the defect are float.hex-equal across sides,
-         and the largest |D_change - D_parent| of each stack.
+         and the largest |D_change - D_parent| of each stack. The LARGE_RING
+         runs once per fresh process, with no untimed call, so that the
+         process's peak RSS (ru_maxrss) is the ring's; it reports the wall
+         time and that peak per side, and whether D is float.hex-equal across
+         sides, as for every ring of RINGS.
 exponential
          times spinwave.expm on whole generators (EXPONENTIAL_RINGS: transverse
          rings at h = 0.1 with one site's V moved by 1e-9, so that no cell
@@ -317,28 +321,49 @@ BLOCH_STACKS = (("glsh", 0.8, 7, -0.02, 400, 20.0, 81), ("gtsh", 0.9, 6, 0.02, 4
                 ("glsh", 0.96, 61, 0.01, 142, 20.0, 41))
 
 
-def rings_run(args) -> dict:
-    """Run in a fresh process whose path starts at the checkout's src."""
+#: the rings mode's large ring (family, L, detuning, S, T, n_samples): the
+#: transverse ring of ROADMAP item 11, where whole matrices hold 184 MB
+LARGE_RING = ("transverse", 2400, 0.03, 1.0, 30.0, 301)
+
+
+def _ring_coefficients(family, L, delta, S):
+    """Static spin-wave coefficients of a transverse ring (theta = pi/4,
+    q = pi/3, co-rotating) or of the glsh ring (kappa 0.8, lambda 7)."""
     import math
 
-    from xyzscar import bogoliubov as bg
     from xyzscar import rotframe, scars
+    from xyzscar import spinwave as sw
+
+    if family == "transverse":
+        theta, q = math.pi / 4, math.pi / 3
+        omega = -2.0 * S * math.cos(theta) * delta
+        frame = rotframe.frame_transverse(theta, q, omega, L, dJz=delta)
+    else:
+        frame = rotframe.scar_frame(scars.ScarParams.commensurate(0.8, L // 7, L, gamma=1.0), delta)
+    return sw.sw_coefficients(frame, S)
+
+
+def rings_run(args) -> dict:
+    """Run in a fresh process whose path starts at the checkout's src."""
+    from xyzscar import bogoliubov as bg
     from xyzscar import spinwave as sw
     from xyzscar.elliptic import complete_K
 
+    if args.large:
+        family, L, delta, S, T, n_samples = LARGE_RING
+        start = time.perf_counter()
+        series = sw.contrast_sw(_ring_coefficients(family, L, delta, S), S, T=T, n_samples=n_samples)
+        wall = time.perf_counter() - start
+        return {"wall_s": wall, "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                "hex": [x.hex() for x in series.D]}
     out = {}
     for name, (family, L, delta, S, T, n_samples) in RINGS.items():
-        if family == "transverse":
-            theta, q = math.pi / 4, math.pi / 3
-            omega = -2.0 * S * math.cos(theta) * delta
-            frame = rotframe.frame_transverse(theta, q, omega, L, dJz=delta)
-        else:
-            frame = rotframe.scar_frame(scars.ScarParams.commensurate(0.8, L // 7, L, gamma=1.0), delta)
-        coeffs = sw.sw_coefficients(frame, S)
+        coeffs = _ring_coefficients(family, L, delta, S)
         sw.contrast_sw(coeffs, S, T=T, n_samples=n_samples)
         start = time.perf_counter()
         series = sw.contrast_sw(coeffs, S, T=T, n_samples=n_samples)
-        out[name] = {"wall_s": time.perf_counter() - start, "D": series.D.tolist()}
+        out[name] = {"wall_s": time.perf_counter() - start, "D": series.D.tolist(),
+                     "hex": [x.hex() for x in series.D]}
     if args.bloch:
         for family, kappa, lam, delta, n_k, T, n_samples in BLOCH_STACKS:
             q = 4.0 * complete_K(kappa) / lam
@@ -352,11 +377,20 @@ def rings_run(args) -> dict:
 def rings(args) -> dict:
     runs = _fresh_runs(args, "rings-run", first=["--bloch"], one_blas=True)
     out = _compare_series(runs, RINGS)
-    stacks = [case for case in runs["parent"][0] if case.startswith("bloch-")]
     parent, change = runs["parent"][0], runs["change"][0]
+    for name in RINGS:
+        out[name]["hex_equal"] = parent[name]["hex"] == change[name]["hex"]
+    stacks = [case for case in parent if case.startswith("bloch-")]
     out["bloch_hex_equal"] = {case: parent[case]["hex"] == change[case]["hex"] for case in stacks}
     out["bloch_max_abs_dD"] = {case: max(abs(a - b) for a, b in zip(parent[case]["D"], change[case]["D"]))
                                for case in stacks}
+    large = _fresh_runs(args, "rings-run", "--large", one_blas=True)
+    name = "{}-{}".format(*LARGE_RING[:2])
+    out[name] = {**{f"{side}_{key}_median": statistics.median(r[key] for r in rs)
+                    for side, rs in large.items() for key in ("wall_s", "peak_rss_mb")},
+                 **{f"{side}_{key}": [r[key] for r in rs]
+                    for side, rs in large.items() for key in ("wall_s", "peak_rss_mb")},
+                 "hex_equal": large["parent"][0]["hex"] == large["change"][0]["hex"]}
     return out
 
 
@@ -572,7 +606,9 @@ def main() -> None:
     modes.add_parser("scale-cell").add_argument("--cell", required=True)
     modes.add_parser("peaks-run")
     modes.add_parser("exact-run")
-    modes.add_parser("rings-run").add_argument("--bloch", action="store_true")
+    rings_run_parser = modes.add_parser("rings-run")
+    rings_run_parser.add_argument("--bloch", action="store_true")
+    rings_run_parser.add_argument("--large", action="store_true")
     modes.add_parser("exponential-run")
     modes.add_parser("outputs-run").add_argument("--dir", type=Path, required=True)
     modes.add_parser("elliptic-run")

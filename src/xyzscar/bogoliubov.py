@@ -171,9 +171,12 @@ def scaling_function(tau, q: float, theta: float, dJz: float, n_k: int | None = 
     spectrally; the grid grows with tau to resolve the oscillations. The
     k-only factors a_k = A~^2/|w~^2| and omega_k = sqrt|w~^2| are formed
     once: each point is a_k sin^2(omega_k tau), a_k sinh^2(omega_k tau)
-    where w~^2 < 0, and A~^2 tau^2 where w~^2 is exactly 0. Rows are summed
-    by np.sum, so a tau's value does not depend on the other taus. Needs
-    0 < q < pi/2 and 0 < theta < pi (_transverse_detuning).
+    where w~^2 < 0, and A~^2 tau^2 where w~^2 is exactly 0. The integrand
+    is even in k, so the sum runs over the k >= 0 half of the midpoint grid
+    with weight 2, the k = 0 point of an odd grid with weight 1; the weights
+    are folded into a_k, exactly. Rows are summed by np.sum, so a tau's
+    value does not depend on the other taus. Needs 0 < q < pi/2 and
+    0 < theta < pi (_transverse_detuning).
     """
     X = _transverse_detuning(q, theta, dJz)
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
@@ -181,7 +184,9 @@ def scaling_function(tau, q: float, theta: float, dJz: float, n_k: int | None = 
         raise ValueError("tau must be finite and >= 0")
     if n_k is None:
         n_k = max(8192, 256 * (int(np.max(tau)) + 1))
-    k = _momentum_grid(n_k)
+    k = _momentum_grid(n_k)[n_k // 2 :]
+    weight = np.full(len(k), 2.0)
+    weight[: n_k % 2] = 1.0
     s2 = np.sin(k / 2.0) ** 2
     w2 = 8.0 * math.cos(q) * s2 * (2.0 * math.cos(q) * s2 - X * np.cos(k))
     # momenta grouped as w~^2 > 0, w~^2 == 0, w~^2 < 0
@@ -191,9 +196,10 @@ def scaling_function(tau, q: float, theta: float, dJz: float, n_k: int | None = 
     grow = slice(n_osc + n_flat, None)
     omega = np.sqrt(np.abs(w2))
     a = np.divide(A2, np.abs(w2), out=A2.copy(), where=w2 != 0.0)
+    a *= weight[order]
     out = np.empty(len(tau))
     # 2.5e5 (tau, k) points per chunk bound the temporaries at a few MB
-    chunk = max(1, 250_000 // n_k)
+    chunk = max(1, 250_000 // len(k))
     for i in range(0, len(tau), chunk):
         t = tau[i : i + chunk, None]
         x = t * omega

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .lattice_classical import _step_count
 from .rotframe import FrameData
@@ -47,17 +48,17 @@ _CF4_A2 = 0.25 - math.sqrt(3.0) / 6.0
 
 def expm(A: np.ndarray, layout=(slice(None), None, 1)) -> np.ndarray:
     """exp(A) for a real matrix or stack of them, or, in a cell layout
-    (rows, gather, cells) of _cell_layout, the rows of exp(A') for a stack
-    A, A' the mean of A over the translations by a cell.
+    (rows, p, cells) of _cell_layout, the rows of exp(A') for a stack A, A'
+    the mean of A over the translations by a cell.
 
-    The mean's rows are a bincount over the gather. The mean commutes with
-    the shift by a cell, so every power and product of it does too, and
-    each product here is rows(X) full(Y), full(Y) gathered from Y's rows.
-    A ring's generator differs from its mean by rounding only. Cell 0's
-    rows as they stand would copy their rounding to every cell, so that
-    the E carried is neither exp(A) nor symplectic; the mean of Hamiltonian
-    generators is Hamiltonian (the shift commutes with Omega), and its
-    exponential symplectic.
+    The mean's rows are a sum over the cells (_cell_mean). The mean commutes
+    with the shift by a cell, so every power and product of it does too, and
+    each product here is rows(X) full(Y), full(Y) built from Y's rows
+    (_full). A ring's generator differs from its mean by rounding only.
+    Cell 0's rows as they stand would copy their rounding to every cell, so
+    that the E carried is neither exp(A) nor symplectic; the mean of
+    Hamiltonian generators is Hamiltonian (the shift commutes with Omega),
+    and its exponential symplectic.
 
     Scaling and squaring of a Taylor polynomial T_d: with nu the 1-norm,
     each degree d of _TAYLOR_THETA needs the fewest squarings s with
@@ -68,11 +69,11 @@ def expm(A: np.ndarray, layout=(slice(None), None, 1)) -> np.ndarray:
     nu raises nothing here: E comes out non-finite, and the caller's
     checks fail on it. A zero A gives I exactly.
     """
-    rows, gather, _ = layout
+    rows, p, _ = layout
     dim = A.shape[-1]
-    B = np.asarray(A, dtype=float) if gather is None else _cell_mean(A, layout)
+    B = np.asarray(A, dtype=float) if p is None else _cell_mean(A, layout)
 
-    whole = _full(B, gather)
+    whole = _full(B, p)
     mantissa, exponent = math.frexp(float(np.abs(whole).sum(axis=-2).max()))
 
     def squarings(d):
@@ -98,6 +99,7 @@ def expm(A: np.ndarray, layout=(slice(None), None, 1)) -> np.ndarray:
     powers = [eye, B]
     for _ in range(t - 1):
         powers.append(powers[-1] @ whole)
+    del whole
 
     def chunk(j):
         """The terms B^i / i! of F for j t <= i < (j + 1) t (j t <= i <=
@@ -105,29 +107,49 @@ def expm(A: np.ndarray, layout=(slice(None), None, 1)) -> np.ndarray:
         top = degree if j == k else (j + 1) * t - 1
         return sum(powers[i - j * t] / math.factorial(i) for i in range(max(j * t, 1), top + 1))
 
-    F, step = chunk(k), _full(powers[t], gather)
+    F, step = chunk(k), _full(powers[t], p)
     for j in reversed(range(k)):
         F = F @ step + chunk(j)
+    del step
     for _ in range(s):
-        F = 2.0 * F + F @ _full(F, gather)
+        F = 2.0 * F + F @ _full(F, p)
     return F + eye
 
 
-def _full(X: np.ndarray, gather) -> np.ndarray:
-    """The whole matrices of a stack carried as cell-0 rows, by the gather
-    of a cell layout (_cell_layout); X itself where gather is None."""
-    return X if gather is None else np.take(X.reshape(len(X), -1), gather, axis=1)
+def _full(X: np.ndarray, p) -> np.ndarray:
+    """The whole matrices of a stack carried as the 2p cell-0 rows of a cell
+    layout (_cell_layout); X itself where p is None.
+
+    Row r of cell c, in either quadrature half, is cell 0's row r shifted by
+    c p sites within both column halves. With the rows doubled along the
+    site axis, each such shift is the window of m sites that starts at
+    m - c p, so the whole stack is a read-only strided view of the doubled
+    rows, copied once into one contiguous array."""
+    if p is None:
+        return X
+    nb, m = len(X), X.shape[-1] // 2
+    rows = X.reshape(nb, 2, p, 2, m)
+    windows = sliding_window_view(np.concatenate([rows, rows], axis=-1), m, axis=-1)
+    # (batch, half, row, column half, cell, site) -> rows (half, cell, row)
+    return windows[..., m:0:-p, :].transpose(0, 1, 4, 2, 3, 5).reshape(nb, 2 * m, 2 * m)
 
 
 def _cell_mean(A: np.ndarray, layout) -> np.ndarray:
     """The cell-0 rows of the mean of a stack A over the translations by a
-    cell of the layout (rows, gather, cells) of _cell_layout: each row sums,
-    by a bincount over the gather, the cells' copies of its entries."""
-    _, gather, cells = layout
-    dim = A.shape[-1]
-    mean = np.stack([np.bincount(gather.ravel(), a, dim * dim // cells)
-                     for a in A.reshape(len(A), -1)])
-    return mean.reshape(len(A), dim // cells, dim) / cells
+    cell of the layout (rows, p, cells) of _cell_layout.
+
+    Row r of cell c, shifted back by c p sites within both column halves,
+    is a copy of cell 0's row r. With A's rows doubled along the site axis,
+    the copies form a read-only strided view, summed from 0.0 over
+    c = 0 .. cells - 1 in that order, so no index of A is formed."""
+    _, p, cells = layout
+    nb, m = len(A), A.shape[-1] // 2
+    blocks = A.reshape(nb, 2, cells, p, 2, m)
+    doubled = np.concatenate([blocks, blocks], axis=-1)
+    strides = list(doubled.strides)
+    strides[2] += p * strides[5]  # cell c's copy starts c p sites along
+    copies = as_strided(doubled, blocks.shape, strides, writeable=False)
+    return np.add.reduce(copies, axis=2, initial=0.0).reshape(nb, 2 * p, 2 * m) / cells
 
 
 @dataclass
@@ -181,12 +203,19 @@ def sw_coefficients(frame: FrameData, S: float) -> SpinWaveCoefficients:
 def build_linear_generator(coeffs: SpinWaveCoefficients) -> np.ndarray:
     """Assemble the 2L x 2L generator C of d/dt (a, a+) = -iC (a, a+).
 
-    C = [[M, N], [-conj(N), -conj(M)]] with M_jj = V_j, hopping
+    C = [[M, N], [-conj(N), -conj(M)]], with M and N from
+    _hopping_and_pairing.
+    """
+    M, N = _hopping_and_pairing(coeffs)
+    return np.block([[M, N], [-np.conj(N), -np.conj(M)]])
+
+
+def _hopping_and_pairing(coeffs: SpinWaveCoefficients):
+    """(M, N), the L x L blocks of the generator C: M_jj = V_j, hopping
     M_{j,j-1} = eta_{j-1}, M_{j,j+1} = conj(eta_j), and pairing
     N_{j,j-1} = zeta_{j-1}, N_{j,j+1} = zeta_j. Neighbor contributions are
     accumulated, so the L = 2 ring (where both neighbors coincide) comes out
-    right.
-    """
+    right."""
     L = coeffs.L
     idx = np.arange(L)
     prev = (idx - 1) % L
@@ -198,7 +227,7 @@ def build_linear_generator(coeffs: SpinWaveCoefficients) -> np.ndarray:
     np.add.at(M, (idx, nxt), np.conj(coeffs.eta[idx]))
     np.add.at(N, (idx, prev), coeffs.zeta[prev])
     np.add.at(N, (idx, nxt), coeffs.zeta[idx])
-    return np.block([[M, N], [-np.conj(N), -np.conj(M)]])
+    return M, N
 
 
 def propagator(coeffs, t: float, dt: float | None = None) -> np.ndarray:
@@ -380,10 +409,20 @@ def _quadrature_generator(coeffs) -> np.ndarray:
     With x = (a + a+)/sqrt2 and p = (a - a+)/(i sqrt2), i.e. the unitary
     Q = [[1, 1], [-i, i]]/sqrt2, G = Q(-iC)Q^dagger; for
     C = [[M, N], [-conj N, -conj M]] that is
-    G = [[Im(M + N), Re(M - N)], [-Re(M + N), Im(M - N)]], real.
+    G = [[Im(M + N), Re(M - N)], [-Re(M + N), Im(M - N)]], real. Its four
+    L x L blocks are filled from the parts of M and N
+    (_hopping_and_pairing) one by one; a complex sum's parts are the sums of
+    the parts, so this is the complex arithmetic, float for float.
     """
-    M, N = np.split(build_linear_generator(coeffs)[: coeffs.L], 2, axis=1)
-    return np.block([[(M + N).imag, (M - N).real], [-(M + N).real, (M - N).imag]])
+    M, N = _hopping_and_pairing(coeffs)
+    L = coeffs.L
+    G = np.empty((2 * L, 2 * L))
+    np.add(M.imag, N.imag, out=G[:L, :L])
+    np.subtract(M.real, N.real, out=G[:L, L:])
+    np.add(M.real, N.real, out=G[L:, :L])
+    np.negative(G[L:, :L], out=G[L:, :L])
+    np.subtract(M.imag, N.imag, out=G[L:, L:])
+    return G
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow fails the checks instead
@@ -404,8 +443,9 @@ def _power_contrast(blocks, h: float, n_samples: int, S: float):
     Powers take baby and giant steps (_block_norms). Each block reads its
     cell from the generators (_cell_layout): a ring that repeats every
     p < m sites carries only the 2p rows of one cell of every power, so a
-    product costs (2p)(2m)^2 flops instead of (2m)^3, still in real space;
-    Bloch stacks and aperiodic rings carry whole matrices. A non-finite norm
+    product costs (2p)(2m)^2 flops instead of (2m)^3, still in real space,
+    its right factor rebuilt from the rows by a strided view (_full); Bloch
+    stacks and aperiodic rings carry whole matrices. A non-finite norm
     raises, naming the earliest such sample over all blocks; E^N, N =
     n_samples - 1, passes the symplectic check, with the largest defect
     over the blocks. Returns D and that defect.
@@ -454,10 +494,10 @@ def _block_norms(G: np.ndarray, h: float, n_steps: int):
     cell layout (_cell_layout): on a ring whose generators repeat every p
     sites they all commute with that shift, so only the 2p rows of cell 0
     are formed, E's by expm in that layout. A product X Y is
-    rows(X) full(Y), full(Y) gathered from Y's rows, a Frobenius inner
-    product m/p times that of the rows, and the Omega conjugation maps
-    cell 0's rows onto themselves. Where p = m the rows are the whole
-    matrix and nothing is gathered.
+    rows(X) full(Y), full(Y) built from Y's rows by a strided view (_full),
+    a Frobenius inner product m/p times that of the rows, and the Omega
+    conjugation maps cell 0's rows onto themselves. In the whole layout the
+    rows are the whole matrix and full(Y) is Y.
 
     The baby Gram matrices (the identity at a = 0) are kept packed, and each
     giant Gram matrix meets them all in one matrix-vector product; D(0) = 1
@@ -470,7 +510,7 @@ def _block_norms(G: np.ndarray, h: float, n_steps: int):
     nb, dim = G.shape[0], G.shape[-1]
     half = max(1, math.isqrt(n_steps) // 2 - 1)
     layout = _cell_layout(G)
-    rows, gather, cells = layout
+    rows, p, cells = layout
     n_rows = dim // cells
     plus, minus, cross, weight = _gram_packing(dim, n_rows // 2)
     mag, mask = np.empty(nb * dim * dim), np.empty(nb * dim * dim, dtype=bool)
@@ -479,7 +519,7 @@ def _block_norms(G: np.ndarray, h: float, n_steps: int):
         return _flush_tiny(X, mag, mask)
 
     def full(X):
-        return _full(X, gather)
+        return _full(X, p)
 
     def pack(gram, index, out, weights=()):
         """Packed entries of the rows of a symmetric gram (conjugated by Omega
@@ -527,6 +567,7 @@ def _block_norms(G: np.ndarray, h: float, n_steps: int):
             giant = stride if b == 1 else flush(giant @ whole_stride)
             whole = full(giant)
             pack(np.swapaxes(whole[..., rows], -1, -2) @ whole, plus, giant_gram)
+            del whole
             packed = giant_gram
         lo = r * b - back
         first, last = max(lo, 0), min(lo + r, n_steps + 1)
@@ -541,34 +582,26 @@ def _block_norms(G: np.ndarray, h: float, n_steps: int):
 
 
 def _cell_layout(G: np.ndarray):
-    """(rows, gather, cells): the layout _block_norms carries a block in.
+    """(rows, p, cells): the layout _block_norms carries a block in.
 
     The cell p is the smallest divisor of m = dim/2 such that every
     generator of the block is unchanged by the cyclic shift of p sites on
     both quadrature halves, rows and columns (so the wrap bond counts), to
     less than _PERIOD_TOL of the block's largest entry. Every power, Gram
     matrix and giant step then commutes with the shift and is fixed by the
-    2p rows of cell 0, rows (x_0 .. x_{p-1}, p_0 .. p_{p-1}): the whole
-    matrices are X_rows.reshape(batch, -1)[:, gather], and a Frobenius
-    inner product is cells = m/p times that of the rows. Where only the
-    shift by m fits, the layout is the whole matrix: rows slice(None),
-    gather None, cells 1.
+    2p rows of cell 0, rows (x_0 .. x_{p-1}, p_0 .. p_{p-1}): _full rebuilds
+    the whole matrices from them, and a Frobenius inner product is
+    cells = m/p times that of the rows. Where only the shift by m fits, the
+    layout is the whole matrix: rows slice(None), p None, cells 1.
     """
-    dim = G.shape[-1]
-    m = dim // 2
-    sites = np.arange(m)
+    m = G.shape[-1] // 2
+    blocks = G.reshape(len(G), 2, m, 2, m)
     tol = _PERIOD_TOL * np.abs(G).max()
     for p in [p for p in range(1, m) if m % p == 0]:
-        shift = np.concatenate([(sites + p) % m, (sites + p) % m + m])
-        if np.abs(G[:, shift[:, None], shift] - G).max() < tol:
-            break
-    else:
-        return slice(None), None, 1
-    i = np.arange(dim)
-    site, upper = i % m, i // m
-    local = site % p + p * upper  # the cell-0 row that row i repeats
-    cols = (site - p * (site // p)[:, None]) % m + m * upper
-    return np.concatenate([sites[:p], m + sites[:p]]), local[:, None] * dim + cols, m // p
+        shifted = np.roll(blocks, (-p, -p), axis=(2, 4))
+        if np.abs(np.subtract(shifted, blocks, out=shifted), out=shifted).max() < tol:
+            return np.r_[:p, m : m + p], p, m // p
+    return slice(None), None, 1
 
 
 def _gram_packing(dim: int, p: int):

@@ -270,7 +270,63 @@ class TestInstabilityWindow:
         assert abs(-res.fun - win.rate_max) < 1e-10
 
 
+def full_zone_scaling_function(tau, q, theta, dJz, n_k=None):
+    """f(tau) summed over every point of the full n_k-point midpoint grid,
+    the sum scaling_function took before it used the k >= 0 half: its
+    oracle."""
+    X = math.sin(theta) ** 2 * dJz
+    tau = np.atleast_1d(np.asarray(tau, dtype=float))
+    if n_k is None:
+        n_k = max(8192, 256 * (int(np.max(tau)) + 1))
+    k = bg._momentum_grid(n_k)
+    s2 = np.sin(k / 2.0) ** 2
+    w2 = 8.0 * math.cos(q) * s2 * (2.0 * math.cos(q) * s2 - X * np.cos(k))
+    order = np.argsort(-np.sign(w2), kind="stable")
+    w2, A2 = w2[order], (X * np.cos(k[order])) ** 2
+    n_osc, n_flat = np.count_nonzero(w2 > 0.0), np.count_nonzero(w2 == 0.0)
+    grow = slice(n_osc + n_flat, None)
+    omega = np.sqrt(np.abs(w2))
+    a = np.divide(A2, np.abs(w2), out=A2.copy(), where=w2 != 0.0)
+    out = np.empty(len(tau))
+    for i, t in enumerate(tau):
+        x = t * omega
+        np.sin(x[:n_osc], out=x[:n_osc])
+        x[n_osc : n_osc + n_flat] = t
+        np.sinh(x[grow], out=x[grow])
+        out[i] = np.sum(np.square(x) * a) / n_k
+    return out
+
+
+def half_zone_error(tau, dJz, n_k=None):
+    """Largest |f - f_full| / |f_full| of scaling_function against the
+    full-zone sum; both must vanish together."""
+    f = bg.scaling_function(tau, Q, THETA, dJz, n_k=n_k)
+    full = full_zone_scaling_function(tau, Q, THETA, dJz, n_k=n_k)
+    assert np.array_equal(f == 0.0, full == 0.0)
+    nonzero = full != 0.0
+    return float(np.max(np.abs(f - full)[nonzero] / np.abs(full[nonzero])))
+
+
 class TestScalingFunction:
+    @pytest.mark.parametrize("dJz", [-0.03, 0.03])
+    @pytest.mark.parametrize(
+        "tau", [np.linspace(200.0, 400.0, 201), np.linspace(0.0, 30.0, 301)],
+        ids=["gates-04-05", "gate-07"],
+    )
+    def test_half_zone_matches_the_full_zone(self, tau, dJz):
+        """The integrand is even in k, so the k >= 0 half at weight 2 is the
+        full-zone sum to 1e-15 relative on the gates' tau grids."""
+        assert half_zone_error(tau, dJz) <= 1e-15
+
+    @pytest.mark.parametrize("dJz", [-0.03, 0.03])
+    @pytest.mark.parametrize("n_k", [1, 2, 3, 7, 8])
+    def test_half_zone_on_small_grids(self, n_k, dJz):
+        """Odd grids weigh their k = 0 point once. The full grid's mirrored
+        midpoints differ by up to 8.9e-16 in k, so at tau in the hundreds on
+        n_k = 8 the two sums part by up to 1e-13; these taus keep to
+        test_zero_frequency_momentum's."""
+        assert half_zone_error(np.array([0.0, 0.5, 3.0, 40.0]), dJz, n_k) <= 1e-15
+
     def test_zero_time(self):
         assert bg.scaling_function(0.0, Q, THETA, -0.03)[0] == 0.0
 

@@ -718,7 +718,7 @@ CELL_RINGS = {
     "glsh140": (lambda: elliptic_ring("glsh", 0.8, 7, 140, -0.02), 1.0, 20.0, 81, 20),
     # gtsh at lambda = 6 repeats every half winding, 3 sites
     "gtsh240": (lambda: elliptic_ring("gtsh", 0.9, 6, 240, 0.02), 1.0, 20.0, 201, 80),
-    # one cell per site on rings so short that the gather wraps
+    # one cell per site on rings so short that the cell shifts wrap
     "L2": (lambda: transverse_ring(2, 0.03, q=math.pi), 1.0, 30.0, 301, 2),
     "L3": (lambda: transverse_ring(3, 0.03, q=2 * math.pi / 3), 1.0, 30.0, 301, 3),
 }
@@ -757,9 +757,13 @@ class TestCellLayout:
 
     @pytest.mark.parametrize("L,dJz", [(24, -0.03), (24, 0.1), (24, 0.3), (24, 0.5), (48, 0.03)])
     def test_power_contrast_rings_take_the_cell_layout(self, L, dJz):
-        """TestPowerContrast's transverse rings repeat every site."""
-        rows, gather, cells = sw._cell_layout(ring_generator(L, dJz))
-        assert cells == L and list(rows) == [0, L] and gather.shape == (2 * L, 2 * L)
+        """TestPowerContrast's transverse rings repeat every site, and _full
+        rebuilds each generator from its two cell-0 rows to within
+        _PERIOD_TOL of its largest entry."""
+        G = ring_generator(L, dJz)
+        rows, p, cells = sw._cell_layout(G)
+        assert cells == L and p == 1 and list(rows) == [0, L]
+        assert np.abs(sw._full(G[:, rows], p) - G).max() < sw._PERIOD_TOL * np.abs(G).max()
 
     @pytest.mark.parametrize("family,kappa,lam", [("glsh", 0.8, 7), ("gtsh", 0.9, 6),
                                                   ("glsh", 0.8, 8), ("glsh", 0.96, 61)])
@@ -767,15 +771,34 @@ class TestCellLayout:
         blocks = bloch_generators(family, kappa, lam, 0.01, 140)
         assert all(sw._cell_layout(G)[1] is None for G in blocks)
 
-    def test_gather_rebuilds_a_periodic_propagator(self):
+    def test_full_rebuilds_a_periodic_propagator(self):
         """The whole E^5 of the glsh ring, a cell of 7 sites, from its 14
         cell rows."""
         G = sw._quadrature_generator(elliptic_ring("glsh", 0.8, 7, 140, -0.02))[None]
-        rows, gather, cells = sw._cell_layout(G)
-        assert cells == 20 and list(rows) == [*range(7), *range(140, 147)]
+        rows, p, cells = sw._cell_layout(G)
+        assert (p, cells) == (7, 20) and list(rows) == [*range(7), *range(140, 147)]
         E = np.linalg.matrix_power(sw.expm(0.5 * G)[0], 5)[None]
-        rebuilt = np.take(E[:, rows].reshape(1, -1), gather, axis=1)
-        np.testing.assert_allclose(rebuilt, E, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sw._full(E[:, rows], p), E, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("ring", list(CELL_RINGS))
+    def test_strided_views_match_the_gather(self, ring):
+        """_full and _cell_mean equal the (2L)^2 gather and its bincount,
+        float.hex for float.hex, on a stack of three matrices: a sample
+        step, the negative generator (whose zero entries are -0.0) and
+        seeded noise, which repeats no cell."""
+        G = sw._quadrature_generator(CELL_RINGS[ring][0]())[None]
+        layout = sw._cell_layout(G)
+        assert layout[2] == CELL_RINGS[ring][4]
+        noise = np.random.default_rng(3301).standard_normal(G.shape)
+        A = np.concatenate([0.1 * G, -G, noise])
+        X = A[:, layout[0]]
+
+        def hexes(Y):
+            return [x.hex() for x in Y.ravel().tolist()]
+
+        assert hexes(sw._full(X, layout[1])) == hexes(gathered(X, layout))
+        assert hexes(sw._cell_mean(A, layout)) == hexes(bincount_mean(A, layout))
+        assert hexes(sw._cell_mean(A[1:2], layout)) == hexes(bincount_mean(A[1:2], layout))
 
 
 def relative_error(E, reference):
@@ -785,7 +808,34 @@ def relative_error(E, reference):
 
 def whole_from_rows(X, layout):
     """The whole matrices of a stack carried as the rows of a cell layout."""
-    return np.take(X.reshape(len(X), -1), layout[1], axis=1)
+    return sw._full(X, layout[1])
+
+
+def cell_gather(layout, dim):
+    """The int64 index of (2L)^2 entries that rebuilt whole matrices from
+    the cell-0 rows of a layout (rows, p, cells) before _full: entry (i, j)
+    of a whole matrix is entry [i, j] of it in the flattened rows. The
+    oracle of _full and _cell_mean."""
+    p, m = layout[1], dim // 2
+    i = np.arange(dim)
+    site, upper = i % m, i // m
+    local = site % p + p * upper  # the cell-0 row that row i repeats
+    cols = (site - p * (site // p)[:, None]) % m + m * upper
+    return local[:, None] * dim + cols
+
+
+def gathered(X, layout):
+    """The whole matrices of a stack of cell-0 rows, through cell_gather."""
+    return np.take(X.reshape(len(X), -1), cell_gather(layout, X.shape[-1]), axis=1)
+
+
+def bincount_mean(A, layout):
+    """The cell-0 rows of the mean of a stack A over the cell translations,
+    a bincount over cell_gather."""
+    dim, cells = A.shape[-1], layout[2]
+    gather = cell_gather(layout, dim).ravel()
+    mean = np.stack([np.bincount(gather, a, dim * dim // cells) for a in A.reshape(len(A), -1)])
+    return mean.reshape(len(A), dim // cells, dim) / cells
 
 
 def scipy_expm(A):
@@ -802,7 +852,7 @@ POWER_CONTRAST_STEPS = [
 
 class TestExpm:
     """The numpy exponential against scipy's expm: 1e-13 relative in both
-    layouts, the cell layout's rows taken whole through its gather."""
+    layouts, the cell layout's rows taken whole by _full."""
 
     @pytest.mark.parametrize("L,dJz,h", POWER_CONTRAST_STEPS)
     def test_power_contrast_rings(self, L, dJz, h):
